@@ -233,7 +233,10 @@ def _fmt(x) -> str:
         return ""
     if isinstance(x, float):
         return "%.17g" % x
-    return str(x)
+    text = str(x)
+    if "," in text or '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 class _Out:

@@ -55,7 +55,9 @@ class ExtrapolationError(EscrateError):
 class NonFiniteState(EscrateError):
     """A simulation step produced a non-finite value.
 
-    Carries the offending step index in ``.step``.
+    Carries a step index in ``.step``: for a 1-D chain, the first step of
+    the noise block (up to 512 steps) in which the state went non-finite;
+    for the n-dimensional diffusion, the offending step itself.
     """
 
     def __init__(self, step, message=None):

@@ -141,12 +141,6 @@ class RadialCoefficient:
     def a_prime(self, r):
         return self._a_prime(r)
 
-    def validate(self) -> None:
-        """Parameter-range checks for conservative-rate usage."""
-        if self.family == "power" and self.param is not None and self.param >= 2:
-            # allowed for drift formulas, rejected only by rate computations
-            pass
-
     # -- closed-form intrinsic radius (family fast path) ---------------------
 
     def rho_tilde_closed(self, s):
@@ -496,7 +490,7 @@ def closed_form_rate(case: CatalogueCase, t: float):
     if k == "diri2":
         psi = _sqrt_t_log_t(t)
         return psi, (t * math.log(t)) ** (1.0 / (2.0 - case.alpha))
-    if k == "diri3":
+    if k in ("diri3", "geo3"):
         beta = case.beta
         if beta == 1.0:
             return _safe_exp(t), _safe_exp(_safe_exp(t))
@@ -508,12 +502,6 @@ def closed_form_rate(case: CatalogueCase, t: float):
     if k == "geo2":
         psi = _sqrt_t_loglog_t(t)
         return psi, (t * math.log(math.log(t))) ** (1.0 / (2.0 - case.alpha))
-    if k == "geo3":
-        beta = case.beta
-        if beta == 1.0:
-            return _safe_exp(t), _safe_exp(_safe_exp(t))
-        psi = t ** (1.0 + beta / (2.0 - 2.0 * beta))
-        return psi, _safe_exp(t ** (1.0 / (1.0 - beta)))
     if k == "g_alpha":
         alpha = case.alpha
         if alpha == -1.0:

@@ -1,16 +1,17 @@
 """Euler-Maruyama simulation of radial diffusions.
 
 One-dimensional chains x_{k+1} = max(floor, x_k + theta(x_k) dt + sigma(x_k)
-sqrt(dt) xi_k) with counter-based per-path noise, plus radial drifts for
-model manifolds and radial elliptic diffusions, and a full n-dimensional
-isotropic diffusion.
+sqrt(dt) xi_k), all stepped by one kernel on counter-based noise keyed by
+(seed, chunk of 256 paths), plus radial drifts for model manifolds and
+radial elliptic diffusions, and a full n-dimensional isotropic diffusion.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
@@ -21,12 +22,13 @@ from .profiles import (
     ManifoldModel,
     RadialCoefficient,
     drift_L_rho,
+    rho_tilde,
     rho_tilde_inverse,
 )
 
 _SQRT2 = math.sqrt(2.0)
 _NOISE_BLOCK = 512  # steps of noise generated per RNG call
-_NOISE_CHUNK = 256  # paths sharing one noise stream in the lean kernels
+_NOISE_CHUNK = 256  # paths sharing one noise stream
 
 __all__ = [
     "Sde1D",
@@ -53,7 +55,7 @@ class Sde1D:
     sigma: Callable = None
     floor: float = DEFAULT_ORIGIN_FLOOR
     lipschitz: Optional[float] = None
-    # set when sigma is a known constant; lets simulation kernels skip the
+    # set when sigma is a known constant; lets the Euler kernel skip the
     # per-step sigma evaluation
     sigma_const: Optional[float] = None
 
@@ -74,8 +76,9 @@ class PathEnsemble:
 
     ``values`` has shape (n_paths, len(times)); ``times`` is the stored grid
     (possibly thinned by ``store_every``). ``first_exit[i]`` is the first
-    stored grid time with value > barrier, NaN when the path never exits.
-    ``floor_hits[i]`` counts steps where the reflection floor activated.
+    step time, stored or not, with value > barrier, NaN when the path never
+    exits. ``floor_hits[i]`` counts the steps that ended on the reflection
+    floor.
     """
 
     times: np.ndarray
@@ -119,104 +122,159 @@ def worker_threads() -> int:
     return min(cpus, cap)
 
 
-def _check_sim_args(sde: Sde1D, x0: float, T: float, dt: float):
-    if x0 < sde.floor:
-        raise DomainError(f"x0={x0} below floor {sde.floor}")
+def _check_sim_args(sdes, x0: float, T: float, dt: float, n_paths: int) -> int:
+    """Validate a run of n_paths chains of each SDE in ``sdes``; return its
+    step count int(T / dt)."""
+    for sde in sdes:
+        if x0 < sde.floor:
+            raise DomainError(f"x0={x0} below floor {sde.floor}")
     if dt <= 0 or T < dt:
         raise DomainError("need dt > 0 and T >= dt")
+    if n_paths < 1:
+        raise DomainError("n_paths must be >= 1")
+    return int(T / dt)
+
+
+def _noise_blocks(gens, n_steps: int):
+    """Yield (k, block, buf) for the steps k .. k+block-1, in blocks of up to
+    _NOISE_BLOCK steps: buf[c, :block] holds chunk c's float32 normals,
+    drawn step-major from gens[c].
+
+    With more than one worker thread (worker_threads) the chunks are filled
+    in parallel, and the next block is drawn while the caller steps through
+    the current one. Each stream is still read in order, so the values do
+    not depend on the thread count.
+    """
+    n_chunks = len(gens)
+    shape = (n_chunks, _NOISE_BLOCK, _NOISE_CHUNK)
+    blocks = [(k, min(_NOISE_BLOCK, n_steps - k))
+              for k in range(0, n_steps, _NOISE_BLOCK)]
+
+    def fill(buf, chunks, block):
+        for c in chunks:
+            gens[c].standard_normal((block, _NOISE_CHUNK), dtype=np.float32,
+                                    out=buf[c, :block])
+
+    n_threads = min(worker_threads(), n_chunks)
+    if n_threads <= 1:
+        buf = np.empty(shape, dtype=np.float32)
+        for k, block in blocks:
+            fill(buf, range(n_chunks), block)
+            yield k, block, buf
+        return
+
+    # numpy releases the GIL while it fills a chunk
+    from concurrent.futures import ThreadPoolExecutor
+    bufs = [np.empty(shape, dtype=np.float32) for _ in range(2)]
+    with ThreadPoolExecutor(n_threads) as pool:
+        def draw(i):
+            return [pool.submit(fill, bufs[i % 2], range(w, n_chunks, n_threads),
+                                blocks[i][1]) for w in range(n_threads)]
+
+        pending = draw(0)
+        for i, (k, block) in enumerate(blocks):
+            for done in pending:
+                done.result()
+            if i + 1 < len(blocks):
+                pending = draw(i + 1)
+            yield k, block, bufs[i % 2]
+
+
+def _shared_noise_run(sdes, x0: float, T: float, dt: float, n_paths: int,
+                      seed: int, observe: Callable) -> list:
+    """Euler-step n_paths chains of every SDE in ``sdes`` from x0 on the same
+    noise and return their states at T: the stepping kernel of every 1-D
+    chain.
+
+    Noise is keyed by (seed, chunk of _NOISE_CHUNK paths): the chunk whose
+    first path index is p draws from the Philox stream keyed by seed XOR p,
+    step-major, one row of _NOISE_CHUNK float32 normals per step. A path's
+    noise is thus a pure function of (seed, path index), whatever n_paths
+    and however many worker threads fill the chunks. Only the n_paths real
+    paths are stepped: the unused tail of the last chunk stays in the noise
+    scratch buffer. ``observe(step, states)`` runs after every step, with
+    step = 1 .. int(T / dt). States are checked once per noise block; a
+    non-finite one raises NonFiniteState with the block's first step.
+    """
+    n_steps = _check_sim_args(sdes, x0, T, dt, n_paths)
+    n_chunks = -(-n_paths // _NOISE_CHUNK)
+    gens = [_path_generator(seed ^ (c * _NOISE_CHUNK)) for c in range(n_chunks)]
+    states = [np.full(n_paths, float(x0)) for _ in sdes]
+    drift_dt = np.empty(n_paths)
+    padded = np.empty(n_chunks * _NOISE_CHUNK)
+    noise_chunks = padded.reshape(n_chunks, _NOISE_CHUNK)
+    noise = padded[:n_paths]
+    sqdt = math.sqrt(dt)
+    with contextlib.closing(_noise_blocks(gens, n_steps)) as blocks:
+        for k, block, buf in blocks:
+            for j in range(block):
+                z = buf[:, j]
+                for sde, x in zip(sdes, states):
+                    np.multiply(np.asarray(sde.drift(x), dtype=float), dt,
+                                out=drift_dt)
+                    if sde.sigma_const is not None:
+                        np.multiply(z, sde.sigma_const * sqdt, out=noise_chunks)
+                    else:
+                        np.multiply(z, sqdt, out=noise_chunks)
+                        noise *= np.asarray(sde.sigma(x), dtype=float)
+                    x += drift_dt
+                    x += noise
+                    np.maximum(x, sde.floor, out=x)
+                observe(k + j + 1, states)
+            for x in states:
+                bad = ~np.isfinite(x)
+                if bad.any():
+                    what = (f"path {int(np.argmax(bad))} non-finite"
+                            if len(sdes) == 1 else "non-finite coupled state")
+                    raise NonFiniteState(
+                        k, f"{what} within steps [{k}, {k + block})")
+    return states
 
 
 def euler_path(sde: Sde1D, x0: float, T: float, dt: float, seed: int) -> np.ndarray:
-    """Single Euler-Maruyama path on the grid 0, dt, ..., floor(T/dt)*dt.
-
-    Noise comes from a counter-based stream keyed by the seed, so the path
-    is reproducible independently of how other paths are scheduled.
-    """
-    _check_sim_args(sde, x0, T, dt)
-    n_steps = int(T / dt)
-    out = np.empty(n_steps + 1)
-    out[0] = x0
-    x = float(x0)
-    rng = _path_generator(seed)
-    sqdt = math.sqrt(dt)
-    k = 0
-    while k < n_steps:
-        block = min(_NOISE_BLOCK, n_steps - k)
-        xi = rng.standard_normal(block)
-        for j in range(block):
-            x = x + float(sde.drift(x)) * dt + float(sde.sigma(x)) * sqdt * xi[j]
-            if not math.isfinite(x):
-                raise NonFiniteState(k + j, f"non-finite state at step {k + j}")
-            if x < sde.floor:
-                x = sde.floor
-            out[k + j + 1] = x
-        k += block
-    return out
+    """Single Euler-Maruyama path on the grid 0, dt, ..., floor(T/dt)*dt:
+    path 0 of ``ensemble`` keyed by ``seed``."""
+    return ensemble(sde, x0, T, dt, 1, seed).values[0]
 
 
 def ensemble(sde: Sde1D, x0: float, T: float, dt: float, n_paths: int,
              master_seed: int, barrier: Optional[float] = None,
-             store_every: int = 1,
-             shared_noise_seed: Optional[int] = None) -> PathEnsemble:
-    """Simulate n_paths chains, vectorized across paths, stepped in blocks.
+             store_every: int = 1) -> PathEnsemble:
+    """Simulate n_paths chains on the chunk-keyed noise of _shared_noise_run.
 
-    Path i draws its noise from a stream keyed by master_seed XOR i, so the
-    result is bit-identical however the paths are scheduled. ``store_every``
-    thins the stored grid (step 0 and every store_every-th step thereafter).
-    ``shared_noise_seed`` reuses another ensemble's noise streams — the
-    coupling device behind drift-domination checks.
+    Path i's noise depends only on (master_seed, i), so the result is
+    bit-identical for every ESCRATE_THREADS, and the first m paths of a
+    larger ensemble are the m paths of a smaller one. ``store_every`` thins
+    the stored grid (step 0, every store_every-th step thereafter, and the
+    last step).
     """
-    _check_sim_args(sde, x0, T, dt)
-    if n_paths < 1:
-        raise DomainError("n_paths must be >= 1")
     if store_every < 1:
         raise DomainError("store_every must be >= 1")
-    n_steps = int(T / dt)
-    noise_key = master_seed if shared_noise_seed is None else shared_noise_seed
-    gens = [_path_generator(noise_key ^ i) for i in range(n_paths)]
-
+    n_steps = _check_sim_args([sde], x0, T, dt, n_paths)
     stored_idx = np.arange(0, n_steps + 1, store_every)
     if stored_idx[-1] != n_steps:
         stored_idx = np.append(stored_idx, n_steps)
     values = np.empty((n_paths, stored_idx.size))
-    x = np.full(n_paths, float(x0))
-    values[:, 0] = x
+    values[:, 0] = x0
     floor_hits = np.zeros(n_paths, dtype=np.int64)
+    on_floor = np.empty(n_paths, dtype=bool)
     exit_step = np.full(n_paths, -1, dtype=np.int64)
     if barrier is not None and x0 > barrier:
         exit_step[:] = 0
 
-    sqdt = math.sqrt(dt)
-    store_pos = 1
-    next_store = stored_idx[1] if stored_idx.size > 1 else None
-    k = 0
-    while k < n_steps:
-        block = min(_NOISE_BLOCK, n_steps - k)
-        xi = np.empty((n_paths, block))
-        for i, g in enumerate(gens):
-            xi[i] = g.standard_normal(block)
-        for j in range(block):
-            x = x + np.asarray(sde.drift(x), dtype=float) * dt \
-                  + np.asarray(sde.sigma(x), dtype=float) * (sqdt * xi[:, j])
-            bad = ~np.isfinite(x)
-            if bad.any():
-                raise NonFiniteState(k + j, f"path {int(np.argmax(bad))} "
-                                     f"non-finite at step {k + j}")
-            below = x < sde.floor
-            if below.any():
-                floor_hits += below
-                x = np.where(below, sde.floor, x)
-            step = k + j + 1
-            if barrier is not None:
-                newly = (exit_step < 0) & (x > barrier)
-                if newly.any():
-                    exit_step[newly] = step
-            if next_store is not None and step == next_store:
-                values[:, store_pos] = x
-                store_pos += 1
-                next_store = stored_idx[store_pos] if store_pos < stored_idx.size else None
-        k += block
+    def observe(step, states):
+        (x,) = states
+        if step % store_every == 0 or step == n_steps:
+            values[:, -(-step // store_every)] = x
+        np.equal(x, sde.floor, out=on_floor)
+        if on_floor.any():
+            np.add(floor_hits, on_floor, out=floor_hits)
+        if barrier is not None:
+            newly = (exit_step < 0) & (x > barrier)
+            if newly.any():
+                exit_step[newly] = step
 
+    _shared_noise_run([sde], x0, T, dt, n_paths, master_seed, observe)
     first_exit = None
     if barrier is not None:
         first_exit = np.where(exit_step >= 0, exit_step * dt, np.nan)
@@ -342,5 +400,7 @@ def euclidean_diffusion_nd(coeff: RadialCoefficient, n: int, x0, T: float,
             radius[k + j + 1] = r
         k += block
 
-    intrinsic = np.array([coeff.rho_tilde_closed(rr) for rr in radius])
+    intrinsic = coeff.rho_tilde_closed(radius)
+    if intrinsic is None:  # tabulated: no closed form
+        intrinsic = np.array([rho_tilde(coeff, rr) for rr in radius])
     return radius, intrinsic

@@ -7,29 +7,15 @@ logarithm sanity statistic for Brownian paths.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    DriftOrderViolated,
-    ExtrapolationError,
-    NonFiniteState,
-)
+from .errors import DomainError, DriftOrderViolated, ExtrapolationError
 from .rate_solver import RateFunction
-from .sde import (
-    _NOISE_BLOCK,
-    _NOISE_CHUNK,
-    PathEnsemble,
-    Sde1D,
-    _check_sim_args,
-    _path_generator,
-    worker_threads,
-)
+from .sde import PathEnsemble, Sde1D, _shared_noise_run
 
 __all__ = [
     "EnvelopeReport",
@@ -98,131 +84,32 @@ def exceedance(ens: PathEnsemble, rate: Union[RateFunction, Callable],
 
 
 # ---------------------------------------------------------------------------
-# Lean simulation kernels (no path storage)
+# Lean observers of the Euler kernel (no path storage)
 # ---------------------------------------------------------------------------
-
-def _padded(n_paths: int) -> int:
-    """n_paths rounded up to whole noise chunks."""
-    return -(-n_paths // _NOISE_CHUNK) * _NOISE_CHUNK
-
-
-def _noise_blocks(gens, n_steps: int):
-    """Yield (k, block, buf) for the steps k .. k+block-1, in blocks of up to
-    _NOISE_BLOCK steps: buf[c, :block] holds chunk c's float32 normals,
-    drawn step-major from gens[c].
-
-    With more than one worker thread (sde.worker_threads) the chunks are
-    filled in parallel, and the next block is drawn while the caller steps
-    through the current one. Each stream is still read in order, so the
-    values do not depend on the thread count.
-    """
-    n_chunks = len(gens)
-    shape = (n_chunks, _NOISE_BLOCK, _NOISE_CHUNK)
-    blocks = [(k, min(_NOISE_BLOCK, n_steps - k))
-              for k in range(0, n_steps, _NOISE_BLOCK)]
-
-    def fill(buf, chunks, block):
-        for c in chunks:
-            gens[c].standard_normal((block, _NOISE_CHUNK), dtype=np.float32,
-                                    out=buf[c, :block])
-
-    n_threads = min(worker_threads(), n_chunks)
-    if n_threads <= 1:
-        buf = np.empty(shape, dtype=np.float32)
-        for k, block in blocks:
-            fill(buf, range(n_chunks), block)
-            yield k, block, buf
-        return
-
-    # numpy releases the GIL while it fills a chunk
-    from concurrent.futures import ThreadPoolExecutor
-    bufs = [np.empty(shape, dtype=np.float32) for _ in range(2)]
-    with ThreadPoolExecutor(n_threads) as pool:
-        def draw(i):
-            return [pool.submit(fill, bufs[i % 2], range(w, n_chunks, n_threads),
-                                blocks[i][1]) for w in range(n_threads)]
-
-        pending = draw(0)
-        for i, (k, block) in enumerate(blocks):
-            for done in pending:
-                done.result()
-            if i + 1 < len(blocks):
-                pending = draw(i + 1)
-            yield k, block, bufs[i % 2]
-
-
-def _shared_noise_run(sdes, x0: float, T: float, dt: float, n_paths: int,
-                      seed: int, observe: Callable) -> list:
-    """Euler-step every chain in ``sdes`` from x0 on the same noise and return
-    their states at T, padded to whole chunks (see below).
-
-    Noise is keyed by (seed, chunk of _NOISE_CHUNK paths): the chunk whose
-    first path index is p draws from the Philox stream keyed by seed XOR p,
-    step-major, one row of _NOISE_CHUNK float32 normals per step. A path's
-    noise is thus a pure function of (seed, path index), whatever n_paths
-    and however many worker threads fill the chunks. The last chunk is
-    padded with the paths that follow n_paths; they are stepped like the
-    others and left to the caller to drop. ``observe(states)`` runs after
-    every step.
-    """
-    for sde in sdes:
-        _check_sim_args(sde, x0, T, dt)
-    n_chunks = _padded(n_paths) // _NOISE_CHUNK
-    gens = [_path_generator(seed ^ (c * _NOISE_CHUNK)) for c in range(n_chunks)]
-    states = [np.full(_padded(n_paths), float(x0)) for _ in sdes]
-    step = np.empty(_padded(n_paths))
-    noise = np.empty_like(step)
-    noise_chunks = noise.reshape(n_chunks, _NOISE_CHUNK)
-    sqdt = math.sqrt(dt)
-    with contextlib.closing(_noise_blocks(gens, int(T / dt))) as blocks:
-        for k, block, buf in blocks:
-            for j in range(block):
-                z = buf[:, j]
-                for sde, x in zip(sdes, states):
-                    np.multiply(np.asarray(sde.drift(x), dtype=float), dt,
-                                out=step)
-                    if sde.sigma_const is not None:
-                        np.multiply(z, sde.sigma_const * sqdt, out=noise_chunks)
-                    else:
-                        np.multiply(z, sqdt, out=noise_chunks)
-                        noise *= np.asarray(sde.sigma(x), dtype=float)
-                    x += step
-                    x += noise
-                    np.maximum(x, sde.floor, out=x)
-                observe(states)
-            for x in states:
-                bad = ~np.isfinite(x[:n_paths])
-                if bad.any():
-                    what = (f"path {int(np.argmax(bad))} non-finite"
-                            if len(sdes) == 1 else "non-finite coupled state")
-                    raise NonFiniteState(
-                        k, f"{what} within steps [{k}, {k + block})")
-    return states
-
 
 def _terminal_run(sde: Sde1D, x0: float, T: float, dt: float, n_paths: int,
                   seed: int, barrier: float):
     """Terminal states and barrier-exit flags of n_paths chains on the
-    chunk-keyed noise of _shared_noise_run; a path has exited when it was
+    chunk-keyed noise of sde._shared_noise_run; a path has exited when it was
     above the barrier after some step."""
-    peak = np.full(_padded(n_paths), -np.inf)
+    peak = np.full(n_paths, -np.inf)
     (x,) = _shared_noise_run([sde], x0, T, dt, n_paths, seed,
-                             lambda s: np.maximum(peak, s[0], out=peak))
-    return x[:n_paths], peak[:n_paths] > barrier
+                             lambda step, s: np.maximum(peak, s[0], out=peak))
+    return x, peak > barrier
 
 
 def _coupled_run(low: Sde1D, high: Sde1D, x0: float, T: float, dt: float,
                  n_paths: int, seed: int) -> float:
     """Fraction of shared-noise pairs with x_low <= x_high at every step."""
-    ordered = np.ones(_padded(n_paths), dtype=bool)
+    ordered = np.ones(n_paths, dtype=bool)
     below = np.empty_like(ordered)
 
-    def observe(states):
+    def observe(step, states):
         np.less_equal(states[0], states[1], out=below)
         np.logical_and(ordered, below, out=ordered)
 
     _shared_noise_run([low, high], x0, T, dt, n_paths, seed, observe)
-    return float(np.mean(ordered[:n_paths]))
+    return float(np.mean(ordered))
 
 
 # ---------------------------------------------------------------------------

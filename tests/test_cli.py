@@ -1,6 +1,8 @@
 """End-to-end command-line checks through subprocess: exit codes, CSV
 shape, and reproducibility."""
 
+import csv
+import io
 import os
 import subprocess
 import sys
@@ -195,6 +197,16 @@ class TestVerify:
         assert outputs[0] == outputs[1]
         assert outputs[0].startswith(b"side,estimate,stderr\nlhs,")
 
+    def test_compare_without_paths_exits_2(self, tmp_path):
+        cfg = write_config(tmp_path, (
+            "[model]\nwarp = hyperbolic\nn = 2\nk = 1\n"
+            "[simulation]\nx0 = 1\nfloor = 0.05\nmaster_seed = 21\n"
+            "[verify]\nt = 0.5\ndelta = 0.8\nr = 10\nn_paths = 0\n"
+            "dt = 0.001\n"))
+        res = run_cli(["verify", "compare", "--config", cfg], tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert "Warning" not in res.stderr
+
 
 class TestCatalogue:
     def test_header_and_known_rows(self, tmp_path):
@@ -204,3 +216,10 @@ class TestCatalogue:
         assert lines[0] == "case,range,psi,psi_tilde"
         assert any(l.startswith("hyperbolic_linear,") for l in lines)
         assert len(lines) == 13
+
+    def test_every_row_has_four_cells(self, tmp_path):
+        res = run_cli(["catalogue"], tmp_path)
+        assert res.returncode == 0
+        rows = list(csv.reader(io.StringIO(res.stdout)))
+        assert len(rows) == 13
+        assert all(len(row) == 4 for row in rows), rows

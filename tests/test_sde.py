@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from escrate.errors import DomainError, NonFiniteState
-from escrate.profiles import ManifoldModel, RadialCoefficient
+from escrate.profiles import ManifoldModel, RadialCoefficient, rho_tilde
 from escrate.sde import (
     HyperbolicBound,
     Sde1D,
@@ -170,6 +170,16 @@ class TestEuclideanDiffusionNd:
         se = math.hypot(a.std(ddof=1) / math.sqrt(n_rep),
                         b.std(ddof=1) / math.sqrt(n_rep))
         assert abs(a.mean() - b.mean()) <= 3.0 * se
+
+    def test_tabulated_intrinsic_radius(self):
+        # no closed form: the intrinsic radius falls back to quadrature
+        coeff = RadialCoefficient.tabulated(np.linspace(0.0, 10.0, 11),
+                                            1.0 + np.linspace(0.0, 10.0, 11))
+        radius, intrinsic = euclidean_diffusion_nd(
+            coeff, 2, np.array([2.0, 0.0]), 0.05, 1e-2, seed=9)
+        assert intrinsic.dtype == np.float64
+        for r, rho in zip(radius, intrinsic):
+            assert rho == pytest.approx(rho_tilde(coeff, r), rel=1e-12)
 
     def test_dimension_guard(self):
         with pytest.raises(DomainError):

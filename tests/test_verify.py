@@ -123,7 +123,7 @@ class TestThreadedNoise:
     def test_reports_independent_of_thread_count(self, monkeypatch):
         lo = Sde1D(drift=zero, sigma_const=math.sqrt(2.0))
         hi = Sde1D(drift=lambda x: np.ones_like(np.asarray(x, dtype=float)))
-        results = []
+        results, values = [], []
         for threads in ("1", "2"):
             monkeypatch.setenv("ESCRATE_THREADS", threads)
             rep = comparison_mc(hi, lo, r0=1.0, t=0.6, delta=0.5, R=5.0,
@@ -131,7 +131,10 @@ class TestThreadedNoise:
             frac = coupled_dominance(lo, hi, 1.0, 0.6, 1e-3, 700,
                                      master_seed=72)
             results.append((dataclasses.asdict(rep), frac))
+            values.append(ensemble(hi, 1.0, 0.6, 1e-3, 700,
+                                   master_seed=73).values)
         assert results[0] == results[1]
+        assert np.array_equal(values[0], values[1])
 
     def test_path_noise_independent_of_ensemble_size(self):
         s = Sde1D(drift=zero)
@@ -140,6 +143,9 @@ class TestThreadedNoise:
         assert x_small.shape == exit_small.shape == (300,)
         assert np.array_equal(x_small, x_big[:300])
         assert np.array_equal(exit_small, exit_big[:300])
+        ens_small = ensemble(s, 1.0, 0.6, 1e-3, 300, master_seed=5)
+        ens_big = ensemble(s, 1.0, 0.6, 1e-3, 700, master_seed=5)
+        assert np.array_equal(ens_small.values, ens_big.values[:300])
 
     def test_malformed_thread_cap_rejected(self, monkeypatch):
         monkeypatch.setenv("ESCRATE_THREADS", "0")

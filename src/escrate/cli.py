@@ -36,6 +36,7 @@ from .profiles import (
     RadialCoefficient,
     catalogue_case,
     profile_from_radial,
+    rho_tilde_inverse,
 )
 from .sde import HyperbolicBound, Sde1D, ensemble, radial_drift, worker_threads
 
@@ -275,23 +276,14 @@ def cmd_rate(cfg, out: _Out, quiet: bool) -> int:
     rate = rate_solver.rate_table(
         profile, t_grid, scale_c=scale_c,
         r_lo=float(r_lo) if r_lo is not None else None)
-    intrinsic = profile.label.endswith("unit-energy")
-    for t, psi_val in zip(rate.times, rate.values):
-        psi_tilde = None
-        if intrinsic:
-            psi_tilde = _safe_inverse(coeff, psi_val)
-        out.row(float(t), float(psi_val), psi_tilde)
+    psi_tilde = [None] * rate.times.size
+    if profile.label.endswith("unit-energy"):
+        psi_tilde = rho_tilde_inverse(coeff, rate.values).tolist()
+    for t, psi_val, psi_t in zip(rate.times, rate.values, psi_tilde):
+        out.row(float(t), float(psi_val), psi_t)
     if not quiet and rate.shift_note:
         print(f"note: {rate.shift_note}", file=sys.stderr)
     return EXIT_OK
-
-
-def _safe_inverse(coeff, value):
-    from .profiles import rho_tilde_inverse
-    try:
-        return rho_tilde_inverse(coeff, float(value))
-    except (OutOfRange, OverflowError):
-        return math.inf
 
 
 def cmd_conserve(cfg, out: _Out, quiet: bool) -> int:

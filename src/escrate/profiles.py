@@ -6,7 +6,11 @@ bound), radial drift and mean-curvature formulas, and the catalogue of
 closed-form escape envelopes used as asymptotic targets by the solver and the
 Monte Carlo checks.
 
-All evaluators accept scalars or numpy arrays and are pure functions.
+The transform, its inverse and the drift formulas take floats or numpy
+arrays. The families use their closed-form antiderivatives; a ``tabulated``
+coefficient integrates a^{-1/2} once per knot interval, on first use, and
+keeps the cumulative table. ``log_rho_tilde_inverse`` takes floats only: it is
+the unit-energy log-volume, called once per point of the rate quadrature.
 """
 
 from __future__ import annotations
@@ -72,7 +76,9 @@ class RadialCoefficient:
     param: Optional[float] = None
     _a: Callable = field(default=None, repr=False, compare=False)
     _a_prime: Callable = field(default=None, repr=False, compare=False)
-    _table_max: Optional[float] = field(default=None, repr=False, compare=False)
+    _knots: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    # (knots, rho_tilde at the knots) of a tabulated coefficient; see _knot_table
+    _rho_table: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     # -- constructors -------------------------------------------------------
 
@@ -130,8 +136,7 @@ class RadialCoefficient:
                 raise OutOfRange("tabulated coefficient evaluated outside its grid")
             return out
 
-        return RadialCoefficient("tabulated", None, a, a_prime,
-                                 _table_max=float(radii[-1]))
+        return RadialCoefficient("tabulated", None, a, a_prime, _knots=radii)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -140,28 +145,6 @@ class RadialCoefficient:
 
     def a_prime(self, r):
         return self._a_prime(r)
-
-    # -- closed-form intrinsic radius (family fast path) ---------------------
-
-    def rho_tilde_closed(self, s):
-        """Closed-form antiderivative of a^{-1/2}, or None for tabulated."""
-        s = np.asarray(s, dtype=float)
-        if self.family == "constant":
-            return s + 0.0
-        if self.family == "power":
-            alpha = self.param
-            if alpha == 2.0:
-                return np.log1p(s)
-            p = 1.0 - alpha / 2.0
-            return ((1.0 + s) ** p - 1.0) / p
-        if self.family == "squared_log":
-            beta = self.param
-            ell = 1.0 + np.log1p(s)
-            if beta == 2.0:
-                return np.log(ell)
-            p = 1.0 - beta / 2.0
-            return (ell ** p - 1.0) / p
-        return None
 
     def rho_tilde_sup(self) -> float:
         """Supremum of rho_tilde over [0, inf) (may be +inf)."""
@@ -176,7 +159,7 @@ class RadialCoefficient:
                 return 2.0 / (beta - 2.0)
             return math.inf
         if self.family == "tabulated":
-            return rho_tilde(self, self._table_max)
+            return float(_knot_table(self)[1][-1])
         return math.inf
 
 
@@ -184,68 +167,123 @@ class RadialCoefficient:
 # Intrinsic radius transform
 # ---------------------------------------------------------------------------
 
-def rho_tilde(coeff: RadialCoefficient, s: float, rtol: float = 1e-11) -> float:
-    """Intrinsic radius of Euclidean radius s: integral of a(u)^{-1/2} over [0,s].
-
-    Strictly increasing in s; rho_tilde(coeff, 0) = 0.
-    """
-    s = float(s)
-    if s < 0:
-        raise DomainError("s must be nonnegative")
-    if s == 0.0:
-        return 0.0
-    probe = coeff.a(np.linspace(0.0, s, 64))
-    if np.any(probe <= 0.0):
-        raise NonPositiveCoefficient(f"coefficient not positive on [0, {s}]")
-
+def _integral(coeff: RadialCoefficient, lo: float, hi: float) -> float:
+    """Integral of a(u)^{-1/2} over [lo, hi] by adaptive quadrature."""
     def integrand(u):
         au = float(coeff.a(u))
         if au <= 0.0:
             raise NonPositiveCoefficient(f"coefficient not positive at u={u}")
         return au ** -0.5
 
-    value, err = integrate.quad(integrand, 0.0, s, epsrel=rtol, epsabs=0.0, limit=200)
+    value, err = integrate.quad(integrand, lo, hi, epsrel=1e-11, epsabs=0.0,
+                                limit=200)
     if not np.isfinite(value) or (value > 0 and err > 1e-7 * value):
         raise QuadratureFailure(
-            f"rho_tilde integral on [0, {s}]: estimate {value}, error {err}")
+            f"rho_tilde integral on [{lo}, {hi}]: estimate {value}, error {err}")
     return value
 
 
-def rho_tilde_inverse(coeff: RadialCoefficient, r: float, rtol: float = 1e-12) -> float:
-    """The s with rho_tilde(coeff, s) = r, to ~1e-10 relative accuracy.
+def _knot_table(coeff: RadialCoefficient):
+    """Knots 0 = k_0 < k_1 < ... of a tabulated coefficient and rho_tilde at
+    each: one quadrature per knot interval, done on first use and kept."""
+    if coeff._rho_table is None:
+        knots = np.concatenate(([0.0], coeff._knots[coeff._knots > 0.0]))
+        pieces = [_integral(coeff, lo, hi) for lo, hi in zip(knots[:-1], knots[1:])]
+        object.__setattr__(coeff, "_rho_table",
+                           (knots, np.concatenate(([0.0], np.cumsum(pieces)))))
+    return coeff._rho_table
 
-    Raises OutOfRange when r exceeds the (finite) supremum of rho_tilde.
+
+def _log1p_inverse(coeff: RadialCoefficient, r, xp):
+    """log(1 + rho_tilde^{-1}(r)) for the power and squared-log families, from
+    their antiderivatives; ``xp`` is ``math`` for a float, ``np`` for arrays."""
+    if coeff.family == "power":
+        alpha = coeff.param
+        if alpha == 2.0:
+            return r                       # s = e^r - 1
+        p = 1.0 - alpha / 2.0
+        return xp.log1p(p * r) / p
+    beta = coeff.param
+    if beta == 2.0:
+        ell = xp.exp(r)                    # 1 + log(1+s)
+    else:
+        p = 1.0 - beta / 2.0
+        ell = xp.exp(xp.log1p(p * r) / p)
+    return ell - 1.0
+
+
+def _scalar_or_array(out: np.ndarray):
+    """A 0-d result as a Python float, any other as the array."""
+    return float(out) if out.ndim == 0 else out
+
+
+def rho_tilde(coeff: RadialCoefficient, s):
+    """Intrinsic radius of Euclidean radius s: integral of a(u)^{-1/2} over [0,s].
+
+    Takes a float or an array. Closed forms for the families; for
+    ``tabulated``, the knot table plus one quadrature from the knot below s.
+    Strictly increasing in s; rho_tilde(coeff, 0) = 0.
     """
-    r = float(r)
-    if r < 0:
+    s = np.asarray(s, dtype=float)
+    if np.any(s < 0):
+        raise DomainError("s must be nonnegative")
+    if coeff.family == "constant":
+        return _scalar_or_array(s + 0.0)
+    if coeff.family == "power":
+        alpha = coeff.param
+        if alpha == 2.0:
+            return _scalar_or_array(np.log1p(s))
+        p = 1.0 - alpha / 2.0
+        return _scalar_or_array(((1.0 + s) ** p - 1.0) / p)
+    if coeff.family == "squared_log":
+        beta = coeff.param
+        ell = 1.0 + np.log1p(s)
+        if beta == 2.0:
+            return _scalar_or_array(np.log(ell))
+        p = 1.0 - beta / 2.0
+        return _scalar_or_array((ell ** p - 1.0) / p)
+    knots, cum = _knot_table(coeff)
+    if np.any(s > knots[-1]):
+        raise OutOfRange("tabulated coefficient evaluated outside its grid")
+    i = np.searchsorted(knots, s, side="right") - 1
+    out = np.array([cum[j] + _integral(coeff, knots[j], v)
+                    for j, v in zip(i.flat, s.flat)]).reshape(s.shape)
+    return _scalar_or_array(out)
+
+
+def rho_tilde_inverse(coeff: RadialCoefficient, r):
+    """The s with rho_tilde(coeff, s) = r, for a float or an array r.
+
+    Closed forms for the families (an s beyond float range is inf); for
+    ``tabulated``, one Brent solve inside the knot interval holding r.
+    Raises OutOfRange when r >= the supremum of rho_tilde.
+    """
+    r = np.asarray(r, dtype=float)
+    if np.any(r < 0):
         raise DomainError("r must be nonnegative")
-    if r == 0.0:
-        return 0.0
-    hi = max(r, 1.0)
-    prev = rho_tilde(coeff, hi)
-    while prev < r:
-        new_hi = 2.0 * hi
-        cur = rho_tilde(coeff, new_hi)
-        if cur >= r:
-            hi = new_hi
-            prev = cur
-            break
-        # converging integral: bail out once doubling stops paying
-        if cur - prev < 1e-13 * max(cur, 1.0) or new_hi > 1e200:
-            raise OutOfRange(
-                f"rho_tilde is bounded near {cur:.6g}, below target {r:.6g}")
-        hi, prev = new_hi, cur
-    lo = 0.0
-    root = optimize.brentq(lambda s: rho_tilde(coeff, s) - r, lo, hi,
-                           rtol=rtol, xtol=1e-300, maxiter=200)
-    return float(root)
+    sup = coeff.rho_tilde_sup()
+    if np.any(r >= sup):
+        raise OutOfRange(
+            f"intrinsic radius {float(np.max(r)):.6g} >= sup rho_tilde = {sup:.6g}")
+    if coeff.family == "constant":
+        return _scalar_or_array(r + 0.0)
+    if coeff.family != "tabulated":
+        with np.errstate(over="ignore"):
+            return _scalar_or_array(np.expm1(_log1p_inverse(coeff, r, np)))
+    knots, cum = _knot_table(coeff)
+    i = np.searchsorted(cum, r, side="right") - 1
+    out = np.array([optimize.brentq(
+        lambda x, j=j, v=v: cum[j] + _integral(coeff, knots[j], x) - v,
+        knots[j], knots[j + 1], rtol=1e-12, xtol=1e-300, maxiter=200)
+        for j, v in zip(i.flat, r.flat)]).reshape(r.shape)
+    return _scalar_or_array(out)
 
 
 def log_rho_tilde_inverse(coeff: RadialCoefficient, r: float) -> float:
     """log of rho_tilde_inverse, robust to inverses beyond float range.
 
-    Uses the family antiderivatives in log space; falls back to the generic
-    inverse for tabulated coefficients.
+    A scalar on Python floats: it is the unit-energy log-volume, evaluated
+    once per integrand point of the rate quadrature.
     """
     r = float(r)
     if r < 0:
@@ -257,28 +295,11 @@ def log_rho_tilde_inverse(coeff: RadialCoefficient, r: float) -> float:
         raise OutOfRange(f"intrinsic radius {r:.6g} >= sup rho_tilde = {sup:.6g}")
     if coeff.family == "constant":
         return math.log(r)
-    if coeff.family == "power":
-        alpha = coeff.param
-        if alpha == 2.0:
-            # s = e^r - 1
-            return r + math.log1p(-math.exp(-r)) if r > 1e-8 else math.log(math.expm1(r))
-        p = 1.0 - alpha / 2.0
-        y = math.log1p(p * r) / p          # log(1+s)
-        # log s = y + log(1 - e^{-y})
-        return y + math.log1p(-math.exp(-y)) if y > 1e-8 else math.log(math.expm1(y))
-    if coeff.family == "squared_log":
-        beta = coeff.param
-        if beta == 2.0:
-            ell = math.exp(r)              # 1 + log(1+s)
-        else:
-            p = 1.0 - beta / 2.0
-            ell = math.exp(math.log1p(p * r) / p)
-        # log(1+s) = ell - 1, and log s = log(e^{ell-1} - 1)
-        y = ell - 1.0
-        if y > 1e-8:
-            return y + math.log1p(-math.exp(-y))
-        return math.log(math.expm1(y))
-    return math.log(rho_tilde_inverse(coeff, r))
+    if coeff.family == "tabulated":
+        return math.log(rho_tilde_inverse(coeff, r))
+    y = _log1p_inverse(coeff, r, math)
+    # log s = y + log(1 - e^{-y})
+    return y + math.log1p(-math.exp(-y)) if y > 1e-8 else math.log(math.expm1(y))
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +346,7 @@ def profile_from_radial(coeff: RadialCoefficient, n: int, mode: str) -> GrowthPr
         return GrowthProfile(V, lambda r: 1.0, r_min=0.0, r_max=sup,
                              label=f"{coeff.family} n={n} unit-energy")
     if mode in ("coefficient_energy", "coefficientenergy", "coefficient"):
-        r_max = coeff._table_max if coeff._table_max is not None else math.inf
+        r_max = float(coeff._knots[-1]) if coeff._knots is not None else math.inf
 
         def V(r):
             return n * math.log(float(r))
@@ -387,33 +408,37 @@ class ManifoldModel:
         return ManifoldModel(n, "custom", None, spline, deriv)
 
 
-def drift_L_rho(coeff: RadialCoefficient, n: int, r: float,
-                floor: float = DEFAULT_ORIGIN_FLOOR) -> float:
+def drift_L_rho(coeff: RadialCoefficient, n: int, r,
+                floor: float = DEFAULT_ORIGIN_FLOOR):
     """Radial drift of the elliptic diffusion with coefficient a(|x|) and dim n.
 
-    L rho_0 at Euclidean radius r:  -a'(r)/(2 sqrt(a(r))) + (n-1) sqrt(a(r))/r.
+    L rho_0 at Euclidean radius r (a float or an array):
+    -a'(r)/(2 sqrt(a(r))) + (n-1) sqrt(a(r))/r.
     """
-    r = float(r)
-    if r < floor:
-        raise SingularOrigin(f"r={r} below floor {floor}")
-    a = float(coeff.a(r))
-    ap = float(coeff.a_prime(r))
-    sq = math.sqrt(a)
-    return -ap / (2.0 * sq) + (n - 1) * sq / r
+    r = np.asarray(r, dtype=float)
+    if np.any(r < floor):
+        raise SingularOrigin(f"r={float(np.min(r))} below floor {floor}")
+    sq = np.sqrt(np.asarray(coeff.a(r), dtype=float))
+    ap = np.asarray(coeff.a_prime(r), dtype=float)
+    return _scalar_or_array(-ap / (2.0 * sq) + (n - 1) * sq / r)
 
 
-def mean_curvature(model: ManifoldModel, r: float,
-                   floor: float = DEFAULT_ORIGIN_FLOOR) -> float:
-    """Mean curvature m(r) = (n-1) xi'(r)/xi(r); the radial Laplacian drift."""
-    r = float(r)
-    if r < floor:
-        raise SingularOrigin(f"r={r} below floor {floor}")
+def mean_curvature(model: ManifoldModel, r,
+                   floor: float = DEFAULT_ORIGIN_FLOOR):
+    """Mean curvature m(r) = (n-1) xi'(r)/xi(r), the radial Laplacian drift,
+    at a float or an array r."""
+    r = np.asarray(r, dtype=float)
+    if np.any(r < floor):
+        raise SingularOrigin(f"r={float(np.min(r))} below floor {floor}")
     if model.log_derivative is not None:
-        return (model.n - 1) * float(model.log_derivative(r))
-    xi = float(model.xi(r))
-    if xi <= 0:
-        raise DomainError(f"warp function nonpositive at r={r}")
-    return (model.n - 1) * float(model.xi_prime(r)) / xi
+        out = (model.n - 1) * np.asarray(model.log_derivative(r), dtype=float)
+    else:
+        xi = np.asarray(model.xi(r), dtype=float)
+        if np.any(xi <= 0):
+            raise DomainError(
+                f"warp function nonpositive at r={float(np.min(r[xi <= 0]))}")
+        out = (model.n - 1) * np.asarray(model.xi_prime(r), dtype=float) / xi
+    return _scalar_or_array(out)
 
 
 # ---------------------------------------------------------------------------

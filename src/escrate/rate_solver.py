@@ -9,13 +9,12 @@ per-level crossing-probability bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
 from scipy import integrate, optimize
 
-from . import profiles as _profiles
 from .errors import (
     DomainError,
     ExtrapolationError,
@@ -230,8 +229,8 @@ def rate_table(profile: GrowthProfile, t_grid, scale_c: float = PROOF_SCALE_C,
 
 def euclidean_rate(rate: RateFunction, coeff: RadialCoefficient) -> RateFunction:
     """Convert an intrinsic-radius envelope to Euclidean radius via the
-    inverse intrinsic transform applied samplewise."""
-    values = np.array([rho_tilde_inverse(coeff, v) for v in rate.values])
+    inverse intrinsic transform."""
+    values = rho_tilde_inverse(coeff, rate.values)
     return RateFunction(rate.times.copy(), values, r_star=rate.r_star,
                         shift_note=rate.shift_note, scale_c=rate.scale_c)
 

@@ -22,6 +22,7 @@ from .profiles import (
     ManifoldModel,
     RadialCoefficient,
     drift_L_rho,
+    mean_curvature,
     rho_tilde,
     rho_tilde_inverse,
 )
@@ -312,22 +313,7 @@ def radial_drift(source: Union[ManifoldModel, Tuple[RadialCoefficient, int],
     a HyperbolicBound gives the dominating majorant of coth.
     """
     if isinstance(source, ManifoldModel):
-        model = source
-
-        def drift(r):
-            r = np.asarray(r, dtype=float)
-            if np.any(r < floor):
-                raise SingularOrigin(f"radius below floor {floor}")
-            if model.log_derivative is not None:
-                out = (model.n - 1) * np.asarray(model.log_derivative(r), dtype=float)
-            else:
-                xi = np.asarray(model.xi(r), dtype=float)
-                if np.any(xi <= 0):
-                    raise DomainError("warp function nonpositive on the path")
-                out = (model.n - 1) * np.asarray(model.xi_prime(r), dtype=float) / xi
-            return float(out) if out.ndim == 0 else out
-
-        return drift
+        return lambda r: mean_curvature(source, r, floor=floor)
     if isinstance(source, HyperbolicBound):
         base = (source.n - 1) * math.sqrt(source.K)
         sk = math.sqrt(source.K)
@@ -345,14 +331,8 @@ def radial_drift(source: Union[ManifoldModel, Tuple[RadialCoefficient, int],
         if not isinstance(coeff, RadialCoefficient):
             raise DomainError("expected (RadialCoefficient, dimension)")
 
-        def drift(rho):
-            scalar = np.ndim(rho) == 0
-            rho_arr = np.atleast_1d(np.asarray(rho, dtype=float))
-            out = np.array([drift_L_rho(coeff, n, rho_tilde_inverse(coeff, p),
-                                        floor=floor) for p in rho_arr])
-            return float(out[0]) if scalar else out
-
-        return drift
+        return lambda rho: drift_L_rho(coeff, n, rho_tilde_inverse(coeff, rho),
+                                       floor=floor)
     raise DomainError(f"cannot build a radial drift from {type(source).__name__}")
 
 
@@ -400,7 +380,4 @@ def euclidean_diffusion_nd(coeff: RadialCoefficient, n: int, x0, T: float,
             radius[k + j + 1] = r
         k += block
 
-    intrinsic = coeff.rho_tilde_closed(radius)
-    if intrinsic is None:  # tabulated: no closed form
-        intrinsic = np.array([rho_tilde(coeff, rr) for rr in radius])
-    return radius, intrinsic
+    return radius, rho_tilde(coeff, radius)

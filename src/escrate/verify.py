@@ -169,6 +169,8 @@ def comparison_mc(dominating: Sde1D, dominated: Sde1D, r0: float, t: float,
     """
     if not (0 < delta < R) or not (dominated.floor <= r0 < R):
         raise DomainError("need floor <= r0 < R and 0 < delta < R")
+    if N < 1:
+        raise DomainError("n_paths must be >= 1")
     _check_drift_order(dominated, dominating, R)
     seed_lhs, seed_rhs, seed_cpl = _sub_seeds(master_seed, 3)
 
@@ -202,6 +204,8 @@ def coupled_dominance(low: Sde1D, high: Sde1D, x0: float, T: float, dt: float,
     """Fraction of shared-noise path pairs ordered x_low <= x_high at every
     grid time. Equals 1 exactly whenever the drifts are pointwise ordered
     and dt * max Lipschitz bound <= 1 (the Euler step map is then monotone)."""
+    if N < 1:
+        raise DomainError("n_paths must be >= 1")
     grid_top = x0 + 100.0 * math.sqrt(2.0 * T) + 10.0
     _check_drift_order(low, high, grid_top)
     bounds = [b for b in (low.lipschitz, high.lipschitz) if b is not None]

@@ -6,6 +6,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -80,6 +81,30 @@ class TestRate:
         assert len(psis) == 8
         assert all(a < b for a, b in zip(psis, psis[1:]))
 
+    def test_power_psi_tilde_is_exact(self, tmp_path):
+        # alpha = 1: rho_tilde(s) = 2 (sqrt(1+s) - 1), inverse (1+r/2)^2 - 1
+        cfg = write_config(tmp_path, (
+            "[model]\nfamily = power\nalpha = 1\nn = 3\nmode = unit_energy\n"
+            "[solver]\nt_grid = geom:1:1e6:40\n"))
+        res = run_cli(["rate", "--config", cfg, "--quiet"], tmp_path)
+        assert res.returncode == 0, res.stderr
+        rows = list(csv.reader(io.StringIO(res.stdout)))[1:]
+        assert len(rows) == 40
+        for _, psi, psi_tilde in rows:
+            exact = (1.0 + float(psi) / 2.0) ** 2 - 1.0
+            assert float(psi_tilde) == pytest.approx(exact, rel=1e-12)
+
+    def test_psi_tilde_beyond_float_range_is_inf(self, tmp_path):
+        # log psi_tilde is about 3.3e9 here
+        cfg = write_config(tmp_path, (
+            "[model]\nfamily = squared_log\nbeta = 0.5\nn = 3\n"
+            "mode = unit_energy\n[solver]\nt_grid = 100\n"))
+        res = run_cli(["rate", "--config", cfg, "--quiet"], tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert "Warning" not in res.stderr
+        (row,) = list(csv.reader(io.StringIO(res.stdout)))[1:]
+        assert row[2] == "inf"
+
 
 class TestConserve:
     @pytest.mark.parametrize("body,expect", [
@@ -151,6 +176,18 @@ class TestSimulate:
         mean = sum(finals) / len(finals)
         assert abs(mean / 20.0 - 1.0) <= 0.25
 
+    def test_coefficient_drift_runs_at_array_speed(self, tmp_path):
+        cfg = write_config(tmp_path, (
+            "[model]\nfamily = power\nalpha = 1\nn = 3\n"
+            "[simulation]\nx0 = 1\nt = 1\ndt = 0.001\nn_paths = 300\n"
+            "master_seed = 4\ndrift = coefficient\noutput = summary\n"))
+        start = time.perf_counter()
+        res = run_cli(["simulate", "--config", cfg], tmp_path)
+        elapsed = time.perf_counter() - start
+        assert res.returncode == 0, res.stderr
+        assert len(res.stdout.strip().split("\n")) == 301
+        assert elapsed < 10.0
+
 
 class TestVerify:
     def test_zero_envelope_fails_with_exit_5(self, tmp_path):
@@ -179,33 +216,42 @@ class TestVerify:
         assert "PASS" in res.stdout
 
     def test_compare_independent_of_thread_count(self, tmp_path):
-        # 600 paths: the last 256-path noise chunk is padded
-        cfg = write_config(tmp_path, (
-            "[model]\nwarp = hyperbolic\nn = 2\nk = 1\n"
-            "[simulation]\nx0 = 1\nfloor = 0.05\nmaster_seed = 21\n"
-            "[verify]\nt = 0.5\ndelta = 0.8\nr = 10\nn_paths = 600\n"
-            "dt = 0.001\n"))
-        outputs = []
-        for threads in ("1", "4"):
-            out = tmp_path / f"compare_{threads}.csv"
-            env = dict(os.environ, ESCRATE_THREADS=threads)
-            res = subprocess.run(
-                RUN + ["verify", "compare", "--config", cfg, "--out", str(out)],
-                capture_output=True, text=True, cwd=str(tmp_path), env=env)
-            assert res.returncode == 0, res.stderr
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
-        assert outputs[0].startswith(b"side,estimate,stderr\nlhs,")
+        # 600 paths: three 256-path noise chunks, the last one padded
+        hyperbolic = "[model]\nwarp = hyperbolic\nn = 2\nk = 1\n"
+        runs = {
+            "compare": (["verify", "compare"], hyperbolic + (
+                "[simulation]\nx0 = 1\nfloor = 0.05\nmaster_seed = 21\n"
+                "[verify]\nt = 0.5\ndelta = 0.8\nr = 10\nn_paths = 600\n"
+                "dt = 0.001\n"), b"side,estimate,stderr\nlhs,"),
+            "simulate": (["simulate"], hyperbolic + (
+                "[simulation]\nx0 = 1\nt = 0.5\ndt = 0.001\nn_paths = 600\n"
+                "master_seed = 21\nfloor = 0.05\ndrift = manifold\n"
+                "output = summary\n"), b"path,final,exitTime\n0,"),
+        }
+        for name, (command, body, head) in runs.items():
+            cfg = write_config(tmp_path, body, name=f"{name}.ini")
+            outputs = []
+            for threads in ("1", "4"):
+                out = tmp_path / f"{name}_{threads}.csv"
+                env = dict(os.environ, ESCRATE_THREADS=threads)
+                res = subprocess.run(
+                    RUN + command + ["--config", cfg, "--out", str(out)],
+                    capture_output=True, text=True, cwd=str(tmp_path), env=env)
+                assert res.returncode == 0, res.stderr
+                outputs.append(out.read_bytes())
+            assert outputs[0] == outputs[1], name
+            assert outputs[0].startswith(head), name
 
     def test_compare_without_paths_exits_2(self, tmp_path):
-        cfg = write_config(tmp_path, (
-            "[model]\nwarp = hyperbolic\nn = 2\nk = 1\n"
-            "[simulation]\nx0 = 1\nfloor = 0.05\nmaster_seed = 21\n"
-            "[verify]\nt = 0.5\ndelta = 0.8\nr = 10\nn_paths = 0\n"
-            "dt = 0.001\n"))
-        res = run_cli(["verify", "compare", "--config", cfg], tmp_path)
-        assert res.returncode == 2, res.stderr
-        assert "Warning" not in res.stderr
+        for n_paths in (0, -3):
+            cfg = write_config(tmp_path, (
+                "[model]\nwarp = hyperbolic\nn = 2\nk = 1\n"
+                "[simulation]\nx0 = 1\nfloor = 0.05\nmaster_seed = 21\n"
+                "[verify]\nt = 0.5\ndelta = 0.8\nr = 10\n"
+                f"n_paths = {n_paths}\ndt = 0.001\n"))
+            res = run_cli(["verify", "compare", "--config", cfg], tmp_path)
+            assert res.returncode == 2, (n_paths, res.stderr)
+            assert "Warning" not in res.stderr
 
 
 class TestCatalogue:

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate, optimize
 
 from escrate.errors import (
     DomainError,
@@ -56,6 +57,12 @@ class TestRadialCoefficient:
         assert c.a(0.5) == pytest.approx(1.5, abs=0.1)
 
 
+def _quad_rho_tilde(coeff, s):
+    """Reference intrinsic radius: quad of a^{-1/2} over [0, s]."""
+    return integrate.quad(lambda u: float(coeff.a(u)) ** -0.5, 0.0, s,
+                          epsrel=1e-13, epsabs=0.0, limit=200)[0]
+
+
 class TestRhoTilde:
     def test_constant_identity(self):
         c = RadialCoefficient.constant()
@@ -63,11 +70,39 @@ class TestRhoTilde:
         assert rho_tilde_inverse(c, 5.0) == pytest.approx(5.0)
 
     def test_matches_closed_form(self):
+        # rho_tilde is the families' closed forms; the reference is quadrature
         for c in (RadialCoefficient.power(1.0), RadialCoefficient.power(2.0),
                   RadialCoefficient.squared_log(0.5)):
             for s in (0.5, 3.0, 40.0):
                 assert rho_tilde(c, s) == pytest.approx(
-                    float(c.rho_tilde_closed(s)), rel=1e-9)
+                    _quad_rho_tilde(c, s), rel=1e-10)
+
+    def test_family_inverse_matches_quadrature(self):
+        # brentq over quad is reliable on [1e-3, 1e6]
+        svals = np.geomspace(1e-3, 1e6, 12)
+        for c in (RadialCoefficient.constant(), RadialCoefficient.power(0.5),
+                  RadialCoefficient.power(1.0), RadialCoefficient.power(2.0),
+                  RadialCoefficient.power(3.0), RadialCoefficient.squared_log(0.5),
+                  RadialCoefficient.squared_log(2.0)):
+            rvals = np.array([_quad_rho_tilde(c, s) for s in svals])
+            oracle = [optimize.brentq(lambda x, r=r: _quad_rho_tilde(c, x) - r,
+                                      0.0, 2.0 * s, xtol=1e-300, rtol=1e-13)
+                      for s, r in zip(svals, rvals)]
+            got = rho_tilde_inverse(c, rvals)
+            assert got.shape == svals.shape
+            assert np.allclose(got, oracle, rtol=1e-10, atol=0.0), c.family
+
+    def test_tabulated_round_trip_below_sup(self):
+        # the intrinsic radius 4.5 lies in the table's last knot interval,
+        # just below the supremum 4.633
+        radii = np.linspace(0.0, 10.0, 11)
+        c = RadialCoefficient.tabulated(radii, 1.0 + radii)
+        assert c.rho_tilde_sup() == pytest.approx(_quad_rho_tilde(c, 10.0),
+                                                  rel=1e-10)
+        assert rho_tilde(c, rho_tilde_inverse(c, 4.5)) == pytest.approx(
+            4.5, rel=1e-12)
+        with pytest.raises(OutOfRange):
+            rho_tilde_inverse(c, 4.7)
 
     def test_round_trip(self):
         c = RadialCoefficient.power(0.7)

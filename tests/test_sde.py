@@ -5,9 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate, optimize
 
 from escrate.errors import DomainError, NonFiniteState
-from escrate.profiles import ManifoldModel, RadialCoefficient, rho_tilde
+from escrate.profiles import ManifoldModel, RadialCoefficient, drift_L_rho, rho_tilde
 from escrate.sde import (
     HyperbolicBound,
     Sde1D,
@@ -125,6 +126,26 @@ class TestRadialDrift:
         drift_e = radial_drift(ManifoldModel.euclidean(3))
         for r in (0.5, 2.0, 9.0):
             assert drift_c(r) == pytest.approx(drift_e(r))
+
+    def test_coefficient_drift_matches_quadrature_inverse(self):
+        # reference: the scalar drift at a brentq-over-quad inverse, on
+        # Euclidean radii where quad is reliable
+        def quad_rho(c, s):
+            return integrate.quad(lambda u: float(c.a(u)) ** -0.5, 0.0, s,
+                                  epsrel=1e-13, epsabs=0.0, limit=200)[0]
+
+        svals = np.geomspace(1e-2, 1e5, 50)
+        for c in (RadialCoefficient.constant(), RadialCoefficient.power(1.0),
+                  RadialCoefficient.power(2.0), RadialCoefficient.power(3.0),
+                  RadialCoefficient.squared_log(0.5),
+                  RadialCoefficient.squared_log(2.0)):
+            rho = np.array([quad_rho(c, s) for s in svals])
+            expected = [drift_L_rho(c, 3, optimize.brentq(
+                lambda x, r=r: quad_rho(c, x) - r, 0.0, 2.0 * s,
+                xtol=1e-300, rtol=1e-13)) for s, r in zip(svals, rho)]
+            got = radial_drift((c, 3))(rho)
+            assert got.shape == rho.shape
+            assert np.allclose(got, expected, rtol=1e-10, atol=0.0), c.family
 
     def test_hyperbolic_bound_dominates_coth(self):
         drift = radial_drift(HyperbolicBound(2, 1.0), floor=1e-4)

@@ -117,6 +117,11 @@ class TestCoupledDominance:
             coupled_dominance(steep, steep, 1.0, 1.0, 1e-2, 10,
                               master_seed=1)
 
+    def test_rejects_negative_path_count(self):
+        s = Sde1D(drift=zero)
+        with pytest.raises(DomainError):
+            coupled_dominance(s, s, 1.0, 1.0, 1e-2, -3, master_seed=1)
+
 
 class TestThreadedNoise:
     # 700 paths: two full 256-path noise chunks and a padded third

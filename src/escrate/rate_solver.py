@@ -4,6 +4,9 @@ Computes the cumulative crossing-time integral phi, inverts it to the escape
 envelope psi, converts intrinsic envelopes to Euclidean ones, classifies
 conservativeness, and builds the dyadic radius/time scheme with its
 per-level crossing-probability bounds.
+
+One helper, _invert_increasing, inverts phi (psi, rate_table) and the
+integral of 1/b_tilde (drift_envelope), a whole sorted grid in one pass.
 """
 
 from __future__ import annotations
@@ -39,6 +42,10 @@ PAPER_LOWER_LIMIT = 2.0
 # Denominator must exceed this before integration may start.
 DENOMINATOR_FLOOR = 1e-6
 
+# Largest radius an inversion doubles past: phi's integrand r*r overflows a
+# float beyond about 1.3e154.
+_REPRESENTABLE = 1e150
+
 __all__ = [
     "PROOF_SCALE_C",
     "RateFunction",
@@ -66,8 +73,7 @@ def _denominator(profile: GrowthProfile, r: float) -> float:
     return float(profile.lam(r)) * (float(profile.V(r)) + math.log(math.log(r)))
 
 
-def phi(profile: GrowthProfile, R: float, r_lo: float = PAPER_LOWER_LIMIT,
-        rtol: float = 1e-9) -> float:
+def phi(profile: GrowthProfile, R: float, r_lo: float = PAPER_LOWER_LIMIT) -> float:
     """Crossing-time integral of r / (lambda(r) (V(r) + log log r)) over [r_lo, R].
 
     Integrated in log-radius so that envelopes spanning many decades stay
@@ -90,7 +96,7 @@ def phi(profile: GrowthProfile, R: float, r_lo: float = PAPER_LOWER_LIMIT,
         return r * r / den
 
     value, err = integrate.quad(integrand, math.log(r_lo), math.log(R),
-                                epsrel=rtol, epsabs=0.0, limit=400)
+                                epsrel=1e-9, epsabs=0.0, limit=400)
     if not np.isfinite(value) or (value > 0 and err > 1e-6 * value):
         raise QuadratureFailure(
             f"phi on [{r_lo}, {R}]: estimate {value}, error {err}")
@@ -119,53 +125,57 @@ def effective_lower_limit(profile: GrowthProfile,
         f"no radius in [{start}, {cap:.4g}] with positive rate denominator")
 
 
-def psi(profile: GrowthProfile, t: float, r_lo: float = PAPER_LOWER_LIMIT,
-        rtol: float = 1e-10) -> float:
+def _invert_increasing(piece: Callable, start: float, first_hi: float,
+                       targets, cap: float, what: str) -> np.ndarray:
+    """The x with F(x) = t for each of the nondecreasing targets t, where
+    F(x) = piece(start, x) is an increasing integral; start for t = 0.
+
+    One pass: the segments [start, first_hi], [first_hi, 2 first_hi], ... are
+    integrated once each by piece(lo, hi) while F(lo) is carried, and each
+    target gets one Brent solve of F(lo) + piece(lo, x) = t inside the
+    segment that holds it. FiniteTotalIntegral when F stays below a target at
+    the cap, after a doubling that adds under 1e-13 F, or beyond 1e150.
+    """
+    targets = [float(t) for t in targets]
+    if targets and targets[0] < 0:
+        raise DomainError("t must be nonnegative")
+    top = cap * (1.0 - 1e-13)
+    roots = np.full(len(targets), float(start))
+    lo = hi = start
+    F_lo = F_hi = 0.0
+    for i, t in enumerate(targets):
+        while F_hi < t:
+            if hi >= top:
+                raise FiniteTotalIntegral(
+                    f"{what} bounded by {F_hi:.6g} on the domain, below t={t:.6g}")
+            if hi > _REPRESENTABLE:
+                raise FiniteTotalIntegral(
+                    f"envelope radius for t={t:.6g} not representable "
+                    f"({what} = {F_hi:.6g} at {hi:.6g})")
+            lo, F_lo = hi, F_hi
+            hi = min(max(2.0 * lo, first_hi), top)
+            step = piece(lo, hi)
+            F_hi = F_lo + step
+            if step < 1e-13 * max(F_hi, 1.0) and F_hi < t:
+                raise FiniteTotalIntegral(
+                    f"{what} numerically bounded by {F_hi:.6g} < t={t:.6g}")
+        if t > 0.0:
+            roots[i] = optimize.brentq(lambda x: F_lo + piece(lo, x) - t, lo, hi,
+                                       rtol=1e-10, xtol=1e-300, maxiter=200)
+    return roots
+
+
+def psi(profile: GrowthProfile, t: float, r_lo: float = PAPER_LOWER_LIMIT) -> float:
     """The radius R with phi(profile, R, r_lo) = t.
 
-    Bracket by doubling, then bisection (Brent); monotone in t and
-    psi(profile, 0) = r_lo. Raises FiniteTotalIntegral when phi converges to
-    a finite limit below t (non-conservative regime) or the required radius
-    is not representable.
+    One target of the doubling-then-Brent inversion that rate_table runs
+    over a whole grid; monotone in t and psi(profile, 0) = r_lo. Raises
+    FiniteTotalIntegral when phi converges to a finite limit below t
+    (non-conservative regime) or the required radius is not representable.
     """
-    t = float(t)
-    if t < 0:
-        raise DomainError("t must be nonnegative")
-    if t == 0.0:
-        return float(r_lo)
-    if profile.r_max <= r_lo * (1.0 + 1e-12):
-        raise FiniteTotalIntegral(
-            f"profile domain ends at r_max={profile.r_max:.6g}, at or below the "
-            f"lower limit {r_lo:.6g}: the crossing-time integral is empty")
-
-    hi = 2.0 * r_lo
-    cap = profile.r_max
-    prev = 0.0
-    while True:
-        if hi >= cap:
-            hi = cap * (1.0 - 1e-13) if math.isfinite(cap) else hi
-            cur = phi(profile, hi, r_lo)
-            if cur < t:
-                raise FiniteTotalIntegral(
-                    f"phi bounded by {cur:.6g} on the profile domain, below t={t:.6g}")
-            break
-        cur = phi(profile, hi, r_lo)
-        if cur >= t:
-            break
-        if hi > 1e160:
-            # phi still short of t at astronomically large radius
-            if cur - prev < 1e-12 * max(cur, 1.0):
-                raise FiniteTotalIntegral(
-                    f"phi numerically converged to {cur:.6g} < t={t:.6g}")
-            raise FiniteTotalIntegral(
-                f"envelope radius for t={t:.6g} not representable (phi={cur:.6g} at R=1e160)")
-        prev = cur
-        hi *= 2.0
-
-    lo = max(r_lo, hi / 2.0)
-    root = optimize.brentq(lambda R: phi(profile, R, r_lo) - t, lo, hi,
-                           rtol=rtol, xtol=1e-300, maxiter=200)
-    return float(root)
+    r_lo = float(r_lo)
+    return float(_invert_increasing(lambda a, b: phi(profile, b, a), r_lo,
+                                    2.0 * r_lo, [t], profile.r_max, "phi")[0])
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +219,8 @@ class RateFunction:
 
 def rate_table(profile: GrowthProfile, t_grid, scale_c: float = PROOF_SCALE_C,
                r_lo: Optional[float] = None) -> RateFunction:
-    """Sample t -> psi(scale_c * t) on the given increasing time grid."""
+    """Sample t -> psi(scale_c * t) on the given increasing time grid, in one
+    pass: each doubling segment of phi is integrated once for all rows."""
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0 or np.any(np.diff(t_grid) <= 0):
         raise DomainError("t_grid must be nonempty and strictly increasing")
@@ -222,7 +233,8 @@ def rate_table(profile: GrowthProfile, t_grid, scale_c: float = PROOF_SCALE_C,
                 "to keep the denominator positive")
     else:
         note = "" if r_lo == PAPER_LOWER_LIMIT else f"caller-supplied lower limit {r_lo:.6g}"
-    values = np.array([psi(profile, scale_c * t, r_lo) for t in t_grid])
+    values = _invert_increasing(lambda a, b: phi(profile, b, a), float(r_lo),
+                                2.0 * r_lo, scale_c * t_grid, profile.r_max, "phi")
     return RateFunction(t_grid, values, r_star=float(r_lo), shift_note=note,
                         scale_c=float(scale_c))
 
@@ -408,40 +420,23 @@ def dyadic_scheme(profile: GrowthProfile, c: float, N: int,
 # Drift-majorant envelopes (one-dimensional Ito route)
 # ---------------------------------------------------------------------------
 
-def drift_envelope(b_tilde: Callable, t: float, rtol: float = 1e-10) -> float:
+def drift_envelope(b_tilde: Callable, t: float) -> float:
     """The g(t) with t = integral of 1/b_tilde over [0, g(t)].
 
     b_tilde must be positive with 1/b_tilde integrable at 0 (extend the
-    majorant below some fixed radius as a constant if necessary).
+    majorant below some fixed radius as a constant if necessary). Inverted
+    like psi: 1/b_tilde is integrated over [0, 1] and then once per doubling
+    segment, and the root is found inside the segment that holds t.
     """
-    t = float(t)
-    if t < 0:
-        raise DomainError("t must be nonnegative")
-    if t == 0.0:
-        return 0.0
-
-    def cumulative(g):
-        value, err = integrate.quad(lambda x: 1.0 / float(b_tilde(x)), 0.0, g,
-                                    epsrel=1e-11, epsabs=0.0, limit=400)
+    def piece(a, b):
+        value, _ = integrate.quad(lambda x: 1.0 / float(b_tilde(x)), a, b,
+                                  epsrel=1e-11, epsabs=0.0, limit=400)
         if not np.isfinite(value):
-            raise QuadratureFailure(f"1/b_tilde integral diverged on [0, {g}]")
+            raise QuadratureFailure(f"1/b_tilde integral diverged on [{a}, {b}]")
         return value
 
-    hi = 1.0
-    prev = cumulative(hi)
-    while prev < t:
-        new_hi = 2.0 * hi
-        if new_hi > 1e160:
-            raise FiniteTotalIntegral(
-                f"drift envelope for t={t:.6g} not representable")
-        cur = cumulative(new_hi)
-        if cur - prev < 1e-13 * max(cur, 1.0) and cur < t:
-            raise FiniteTotalIntegral(
-                f"1/b_tilde integral numerically bounded by {cur:.6g} < t={t:.6g}")
-        hi, prev = new_hi, cur
-    root = optimize.brentq(lambda g: cumulative(g) - t, 0.0, hi,
-                           rtol=rtol, xtol=1e-300, maxiter=200)
-    return float(root)
+    return float(_invert_increasing(piece, 0.0, 1.0, [t], math.inf,
+                                    "1/b_tilde integral")[0])
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,32 @@ class TestRate:
         (row,) = list(csv.reader(io.StringIO(res.stdout)))[1:]
         assert row[2] == "inf"
 
+    def test_unrepresentable_envelope_fails_cleanly(self, tmp_path):
+        # exp(exp(t)) growth: psi passes 1e150 before phi reaches 512 t,
+        # and the integrand r*r would overflow soon after
+        cfg = write_config(tmp_path, (
+            "[model]\nfamily = squared_log\nbeta = 1\nn = 3\n"
+            "mode = unit_energy\n[solver]\nt_grid = geom:1:1e6:50\n"))
+        res = run_cli(["rate", "--config", cfg, "--quiet"], tmp_path)
+        assert res.returncode == 3
+        assert "FiniteTotalIntegral" in res.stderr
+        assert "not representable" in res.stderr
+        assert "Warning" not in res.stderr
+
+    def test_tabulated_unit_energy_table(self, tmp_path):
+        radii = [0.0] + [2.0 ** k for k in range(31)]
+        cfg = write_config(tmp_path, (
+            "[model]\nfamily = tabulated\nn = 3\nmode = unit_energy\n"
+            f"radii = {','.join('%.17g' % r for r in radii)}\n"
+            f"values = {','.join('%.17g' % (1.0 + r ** 0.5) for r in radii)}\n"
+            "[solver]\nt_grid = geom:1:1e6:3\n"))
+        start = time.perf_counter()
+        res = run_cli(["rate", "--config", cfg, "--quiet"], tmp_path)
+        elapsed = time.perf_counter() - start
+        assert res.returncode == 0, res.stderr
+        assert len(list(csv.reader(io.StringIO(res.stdout)))[1:]) == 3
+        assert elapsed < 15.0
+
 
 class TestConserve:
     @pytest.mark.parametrize("body,expect", [

@@ -2,10 +2,13 @@
 dyadic bounds, and drift-majorant envelopes."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning
 
+from escrate import rate_solver
 from escrate.errors import (
     DomainError,
     ExtrapolationError,
@@ -125,6 +128,46 @@ class TestRateTable:
             rate_table(euclid(1), np.array([2.0, 1.0]))
 
 
+# a(r) = 1 + sqrt(r) on radii 0, 2^0, ..., 2^30, as in the benchmark's table
+_TAB_RADII = np.array([0.0] + [2.0 ** k for k in range(31)])
+
+
+class TestOnePassTable:
+    @pytest.mark.parametrize("coeff,knots", [
+        (RadialCoefficient.power(1.0), []),
+        (RadialCoefficient.tabulated(_TAB_RADII, 1.0 + np.sqrt(_TAB_RADII)),
+         list(_TAB_RADII)),
+    ], ids=["power1", "tabulated"])
+    def test_matches_per_row_psi(self, coeff, knots):
+        prof = profile_from_radial(coeff, 3, "coefficient_energy")
+        grid = np.geomspace(1.0, 1e6, 100)
+        rate = rate_table(prof, grid)
+        targets = rate.scale_c * grid
+        direct = [psi(prof, t, rate.r_star) for t in targets]
+        assert np.allclose(rate.values, direct, rtol=1e-9, atol=0.0)
+        # phi split at the table's knots, where the integrand is smooth: one
+        # quad across the PCHIP knots is off by up to 2.8e-9 on this grid
+        back = []
+        for R in rate.values:
+            pts = [rate.r_star] + [k for k in knots if rate.r_star < k < R] + [R]
+            back.append(sum(phi(prof, b, a) for a, b in zip(pts, pts[1:])))
+        assert np.allclose(back, targets, rtol=1e-9, atol=0.0)
+
+    def test_phi_walks_forward(self, monkeypatch):
+        lower = []
+        real_phi = rate_solver.phi
+
+        def recording_phi(profile, R, r_lo):
+            lower.append(r_lo)
+            return real_phi(profile, R, r_lo)
+
+        monkeypatch.setattr(rate_solver, "phi", recording_phi)
+        prof = profile_from_radial(RadialCoefficient.constant(), 3, "unit_energy")
+        rate_table(prof, np.geomspace(1.0, 1e6, 200))
+        assert np.all(np.diff(lower) >= 0)
+        assert len(lower) <= 10 * 200
+
+
 class TestEffectiveLowerLimit:
     def test_euclidean_starts_at_two(self):
         assert effective_lower_limit(euclid(3)) == 2.0
@@ -194,8 +237,10 @@ class TestDriftEnvelope:
         assert g == pytest.approx(math.exp(3.0), rel=1e-8)
 
     def test_integrable_reciprocal_diverges(self):
-        with pytest.raises(FiniteTotalIntegral):
-            drift_envelope(lambda x: (1.0 + x) ** 2, 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IntegrationWarning)
+            with pytest.raises(FiniteTotalIntegral):
+                drift_envelope(lambda x: (1.0 + x) ** 2, 2.0)
 
 
 class TestCatalogueNumeric:

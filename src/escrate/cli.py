@@ -20,7 +20,6 @@ from . import rate_solver, verify as verify_mod
 from .errors import (
     ConfigError,
     DomainError,
-    DriftOrderViolated,
     EscrateError,
     ExtrapolationError,
     FiniteTotalIntegral,
@@ -34,7 +33,6 @@ from .errors import (
 from .profiles import (
     ManifoldModel,
     RadialCoefficient,
-    catalogue_case,
     profile_from_radial,
     rho_tilde_inverse,
 )
@@ -53,7 +51,7 @@ _SIM_ERRORS = (NonFiniteState, SingularOrigin)
 _ALLOWED_KEYS = {
     "model": {"family", "alpha", "beta", "n", "mode", "warp", "k",
               "radii", "values"},
-    "solver": {"r_lo", "tolerance", "scale_c", "t_grid"},
+    "solver": {"r_lo", "scale_c", "t_grid"},
     "simulation": {"x0", "t", "dt", "n_paths", "master_seed", "floor",
                    "barrier", "drift", "sigma", "output", "store_every"},
     "verify": {"c_grid", "eps_grid", "t0", "delta", "r", "t", "n_paths",
@@ -316,10 +314,11 @@ def cmd_simulate(cfg, out: _Out, quiet: bool, seed_override) -> int:
     if output != "paths":
         raise ConfigError(f"unknown output mode {output!r}")
     out.row("path", "step", "t", "x")
-    steps = np.rint(ens.times / ens.dt).astype(int)
-    for i in range(ens.n_paths):
-        for j, (s, t) in enumerate(zip(steps, ens.times)):
-            out.row(i, int(s), float(t), float(ens.values[i, j]))
+    # Bytes as out.row's: NonFiniteState rules out the NaN that _fmt blanks.
+    middles = [",%d,%.17g," % (round(t / ens.dt), t) for t in ens.times.tolist()]
+    for i, path in enumerate(ens.values.tolist()):
+        out.fh.write("".join(["%d%s%.17g\n" % (i, m, x)
+                              for m, x in zip(middles, path)]))
     return EXIT_OK
 
 

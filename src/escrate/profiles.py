@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate, optimize
-from scipy.interpolate import PchipInterpolator
 
 from .errors import (
     DomainError,
@@ -115,6 +113,7 @@ class RadialCoefficient:
 
     @staticmethod
     def tabulated(radii, values) -> "RadialCoefficient":
+        from scipy.interpolate import PchipInterpolator
         radii = np.asarray(radii, dtype=float)
         values = np.asarray(values, dtype=float)
         if radii.ndim != 1 or radii.size < 2 or np.any(np.diff(radii) <= 0):
@@ -169,6 +168,7 @@ class RadialCoefficient:
 
 def _integral(coeff: RadialCoefficient, lo: float, hi: float) -> float:
     """Integral of a(u)^{-1/2} over [lo, hi] by adaptive quadrature."""
+    from scipy import integrate
     def integrand(u):
         au = float(coeff.a(u))
         if au <= 0.0:
@@ -270,6 +270,7 @@ def rho_tilde_inverse(coeff: RadialCoefficient, r):
     if coeff.family != "tabulated":
         with np.errstate(over="ignore"):
             return _scalar_or_array(np.expm1(_log1p_inverse(coeff, r, np)))
+    from scipy import optimize
     knots, cum = _knot_table(coeff)
     i = np.searchsorted(cum, r, side="right") - 1
     out = np.array([optimize.brentq(
@@ -396,6 +397,7 @@ class ManifoldModel:
 
     @staticmethod
     def custom(n: int, radii, xi_values) -> "ManifoldModel":
+        from scipy.interpolate import PchipInterpolator
         radii = np.asarray(radii, dtype=float)
         xi_values = np.asarray(xi_values, dtype=float)
         if radii[0] != 0.0 or xi_values[0] != 0.0:
@@ -412,15 +414,16 @@ def drift_L_rho(coeff: RadialCoefficient, n: int, r,
                 floor: float = DEFAULT_ORIGIN_FLOOR):
     """Radial drift of the elliptic diffusion with coefficient a(|x|) and dim n.
 
-    L rho_0 at Euclidean radius r (a float or an array):
-    -a'(r)/(2 sqrt(a(r))) + (n-1) sqrt(a(r))/r.
+    L rho, rho = rho_tilde(r), at Euclidean radius r (a float or an array) for
+    the Dirichlet form's generator L = div(a grad) = a Laplacian + a'(r) d/dr:
+    a'(r)/(2 sqrt(a(r))) + (n-1) sqrt(a(r))/r.
     """
     r = np.asarray(r, dtype=float)
     if np.any(r < floor):
         raise SingularOrigin(f"r={float(np.min(r))} below floor {floor}")
     sq = np.sqrt(np.asarray(coeff.a(r), dtype=float))
     ap = np.asarray(coeff.a_prime(r), dtype=float)
-    return _scalar_or_array(-ap / (2.0 * sq) + (n - 1) * sq / r)
+    return _scalar_or_array(ap / (2.0 * sq) + (n - 1) * sq / r)
 
 
 def mean_curvature(model: ManifoldModel, r,

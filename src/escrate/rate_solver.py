@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .errors import (
     DomainError,
@@ -79,6 +78,7 @@ def phi(profile: GrowthProfile, R: float, r_lo: float = PAPER_LOWER_LIMIT) -> fl
     Integrated in log-radius so that envelopes spanning many decades stay
     cheap; strictly increasing in R; phi(profile, r_lo, r_lo) = 0.
     """
+    from scipy import integrate
     R = float(R)
     r_lo = float(r_lo)
     if R < r_lo:
@@ -136,6 +136,7 @@ def _invert_increasing(piece: Callable, start: float, first_hi: float,
     segment that holds it. FiniteTotalIntegral when F stays below a target at
     the cap, after a doubling that adds under 1e-13 F, or beyond 1e150.
     """
+    from scipy import optimize
     targets = [float(t) for t in targets]
     if targets and targets[0] < 0:
         raise DomainError("t must be nonnegative")
@@ -428,6 +429,7 @@ def drift_envelope(b_tilde: Callable, t: float) -> float:
     like psi: 1/b_tilde is integrated over [0, 1] and then once per doubling
     segment, and the root is found inside the segment that holds t.
     """
+    from scipy import integrate
     def piece(a, b):
         value, _ = integrate.quad(lambda x: 1.0 / float(b_tilde(x)), a, b,
                                   epsrel=1e-11, epsabs=0.0, limit=400)

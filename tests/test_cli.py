@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 RUN = [sys.executable, "-m", "escrate.cli"]
@@ -38,6 +39,15 @@ class TestConfigValidation:
         res = run_cli(["conserve", "--config", cfg], tmp_path)
         assert res.returncode == 2
 
+    def test_solver_tolerance_key_exits_2(self, tmp_path):
+        # nothing reads a tolerance: the solver's tolerances are fixed
+        cfg = write_config(tmp_path, (
+            "[model]\nfamily = constant\nn = 3\nmode = unit_energy\n"
+            "[solver]\nt_grid = 1,10\ntolerance = 1e-8\n"))
+        res = run_cli(["rate", "--config", cfg], tmp_path)
+        assert res.returncode == 2
+        assert "tolerance" in res.stderr
+
     def test_missing_config_exits_2(self, tmp_path):
         res = run_cli(["conserve", "--config", "nope.ini"], tmp_path)
         assert res.returncode == 2
@@ -50,6 +60,35 @@ class TestConfigValidation:
                              capture_output=True, text=True, cwd=str(tmp_path),
                              env=env)
         assert res.returncode == 2
+
+
+class TestLazyScipy:
+    def test_only_integrating_commands_load_scipy(self, tmp_path):
+        conserve = write_config(tmp_path, "[model]\nfamily = power\nalpha = 1\n",
+                                "conserve.ini")
+        rate = write_config(tmp_path, (
+            "[model]\nfamily = constant\nn = 3\nmode = unit_energy\n"
+            "[solver]\nt_grid = 1,10\n"), "rate.ini")
+        script = (
+            "import sys\n"
+            "def no_scipy_after(step, rc=0):\n"
+            "    loaded = [m for m in sys.modules\n"
+            "              if m == 'scipy' or m.startswith('scipy.')]\n"
+            "    if rc != 0 or loaded:\n"
+            "        sys.exit(f'{step}: rc={rc}, loaded {sorted(loaded)[:5]}')\n"
+            "import escrate.cli as cli\n"
+            "no_scipy_after('import')\n"
+            "no_scipy_after('catalogue', cli.main(['catalogue', '--out', 'c.csv']))\n"
+            f"no_scipy_after('conserve', cli.main(['conserve', '--config', {conserve!r}]))\n"
+            f"if cli.main(['rate', '--config', {rate!r}, '--out', 'r.csv']) != 0 \\\n"
+            "        or 'scipy.integrate' not in sys.modules:\n"
+            "    sys.exit('rate failed or ran without scipy')\n")
+        env = dict(os.environ)
+        env.pop("ESCRATE_THREADS", None)
+        res = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                             text=True, cwd=str(tmp_path), env=env)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.startswith("verdict=Conservative family=power")
 
 
 class TestRate:
@@ -201,6 +240,27 @@ class TestSimulate:
                   for l in res.stdout.strip().split("\n")[1:]]
         mean = sum(finals) / len(finals)
         assert abs(mean / 20.0 - 1.0) <= 0.25
+
+    def test_paths_output_matches_row_by_row_reference(self, tmp_path):
+        from escrate import cli
+
+        cfg = write_config(tmp_path, (
+            "[model]\nwarp = hyperbolic\nn = 2\nk = 1\n"
+            "[simulation]\nx0 = 1\nt = 2\ndt = 0.01\nn_paths = 7\n"
+            "master_seed = 5\ndrift = manifold\nfloor = 0.05\nbarrier = 2.5\n"
+            "store_every = 3\noutput = paths\n"))
+        dest = tmp_path / "paths.csv"
+        res = run_cli(["simulate", "--config", cfg, "--out", str(dest)],
+                      tmp_path)
+        assert res.returncode == 0, res.stderr
+        ens = cli.run_ensemble(cli.load_config(cfg))
+        steps = np.rint(ens.times / ens.dt).astype(int).tolist()
+        assert steps[:3] == [0, 3, 6]
+        rows = ["path,step,t,x"] + [
+            ",".join(cli._fmt(c) for c in
+                     (i, steps[j], float(t), float(ens.values[i, j])))
+            for i in range(ens.n_paths) for j, t in enumerate(ens.times)]
+        assert dest.read_bytes() == ("\n".join(rows) + "\n").encode()
 
     def test_coefficient_drift_runs_at_array_speed(self, tmp_path):
         cfg = write_config(tmp_path, (

@@ -166,6 +166,22 @@ class TestDrifts:
         with pytest.raises(SingularOrigin):
             drift_L_rho(RadialCoefficient.constant(), 3, 1e-9)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("coeff", [RadialCoefficient.power(1.0),
+                                       RadialCoefficient.squared_log(0.5)],
+                             ids=["power1", "squared_log05"])
+    def test_coefficient_drift_is_generator_of_rho(self, coeff, n):
+        # L = div(a grad) on radial f: a f'' + ((n-1) a/r + a') f', applied
+        # to rho_tilde by central differences
+        r = np.array([0.3, 1.0, 2.0, 7.5, 40.0, 300.0])
+        h = 1e-4 * r
+        f_minus, f_0, f_plus = (rho_tilde(coeff, r + k * h) for k in (-1, 0, 1))
+        f1 = (f_plus - f_minus) / (2.0 * h)
+        f2 = (f_plus - 2.0 * f_0 + f_minus) / h ** 2
+        a, ap = coeff.a(r), coeff.a_prime(r)
+        L_rho = a * f2 + ((n - 1) * a / r + ap) * f1
+        assert np.allclose(drift_L_rho(coeff, n, r), L_rho, rtol=1e-6, atol=0.0)
+
     def test_custom_warp_validates_slope(self):
         with pytest.raises(DomainError):
             ManifoldModel.custom(2, [0.0, 1.0, 2.0], [0.0, 2.0, 4.0])

@@ -21,7 +21,14 @@ from .rate_solver import (
     psi,
     rate_table,
 )
-from .sde import HyperbolicBound, PathEnsemble, Sde1D, ensemble, euler_path, radial_drift
-from .verify import comparison_mc, coupled_dominance, exceedance, lil_statistic
+from .sde import HyperbolicBound, PathEnsemble, Sde1D, ensemble, radial_drift
+from .verify import (
+    comparison_mc,
+    coupled_dominance,
+    exceedance,
+    exceedance_mc,
+    lil_mc,
+    lil_statistic,
+)
 
 __version__ = "0.1.0"

@@ -207,7 +207,8 @@ def build_sde(cfg) -> Sde1D:
                  floor=floor, sigma_const=sigma_val)
 
 
-def run_ensemble(cfg, seed_override=None, store_every=None):
+def _simulation_args(cfg, seed_override=None) -> dict:
+    """Keyword arguments of sde.ensemble from the [simulation] section."""
     sim = _need(cfg, "simulation")
     sde = build_sde(cfg)
     seed = seed_override if seed_override is not None else _getint(sim, "master_seed")
@@ -216,11 +217,14 @@ def run_ensemble(cfg, seed_override=None, store_every=None):
     if barrier_raw is not None:
         barrier = math.inf if barrier_raw.strip().lower() in ("inf", "+inf") \
             else float(barrier_raw)
-    if store_every is None:
-        store_every = _getint(sim, "store_every", 1)
-    return ensemble(sde, _getfloat(sim, "x0"), _getfloat(sim, "t"),
-                    _getfloat(sim, "dt"), _getint(sim, "n_paths"), seed,
-                    barrier=barrier, store_every=store_every)
+    store_every = _getint(sim, "store_every", 1)
+    return dict(sde=sde, x0=_getfloat(sim, "x0"), T=_getfloat(sim, "t"),
+                dt=_getfloat(sim, "dt"), n_paths=_getint(sim, "n_paths"),
+                master_seed=seed, barrier=barrier, store_every=store_every)
+
+
+def run_ensemble(cfg, seed_override=None):
+    return ensemble(**_simulation_args(cfg, seed_override))
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +351,10 @@ def cmd_verify(cfg, mode: str, out: _Out, quiet: bool, seed_override) -> int:
             rate = rate_solver.rate_table(
                 profile, t_grid,
                 scale_c=_getfloat(solver, "scale_c", 1.0))
-        ens = run_ensemble(cfg, seed_override)
-        report = verify_mod.exceedance(ens, rate, C_grid, t0)
+        args = _simulation_args(cfg, seed_override)
+        del args["barrier"]  # the streamed run records no exit times
+        report = verify_mod.exceedance_mc(rate=rate, C_grid=C_grid, t0=t0,
+                                          **args)
         out.row("C", "fraction")
         for C, f in zip(report.C_grid, report.fractions):
             out.row(float(C), float(f))
@@ -385,8 +391,9 @@ def cmd_verify(cfg, mode: str, out: _Out, quiet: bool, seed_override) -> int:
     if mode == "lil":
         eps_grid = _float_list(ver.get("eps_grid", "0,0.25,0.5,1.0"))
         t0 = _getfloat(ver, "t0")
-        ens = run_ensemble(cfg, seed_override)
-        fractions = verify_mod.lil_statistic(ens, t0, ens.times[-1], eps_grid)
+        args = _simulation_args(cfg, seed_override)
+        del args["barrier"]  # the streamed run records no exit times
+        fractions = verify_mod.lil_mc(t0=t0, eps_grid=eps_grid, **args)
         out.row("eps", "fraction")
         for e, f in zip(eps_grid, fractions):
             out.row(float(e), float(f))

@@ -28,14 +28,15 @@ from .profiles import (
 )
 
 _SQRT2 = math.sqrt(2.0)
-_NOISE_BLOCK = 512  # steps of noise generated per RNG call
+# Steps of noise generated per RNG call. Each of the (at most two) noise
+# buffers holds _NOISE_BLOCK float32 normals per path: 0.5 KiB.
+_NOISE_BLOCK = 128
 _NOISE_CHUNK = 256  # paths sharing one noise stream
 
 __all__ = [
     "Sde1D",
     "PathEnsemble",
     "HyperbolicBound",
-    "euler_path",
     "ensemble",
     "radial_drift",
     "euclidean_diffusion_nd",
@@ -232,10 +233,18 @@ def _shared_noise_run(sdes, x0: float, T: float, dt: float, n_paths: int,
     return states
 
 
-def euler_path(sde: Sde1D, x0: float, T: float, dt: float, seed: int) -> np.ndarray:
-    """Single Euler-Maruyama path on the grid 0, dt, ..., floor(T/dt)*dt:
-    path 0 of ``ensemble`` keyed by ``seed``."""
-    return ensemble(sde, x0, T, dt, 1, seed).values[0]
+def _stored_steps(sde: Sde1D, x0: float, T: float, dt: float, n_paths: int,
+                  store_every: int) -> np.ndarray:
+    """Validate a run of n_paths chains and return the steps ``ensemble``
+    stores: step 0, every store_every-th step thereafter, and the last step
+    int(T / dt)."""
+    if store_every < 1:
+        raise DomainError("store_every must be >= 1")
+    n_steps = _check_sim_args([sde], x0, T, dt, n_paths)
+    stored = np.arange(0, n_steps + 1, store_every)
+    if stored[-1] != n_steps:
+        stored = np.append(stored, n_steps)
+    return stored
 
 
 def ensemble(sde: Sde1D, x0: float, T: float, dt: float, n_paths: int,
@@ -249,12 +258,8 @@ def ensemble(sde: Sde1D, x0: float, T: float, dt: float, n_paths: int,
     the stored grid (step 0, every store_every-th step thereafter, and the
     last step).
     """
-    if store_every < 1:
-        raise DomainError("store_every must be >= 1")
-    n_steps = _check_sim_args([sde], x0, T, dt, n_paths)
-    stored_idx = np.arange(0, n_steps + 1, store_every)
-    if stored_idx[-1] != n_steps:
-        stored_idx = np.append(stored_idx, n_steps)
+    stored_idx = _stored_steps(sde, x0, T, dt, n_paths, store_every)
+    n_steps = int(stored_idx[-1])
     values = np.empty((n_paths, stored_idx.size))
     values[:, 0] = x0
     floor_hits = np.zeros(n_paths, dtype=np.int64)

@@ -1,8 +1,11 @@
 """Monte Carlo validation of escape envelopes and drift comparison.
 
-Envelope-exceedance statistics on path ensembles, the drift-domination
-inequality with its exact shared-noise coupling check, and the iterated-
-logarithm sanity statistic for Brownian paths.
+Envelope-exceedance fractions, the drift-domination inequality with its
+exact shared-noise coupling check, and the iterated-logarithm sanity
+statistic for reflected Brownian paths. Every statistic is reduced as the
+Euler kernel steps, in memory linear in the number of paths; the exceedance
+fractions can also be read off a stored ``PathEnsemble``, through the same
+reducer.
 """
 
 from __future__ import annotations
@@ -15,15 +18,17 @@ import numpy as np
 
 from .errors import DomainError, DriftOrderViolated, ExtrapolationError
 from .rate_solver import RateFunction
-from .sde import PathEnsemble, Sde1D, _shared_noise_run
+from .sde import PathEnsemble, Sde1D, _shared_noise_run, _stored_steps
 
 __all__ = [
     "EnvelopeReport",
     "ComparisonReport",
     "exceedance",
+    "exceedance_mc",
     "comparison_mc",
     "coupled_dominance",
     "lil_statistic",
+    "lil_mc",
 ]
 
 
@@ -48,6 +53,50 @@ class EnvelopeReport:
     master_seed: int
 
 
+class _Exceedance:
+    """One flag row per envelope level: flags[i, p] is set once path p has
+    been above env[i, j] at some window column j fed so far."""
+
+    def __init__(self, env: np.ndarray, n_paths: int):
+        self.env = env
+        self.flags = np.zeros((env.shape[0], n_paths), dtype=bool)
+
+    def feed(self, j: int, x: np.ndarray):
+        np.logical_or(self.flags, x > self.env[:, j, None], out=self.flags)
+
+    def fractions(self) -> np.ndarray:
+        return self.flags.mean(axis=1)
+
+
+def _stored_fractions(ens: PathEnsemble, window: np.ndarray,
+                      env: np.ndarray) -> np.ndarray:
+    """Exceedance fractions of a stored ensemble's window columns."""
+    flags = _Exceedance(env, ens.n_paths)
+    for j, col in enumerate(np.flatnonzero(window)):
+        flags.feed(j, ens.values[:, col])
+    return flags.fractions()
+
+
+def _streamed_fractions(sde: Sde1D, x0: float, T: float, dt: float,
+                        n_paths: int, seed: int, steps: np.ndarray,
+                        env: np.ndarray) -> np.ndarray:
+    """Exceedance fractions of the chains ``ensemble`` would store, fed to
+    the reducer as the kernel steps: ``steps`` are the window's stored steps,
+    column j of ``env`` belongs to steps[j]."""
+    flags = _Exceedance(env, n_paths)
+    column = {step: j for j, step in enumerate(steps.tolist())}
+    if 0 in column:
+        flags.feed(column[0], np.full(n_paths, float(x0)))
+
+    def observe(step, states):
+        j = column.get(step)
+        if j is not None:
+            flags.feed(j, states[0])
+
+    _shared_noise_run([sde], x0, T, dt, n_paths, seed, observe)
+    return flags.fractions()
+
+
 def _envelope_values(rate, ts: np.ndarray) -> np.ndarray:
     if isinstance(rate, RateFunction):
         lo, hi = rate.domain
@@ -59,28 +108,58 @@ def _envelope_values(rate, ts: np.ndarray) -> np.ndarray:
     return np.array([float(rate(t)) for t in ts])
 
 
-def exceedance(ens: PathEnsemble, rate: Union[RateFunction, Callable],
-               C_grid: Sequence[float], t0: float) -> EnvelopeReport:
-    """Fraction of paths above the envelope rate(C t) anywhere on [t0, T].
-
-    ``rate`` is a RateFunction table or any callable (useful sentinels:
-    constant 0 or +inf).
-    """
-    C_grid = np.asarray(C_grid, dtype=float)
+def _envelope_rows(times: np.ndarray, rate, C_grid: np.ndarray, t0: float):
+    """Window of the stored times on [t0, T] and the envelope rows
+    rate(C * t) on it, one per C."""
     if np.any(C_grid <= 0):
         raise DomainError("scale constants must be positive")
-    if t0 >= ens.times[-1]:
-        raise DomainError(f"burn-in t0={t0} at or beyond horizon {ens.times[-1]}")
-    window = ens.times >= t0
-    ts = ens.times[window]
-    vals = ens.values[:, window]
-    fractions = np.empty(C_grid.size)
+    if t0 >= times[-1]:
+        raise DomainError(f"burn-in t0={t0} at or beyond horizon {times[-1]}")
+    window = times >= t0
+    ts = times[window]
+    env = np.empty((C_grid.size, ts.size))
     for i, C in enumerate(C_grid):
-        env = _envelope_values(rate, C * ts)
-        fractions[i] = float(np.mean(np.any(vals > env[None, :], axis=1)))
+        env[i] = _envelope_values(rate, C * ts)
+    return window, env
+
+
+def exceedance(ens: PathEnsemble, rate: Union[RateFunction, Callable],
+               C_grid: Sequence[float], t0: float) -> EnvelopeReport:
+    """Fraction of paths above the envelope rate(C t) at some stored time
+    in [t0, T], per C.
+
+    ``rate`` is a RateFunction table or any callable (useful sentinels:
+    constant 0 or +inf). A table must cover C t on the window
+    (ExtrapolationError otherwise).
+    """
+    C_grid = np.asarray(C_grid, dtype=float)
+    window, env = _envelope_rows(ens.times, rate, C_grid, t0)
+    return EnvelopeReport(C_grid=C_grid,
+                          fractions=_stored_fractions(ens, window, env),
+                          t0=float(t0), T=float(ens.times[-1]),
+                          n_paths=ens.n_paths, master_seed=ens.master_seed)
+
+
+def exceedance_mc(sde: Sde1D, x0: float, T: float, dt: float, n_paths: int,
+                  master_seed: int, rate: Union[RateFunction, Callable],
+                  C_grid: Sequence[float], t0: float,
+                  store_every: int = 1) -> EnvelopeReport:
+    """``exceedance`` of ``ensemble(sde, x0, T, dt, n_paths, master_seed,
+    store_every=store_every)``, equal to it, reduced as the chains step
+    without storing them.
+
+    Every argument is checked, and the envelope evaluated, before the first
+    step.
+    """
+    C_grid = np.asarray(C_grid, dtype=float)
+    stored = _stored_steps(sde, x0, T, dt, n_paths, store_every)
+    times = stored * dt
+    window, env = _envelope_rows(times, rate, C_grid, t0)
+    fractions = _streamed_fractions(sde, x0, T, dt, n_paths, master_seed,
+                                    stored[window], env)
     return EnvelopeReport(C_grid=C_grid, fractions=fractions, t0=float(t0),
-                          T=float(ens.times[-1]), n_paths=ens.n_paths,
-                          master_seed=ens.master_seed)
+                          T=float(times[-1]), n_paths=n_paths,
+                          master_seed=master_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -219,25 +298,45 @@ def coupled_dominance(low: Sde1D, high: Sde1D, x0: float, T: float, dt: float,
 # Iterated-logarithm statistic
 # ---------------------------------------------------------------------------
 
-def lil_statistic(ens: PathEnsemble, t0: float, T: float,
-                  eps_grid: Sequence[float]) -> np.ndarray:
-    """Per-epsilon fraction of paths with |x_t| > (1+eps) sqrt(2 t log log t)
-    at any stored grid time in [t0, T].
-
-    The ensemble must be driftless with unit diffusion (standard Brownian
-    paths); fractions are nonincreasing in eps by event nesting.
-    """
+def _lil_rows(times: np.ndarray, t0: float, T: float, eps_grid):
+    """Window of the stored times on [t0, T] and the envelope rows
+    (1+eps) sqrt(2 t log log t) on it, one per eps."""
     if t0 <= math.e:
         raise DomainError(f"t0={t0} must exceed e so log log t0 > 0")
     eps_grid = np.asarray(eps_grid, dtype=float)
-    window = (ens.times >= t0) & (ens.times <= T)
+    window = (times >= t0) & (times <= T)
     if not np.any(window):
         raise DomainError("no stored grid times inside the window")
-    ts = ens.times[window]
-    vals = np.abs(ens.values[:, window])
+    ts = times[window]
     base = np.sqrt(2.0 * ts * np.log(np.log(ts)))
-    fractions = np.empty(eps_grid.size)
-    for i, eps in enumerate(eps_grid):
-        env = (1.0 + eps) * base
-        fractions[i] = float(np.mean(np.any(vals > env[None, :], axis=1)))
-    return fractions
+    return window, (1.0 + eps_grid[:, None]) * base
+
+
+def lil_statistic(ens: PathEnsemble, t0: float, T: float,
+                  eps_grid: Sequence[float]) -> np.ndarray:
+    """Per-epsilon fraction of paths with x_t > (1+eps) sqrt(2 t log log t)
+    at some stored grid time in [t0, T].
+
+    The ensemble should be driftless with unit diffusion: a Brownian motion
+    clamped at its floor > 0, close in law to the reflected |B_t|, so x_t
+    plays the part of |B_t| in the law of the iterated logarithm. Fractions
+    are nonincreasing in eps by event nesting.
+    """
+    window, env = _lil_rows(ens.times, t0, T, eps_grid)
+    return _stored_fractions(ens, window, env)
+
+
+def lil_mc(sde: Sde1D, x0: float, T: float, dt: float, n_paths: int,
+           master_seed: int, t0: float, eps_grid: Sequence[float],
+           store_every: int = 1) -> np.ndarray:
+    """``lil_statistic`` on [t0, horizon] of ``ensemble(sde, x0, T, dt,
+    n_paths, master_seed, store_every=store_every)``, equal to it, reduced
+    as the chains step without storing them.
+
+    Every argument is checked before the first step.
+    """
+    stored = _stored_steps(sde, x0, T, dt, n_paths, store_every)
+    times = stored * dt
+    window, env = _lil_rows(times, t0, times[-1], eps_grid)
+    return _streamed_fractions(sde, x0, T, dt, n_paths, master_seed,
+                               stored[window], env)

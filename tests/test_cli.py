@@ -1,4 +1,4 @@
-"""End-to-end command-line checks through subprocess: exit codes, CSV
+"""End-to-end command-line checks, mostly through subprocess: exit codes, CSV
 shape, and reproducibility."""
 
 import csv
@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -338,6 +339,62 @@ class TestVerify:
             res = run_cli(["verify", "compare", "--config", cfg], tmp_path)
             assert res.returncode == 2, (n_paths, res.stderr)
             assert "Warning" not in res.stderr
+
+
+class TestStreamedVerify:
+    """verify lil and verify envelope reduce as the chains step."""
+
+    LIL = ("[simulation]\nx0 = 1e-6\nt = 1000\ndt = 1\nn_paths = 10000\n"
+           "master_seed = 8008\ndrift = none\nsigma = 1\nfloor = 1e-6\n")
+    ENVELOPE = (
+        "[model]\nfamily = constant\nn = 3\nmode = unit_energy\n"
+        "warp = euclidean\n"
+        "[solver]\nt_grid = geom:1:100:20\nscale_c = 1\n"
+        "[simulation]\nx0 = 1\nt = 20\ndt = 0.01\nn_paths = 300\n"
+        "master_seed = 9\ndrift = manifold\nfloor = 0.01\n"
+        "store_every = 30\n")
+
+    @pytest.mark.parametrize("mode, verify, rc, message", [
+        ("lil", "t0 = 2\n", 2,
+         "DomainError: t0=2.0 must exceed e so log log t0 > 0"),
+        ("envelope", "c_grid = 1,2\nt0 = 20\n", 2,
+         "DomainError: burn-in t0=20.0 at or beyond horizon 20.0"),
+        ("envelope", "c_grid = 1,20\nt0 = 2\n", 3,
+         "ExtrapolationError: envelope needs rate values on [42, 400], "
+         "table covers [1, 100]"),
+    ], ids=["lil_t0_below_e", "envelope_t0_at_horizon",
+            "envelope_table_too_short"])
+    def test_rejected_before_any_step(self, tmp_path, monkeypatch, capsys,
+                                      mode, verify, rc, message):
+        from escrate import cli, sde, verify as verify_mod
+
+        def kernel(*args, **kwargs):
+            raise AssertionError("the Euler kernel ran")
+
+        monkeypatch.setattr(sde, "_shared_noise_run", kernel)
+        monkeypatch.setattr(verify_mod, "_shared_noise_run", kernel)
+        body = self.LIL if mode == "lil" else self.ENVELOPE
+        cfg = write_config(tmp_path, body + "[verify]\n" + verify)
+        assert cli.main(["verify", mode, "--config", cfg]) == rc
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message + "\n"
+
+    def test_lil_memory_linear_in_paths(self, tmp_path):
+        # 10^4 paths x 1001 stored steps: stored as float64 they take 80 MB
+        from escrate import cli
+
+        cfg = write_config(tmp_path, self.LIL + "[verify]\nt0 = 10\n")
+        out = tmp_path / "lil.csv"
+        tracemalloc.start()
+        try:
+            rc = cli.main(["verify", "lil", "--config", cfg, "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert out.read_text().startswith("eps,fraction\n0,")
+        assert peak < 20e6, peak
 
 
 class TestCatalogue:

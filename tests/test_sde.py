@@ -14,7 +14,6 @@ from escrate.sde import (
     Sde1D,
     ensemble,
     euclidean_diffusion_nd,
-    euler_path,
     radial_drift,
 )
 
@@ -30,32 +29,32 @@ def one(x):
 class TestEulerPath:
     def test_deterministic_ode_limit(self):
         s = Sde1D(drift=one, sigma=zero, floor=1e-6, sigma_const=0.0)
-        path = euler_path(s, 1e-6, 5.0, 1e-3, seed=3)
+        path = ensemble(s, 1e-6, 5.0, 1e-3, 1, 3).values[0]
         assert path[-1] == pytest.approx(1e-6 + 5.0, abs=1e-9)
         assert path.size == 5001
 
     def test_same_seed_same_path(self):
         s = Sde1D(drift=zero)
-        a = euler_path(s, 10.0, 1.0, 1e-2, seed=11)
-        b = euler_path(s, 10.0, 1.0, 1e-2, seed=11)
+        a = ensemble(s, 10.0, 1.0, 1e-2, 1, 11).values[0]
+        b = ensemble(s, 10.0, 1.0, 1e-2, 1, 11).values[0]
         assert np.array_equal(a, b)
 
     def test_different_seed_differs(self):
         s = Sde1D(drift=zero)
-        a = euler_path(s, 10.0, 1.0, 1e-2, seed=11)
-        b = euler_path(s, 10.0, 1.0, 1e-2, seed=12)
+        a = ensemble(s, 10.0, 1.0, 1e-2, 1, 11).values[0]
+        b = ensemble(s, 10.0, 1.0, 1e-2, 1, 12).values[0]
         assert not np.array_equal(a, b)
 
     def test_nonfinite_reported_with_step(self):
         s = Sde1D(drift=lambda x: np.asarray(x, dtype=float) * 1e300, sigma=zero,
                   sigma_const=0.0)
         with np.errstate(over="ignore"), pytest.raises(NonFiniteState):
-            euler_path(s, 1.0, 1.0, 1e-2, seed=1)
+            ensemble(s, 1.0, 1.0, 1e-2, 1, 1).values[0]
 
     def test_x0_below_floor_rejected(self):
         s = Sde1D(drift=zero, floor=0.5)
         with pytest.raises(DomainError):
-            euler_path(s, 0.1, 1.0, 1e-2, seed=1)
+            ensemble(s, 0.1, 1.0, 1e-2, 1, 1).values[0]
 
 
 class TestEnsemble:
@@ -66,12 +65,6 @@ class TestEnsemble:
         final = ens.values[:, -1]
         se = final.std(ddof=1) / math.sqrt(final.size)
         assert abs(final.mean() - 10.0) <= 3.0 * se
-
-    def test_single_path_reproduces_euler_path(self):
-        s = Sde1D(drift=zero)
-        ens = ensemble(s, 5.0, 1.0, 1e-2, 1, master_seed=77)
-        direct = euler_path(s, 5.0, 1.0, 1e-2, seed=77 ^ 0)
-        assert np.array_equal(ens.values[0], direct)
 
     def test_infinite_barrier_never_exits(self):
         s = Sde1D(drift=zero)

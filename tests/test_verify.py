@@ -15,13 +15,15 @@ from escrate.errors import (
     ExtrapolationError,
 )
 from escrate.profiles import RadialCoefficient, profile_from_radial
-from escrate.rate_solver import rate_table
+from escrate.rate_solver import RateFunction, rate_table
 from escrate.sde import Sde1D, ensemble
 from escrate.verify import (
     _terminal_run,
     comparison_mc,
     coupled_dominance,
     exceedance,
+    exceedance_mc,
+    lil_mc,
     lil_statistic,
 )
 
@@ -174,3 +176,74 @@ class TestLilStatistic:
                               eps_grid=[0.0, 0.25, 0.5, 1.0])
         assert np.all(np.diff(fracs) <= 0)
         assert fracs[0] > fracs[-1]
+
+
+class TestStreamedReductions:
+    """exceedance_mc and lil_mc reduce as the chains step; their fractions
+    must equal the stored-ensemble reductions exactly, for every thread
+    count. 700 paths fill two 256-path noise chunks and part of a third;
+    500 steps stored every 7th leave step 500 to be stored as the last."""
+
+    T, DT, N, EVERY = 5.0, 1e-2, 700, 7
+
+    @staticmethod
+    def _each_thread_count(monkeypatch, run):
+        results = []
+        for threads in ("1", None):
+            if threads is None:
+                monkeypatch.delenv("ESCRATE_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("ESCRATE_THREADS", threads)
+            results.append(run())
+        return results
+
+    @pytest.mark.parametrize("case", [
+        "step0", "last_step", "sqrt", "table", "zero", "infinity"])
+    def test_exceedance_equals_stored(self, monkeypatch, case):
+        sde = Sde1D(drift=lambda x: 2.0 / np.asarray(x, dtype=float),
+                    floor=0.01)
+        C_grid, t0, expected = [1.0, 3.0], 1.0, None
+        if case == "step0":
+            rate, t0, expected = (lambda t: 0.0 if t == 0.0 else math.inf,
+                                  0.0, [1.0, 1.0])
+        elif case == "last_step":
+            rate, expected = (lambda t: 0.0 if t >= 3.0 * self.T
+                              else math.inf), [0.0, 1.0]
+        elif case == "sqrt":
+            rate, C_grid = math.sqrt, [4.0, 8.0, 16.0, 32.0]
+        elif case == "table":
+            ts = np.geomspace(0.5, 50.0, 30)
+            rate = RateFunction(ts, 2.0 * np.sqrt(ts), r_star=0.0)
+            C_grid = [1.0, 2.0, 4.0]
+        elif case == "zero":
+            rate, expected = (lambda t: 0.0), [1.0, 1.0]
+        else:
+            rate, expected = (lambda t: math.inf), [0.0, 0.0]
+        args = (sde, 1.0, self.T, self.DT, self.N, 41)
+        stored = exceedance(ensemble(*args, store_every=self.EVERY), rate,
+                            C_grid, t0)
+        for streamed in self._each_thread_count(monkeypatch, lambda: (
+                exceedance_mc(*args, rate, C_grid, t0,
+                              store_every=self.EVERY))):
+            assert streamed.fractions.tolist() == stored.fractions.tolist()
+            assert streamed.C_grid.tolist() == stored.C_grid.tolist()
+            assert (streamed.t0, streamed.T, streamed.n_paths,
+                    streamed.master_seed) == (stored.t0, stored.T,
+                                              stored.n_paths,
+                                              stored.master_seed)
+        if expected is not None:
+            assert stored.fractions.tolist() == expected
+        else:
+            assert 0.0 < stored.fractions[-1] < stored.fractions[0]
+
+    def test_lil_equals_stored(self, monkeypatch):
+        sde = Sde1D(drift=zero, sigma=lambda x: np.ones_like(
+            np.asarray(x, dtype=float)), sigma_const=1.0, floor=1e-6)
+        args = (sde, 1e-6, 500.0, 1.0, self.N, 606)
+        eps_grid = [0.0, 0.25, 0.5, 1.0]
+        ens = ensemble(*args, store_every=self.EVERY)
+        stored = lil_statistic(ens, 10.0, ens.times[-1], eps_grid)
+        for streamed in self._each_thread_count(monkeypatch, lambda: lil_mc(
+                *args, 10.0, eps_grid, store_every=self.EVERY)):
+            assert streamed.tolist() == stored.tolist()
+        assert stored[0] > stored[-1]

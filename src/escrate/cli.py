@@ -337,6 +337,7 @@ def cmd_verify(cfg, mode: str, out: _Out, quiet: bool, seed_override) -> int:
     if mode == "envelope":
         C_grid = _float_list(ver.get("c_grid", "1"))
         t0 = _getfloat(ver, "t0")
+        threshold = _getfloat(ver, "max_fraction", 0.5)
         sentinel = ver.get("envelope", "table").strip().lower()
         if sentinel == "zero":
             rate = lambda t: 0.0
@@ -358,7 +359,6 @@ def cmd_verify(cfg, mode: str, out: _Out, quiet: bool, seed_override) -> int:
         out.row("C", "fraction")
         for C, f in zip(report.C_grid, report.fractions):
             out.row(float(C), float(f))
-        threshold = _getfloat(ver, "max_fraction", 0.5)
         passed = float(report.fractions[-1]) <= threshold
         return _verdict_exit(passed, f"{'PASS' if passed else 'FAIL'} "
                              f"fraction_at_max_C={_fmt(float(report.fractions[-1]))} "

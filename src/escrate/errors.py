@@ -56,7 +56,7 @@ class NonFiniteState(EscrateError):
     """A simulation step produced a non-finite value.
 
     Carries a step index in ``.step``: for a 1-D chain, the first step of
-    the noise block (up to 512 steps) in which the state went non-finite;
+    the noise block (up to 128 steps) in which the state went non-finite;
     for the n-dimensional diffusion, the offending step itself.
     """
 

@@ -4,6 +4,13 @@ One-dimensional chains x_{k+1} = max(floor, x_k + theta(x_k) dt + sigma(x_k)
 sqrt(dt) xi_k), all stepped by one kernel on counter-based noise keyed by
 (seed, chunk of 256 paths), plus radial drifts for model manifolds and
 radial elliptic diffusions, and a full n-dimensional isotropic diffusion.
+
+The kernel's normals xi_k are Box-Muller transforms of raw Philox words,
+128 words per step of a chunk (see _box_muller for the layout); they are
+cut at |xi| <= sqrt(50 log 2) = 5.89, a tail of probability 3.9e-9 per
+draw. A seed reproduces the same bytes for every ESCRATE_THREADS, and on
+numpy's AVX2 and AVX-512 float32 loops alike; on the x86-64-v2 baseline
+loops float32 log, sin and cos round differently and the normals differ.
 """
 
 from __future__ import annotations
@@ -32,6 +39,8 @@ _SQRT2 = math.sqrt(2.0)
 # buffers holds _NOISE_BLOCK float32 normals per path: 0.5 KiB.
 _NOISE_BLOCK = 128
 _NOISE_CHUNK = 256  # paths sharing one noise stream
+_WORDS = _NOISE_CHUNK // 2  # raw 64-bit Philox words per step of a chunk
+_ANGLE = np.float32(2.0 * math.pi * 2.0 ** -24)
 
 __all__ = [
     "Sde1D",
@@ -137,15 +146,58 @@ def _check_sim_args(sdes, x0: float, T: float, dt: float, n_paths: int) -> int:
     return int(T / dt)
 
 
+def _box_muller(bit_generator, out: np.ndarray) -> None:
+    """Fill ``out``, a C-contiguous (block, _NOISE_CHUNK) float32 array, with
+    standard normals made from block * _WORDS raw 64-bit words of
+    ``bit_generator``.
+
+    Layout: word j of step row i (word i * _WORDS + j of the draw) gives
+    paths j and j + _WORDS of that step. Its low and high 32-bit halves,
+    each shifted right by 8, are 24-bit integers k1 and k2. With
+    u1 = (k1 + 1/2) 2^-24 in (0, 1), r = sqrt(-2 log u1) and
+    theta = 2 pi k2 2^-24, path j gets r cos(theta) and path j + _WORDS gets
+    r sin(theta) (Box and Muller, 1958), all in float32. As u1 >= 2^-25,
+    |normal| <= sqrt(50 log 2) = 5.89 (rounded to float32): the tail beyond
+    it has probability 3.9e-9 per draw. The draw itself is the only scratch
+    space.
+    """
+    block = out.shape[0]
+    n = block * _WORDS
+    words = bit_generator.random_raw(n)
+    # (low, high) halves of each word on a little-endian host
+    halves = words.view(np.uint32).reshape(n, 2)
+    np.right_shift(halves, 8, out=halves)
+    # The transforms run on contiguous arrays, as numpy's float32 loops are
+    # slower on strided or row-by-row views: r and theta in out's memory, cos
+    # and sin in the draw's; the products are copied into the layout last.
+    r, theta = out.reshape(2, n)  # a view: out is C-contiguous
+    np.add(halves[:, 0], np.float32(0.5), out=r, dtype=np.float32,
+           casting="unsafe")
+    r *= np.float32(2.0 ** -24)
+    np.log(r, out=r)
+    r *= np.float32(-2.0)
+    np.sqrt(r, out=r)
+    np.multiply(halves[:, 1], _ANGLE, out=theta, dtype=np.float32,
+                casting="unsafe")
+    cos, sin = words.view(np.float32).reshape(2, n)
+    np.cos(theta, out=cos)
+    np.sin(theta, out=sin)
+    cos *= r
+    sin *= r
+    out[:, :_WORDS] = cos.reshape(block, _WORDS)
+    out[:, _WORDS:] = sin.reshape(block, _WORDS)
+
+
 def _noise_blocks(gens, n_steps: int):
     """Yield (k, block, buf) for the steps k .. k+block-1, in blocks of up to
     _NOISE_BLOCK steps: buf[c, :block] holds chunk c's float32 normals,
-    drawn step-major from gens[c].
+    made by _box_muller from the next block * _WORDS raw words of gens[c]:
+    exactly _WORDS words per step, whatever the block size.
 
     With more than one worker thread (worker_threads) the chunks are filled
     in parallel, and the next block is drawn while the caller steps through
-    the current one. Each stream is still read in order, so the values do
-    not depend on the thread count.
+    the current one. Each stream is still read in order, and each fill draws
+    its own scratch, so the values do not depend on the thread count.
     """
     n_chunks = len(gens)
     shape = (n_chunks, _NOISE_BLOCK, _NOISE_CHUNK)
@@ -154,8 +206,7 @@ def _noise_blocks(gens, n_steps: int):
 
     def fill(buf, chunks, block):
         for c in chunks:
-            gens[c].standard_normal((block, _NOISE_CHUNK), dtype=np.float32,
-                                    out=buf[c, :block])
+            _box_muller(gens[c].bit_generator, buf[c, :block])
 
     n_threads = min(worker_threads(), n_chunks)
     if n_threads <= 1:
@@ -189,12 +240,13 @@ def _shared_noise_run(sdes, x0: float, T: float, dt: float, n_paths: int,
     chain.
 
     Noise is keyed by (seed, chunk of _NOISE_CHUNK paths): the chunk whose
-    first path index is p draws from the Philox stream keyed by seed XOR p,
-    step-major, one row of _NOISE_CHUNK float32 normals per step. A path's
-    noise is thus a pure function of (seed, path index), whatever n_paths
-    and however many worker threads fill the chunks. Only the n_paths real
-    paths are stepped: the unused tail of the last chunk stays in the noise
-    scratch buffer. ``observe(step, states)`` runs after every step, with
+    first path index is p reads the Philox stream keyed by seed XOR p,
+    step-major, _WORDS raw words per step, which _box_muller turns into one
+    row of _NOISE_CHUNK float32 normals. A path's noise is thus a pure
+    function of (seed, path index), whatever n_paths and however many
+    worker threads fill the chunks. Only the n_paths real paths are
+    stepped: the unused tail of the last chunk stays in the noise scratch
+    buffer. ``observe(step, states)`` runs after every step, with
     step = 1 .. int(T / dt). States are checked once per noise block; a
     non-finite one raises NonFiniteState with the block's first step.
     """

@@ -362,8 +362,11 @@ class TestStreamedVerify:
         ("envelope", "c_grid = 1,20\nt0 = 2\n", 3,
          "ExtrapolationError: envelope needs rate values on [42, 400], "
          "table covers [1, 100]"),
+        ("envelope", "c_grid = 1,2\nt0 = 2\nmax_fraction = abc\n", 2,
+         "ConfigError: key 'max_fraction' in [verify] is not a number: "
+         "'abc'"),
     ], ids=["lil_t0_below_e", "envelope_t0_at_horizon",
-            "envelope_table_too_short"])
+            "envelope_table_too_short", "envelope_bad_max_fraction"])
     def test_rejected_before_any_step(self, tmp_path, monkeypatch, capsys,
                                       mode, verify, rc, message):
         from escrate import cli, sde, verify as verify_mod

@@ -5,8 +5,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, optimize
+from scipy import integrate, optimize, stats
 
+from escrate import sde as sde_mod
 from escrate.errors import DomainError, NonFiniteState
 from escrate.profiles import ManifoldModel, RadialCoefficient, drift_L_rho, rho_tilde
 from escrate.sde import (
@@ -106,6 +107,79 @@ class TestEnsemble:
         ens = ensemble(s, 1e-5, 1.0, 1e-4, 500, master_seed=8)
         quiet = np.mean(ens.floor_hits == 0)
         assert quiet >= 0.999
+
+
+def reference_normals(seed, n_paths, n_steps):
+    """The kernel's noise written out as a plain loop: chunk c (paths
+    256c .. 256c+255) reads Philox keyed by seed ^ 256c, 128 raw words per
+    step; word j gives paths j (cosine) and j + 128 (sine) of its chunk."""
+    angle = np.float32(2.0 * math.pi * 2.0 ** -24)
+    z = np.empty((n_steps, -(-n_paths // 256) * 256), dtype=np.float32)
+    for first in range(0, n_paths, 256):
+        words = np.random.Philox(key=seed ^ first)
+        for step in range(n_steps):
+            w = words.random_raw(128)
+            k1 = ((w & 0xFFFFFFFF) >> 8).astype(np.float32)
+            k2 = (w >> 40).astype(np.float32)
+            u1 = (k1 + np.float32(0.5)) * np.float32(2.0 ** -24)
+            r = np.sqrt(np.float32(-2.0) * np.log(u1))
+            theta = k2 * angle
+            z[step, first:first + 128] = r * np.cos(theta)
+            z[step, first + 128:first + 256] = r * np.sin(theta)
+    return z[:, :n_paths]
+
+
+class TestNoise:
+    def test_layout_matches_reference_loop(self, monkeypatch):
+        # 300 paths: a full chunk and a partial one; 293 steps: two noise
+        # blocks and a remainder of 37
+        n_paths, n_steps, seed = 300, 2 * 128 + 37, 4242
+        z = reference_normals(seed, n_paths, n_steps).astype(np.float64)
+        # zero drift, dt = 1, sigma = 1: each step adds its normal
+        expected = np.empty((n_paths, n_steps + 1))
+        x = np.full(n_paths, 1000.0)
+        expected[:, 0] = x
+        for step in range(n_steps):
+            x = np.maximum(x + 0.0 + z[step], 1e-6)
+            expected[:, step + 1] = x
+        s = Sde1D(drift=zero, sigma=one, floor=1e-6, sigma_const=1.0)
+        for threads in ("1", "2"):
+            monkeypatch.setenv("ESCRATE_THREADS", threads)
+            ens = ensemble(s, 1000.0, float(n_steps), 1.0, n_paths, seed)
+            assert np.array_equal(ens.values, expected), threads
+
+    def test_standard_normal_law(self):
+        bound = math.sqrt(50.0 * math.log(2.0))
+        # 4 chunk streams x 1024 steps x 256 paths = 2^20 normals
+        gens = [sde_mod._path_generator(s)
+                for s in (3, 77, 1 << 20, 2 ** 40 + 9)]
+        blocks = sde_mod._noise_blocks(gens, 1024)
+        z = np.concatenate([buf[:, :block].copy() for _, block, buf in blocks],
+                           axis=1).reshape(-1, 256).astype(np.float64)
+        n = z.size
+        assert n >= 2 ** 20
+        assert abs(z.mean()) <= 5.0 / math.sqrt(n)
+        assert abs(z.var() - 1.0) <= 5.0 * math.sqrt(2.0 / n)
+        assert stats.kstest(z.ravel(), "norm").pvalue > 1e-4
+        cos_half, sin_half = z[:, :128].ravel(), z[:, 128:].ravel()
+        assert abs(np.corrcoef(cos_half, sin_half)[0, 1]) <= 5.0 / math.sqrt(
+            n / 2)
+        assert np.abs(z).max() <= np.float32(bound)
+
+        # the smallest and largest 24-bit halves: u1 = 2^-25 gives the
+        # largest radius, and no word reaches log(0)
+        class Words:
+            @staticmethod
+            def random_raw(size):
+                return np.resize(np.array([0, 0xFFFFFFFF_FFFFFFFF, 0xFF,
+                                           0xFFFFFF00_000000FF], np.uint64),
+                                 size)
+
+        out = np.empty((1, 256), dtype=np.float32)
+        sde_mod._box_muller(Words(), out)
+        assert np.all(np.isfinite(out))
+        assert np.abs(out).max() <= np.float32(bound)
+        assert out[0, 0] == pytest.approx(bound, rel=1e-6)
 
 
 class TestRadialDrift:

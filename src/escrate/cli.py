@@ -31,6 +31,7 @@ from .errors import (
     SingularOrigin,
 )
 from .profiles import (
+    CATALOGUE,
     ManifoldModel,
     RadialCoefficient,
     profile_from_radial,
@@ -198,13 +199,10 @@ def build_sde(cfg) -> Sde1D:
     if sigma_raw is None:
         return Sde1D(drift=drift, floor=floor)
     try:
-        sigma_val = float(sigma_raw)
+        sigma = float(sigma_raw)
     except ValueError:
         raise ConfigError(f"sigma must be a number, got {sigma_raw!r}")
-    return Sde1D(drift=drift,
-                 sigma=lambda x, v=sigma_val: np.full_like(
-                     np.asarray(x, dtype=float), v),
-                 floor=floor, sigma_const=sigma_val)
+    return Sde1D(drift=drift, sigma=sigma, floor=floor)
 
 
 def _simulation_args(cfg, seed_override=None) -> dict:
@@ -288,7 +286,7 @@ def cmd_rate(cfg, out: _Out, quiet: bool) -> int:
     return EXIT_OK
 
 
-def cmd_conserve(cfg, out: _Out, quiet: bool) -> int:
+def cmd_conserve(cfg, out: _Out) -> int:
     model = _need(cfg, "model")
     coeff = build_coefficient(model)
     verdict = rate_solver.conservativeness(coeff)
@@ -303,7 +301,7 @@ def cmd_conserve(cfg, out: _Out, quiet: bool) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(cfg, out: _Out, quiet: bool, seed_override) -> int:
+def cmd_simulate(cfg, out: _Out, seed_override) -> int:
     sim = _need(cfg, "simulation")
     output = sim.get("output", "paths").strip().lower()
     ens = run_ensemble(cfg, seed_override)
@@ -331,7 +329,7 @@ def _verdict_exit(passed: bool, label: str, out: _Out) -> int:
     return EXIT_OK if passed else EXIT_VERIFY
 
 
-def cmd_verify(cfg, mode: str, out: _Out, quiet: bool, seed_override) -> int:
+def cmd_verify(cfg, mode: str, out: _Out, seed_override) -> int:
     ver = _need(cfg, "verify")
 
     if mode == "envelope":
@@ -420,23 +418,9 @@ def cmd_verify(cfg, mode: str, out: _Out, quiet: bool, seed_override) -> int:
 
 
 def cmd_catalogue(out: _Out) -> int:
-    rows = [
-        ("diri1", "", "sqrt(t log t)", "sqrt(t log t)"),
-        ("diri2", "alpha<2", "sqrt(t log t)", "(t log t)^(1/(2-alpha))"),
-        ("diri3", "beta<1", "t^(1+beta/(2-2 beta))", "exp(t^(1/(1-beta)))"),
-        ("diri3", "beta=1", "exp(t)", "exp(exp(t))"),
-        ("geo1", "", "sqrt(t log log t)", "sqrt(t log log t)"),
-        ("geo2", "alpha<2", "sqrt(t log log t)", "(t log log t)^(1/(2-alpha))"),
-        ("geo3", "beta<1", "t^(1+beta/(2-2 beta))", "exp(t^(1/(1-beta)))"),
-        ("geo3", "beta=1", "exp(t)", "exp(exp(t))"),
-        ("g_alpha", "alpha=-1", "sqrt(t log log t)", ""),
-        ("g_alpha", "-1<alpha<1", "t^(1/(1-alpha))", ""),
-        ("g_alpha", "alpha=1", "exp(t)", ""),
-        ("hyperbolic_linear", "n>=2, K>0", "(1+eps)(n-1) sqrt(K) t", ""),
-    ]
     out.row("case", "range", "psi", "psi_tilde")
-    for r in rows:
-        out.row(*r)
+    for row in CATALOGUE:
+        out.row(*row)
     return EXIT_OK
 
 
@@ -484,11 +468,11 @@ def main(argv=None) -> int:
         if args.command == "rate":
             return cmd_rate(cfg, out, args.quiet)
         if args.command == "conserve":
-            return cmd_conserve(cfg, out, args.quiet)
+            return cmd_conserve(cfg, out)
         if args.command == "simulate":
-            return cmd_simulate(cfg, out, args.quiet, args.seed)
+            return cmd_simulate(cfg, out, args.seed)
         if args.command == "verify":
-            return cmd_verify(cfg, args.mode, out, args.quiet, args.seed)
+            return cmd_verify(cfg, args.mode, out, args.seed)
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"ConfigError: {exc}", file=sys.stderr)

@@ -37,6 +37,7 @@ __all__ = [
     "GrowthProfile",
     "ManifoldModel",
     "CatalogueCase",
+    "CATALOGUE",
     "Prop5Report",
     "rho_tilde",
     "rho_tilde_inverse",
@@ -366,23 +367,22 @@ def profile_from_radial(coeff: RadialCoefficient, n: int, mode: str) -> GrowthPr
 
 @dataclass(frozen=True)
 class ManifoldModel:
-    """Rotationally symmetric model: metric dr^2 + xi(r)^2 dtheta^2."""
+    """Rotationally symmetric model: metric dr^2 + xi(r)^2 dtheta^2, with the
+    Euclidean warp xi(r) = r or the hyperbolic warp
+    xi(r) = sinh(sqrt(K) r) / sqrt(K).
+
+    ``log_derivative`` is xi'/xi, computed without forming xi itself; this
+    avoids overflow for the exponentially growing warp at large radius.
+    """
 
     n: int
-    warp: str                      # "euclidean" | "hyperbolic" | "custom"
-    K: Optional[float] = None
-    xi: Callable = field(default=None, repr=False, compare=False)
-    xi_prime: Callable = field(default=None, repr=False, compare=False)
-    # xi'/xi computed without forming xi itself; avoids overflow for
-    # exponentially growing warps at large radius
-    log_derivative: Optional[Callable] = field(default=None, repr=False,
-                                               compare=False)
+    warp: str                      # "euclidean" | "hyperbolic"
+    K: Optional[float]
+    log_derivative: Callable = field(repr=False, compare=False)
 
     @staticmethod
     def euclidean(n: int) -> "ManifoldModel":
         return ManifoldModel(n, "euclidean", None,
-                             lambda r: np.asarray(r, dtype=float),
-                             lambda r: np.ones_like(np.asarray(r, dtype=float)),
                              lambda r: 1.0 / np.asarray(r, dtype=float))
 
     @staticmethod
@@ -391,23 +391,7 @@ class ManifoldModel:
             raise DomainError("hyperbolic curvature K must be > 0")
         sk = math.sqrt(K)
         return ManifoldModel(n, "hyperbolic", float(K),
-                             lambda r: np.sinh(sk * np.asarray(r, dtype=float)),
-                             lambda r: sk * np.cosh(sk * np.asarray(r, dtype=float)),
                              lambda r: sk / np.tanh(sk * np.asarray(r, dtype=float)))
-
-    @staticmethod
-    def custom(n: int, radii, xi_values) -> "ManifoldModel":
-        from scipy.interpolate import PchipInterpolator
-        radii = np.asarray(radii, dtype=float)
-        xi_values = np.asarray(xi_values, dtype=float)
-        if radii[0] != 0.0 or xi_values[0] != 0.0:
-            raise DomainError("custom warp table must start at xi(0) = 0")
-        spline = PchipInterpolator(radii, xi_values, extrapolate=False)
-        deriv = spline.derivative()
-        slope0 = float(deriv(0.0))
-        if abs(slope0 - 1.0) > 0.05:
-            raise DomainError(f"custom warp must have xi'(0) = 1, got {slope0:.4g}")
-        return ManifoldModel(n, "custom", None, spline, deriv)
 
 
 def drift_L_rho(coeff: RadialCoefficient, n: int, r,
@@ -433,14 +417,7 @@ def mean_curvature(model: ManifoldModel, r,
     r = np.asarray(r, dtype=float)
     if np.any(r < floor):
         raise SingularOrigin(f"r={float(np.min(r))} below floor {floor}")
-    if model.log_derivative is not None:
-        out = (model.n - 1) * np.asarray(model.log_derivative(r), dtype=float)
-    else:
-        xi = np.asarray(model.xi(r), dtype=float)
-        if np.any(xi <= 0):
-            raise DomainError(
-                f"warp function nonpositive at r={float(np.min(r[xi <= 0]))}")
-        out = (model.n - 1) * np.asarray(model.xi_prime(r), dtype=float) / xi
+    out = (model.n - 1) * np.asarray(model.log_derivative(r), dtype=float)
     return _scalar_or_array(out)
 
 
@@ -467,8 +444,30 @@ class CatalogueCase:
     eps: Optional[float] = None
 
 
+# The closed forms of closed_form_rate as ``escrate catalogue`` prints them:
+# (case, parameter range, psi, psi_tilde), with psi_tilde "" where the case
+# has no Euclidean-metric companion. Its cases are the kinds catalogue_case
+# accepts.
+CATALOGUE = (
+    ("diri1", "", "sqrt(t log t)", "sqrt(t log t)"),
+    ("diri2", "alpha<2", "sqrt(t log t)", "(t log t)^(1/(2-alpha))"),
+    ("diri3", "beta<1", "t^(1+beta/(2-2 beta))", "exp(t^(1/(1-beta)))"),
+    ("diri3", "beta=1", "exp(t)", "exp(exp(t))"),
+    ("geo1", "", "sqrt(t log log t)", "sqrt(t log log t)"),
+    ("geo2", "alpha<2", "sqrt(t log log t)", "(t log log t)^(1/(2-alpha))"),
+    ("geo3", "beta<1", "t^(1+beta/(2-2 beta))", "exp(t^(1/(1-beta)))"),
+    ("geo3", "beta=1", "exp(t)", "exp(exp(t))"),
+    ("g_alpha", "alpha=-1", "sqrt(t log log t)", ""),
+    ("g_alpha", "-1<alpha<1", "t^(1/(1-alpha))", ""),
+    ("g_alpha", "alpha=1", "exp(t)", ""),
+    ("hyperbolic_linear", "n>=2, K>0", "(1+eps)(n-1) sqrt(K) t", ""),
+)
+
+
 def catalogue_case(kind: str, **kw) -> CatalogueCase:
     kind = kind.lower()
+    if kind not in {row[0] for row in CATALOGUE}:
+        raise DomainError(f"unknown catalogue case {kind!r}")
     case = CatalogueCase(kind, **kw)
     if kind in ("diri2", "geo2"):
         if case.alpha is None or case.alpha >= 2:
@@ -483,8 +482,6 @@ def catalogue_case(kind: str, **kw) -> CatalogueCase:
         if not (case.n and case.n >= 2 and case.K and case.K > 0
                 and case.eps is not None and case.eps > 0):
             raise DomainError("hyperbolic_linear requires n >= 2, K > 0, eps > 0")
-    elif kind not in ("diri1", "geo1"):
-        raise DomainError(f"unknown catalogue case {kind!r}")
     return case
 
 

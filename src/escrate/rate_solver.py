@@ -279,14 +279,14 @@ def _family_verdict(family: str, param) -> Optional[Verdict]:
     return None
 
 
-def conservativeness(obj: Union[RadialCoefficient, CatalogueCase, GrowthProfile],
-                     k_max: int = 40) -> Verdict:
+def conservativeness(
+        obj: Union[RadialCoefficient, CatalogueCase, GrowthProfile]) -> Verdict:
     """Classify conservativeness.
 
     Known coefficient families and catalogue cases get a symbolic verdict.
-    Arbitrary profiles get a numeric heuristic over dyadic shells, always
-    wrapped as Inconclusive with a leaning: divergence is not decidable
-    numerically.
+    Arbitrary profiles get a numeric heuristic over up to 40 dyadic
+    shells, always wrapped as Inconclusive with a leaning: divergence is not
+    decidable numerically.
     """
     if isinstance(obj, RadialCoefficient):
         v = _family_verdict(obj.family, obj.param)
@@ -305,7 +305,7 @@ def conservativeness(obj: Union[RadialCoefficient, CatalogueCase, GrowthProfile]
     increments = []
     lo = r_lo
     total = 0.0
-    for k in range(k_max):
+    for _ in range(40):
         hi = min(2.0 * lo, profile.r_max)
         if hi <= lo:
             break
@@ -361,20 +361,19 @@ class DyadicScheme:
     slack: np.ndarray
 
 
-def dyadic_scheme(profile: GrowthProfile, c: float, N: int,
-                  mu_b1: Optional[float] = None) -> DyadicScheme:
+def dyadic_scheme(profile: GrowthProfile, c: float, N: int) -> DyadicScheme:
     """Build the dyadic radius/time scheme for the given profile.
 
     Level n has R_n = 2^n c, r_n = R_n - R_{n-1},
     t_n = r_n^2 / (32 lambda(R_n) (V(R_n) + log log R_n)), cumulative
     T_n, the Borel-Cantelli summand, and the slack of the
-    T_n >= phi(2^{n+1} c)/256 lower bound. mu_b1 defaults to exp(V(2c)).
+    T_n >= phi(2^{n+1} c)/256 lower bound. The ball measure mu_b1 is
+    exp(V(2c)).
     """
     if N < 1:
         raise DomainError("N must be >= 1")
     c = float(c)
-    if mu_b1 is None:
-        mu_b1 = math.exp(float(profile.V(2.0 * c)))
+    mu_b1 = math.exp(float(profile.V(2.0 * c)))
     if mu_b1 <= 0:
         raise DomainError("mu_b1 must be positive")
 

@@ -1,6 +1,6 @@
 """Euler-Maruyama simulation of radial diffusions.
 
-One-dimensional chains x_{k+1} = max(floor, x_k + theta(x_k) dt + sigma(x_k)
+One-dimensional chains x_{k+1} = max(floor, x_k + theta(x_k) dt + sigma
 sqrt(dt) xi_k), all stepped by one kernel on counter-based noise keyed by
 (seed, chunk of 256 paths), plus radial drifts for model manifolds and
 radial elliptic diffusions, and a full n-dimensional isotropic diffusion.
@@ -55,26 +55,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Sde1D:
-    """A scalar diffusion dx = theta(x) dt + sigma(x) dw, reflected at a floor.
+    """A scalar diffusion dx = theta(x) dt + sigma dw, reflected at a floor.
 
-    ``drift`` and ``sigma`` must accept numpy arrays. ``lipschitz``, when
+    ``drift`` must accept numpy arrays; ``sigma`` is a finite constant, kept
+    as a Python float (a negative sigma gives the same law). The kernel forms
+    each increment sigma sqrt(dt) xi in float32, with a relative error of up
+    to 6e-8, before adding it to the float64 state. ``lipschitz``, when
     given, is the caller's promise of a drift Lipschitz bound; the coupled
     monotonicity of the Euler map needs dt <= 1/lipschitz.
     """
 
     drift: Callable
-    sigma: Callable = None
+    sigma: float = _SQRT2
     floor: float = DEFAULT_ORIGIN_FLOOR
     lipschitz: Optional[float] = None
-    # set when sigma is a known constant; lets the Euler kernel skip the
-    # per-step sigma evaluation
-    sigma_const: Optional[float] = None
 
     def __post_init__(self):
-        if self.sigma is None:
-            object.__setattr__(self, "sigma", lambda x: np.full_like(
-                np.asarray(x, dtype=float), _SQRT2))
-            object.__setattr__(self, "sigma_const", _SQRT2)
+        # a Python float keeps the kernel's noise product in float32
+        object.__setattr__(self, "sigma", float(self.sigma))
+        if not math.isfinite(self.sigma):
+            raise DomainError(f"sigma must be finite, got {self.sigma}")
         if self.floor <= 0:
             raise DomainError("floor must be positive")
         if self.lipschitz is not None and self.lipschitz <= 0:
@@ -246,7 +246,10 @@ def _shared_noise_run(sdes, x0: float, T: float, dt: float, n_paths: int,
     function of (seed, path index), whatever n_paths and however many
     worker threads fill the chunks. Only the n_paths real paths are
     stepped: the unused tail of the last chunk stays in the noise scratch
-    buffer. ``observe(step, states)`` runs after every step, with
+    buffer. Each increment sigma sqrt(dt) xi is formed in float32 (numpy's
+    loop for a float32 array times a Python float), with a relative error of
+    up to 6e-8, and only then added to the float64 state.
+    ``observe(step, states)`` runs after every step, with
     step = 1 .. int(T / dt). States are checked once per noise block; a
     non-finite one raises NonFiniteState with the block's first step.
     """
@@ -266,11 +269,7 @@ def _shared_noise_run(sdes, x0: float, T: float, dt: float, n_paths: int,
                 for sde, x in zip(sdes, states):
                     np.multiply(np.asarray(sde.drift(x), dtype=float), dt,
                                 out=drift_dt)
-                    if sde.sigma_const is not None:
-                        np.multiply(z, sde.sigma_const * sqdt, out=noise_chunks)
-                    else:
-                        np.multiply(z, sqdt, out=noise_chunks)
-                        noise *= np.asarray(sde.sigma(x), dtype=float)
+                    np.multiply(z, sde.sigma * sqdt, out=noise_chunks)
                     x += drift_dt
                     x += noise
                     np.maximum(x, sde.floor, out=x)

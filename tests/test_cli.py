@@ -263,6 +263,15 @@ class TestSimulate:
             for i in range(ens.n_paths) for j, t in enumerate(ens.times)]
         assert dest.read_bytes() == ("\n".join(rows) + "\n").encode()
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_nonfinite_sigma_exits_2(self, tmp_path, sigma):
+        # rejected when the chain is built, before any step or raw warning
+        cfg = write_config(tmp_path, self.SIM + f"sigma = {sigma}\n")
+        res = run_cli(["simulate", "--config", cfg], tmp_path)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == f"DomainError: sigma must be finite, got {sigma}\n"
+
     def test_coefficient_drift_runs_at_array_speed(self, tmp_path):
         cfg = write_config(tmp_path, (
             "[model]\nfamily = power\nalpha = 1\nn = 3\n"
@@ -401,6 +410,21 @@ class TestStreamedVerify:
 
 
 class TestCatalogue:
+    STDOUT = (
+        "case,range,psi,psi_tilde\n"
+        "diri1,,sqrt(t log t),sqrt(t log t)\n"
+        "diri2,alpha<2,sqrt(t log t),(t log t)^(1/(2-alpha))\n"
+        "diri3,beta<1,t^(1+beta/(2-2 beta)),exp(t^(1/(1-beta)))\n"
+        "diri3,beta=1,exp(t),exp(exp(t))\n"
+        "geo1,,sqrt(t log log t),sqrt(t log log t)\n"
+        "geo2,alpha<2,sqrt(t log log t),(t log log t)^(1/(2-alpha))\n"
+        "geo3,beta<1,t^(1+beta/(2-2 beta)),exp(t^(1/(1-beta)))\n"
+        "geo3,beta=1,exp(t),exp(exp(t))\n"
+        "g_alpha,alpha=-1,sqrt(t log log t),\n"
+        "g_alpha,-1<alpha<1,t^(1/(1-alpha)),\n"
+        "g_alpha,alpha=1,exp(t),\n"
+        'hyperbolic_linear,"n>=2, K>0",(1+eps)(n-1) sqrt(K) t,\n')
+
     def test_header_and_known_rows(self, tmp_path):
         res = run_cli(["catalogue"], tmp_path)
         assert res.returncode == 0
@@ -408,6 +432,8 @@ class TestCatalogue:
         assert lines[0] == "case,range,psi,psi_tilde"
         assert any(l.startswith("hyperbolic_linear,") for l in lines)
         assert len(lines) == 13
+        assert res.stdout == self.STDOUT
+        assert res.stderr == ""
 
     def test_every_row_has_four_cells(self, tmp_path):
         res = run_cli(["catalogue"], tmp_path)

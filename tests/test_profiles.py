@@ -14,6 +14,7 @@ from escrate.errors import (
     SingularOrigin,
 )
 from escrate.profiles import (
+    CATALOGUE,
     CatalogueCase,
     ManifoldModel,
     RadialCoefficient,
@@ -182,10 +183,6 @@ class TestDrifts:
         L_rho = a * f2 + ((n - 1) * a / r + ap) * f1
         assert np.allclose(drift_L_rho(coeff, n, r), L_rho, rtol=1e-6, atol=0.0)
 
-    def test_custom_warp_validates_slope(self):
-        with pytest.raises(DomainError):
-            ManifoldModel.custom(2, [0.0, 1.0, 2.0], [0.0, 2.0, 4.0])
-
 
 class TestCatalogue:
     def test_case_validation(self):
@@ -197,6 +194,24 @@ class TestCatalogue:
             catalogue_case("g_alpha", alpha=2.0)
         with pytest.raises(DomainError):
             catalogue_case("hyperbolic_linear", n=1, K=1.0, eps=0.1)
+
+    def test_table_cases_are_the_accepted_kinds(self):
+        params = {"diri2": dict(alpha=1.0), "geo2": dict(alpha=1.0),
+                  "diri3": dict(beta=0.5), "geo3": dict(beta=0.5),
+                  "g_alpha": dict(alpha=0.0),
+                  "hyperbolic_linear": dict(n=2, K=1.0, eps=0.1)}
+        table = {row[0] for row in CATALOGUE}
+        accepted = set()
+        for kind in table | set(params) | {"diri1", "geo1", "diri4", "geo",
+                                           "hyperbolic", "custom"}:
+            try:
+                case = catalogue_case(kind, **params.get(kind, {}))
+            except DomainError:
+                continue
+            accepted.add(kind)
+            assert closed_form_rate(case, 100.0)[0] > 0
+        assert accepted == table
+        assert len(table) == 8
 
     def test_diri1_closed_form(self):
         psi, psi_tilde = closed_form_rate(catalogue_case("diri1"), 100.0)

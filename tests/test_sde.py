@@ -29,7 +29,7 @@ def one(x):
 
 class TestEulerPath:
     def test_deterministic_ode_limit(self):
-        s = Sde1D(drift=one, sigma=zero, floor=1e-6, sigma_const=0.0)
+        s = Sde1D(drift=one, sigma=0.0, floor=1e-6)
         path = ensemble(s, 1e-6, 5.0, 1e-3, 1, 3).values[0]
         assert path[-1] == pytest.approx(1e-6 + 5.0, abs=1e-9)
         assert path.size == 5001
@@ -47,8 +47,7 @@ class TestEulerPath:
         assert not np.array_equal(a, b)
 
     def test_nonfinite_reported_with_step(self):
-        s = Sde1D(drift=lambda x: np.asarray(x, dtype=float) * 1e300, sigma=zero,
-                  sigma_const=0.0)
+        s = Sde1D(drift=lambda x: np.asarray(x, dtype=float) * 1e300, sigma=0.0)
         with np.errstate(over="ignore"), pytest.raises(NonFiniteState):
             ensemble(s, 1.0, 1.0, 1e-2, 1, 1).values[0]
 
@@ -142,7 +141,7 @@ class TestNoise:
         for step in range(n_steps):
             x = np.maximum(x + 0.0 + z[step], 1e-6)
             expected[:, step + 1] = x
-        s = Sde1D(drift=zero, sigma=one, floor=1e-6, sigma_const=1.0)
+        s = Sde1D(drift=zero, sigma=1.0, floor=1e-6)
         for threads in ("1", "2"):
             monkeypatch.setenv("ESCRATE_THREADS", threads)
             ens = ensemble(s, 1000.0, float(n_steps), 1.0, n_paths, seed)

@@ -85,7 +85,7 @@ class TestComparisonMc:
         assert gap <= 3.0 * math.hypot(rep.lhs_stderr, rep.rhs_stderr)
 
     def test_stronger_drift_reduces_return_probability(self):
-        lo = Sde1D(drift=zero, sigma_const=math.sqrt(2.0))
+        lo = Sde1D(drift=zero, sigma=math.sqrt(2.0))
         hi = Sde1D(drift=lambda x: np.ones_like(np.asarray(x, dtype=float)),
                    lipschitz=None)
         rep = comparison_mc(hi, lo, r0=1.0, t=1.0, delta=0.5, R=50.0,
@@ -105,7 +105,7 @@ class TestComparisonMc:
 
 class TestCoupledDominance:
     def test_shifted_drift_orders_paths(self):
-        lo = Sde1D(drift=zero, sigma_const=math.sqrt(2.0))
+        lo = Sde1D(drift=zero, sigma=math.sqrt(2.0))
         hi = Sde1D(drift=lambda x: np.ones_like(np.asarray(x, dtype=float)),
                    lipschitz=None)
         frac = coupled_dominance(lo, hi, 1.0, 1.0, 1e-2, 1000,
@@ -128,7 +128,7 @@ class TestCoupledDominance:
 class TestThreadedNoise:
     # 700 paths: two full 256-path noise chunks and a padded third
     def test_reports_independent_of_thread_count(self, monkeypatch):
-        lo = Sde1D(drift=zero, sigma_const=math.sqrt(2.0))
+        lo = Sde1D(drift=zero, sigma=math.sqrt(2.0))
         hi = Sde1D(drift=lambda x: np.ones_like(np.asarray(x, dtype=float)))
         results, values = [], []
         for threads in ("1", "2"):
@@ -168,8 +168,7 @@ class TestLilStatistic:
             lil_statistic(driftless_ens, t0=2.0, T=10.0, eps_grid=[0.5])
 
     def test_fractions_nested_in_epsilon(self):
-        s = Sde1D(drift=zero, sigma=lambda x: np.ones_like(
-            np.asarray(x, dtype=float)), sigma_const=1.0, floor=1e-6)
+        s = Sde1D(drift=zero, sigma=1.0, floor=1e-6)
         ens = ensemble(s, 1e-6, 2000.0, 1.0, 1500, master_seed=606,
                        store_every=5)
         fracs = lil_statistic(ens, t0=10.0, T=2000.0,
@@ -237,8 +236,7 @@ class TestStreamedReductions:
             assert 0.0 < stored.fractions[-1] < stored.fractions[0]
 
     def test_lil_equals_stored(self, monkeypatch):
-        sde = Sde1D(drift=zero, sigma=lambda x: np.ones_like(
-            np.asarray(x, dtype=float)), sigma_const=1.0, floor=1e-6)
+        sde = Sde1D(drift=zero, sigma=1.0, floor=1e-6)
         args = (sde, 1e-6, 500.0, 1.0, self.N, 606)
         eps_grid = [0.0, 0.25, 0.5, 1.0]
         ens = ensemble(*args, store_every=self.EVERY)

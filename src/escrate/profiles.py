@@ -21,12 +21,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._numerics import brentq, pchip, quad
 from .errors import (
     DomainError,
     NonMonotoneTransform,
     NonPositiveCoefficient,
     OutOfRange,
-    QuadratureFailure,
     SingularOrigin,
 )
 
@@ -114,15 +114,13 @@ class RadialCoefficient:
 
     @staticmethod
     def tabulated(radii, values) -> "RadialCoefficient":
-        from scipy.interpolate import PchipInterpolator
         radii = np.asarray(radii, dtype=float)
         values = np.asarray(values, dtype=float)
         if radii.ndim != 1 or radii.size < 2 or np.any(np.diff(radii) <= 0):
             raise ValueError("tabulated radii must be strictly increasing, >= 2 points")
         if np.any(values <= 0):
             raise NonPositiveCoefficient("tabulated coefficient samples must be > 0")
-        spline = PchipInterpolator(radii, values, extrapolate=False)
-        deriv = spline.derivative()
+        spline, deriv = pchip(radii, values)
 
         def a(r):
             out = spline(np.asarray(r, dtype=float))
@@ -169,19 +167,15 @@ class RadialCoefficient:
 
 def _integral(coeff: RadialCoefficient, lo: float, hi: float) -> float:
     """Integral of a(u)^{-1/2} over [lo, hi] by adaptive quadrature."""
-    from scipy import integrate
     def integrand(u):
-        au = float(coeff.a(u))
-        if au <= 0.0:
-            raise NonPositiveCoefficient(f"coefficient not positive at u={u}")
+        au = coeff.a(u)
+        if np.any(au <= 0.0):
+            raise NonPositiveCoefficient(
+                f"coefficient not positive at u={u[np.argmax(au <= 0.0)]}")
         return au ** -0.5
 
-    value, err = integrate.quad(integrand, lo, hi, epsrel=1e-11, epsabs=0.0,
-                                limit=200)
-    if not np.isfinite(value) or (value > 0 and err > 1e-7 * value):
-        raise QuadratureFailure(
-            f"rho_tilde integral on [{lo}, {hi}]: estimate {value}, error {err}")
-    return value
+    return quad(integrand, lo, hi, epsrel=1e-11, limit=200,
+                label=f"rho_tilde integral on [{lo}, {hi}]")
 
 
 def _knot_table(coeff: RadialCoefficient):
@@ -271,12 +265,12 @@ def rho_tilde_inverse(coeff: RadialCoefficient, r):
     if coeff.family != "tabulated":
         with np.errstate(over="ignore"):
             return _scalar_or_array(np.expm1(_log1p_inverse(coeff, r, np)))
-    from scipy import optimize
     knots, cum = _knot_table(coeff)
     i = np.searchsorted(cum, r, side="right") - 1
-    out = np.array([optimize.brentq(
+    out = np.array([brentq(
         lambda x, j=j, v=v: cum[j] + _integral(coeff, knots[j], x) - v,
-        knots[j], knots[j + 1], rtol=1e-12, xtol=1e-300, maxiter=200)
+        knots[j], knots[j + 1], rtol=1e-12, xtol=1e-300, maxiter=200,
+        fa=cum[j] - v, fb=cum[j + 1] - v)
         for j, v in zip(i.flat, r.flat)]).reshape(r.shape)
     return _scalar_or_array(out)
 
@@ -313,7 +307,9 @@ class GrowthProfile:
     """Log-volume V(r) and energy-density bound lambda(r) on [r_min, r_max).
 
     V is nondecreasing and lambda strictly positive and nondecreasing on the
-    valid domain. Radii are in the metric the profile was built in.
+    valid domain. Radii are in the metric the profile was built in, and so
+    are ``knots``, the radii where V or lambda is only piecewise smooth (a
+    tabulated coefficient's knots), which quadratures break at.
     """
 
     log_volume: Callable
@@ -321,6 +317,7 @@ class GrowthProfile:
     r_min: float = 0.0
     r_max: float = math.inf
     label: str = ""
+    knots: Optional[np.ndarray] = None
 
     def V(self, r):
         return self.log_volume(r)
@@ -341,12 +338,13 @@ def profile_from_radial(coeff: RadialCoefficient, n: int, mode: str) -> GrowthPr
     mode = mode.lower()
     if mode in ("unit_energy", "unitenergy", "unit"):
         sup = coeff.rho_tilde_sup()
+        knots = _knot_table(coeff)[1] if coeff._knots is not None else None
 
         def V(r):
             return n * log_rho_tilde_inverse(coeff, float(r))
 
         return GrowthProfile(V, lambda r: 1.0, r_min=0.0, r_max=sup,
-                             label=f"{coeff.family} n={n} unit-energy")
+                             label=f"{coeff.family} n={n} unit-energy", knots=knots)
     if mode in ("coefficient_energy", "coefficientenergy", "coefficient"):
         r_max = float(coeff._knots[-1]) if coeff._knots is not None else math.inf
 
@@ -357,7 +355,8 @@ def profile_from_radial(coeff: RadialCoefficient, n: int, mode: str) -> GrowthPr
             return float(coeff.a(float(r)))
 
         return GrowthProfile(V, lam, r_min=0.0, r_max=r_max,
-                             label=f"{coeff.family} n={n} coefficient-energy")
+                             label=f"{coeff.family} n={n} coefficient-energy",
+                             knots=coeff._knots)
     raise DomainError(f"unknown profile mode {mode!r}")
 
 

@@ -17,6 +17,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
+from ._numerics import brentq, quad
 from .errors import (
     DomainError,
     ExtrapolationError,
@@ -76,9 +77,9 @@ def phi(profile: GrowthProfile, R: float, r_lo: float = PAPER_LOWER_LIMIT) -> fl
     """Crossing-time integral of r / (lambda(r) (V(r) + log log r)) over [r_lo, R].
 
     Integrated in log-radius so that envelopes spanning many decades stay
-    cheap; strictly increasing in R; phi(profile, r_lo, r_lo) = 0.
+    cheap, with a break at each of the profile's knots inside (r_lo, R);
+    strictly increasing in R; phi(profile, r_lo, r_lo) = 0.
     """
-    from scipy import integrate
     R = float(R)
     r_lo = float(r_lo)
     if R < r_lo:
@@ -88,19 +89,20 @@ def phi(profile: GrowthProfile, R: float, r_lo: float = PAPER_LOWER_LIMIT) -> fl
     if R > profile.r_max:
         raise DomainError(f"R={R} beyond profile domain r_max={profile.r_max}")
 
-    def integrand(u):
-        r = math.exp(u)
-        den = _denominator(profile, r)
-        if den <= 0.0:
-            raise NonPositiveDenominator(r)
-        return r * r / den
+    def integrand(us):
+        out = []
+        for u in us.tolist():
+            r = math.exp(u)
+            den = _denominator(profile, r)
+            if den <= 0.0:
+                raise NonPositiveDenominator(r)
+            out.append(r * r / den)
+        return out
 
-    value, err = integrate.quad(integrand, math.log(r_lo), math.log(R),
-                                epsrel=1e-9, epsabs=0.0, limit=400)
-    if not np.isfinite(value) or (value > 0 and err > 1e-6 * value):
-        raise QuadratureFailure(
-            f"phi on [{r_lo}, {R}]: estimate {value}, error {err}")
-    return value
+    knots = profile.knots
+    breaks = () if knots is None else np.log(knots[(knots > r_lo) & (knots < R)])
+    return quad(integrand, math.log(r_lo), math.log(R), epsrel=1e-9, limit=400,
+                label=f"phi on [{r_lo}, {R}]", points=breaks)
 
 
 def effective_lower_limit(profile: GrowthProfile,
@@ -133,10 +135,10 @@ def _invert_increasing(piece: Callable, start: float, first_hi: float,
     One pass: the segments [start, first_hi], [first_hi, 2 first_hi], ... are
     integrated once each by piece(lo, hi) while F(lo) is carried, and each
     target gets one Brent solve of F(lo) + piece(lo, x) = t inside the
-    segment that holds it. FiniteTotalIntegral when F stays below a target at
+    segment that holds it, handed the known end values F(lo) - t and
+    F(hi) - t. FiniteTotalIntegral when F stays below a target at
     the cap, after a doubling that adds under 1e-13 F, or beyond 1e150.
     """
-    from scipy import optimize
     targets = [float(t) for t in targets]
     if targets and targets[0] < 0:
         raise DomainError("t must be nonnegative")
@@ -161,8 +163,9 @@ def _invert_increasing(piece: Callable, start: float, first_hi: float,
                 raise FiniteTotalIntegral(
                     f"{what} numerically bounded by {F_hi:.6g} < t={t:.6g}")
         if t > 0.0:
-            roots[i] = optimize.brentq(lambda x: F_lo + piece(lo, x) - t, lo, hi,
-                                       rtol=1e-10, xtol=1e-300, maxiter=200)
+            roots[i] = brentq(lambda x: F_lo + piece(lo, x) - t, lo, hi,
+                              rtol=1e-10, xtol=1e-300, maxiter=200,
+                              fa=F_lo - t, fb=F_hi - t)
     return roots
 
 
@@ -424,17 +427,15 @@ def drift_envelope(b_tilde: Callable, t: float) -> float:
     """The g(t) with t = integral of 1/b_tilde over [0, g(t)].
 
     b_tilde must be positive with 1/b_tilde integrable at 0 (extend the
-    majorant below some fixed radius as a constant if necessary). Inverted
-    like psi: 1/b_tilde is integrated over [0, 1] and then once per doubling
+    majorant below some fixed radius as a constant if necessary); a
+    1/b_tilde that is not integrable is a QuadratureFailure. Inverted like
+    psi: 1/b_tilde is integrated over [0, 1] and then once per doubling
     segment, and the root is found inside the segment that holds t.
     """
-    from scipy import integrate
     def piece(a, b):
-        value, _ = integrate.quad(lambda x: 1.0 / float(b_tilde(x)), a, b,
-                                  epsrel=1e-11, epsabs=0.0, limit=400)
-        if not np.isfinite(value):
-            raise QuadratureFailure(f"1/b_tilde integral diverged on [{a}, {b}]")
-        return value
+        return quad(lambda xs: [1.0 / float(b_tilde(x)) for x in xs.tolist()],
+                    a, b, epsrel=1e-11, limit=400,
+                    label=f"1/b_tilde integral on [{a}, {b}]")
 
     return float(_invert_increasing(piece, 0.0, 1.0, [t], math.inf,
                                     "1/b_tilde integral")[0])

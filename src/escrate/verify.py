@@ -231,6 +231,13 @@ def _check_drift_order(low: Sde1D, high: Sde1D, R: float):
         raise DriftOrderViolated(r, f"drift order fails at r={r:.6g}")
 
 
+def _check_same_sigma(a: Sde1D, b: Sde1D):
+    # the comparison theorem and the shared-noise coupling need one sigma
+    if a.sigma != b.sigma:
+        raise DomainError(
+            f"coupled chains need equal sigma, got {a.sigma} and {b.sigma}")
+
+
 def _sub_seeds(master_seed: int, n: int):
     ss = np.random.SeedSequence(master_seed)
     return [int(s) for s in ss.generate_state(n, dtype=np.uint64)]
@@ -240,7 +247,8 @@ def comparison_mc(dominating: Sde1D, dominated: Sde1D, r0: float, t: float,
                   delta: float, R: float, N: int, dt: float, master_seed: int,
                   coupling_paths: Optional[int] = None) -> ComparisonReport:
     """Estimate P(x_t < delta, t < tau_R) for both processes on independent
-    ensembles and check the domination inequality.
+    ensembles and check the domination inequality. The two chains must share
+    one sigma (DomainError otherwise).
 
     ``coupling_paths`` sizes the shared-noise ordering check (defaults to N;
     0 skips it — the check is an exact deterministic property, so a smaller
@@ -250,6 +258,7 @@ def comparison_mc(dominating: Sde1D, dominated: Sde1D, r0: float, t: float,
         raise DomainError("need floor <= r0 < R and 0 < delta < R")
     if N < 1:
         raise DomainError("n_paths must be >= 1")
+    _check_same_sigma(dominated, dominating)
     _check_drift_order(dominated, dominating, R)
     seed_lhs, seed_rhs, seed_cpl = _sub_seeds(master_seed, 3)
 
@@ -281,10 +290,12 @@ def comparison_mc(dominating: Sde1D, dominated: Sde1D, r0: float, t: float,
 def coupled_dominance(low: Sde1D, high: Sde1D, x0: float, T: float, dt: float,
                       N: int, master_seed: int) -> float:
     """Fraction of shared-noise path pairs ordered x_low <= x_high at every
-    grid time. Equals 1 exactly whenever the drifts are pointwise ordered
-    and dt * max Lipschitz bound <= 1 (the Euler step map is then monotone)."""
+    grid time. Equals 1 exactly whenever the sigmas are equal, the drifts are
+    pointwise ordered and dt * max Lipschitz bound <= 1 (the Euler step map
+    is then monotone); unequal sigmas are a DomainError."""
     if N < 1:
         raise DomainError("n_paths must be >= 1")
+    _check_same_sigma(low, high)
     grid_top = x0 + 100.0 * math.sqrt(2.0 * T) + 10.0
     _check_drift_order(low, high, grid_top)
     bounds = [b for b in (low.lipschitz, high.lipschitz) if b is not None]

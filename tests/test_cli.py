@@ -63,33 +63,58 @@ class TestConfigValidation:
         assert res.returncode == 2
 
 
-class TestLazyScipy:
-    def test_only_integrating_commands_load_scipy(self, tmp_path):
-        conserve = write_config(tmp_path, "[model]\nfamily = power\nalpha = 1\n",
-                                "conserve.ini")
-        rate = write_config(tmp_path, (
-            "[model]\nfamily = constant\nn = 3\nmode = unit_energy\n"
-            "[solver]\nt_grid = 1,10\n"), "rate.ini")
+_TAB_RADII = [0.0] + [2.0 ** k for k in range(31)]
+_TABULATED = ("family = tabulated\nn = 3\n"
+              "radii = " + ",".join("%.17g" % r for r in _TAB_RADII) + "\n"
+              "values = " + ",".join("%.17g" % (1.0 + r ** 0.5) for r in _TAB_RADII)
+              + "\n")
+
+
+class TestNoScipy:
+    def test_no_command_loads_scipy(self, tmp_path):
+        # every command, integrating or not, runs on numpy alone
+        calls = {
+            "rate_family": ("rate", "[model]\nfamily = constant\nn = 3\n"
+                            "mode = unit_energy\n[solver]\nt_grid = 1,10\n"),
+            "rate_tabulated": ("rate", "[model]\n" + _TABULATED
+                               + "mode = coefficient_energy\n"
+                               "[solver]\nt_grid = 1,10\n"),
+            "envelope_table": ("verify envelope", (
+                "[model]\nfamily = constant\nn = 3\nmode = unit_energy\n"
+                "warp = euclidean\n[solver]\nt_grid = geom:1:100:10\n"
+                "scale_c = 1\n[simulation]\nx0 = 1\nt = 5\ndt = 0.01\n"
+                "n_paths = 50\nmaster_seed = 9\ndrift = manifold\n"
+                "floor = 0.01\n[verify]\nc_grid = 1,2\nt0 = 1\n")),
+            "dyadic": ("verify dyadic", (
+                "[model]\nfamily = constant\nn = 1\nmode = unit_energy\n"
+                "[verify]\nc = 4\nn_levels = 30\n")),
+            "conserve_tabulated": ("conserve", "[model]\n" + _TABULATED),
+            "simulate": ("simulate", (
+                "[model]\nwarp = hyperbolic\nn = 2\nk = 1\n[simulation]\n"
+                "x0 = 1\nt = 1\ndt = 0.01\nn_paths = 20\nmaster_seed = 7\n"
+                "drift = manifold\nfloor = 0.05\noutput = summary\n")),
+        }
+        argvs = [["catalogue", "--out", "catalogue.csv"]]
+        for name, (command, text) in calls.items():
+            cfg = write_config(tmp_path, text, f"{name}.ini")
+            argvs.append(command.split() + ["--config", cfg, "--out", f"{name}.csv"])
         script = (
             "import sys\n"
-            "def no_scipy_after(step, rc=0):\n"
-            "    loaded = [m for m in sys.modules\n"
-            "              if m == 'scipy' or m.startswith('scipy.')]\n"
-            "    if rc != 0 or loaded:\n"
-            "        sys.exit(f'{step}: rc={rc}, loaded {sorted(loaded)[:5]}')\n"
             "import escrate.cli as cli\n"
-            "no_scipy_after('import')\n"
-            "no_scipy_after('catalogue', cli.main(['catalogue', '--out', 'c.csv']))\n"
-            f"no_scipy_after('conserve', cli.main(['conserve', '--config', {conserve!r}]))\n"
-            f"if cli.main(['rate', '--config', {rate!r}, '--out', 'r.csv']) != 0 \\\n"
-            "        or 'scipy.integrate' not in sys.modules:\n"
-            "    sys.exit('rate failed or ran without scipy')\n")
+            f"for argv in {argvs!r}:\n"
+            "    rc = cli.main(argv)\n"
+            "    loaded = sorted(m for m in sys.modules\n"
+            "                    if m == 'scipy' or m.startswith('scipy.'))\n"
+            "    if rc != 0 or loaded:\n"
+            "        sys.exit(f'{argv[:2]}: rc={rc}, loaded {loaded[:5]}')\n")
         env = dict(os.environ)
         env.pop("ESCRATE_THREADS", None)
         res = subprocess.run([sys.executable, "-c", script], capture_output=True,
                              text=True, cwd=str(tmp_path), env=env)
         assert res.returncode == 0, res.stderr
-        assert res.stdout.startswith("verdict=Conservative family=power")
+        assert res.stderr == ""
+        for name in ["catalogue"] + list(calls):
+            assert (tmp_path / f"{name}.csv").read_text().strip(), name
 
 
 class TestRate:

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy.integrate import IntegrationWarning
 
 from escrate import rate_solver
@@ -14,6 +15,7 @@ from escrate.errors import (
     ExtrapolationError,
     FiniteTotalIntegral,
     NonPositiveDenominator,
+    QuadratureFailure,
 )
 from escrate.profiles import GrowthProfile, RadialCoefficient, catalogue_case, profile_from_radial
 from escrate.rate_solver import (
@@ -36,6 +38,10 @@ def euclid(n):
     return GrowthProfile(log_volume=lambda r: n * np.log(r),
                          energy_bound=lambda r: 1.0,
                          r_min=1.0, r_max=math.inf, label=f"euclid{n}")
+
+
+# a(r) = 1 + sqrt(r) on radii 0, 2^0, ..., 2^30, as in the benchmark's table
+_TAB_RADII = np.array([0.0] + [2.0 ** k for k in range(31)])
 
 
 class TestPhi:
@@ -66,6 +72,29 @@ class TestPhi:
         p = euclid(1)
         v = phi(p, 1e12, 2.0)
         assert math.isfinite(v) and v > 0
+
+    def test_tabulated_breaks_at_knots(self):
+        # one quadrature across the PCHIP knots was off by up to 2.8e-9 here
+        coeff = RadialCoefficient.tabulated(_TAB_RADII, 1.0 + np.sqrt(_TAB_RADII))
+        prof = profile_from_radial(coeff, 3, "coefficient_energy")
+        rate = rate_table(prof, np.geomspace(1.0, 1e6, 100))
+
+        def integrand(u):
+            r = math.exp(u)
+            return r * r / (prof.lam(r) * (prof.V(r) + math.log(math.log(r))))
+
+        def reference(a, b):
+            return integrate.quad(integrand, math.log(a), math.log(b),
+                                  epsrel=1e-13, epsabs=0.0, limit=200)[0]
+
+        knots = [k for k in _TAB_RADII if k > rate.r_star]
+        edges = [rate.r_star] + knots
+        cum = np.concatenate(([0.0], np.cumsum(
+            [reference(a, b) for a, b in zip(edges, edges[1:])])))
+        for R in rate.values:
+            j = int(np.searchsorted(edges, R, side="right")) - 1
+            ref = cum[j] + reference(edges[j], R)
+            assert phi(prof, R, rate.r_star) == pytest.approx(ref, rel=1e-10)
 
 
 class TestPsi:
@@ -128,10 +157,6 @@ class TestRateTable:
             rate_table(euclid(1), np.array([2.0, 1.0]))
 
 
-# a(r) = 1 + sqrt(r) on radii 0, 2^0, ..., 2^30, as in the benchmark's table
-_TAB_RADII = np.array([0.0] + [2.0 ** k for k in range(31)])
-
-
 class TestOnePassTable:
     @pytest.mark.parametrize("coeff,knots", [
         (RadialCoefficient.power(1.0), []),
@@ -166,6 +191,37 @@ class TestOnePassTable:
         rate_table(prof, np.geomspace(1.0, 1e6, 200))
         assert np.all(np.diff(lower) >= 0)
         assert len(lower) <= 10 * 200
+
+    def test_no_phi_call_repeats(self, monkeypatch):
+        # Brent gets each bracket's end values from the carried F(lo), F(hi)
+        pairs = []
+        real_phi = rate_solver.phi
+
+        def recording_phi(profile, R, r_lo):
+            pairs.append((R, r_lo))
+            return real_phi(profile, R, r_lo)
+
+        monkeypatch.setattr(rate_solver, "phi", recording_phi)
+        prof = profile_from_radial(RadialCoefficient.constant(), 3, "unit_energy")
+        rate_table(prof, np.geomspace(1.0, 1e6, 200))
+        assert len(set(pairs)) == len(pairs)
+
+    @pytest.mark.parametrize("coeff,mode", [
+        (RadialCoefficient.constant(), "unit_energy"),
+        (RadialCoefficient.tabulated(_TAB_RADII, 1.0 + np.sqrt(_TAB_RADII)),
+         "unit_energy"),
+    ], ids=["constant", "tabulated"])
+    def test_end_values_change_no_bit(self, monkeypatch, coeff, mode):
+        prof = profile_from_radial(coeff, 3, mode)
+        grid = np.geomspace(1.0, 1e6, 40 if coeff.family == "constant" else 3)
+        hinted = rate_table(prof, grid).values
+        real_brentq = rate_solver.brentq
+
+        def unhinted(f, a, b, rtol, xtol, maxiter, fa=None, fb=None):
+            return real_brentq(f, a, b, rtol, xtol, maxiter)
+
+        monkeypatch.setattr(rate_solver, "brentq", unhinted)
+        assert np.array_equal(rate_table(prof, grid).values, hinted)
 
 
 class TestEffectiveLowerLimit:
@@ -235,6 +291,14 @@ class TestDriftEnvelope:
         # b(x) = max(x, 1): t = 1 + log(g) for g > 1
         g = drift_envelope(lambda x: max(x, 1.0), 4.0)
         assert g == pytest.approx(math.exp(3.0), rel=1e-8)
+
+    def test_divergent_integral_raises_quietly(self, capfd):
+        # 1/b_tilde = 1/x is not integrable at 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QuadratureFailure, match="1/b_tilde integral"):
+                drift_envelope(lambda x: x, 1.0)
+        assert capfd.readouterr().err == ""
 
     def test_integrable_reciprocal_diverges(self):
         with warnings.catch_warnings():

@@ -94,6 +94,14 @@ class TestComparisonMc:
         assert not rep.violation
         assert rep.lhs_estimate <= rep.rhs_estimate
 
+    def test_unequal_sigma_rejected(self):
+        # the comparison theorem holds for one sigma on both sides
+        one = lambda x: np.ones_like(np.asarray(x, dtype=float))
+        with pytest.raises(DomainError, match="sigma"):
+            comparison_mc(Sde1D(drift=one, sigma=1.0), Sde1D(drift=zero, sigma=3.0),
+                          r0=1.0, t=1.0, delta=0.5, R=5.0, N=100, dt=1e-2,
+                          master_seed=7)
+
     def test_drift_order_checked(self):
         lo = Sde1D(drift=lambda x: np.ones_like(np.asarray(x, dtype=float)),
                    lipschitz=None)
@@ -111,6 +119,13 @@ class TestCoupledDominance:
         frac = coupled_dominance(lo, hi, 1.0, 1.0, 1e-2, 1000,
                                  master_seed=7)
         assert frac == 1.0
+
+    def test_unequal_sigma_rejected(self):
+        # shared noise scaled by 3 and by 1 orders only 0.2% of the pairs
+        one = lambda x: np.ones_like(np.asarray(x, dtype=float))
+        with pytest.raises(DomainError, match="sigma"):
+            coupled_dominance(Sde1D(drift=zero, sigma=3.0), Sde1D(drift=one, sigma=1.0),
+                              1.0, 1.0, 1e-2, 1000, master_seed=7)
 
     def test_monotone_step_condition_enforced(self):
         steep = Sde1D(drift=lambda x: -500.0 * np.asarray(x, dtype=float),

@@ -35,7 +35,6 @@ from .profiles import (
     ManifoldModel,
     RadialCoefficient,
     profile_from_radial,
-    rho_tilde_inverse,
 )
 from .sde import HyperbolicBound, Sde1D, ensemble, radial_drift, worker_threads
 
@@ -164,13 +163,11 @@ def build_profile(cfg):
 
 
 def build_drift(cfg, floor: float):
-    """Resolve the simulation drift from config: a manifold's mean curvature,
-    the radial-coefficient drift, the hyperbolic majorant, or none."""
+    """Resolve the simulation drift from config, checked against ``floor``
+    once: a manifold's mean curvature, the radial-coefficient drift or the
+    hyperbolic majorant. build_sde gives ``drift = none`` a None drift."""
     model = cfg["model"] if cfg.has_section("model") else {}
-    sim = _need(cfg, "simulation")
-    kind = sim.get("drift", "manifold").strip().lower()
-    if kind == "none":
-        return lambda x: np.zeros_like(np.asarray(x, dtype=float))
+    kind = _need(cfg, "simulation").get("drift", "manifold").strip().lower()
     if kind == "manifold":
         warp = (model.get("warp") or "euclidean").strip().lower()
         n = _getint(cfg["model"], "n", 2) if cfg.has_section("model") else 2
@@ -194,7 +191,8 @@ def build_drift(cfg, floor: float):
 def build_sde(cfg) -> Sde1D:
     sim = _need(cfg, "simulation")
     floor = _getfloat(sim, "floor", 1e-6)
-    drift = build_drift(cfg, floor)
+    driftless = sim.get("drift", "").strip().lower() == "none"
+    drift = None if driftless else build_drift(cfg, floor)
     sigma_raw = sim.get("sigma")
     if sigma_raw is None:
         return Sde1D(drift=drift, floor=floor)
@@ -278,7 +276,7 @@ def cmd_rate(cfg, out: _Out, quiet: bool) -> int:
         r_lo=float(r_lo) if r_lo is not None else None)
     psi_tilde = [None] * rate.times.size
     if profile.label.endswith("unit-energy"):
-        psi_tilde = rho_tilde_inverse(coeff, rate.values).tolist()
+        psi_tilde = rate_solver.euclidean_rate(rate, coeff).values.tolist()
     for t, psi_val, psi_t in zip(rate.times, rate.values, psi_tilde):
         out.row(float(t), float(psi_val), psi_t)
     if not quiet and rate.shift_note:

@@ -68,7 +68,9 @@ class NonFiniteState(EscrateError):
 class DriftOrderViolated(EscrateError):
     """Pointwise drift domination fails.
 
-    Carries a grid point where the order fails in ``.radius``.
+    Carries a grid point where the order fails in ``.radius``. Only the
+    library's ``comparison_mc`` and ``coupled_dominance`` raise it; no CLI
+    config chooses the compared drifts, so it is in no exit-code group.
     """
 
     def __init__(self, radius, message=None):

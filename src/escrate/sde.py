@@ -29,7 +29,6 @@ from .profiles import (
     ManifoldModel,
     RadialCoefficient,
     drift_L_rho,
-    mean_curvature,
     rho_tilde,
     rho_tilde_inverse,
 )
@@ -57,15 +56,17 @@ __all__ = [
 class Sde1D:
     """A scalar diffusion dx = theta(x) dt + sigma dw, reflected at a floor.
 
-    ``drift`` must accept numpy arrays; ``sigma`` is a finite constant, kept
-    as a Python float (a negative sigma gives the same law). The kernel forms
-    each increment sigma sqrt(dt) xi in float32, with a relative error of up
-    to 6e-8, before adding it to the float64 state. ``lipschitz``, when
-    given, is the caller's promise of a drift Lipschitz bound; the coupled
-    monotonicity of the Euler map needs dt <= 1/lipschitz.
+    ``drift`` must accept numpy arrays of states at or above the floor; None
+    is the zero drift, and its chains skip the drift stage of every step.
+    ``sigma`` is a finite constant, kept as a Python float (a negative sigma
+    gives the same law). The kernel forms each increment sigma sqrt(dt) xi
+    in float32, with a relative error of up to 6e-8, before adding it to the
+    float64 state. ``lipschitz``, when given, is the caller's promise of a
+    drift Lipschitz bound; the coupled monotonicity of the Euler map needs
+    dt <= 1/lipschitz.
     """
 
-    drift: Callable
+    drift: Optional[Callable] = None
     sigma: float = _SQRT2
     floor: float = DEFAULT_ORIGIN_FLOOR
     lipschitz: Optional[float] = None
@@ -86,10 +87,11 @@ class PathEnsemble:
     """Grid values of a batch of Euler chains, with reproduction parameters.
 
     ``values`` has shape (n_paths, len(times)); ``times`` is the stored grid
-    (possibly thinned by ``store_every``). ``first_exit[i]`` is the first
-    step time, stored or not, with value > barrier, NaN when the path never
-    exits. ``floor_hits[i]`` counts the steps that ended on the reflection
-    floor.
+    (possibly thinned by ``store_every``); ``ensemble`` gives a column-major
+    view, each stored step one contiguous column. ``first_exit[i]`` is the
+    first step time, stored or not, with value > barrier, NaN when the path
+    never exits. ``floor_hits[i]`` counts the steps that ended on the
+    reflection floor.
     """
 
     times: np.ndarray
@@ -248,7 +250,7 @@ def _shared_noise_run(sdes, x0: float, T: float, dt: float, n_paths: int,
     stepped: the unused tail of the last chunk stays in the noise scratch
     buffer. Each increment sigma sqrt(dt) xi is formed in float32 (numpy's
     loop for a float32 array times a Python float), with a relative error of
-    up to 6e-8, and only then added to the float64 state.
+    up to 6e-8, and only then added to the float64 state after drift(x) dt.
     ``observe(step, states)`` runs after every step, with
     step = 1 .. int(T / dt). States are checked once per noise block; a
     non-finite one raises NonFiniteState with the block's first step.
@@ -267,10 +269,10 @@ def _shared_noise_run(sdes, x0: float, T: float, dt: float, n_paths: int,
             for j in range(block):
                 z = buf[:, j]
                 for sde, x in zip(sdes, states):
-                    np.multiply(np.asarray(sde.drift(x), dtype=float), dt,
-                                out=drift_dt)
+                    if sde.drift is not None:
+                        np.multiply(sde.drift(x), dt, out=drift_dt)
+                        x += drift_dt
                     np.multiply(z, sde.sigma * sqdt, out=noise_chunks)
-                    x += drift_dt
                     x += noise
                     np.maximum(x, sde.floor, out=x)
                 observe(k + j + 1, states)
@@ -311,7 +313,8 @@ def ensemble(sde: Sde1D, x0: float, T: float, dt: float, n_paths: int,
     """
     stored_idx = _stored_steps(sde, x0, T, dt, n_paths, store_every)
     n_steps = int(stored_idx[-1])
-    values = np.empty((n_paths, stored_idx.size))
+    # column-major, so that storing a step is a contiguous write
+    values = np.empty((stored_idx.size, n_paths)).T
     values[:, 0] = x0
     floor_hits = np.zeros(n_paths, dtype=np.int64)
     on_floor = np.empty(n_paths, dtype=bool)
@@ -362,26 +365,24 @@ class HyperbolicBound:
 def radial_drift(source: Union[ManifoldModel, Tuple[RadialCoefficient, int],
                                HyperbolicBound],
                  floor: float = DEFAULT_ORIGIN_FLOOR) -> Callable:
-    """Drift function for the radial comparison chain.
+    """Drift function for the radial comparison chain on radii >= ``floor``.
 
     A ManifoldModel gives its mean curvature m(r); a (coefficient, dimension)
     pair gives the radial-generator drift expressed in the intrinsic radius;
-    a HyperbolicBound gives the dominating majorant of coth.
+    a HyperbolicBound gives the dominating majorant of coth. The floor is
+    checked once, here (SingularOrigin if <= 0): the model and majorant
+    drifts are bare ufunc expressions, for chains clamped at the drift's
+    floor as every CLI chain is, bitwise equal to mean_curvature and the
+    majorant's formula but without their per-call check.
     """
+    if floor <= 0:
+        raise SingularOrigin(f"drift floor must be positive, got {floor}")
     if isinstance(source, ManifoldModel):
-        return lambda r: mean_curvature(source, r, floor=floor)
+        return lambda r: (source.n - 1) * source.log_derivative(r)
     if isinstance(source, HyperbolicBound):
         base = (source.n - 1) * math.sqrt(source.K)
         sk = math.sqrt(source.K)
-
-        def drift(r):
-            r = np.asarray(r, dtype=float)
-            if np.any(r < floor):
-                raise SingularOrigin(f"radius below floor {floor}")
-            out = base * (1.0 + 1.0 / (sk * r))
-            return float(out) if out.ndim == 0 else out
-
-        return drift
+        return lambda r: base * (1.0 + 1.0 / (sk * r))
     if isinstance(source, tuple) and len(source) == 2:
         coeff, n = source
         if not isinstance(coeff, RadialCoefficient):

@@ -221,10 +221,9 @@ class ComparisonReport:
 
 
 def _check_drift_order(low: Sde1D, high: Sde1D, R: float):
-    lo = max(low.floor, high.floor)
-    grid = np.geomspace(lo, R, 200)
-    dl = np.asarray(low.drift(grid), dtype=float)
-    dh = np.asarray(high.drift(grid), dtype=float)
+    grid = np.geomspace(max(low.floor, high.floor), R, 200)
+    dl, dh = (np.zeros_like(grid) if s.drift is None else  # None: zero drift
+              np.asarray(s.drift(grid), dtype=float) for s in (low, high))
     bad = dh < dl
     if np.any(bad):
         r = float(grid[np.argmax(bad)])

@@ -8,8 +8,14 @@ import pytest
 from scipy import integrate, optimize, stats
 
 from escrate import sde as sde_mod
-from escrate.errors import DomainError, NonFiniteState
-from escrate.profiles import ManifoldModel, RadialCoefficient, drift_L_rho, rho_tilde
+from escrate.errors import DomainError, NonFiniteState, SingularOrigin
+from escrate.profiles import (
+    ManifoldModel,
+    RadialCoefficient,
+    drift_L_rho,
+    mean_curvature,
+    rho_tilde,
+)
 from escrate.sde import (
     HyperbolicBound,
     Sde1D,
@@ -99,6 +105,46 @@ class TestEnsemble:
         se = math.hypot(fc.std(ddof=1) / math.sqrt(fc.size),
                         ff.std(ddof=1) / math.sqrt(ff.size))
         assert abs(fc.mean() - ff.mean()) <= 3.0 * se
+
+    def test_none_drift_equals_zero_drift(self, monkeypatch):
+        # a driftless chain skips the drift stage; x + 0.0 == x above the
+        # floor, so the bytes are those of an explicit zero drift
+        for threads in ("1", "2"):
+            monkeypatch.setenv("ESCRATE_THREADS", threads)
+            a, b = (ensemble(Sde1D(drift=d, floor=0.05), 0.3, 3.0, 1e-2, 300,
+                             master_seed=12, barrier=1.2, store_every=7)
+                    for d in (None, zero))
+            assert np.array_equal(a.values, b.values), threads
+            assert np.array_equal(a.floor_hits, b.floor_hits), threads
+            assert np.array_equal(a.first_exit, b.first_exit,
+                                  equal_nan=True), threads
+            assert a.floor_hits.sum() > 0 and np.isfinite(a.first_exit).any()
+
+    @pytest.mark.parametrize("store_every", [1, 7])
+    def test_store_matches_row_by_row_reference(self, store_every):
+        # 300 paths (a partial second noise chunk), 293 steps; each step
+        # of the reference loop is the kernel's arithmetic, written into a
+        # row-major array
+        n_paths, n_steps, seed, dt, sigma, floor = 300, 293, 77, 0.01, 1.5, 0.05
+        drift = radial_drift(ManifoldModel.hyperbolic(2, 1.0), floor=floor)
+        z = reference_normals(seed, n_paths, n_steps)
+        stored = list(range(0, n_steps + 1, store_every))
+        if stored[-1] != n_steps:
+            stored.append(n_steps)
+        expected = np.empty((n_paths, len(stored)))
+        x = np.full(n_paths, 0.2)
+        expected[:, 0] = x
+        for step in range(1, n_steps + 1):
+            noise = (z[step - 1] * (sigma * math.sqrt(dt))).astype(np.float64)
+            x = np.maximum(x + drift(x) * dt + noise, floor)
+            if step in stored:
+                expected[:, stored.index(step)] = x
+        ens = ensemble(Sde1D(drift=drift, sigma=sigma, floor=floor), 0.2,
+                       n_steps * dt, dt, n_paths, seed,
+                       store_every=store_every)
+        assert ens.values.shape == expected.shape
+        assert ens.values.flags.f_contiguous
+        assert np.array_equal(ens.values, expected)
 
     def test_repelling_drift_avoids_floor(self):
         # near-origin repulsion: floor reflection stays inactive
@@ -223,6 +269,47 @@ class TestRadialDrift:
     def test_invalid_source(self):
         with pytest.raises(DomainError):
             radial_drift("not a drift source")
+
+    @pytest.mark.parametrize("model", [
+        ManifoldModel.euclidean(2), ManifoldModel.euclidean(3),
+        ManifoldModel.hyperbolic(3, 1.0), ManifoldModel.hyperbolic(2, 0.25)],
+        ids=["euclidean2", "euclidean3", "hyperbolic1", "hyperbolic025"])
+    def test_model_closure_is_mean_curvature(self, model):
+        floor = 1e-3
+        r = np.geomspace(floor, 1e3, 400)
+        drift = radial_drift(model, floor=floor)
+        assert np.array_equal(drift(r), mean_curvature(model, r, floor=floor))
+        assert drift(2.0) == mean_curvature(model, 2.0, floor=floor)
+
+    @pytest.mark.parametrize("n, K", [(2, 1.0), (3, 0.25), (4, 3.0)])
+    def test_hyperbolic_bound_closure_is_its_formula(self, n, K):
+        def formula(r):  # the majorant as written before its closure
+            r = np.asarray(r, dtype=float)
+            out = (n - 1) * math.sqrt(K) * (1.0 + 1.0 / (math.sqrt(K) * r))
+            return float(out) if out.ndim == 0 else out
+
+        r = np.geomspace(1e-3, 1e3, 400)
+        drift = radial_drift(HyperbolicBound(n, K), floor=1e-3)
+        assert np.array_equal(drift(r), formula(r))
+        assert drift(0.7) == formula(0.7)
+
+    def test_closure_ensemble_equals_guarded_drift(self):
+        model, floor = ManifoldModel.hyperbolic(2, 1.0), 0.05
+        guarded = lambda r: mean_curvature(model, r, floor=floor)
+        a, b = (ensemble(Sde1D(drift=d, floor=floor), 0.1, 3.0, 1e-2, 300,
+                         master_seed=31)
+                for d in (radial_drift(model, floor=floor), guarded))
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.floor_hits, b.floor_hits)
+
+    @pytest.mark.parametrize("floor", [0.0, -1e-6])
+    @pytest.mark.parametrize("source", [
+        ManifoldModel.euclidean(3), ManifoldModel.hyperbolic(2, 1.0),
+        HyperbolicBound(2, 1.0), (RadialCoefficient.power(1.0), 3)],
+        ids=["euclidean", "hyperbolic", "bound", "coefficient"])
+    def test_origin_checked_when_built(self, source, floor):
+        with pytest.raises(SingularOrigin):
+            radial_drift(source, floor=floor)
 
 
 class TestEuclideanDiffusionNd:

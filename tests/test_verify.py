@@ -111,6 +111,20 @@ class TestComparisonMc:
                           N=100, dt=1e-2, master_seed=1)
 
 
+    def test_none_drift_is_zero_drift(self):
+        one = lambda x: np.ones_like(np.asarray(x, dtype=float))
+        hi = Sde1D(drift=one)
+        reports = [comparison_mc(hi, Sde1D(drift=d), r0=1.0, t=1.0,
+                                 delta=0.5, R=20.0, N=1000, dt=1e-2,
+                                 master_seed=54, coupling_paths=300)
+                   for d in (None, zero)]
+        assert reports[0] == reports[1]
+        assert reports[0].coupled_dominance_fraction == 1.0
+        with pytest.raises(DriftOrderViolated):
+            comparison_mc(Sde1D(drift=None), Sde1D(drift=one), r0=1.0, t=1.0,
+                          delta=0.5, R=5.0, N=100, dt=1e-2, master_seed=1)
+
+
 class TestCoupledDominance:
     def test_shifted_drift_orders_paths(self):
         lo = Sde1D(drift=zero, sigma=math.sqrt(2.0))
@@ -119,6 +133,15 @@ class TestCoupledDominance:
         frac = coupled_dominance(lo, hi, 1.0, 1.0, 1e-2, 1000,
                                  master_seed=7)
         assert frac == 1.0
+
+    def test_none_drift_is_zero_drift(self):
+        hi = Sde1D(drift=lambda x: np.ones_like(np.asarray(x, dtype=float)))
+        fracs = [coupled_dominance(Sde1D(drift=d), hi, 1.0, 1.0, 1e-2, 600,
+                                   master_seed=8) for d in (None, zero)]
+        assert fracs == [1.0, 1.0]
+        with pytest.raises(DriftOrderViolated):
+            coupled_dominance(hi, Sde1D(drift=None), 1.0, 1.0, 1e-2, 10,
+                              master_seed=8)
 
     def test_unequal_sigma_rejected(self):
         # shared noise scaled by 3 and by 1 orders only 0.2% of the pairs
@@ -249,6 +272,26 @@ class TestStreamedReductions:
             assert stored.fractions.tolist() == expected
         else:
             assert 0.0 < stored.fractions[-1] < stored.fractions[0]
+
+    @pytest.mark.parametrize("store_every", [1, 7])
+    def test_column_major_store_reductions(self, store_every):
+        # the stored reductions read ensemble's column-major values, the
+        # streamed ones the kernel's states: the fractions agree
+        sde = Sde1D(drift=lambda x: 2.0 / np.asarray(x, dtype=float),
+                    sigma=1.0, floor=0.01)
+        args = (sde, 1.0, 5.0, self.DT, self.N, 43)
+        ens = ensemble(*args, store_every=store_every)
+        assert ens.values.flags.f_contiguous
+        C_grid, eps_grid = [2.0, 4.0, 8.0], [0.0, 0.5]
+        stored = exceedance(ens, math.sqrt, C_grid, 1.0)
+        streamed = exceedance_mc(*args, math.sqrt, C_grid, 1.0,
+                                 store_every=store_every)
+        assert streamed.fractions.tolist() == stored.fractions.tolist()
+        assert 0.0 < stored.fractions[-1] < stored.fractions[0]
+        lil = lil_statistic(ens, 3.0, ens.times[-1], eps_grid)
+        assert lil_mc(*args, 3.0, eps_grid,
+                      store_every=store_every).tolist() == lil.tolist()
+        assert lil[0] > 0.0
 
     def test_lil_equals_stored(self, monkeypatch):
         sde = Sde1D(drift=zero, sigma=1.0, floor=1e-6)

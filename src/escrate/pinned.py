@@ -19,6 +19,12 @@ LIL_EPS05_MAX_FRACTION = 0.156
 # 0.192 - 0.216.
 ENVELOPE_C4_MAX_FRACTION = 0.261
 
+# Cap for the fraction of IsotropicNd(power(1), 3, 0.01) paths from x0 = 1
+# with rho_tilde(|X_t|) > psi(2t) at some step in [1, 20] (psi: unit_energy
+# table on geom:0.5:1000:60, scale_c 1), dt = 1e-2, N = 2000. Pilot runs:
+# 0.0515, 0.0505, 0.0490, 0.0555, 0.0515 (max + 5 se = 0.0802).
+ND_ENVELOPE_C2_MAX_FRACTION = 0.080
+
 # Driftless sigma = sqrt(2) paths from x0 = 0.5 cross the barrier R = 1 by
 # T = 50 essentially always; all pilot replicates gave fraction 1.0.
 DRIFTLESS_EXIT_MIN_FRACTION = 0.99

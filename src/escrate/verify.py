@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import DomainError, DriftOrderViolated, ExtrapolationError
 from .rate_solver import RateFunction
-from .sde import PathEnsemble, Sde1D, _shared_noise_run, _stored_steps
+from .sde import (IsotropicNd, PathEnsemble, Sde1D, _shared_noise_run,
+                  _stored_steps)
 
 __all__ = [
     "EnvelopeReport",
@@ -77,7 +78,7 @@ def _stored_fractions(ens: PathEnsemble, window: np.ndarray,
     return flags.fractions()
 
 
-def _streamed_fractions(sde: Sde1D, x0: float, T: float, dt: float,
+def _streamed_fractions(sde: Sde1D | IsotropicNd, x0: float, T: float, dt: float,
                         n_paths: int, seed: int, steps: np.ndarray,
                         env: np.ndarray) -> np.ndarray:
     """Exceedance fractions of the chains ``ensemble`` would store, fed to
@@ -140,13 +141,14 @@ def exceedance(ens: PathEnsemble, rate: Union[RateFunction, Callable],
                           n_paths=ens.n_paths, master_seed=ens.master_seed)
 
 
-def exceedance_mc(sde: Sde1D, x0: float, T: float, dt: float, n_paths: int,
+def exceedance_mc(sde: Sde1D | IsotropicNd, x0: float, T: float, dt: float, n_paths: int,
                   master_seed: int, rate: Union[RateFunction, Callable],
                   C_grid: Sequence[float], t0: float,
                   store_every: int = 1) -> EnvelopeReport:
     """``exceedance`` of ``ensemble(sde, x0, T, dt, n_paths, master_seed,
     store_every=store_every)``, equal to it, reduced as the chains step
-    without storing them.
+    without storing them. An IsotropicNd's |X| exceeds rho_tilde^{-1}(psi)
+    when rho_tilde(|X|) exceeds psi: pass euclidean_rate(psi, coeff).
 
     Every argument is checked, and the envelope evaluated, before the first
     step.
@@ -230,8 +232,11 @@ def _check_drift_order(low: Sde1D, high: Sde1D, R: float):
         raise DriftOrderViolated(r, f"drift order fails at r={r:.6g}")
 
 
-def _check_same_sigma(a: Sde1D, b: Sde1D):
-    # the comparison theorem and the shared-noise coupling need one sigma
+def _check_coupled(a: Sde1D, b: Sde1D):
+    # the comparison theorem and the shared-noise coupling need two drifts
+    # and one sigma
+    if not (isinstance(a, Sde1D) and isinstance(b, Sde1D)):
+        raise DomainError("coupled chains need drifts: an IsotropicNd has none")
     if a.sigma != b.sigma:
         raise DomainError(
             f"coupled chains need equal sigma, got {a.sigma} and {b.sigma}")
@@ -246,8 +251,8 @@ def comparison_mc(dominating: Sde1D, dominated: Sde1D, r0: float, t: float,
                   delta: float, R: float, N: int, dt: float, master_seed: int,
                   coupling_paths: Optional[int] = None) -> ComparisonReport:
     """Estimate P(x_t < delta, t < tau_R) for both processes on independent
-    ensembles and check the domination inequality. The two chains must share
-    one sigma (DomainError otherwise).
+    ensembles and check the domination inequality. The two chains must be
+    Sde1Ds with one sigma (DomainError otherwise).
 
     ``coupling_paths`` sizes the shared-noise ordering check (defaults to N;
     0 skips it — the check is an exact deterministic property, so a smaller
@@ -257,7 +262,7 @@ def comparison_mc(dominating: Sde1D, dominated: Sde1D, r0: float, t: float,
         raise DomainError("need floor <= r0 < R and 0 < delta < R")
     if N < 1:
         raise DomainError("n_paths must be >= 1")
-    _check_same_sigma(dominated, dominating)
+    _check_coupled(dominated, dominating)
     _check_drift_order(dominated, dominating, R)
     seed_lhs, seed_rhs, seed_cpl = _sub_seeds(master_seed, 3)
 
@@ -291,10 +296,11 @@ def coupled_dominance(low: Sde1D, high: Sde1D, x0: float, T: float, dt: float,
     """Fraction of shared-noise path pairs ordered x_low <= x_high at every
     grid time. Equals 1 exactly whenever the sigmas are equal, the drifts are
     pointwise ordered and dt * max Lipschitz bound <= 1 (the Euler step map
-    is then monotone); unequal sigmas are a DomainError."""
+    is then monotone); unequal sigmas or a chain that is not an Sde1D are a
+    DomainError."""
     if N < 1:
         raise DomainError("n_paths must be >= 1")
-    _check_same_sigma(low, high)
+    _check_coupled(low, high)
     grid_top = x0 + 100.0 * math.sqrt(2.0 * T) + 10.0
     _check_drift_order(low, high, grid_top)
     bounds = [b for b in (low.lipschitz, high.lipschitz) if b is not None]

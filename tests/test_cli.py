@@ -297,6 +297,20 @@ class TestSimulate:
         assert res.stdout == ""
         assert res.stderr == f"DomainError: sigma must be finite, got {sigma}\n"
 
+    def test_overshooting_coefficient_drift_one_error_line(self, tmp_path):
+        # at the default floor 1e-6 the chain overshoots near the origin;
+        # the non-finite drift is quiet and the kernel's typed error is
+        # the only line on stderr
+        cfg = write_config(tmp_path, (
+            "[model]\nfamily = squared_log\nbeta = 0.5\nn = 2\n"
+            "[simulation]\nx0 = 0.8\nt = 0.2\ndt = 0.001\nn_paths = 20000\n"
+            "master_seed = 5\ndrift = coefficient\n"))
+        res = run_cli(["simulate", "--config", cfg], tmp_path)
+        assert res.returncode == 4
+        assert res.stdout == ""
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("NonFiniteState: ")
+
     def test_coefficient_drift_runs_at_array_speed(self, tmp_path):
         cfg = write_config(tmp_path, (
             "[model]\nfamily = power\nalpha = 1\nn = 3\n"

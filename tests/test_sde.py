@@ -18,9 +18,9 @@ from escrate.profiles import (
 )
 from escrate.sde import (
     HyperbolicBound,
+    IsotropicNd,
     Sde1D,
     ensemble,
-    euclidean_diffusion_nd,
     radial_drift,
 )
 
@@ -315,31 +315,27 @@ class TestRadialDrift:
 class TestEuclideanDiffusionNd:
     def test_constant_coefficient_increment_variance(self):
         # sqrt(2)-scaled standard Brownian motion per coordinate
-        radius, _ = euclidean_diffusion_nd(RadialCoefficient.constant(), 2,
-                                           np.array([100.0, 0.0]), 10.0,
-                                           1e-2, seed=31)
+        radius = ensemble(IsotropicNd(RadialCoefficient.constant(), 2), 100.0,
+                          10.0, 1e-2, 1, 31).values[0]
         # check the radial increments' quadratic variation instead of the
         # coordinates: far from the origin the radius is locally a BM
         inc = np.diff(radius)
         assert np.var(inc) == pytest.approx(2.0 * 1e-2, rel=0.1)
 
     def test_constant_intrinsic_equals_euclidean(self):
-        radius, intrinsic = euclidean_diffusion_nd(
-            RadialCoefficient.constant(), 2, np.array([1.0, 0.0]), 1.0,
-            1e-2, seed=5)
+        radius = ensemble(IsotropicNd(RadialCoefficient.constant(), 2), 1.0,
+                          1.0, 1e-2, 1, 5).values[0]
+        intrinsic = rho_tilde(RadialCoefficient.constant(), radius)
         assert np.allclose(radius, intrinsic)
 
     def test_two_resolution_consistency(self):
         # Dynkin: d/dt E|X|^2 = E[2 a'(|X|) |X| + 2 n a(|X|)]; cross-check
         # with a 10x finer grid instead of evaluating the expectation
-        coeff = RadialCoefficient.power(1.0)
+        chain = IsotropicNd(RadialCoefficient.power(1.0), 2)
         T, n_rep = 0.2, 150
-        finals = {}
-        for dt in (2e-3, 2e-4):
-            vals = [euclidean_diffusion_nd(coeff, 2, np.array([1.0, 0.0]),
-                                           T, dt, seed=1000 + k)[0][-1] ** 2
-                    for k in range(n_rep)]
-            finals[dt] = np.array(vals)
+        finals = {dt: ensemble(chain, 1.0, T, dt, n_rep, 1000,
+                               store_every=10 ** 6).values[:, -1] ** 2
+                  for dt in (2e-3, 2e-4)}
         a, b = finals[2e-3], finals[2e-4]
         se = math.hypot(a.std(ddof=1) / math.sqrt(n_rep),
                         b.std(ddof=1) / math.sqrt(n_rep))
@@ -349,13 +345,107 @@ class TestEuclideanDiffusionNd:
         # no closed form: the intrinsic radius falls back to quadrature
         coeff = RadialCoefficient.tabulated(np.linspace(0.0, 10.0, 11),
                                             1.0 + np.linspace(0.0, 10.0, 11))
-        radius, intrinsic = euclidean_diffusion_nd(
-            coeff, 2, np.array([2.0, 0.0]), 0.05, 1e-2, seed=9)
+        radius = ensemble(IsotropicNd(coeff, 2), 2.0, 0.05, 1e-2, 1,
+                          9).values[0]
+        intrinsic = rho_tilde(coeff, radius)
         assert intrinsic.dtype == np.float64
         for r, rho in zip(radius, intrinsic):
             assert rho == pytest.approx(rho_tilde(coeff, r), rel=1e-12)
 
     def test_dimension_guard(self):
         with pytest.raises(DomainError):
-            euclidean_diffusion_nd(RadialCoefficient.constant(), 1,
-                                   np.array([1.0]), 1.0, 1e-2, seed=1)
+            IsotropicNd(RadialCoefficient.constant(), 1)
+
+
+def kernel_increments(seed, n_coords, n_steps, dt):
+    """The float32 increments sqrt(dt) xi of the kernel's first n_coords
+    noise coordinates, as float64, one row per step: the normals are drawn
+    by _noise_blocks on the kernel's keys (seed ^ 256c for chunk c)."""
+    gens = [sde_mod._path_generator(seed ^ (256 * c))
+            for c in range(-(-n_coords // 256))]
+    rows = [buf[:, :block].transpose(1, 0, 2).reshape(block, -1).copy()
+            for _, block, buf in sde_mod._noise_blocks(gens, n_steps)]
+    z = np.concatenate(rows)[:, :n_coords]
+    return (z * math.sqrt(dt)).astype(np.float64)
+
+
+def scalar_nd_path(coeff, n, x0, dt, dw, floor):
+    """The one-path scalar loop the n-dimensional process ran on before it
+    was an ensemble, on the increments dw (one row of n per step): the
+    Euclidean radius after every step."""
+    x = np.zeros(n)
+    x[0] = x0
+    radius = [float(x0)]
+    for inc in dw:
+        r = float(np.linalg.norm(x))
+        a = coeff.a(r)
+        ap = coeff.a_prime(r)
+        x = x + (ap / r) * x * dt + math.sqrt(2.0 * a) * inc
+        r = float(np.linalg.norm(x))
+        if r < floor:
+            # reflect radially out to the floor sphere
+            x = x * (floor / r) if r > 0 else np.append(floor, np.zeros(n - 1))
+            r = floor
+        radius.append(r)
+    return np.array(radius)
+
+
+_TABLE = RadialCoefficient.tabulated(np.linspace(0.0, 40.0, 21),
+                                     1.0 + np.sqrt(np.linspace(0.0, 40.0, 21)))
+
+
+class TestIsotropicNd:
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("coeff", [RadialCoefficient.power(1.0), _TABLE],
+                             ids=["power1", "tabulated"])
+    def test_matches_scalar_loop(self, coeff, n):
+        # 130 paths: two noise chunks at n = 2 and n = 3, of which every
+        # third path is checked; 150 steps: a full noise block and a partial
+        # one; started near the floor so that some steps reflect
+        n_paths, n_steps, dt, floor, x0, seed = 130, 150, 1e-2, 0.1, 0.15, 61
+        ens = ensemble(IsotropicNd(coeff, n, floor), x0, n_steps * dt, dt,
+                       n_paths, seed)
+        dw = kernel_increments(seed, n_paths * n, n_steps, dt)
+        paths = np.arange(0, n_paths, 3)
+        expected = np.array([
+            scalar_nd_path(coeff, n, x0, dt, dw[:, p * n:(p + 1) * n], floor)
+            for p in paths])
+        assert ens.floor_hits[paths].sum() > 0
+        np.testing.assert_allclose(ens.values[paths], expected, rtol=1e-12,
+                                   atol=0.0)
+
+    def test_independent_of_thread_count(self, monkeypatch):
+        chain = IsotropicNd(RadialCoefficient.power(1.0), 3, 0.05)
+        runs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("ESCRATE_THREADS", threads)
+            runs.append(ensemble(chain, 0.3, 3.0, 1e-2, 300, 17, barrier=2.0))
+        a, b = runs
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.floor_hits, b.floor_hits)
+        assert np.array_equal(a.first_exit, b.first_exit, equal_nan=True)
+
+    def test_prefix_of_larger_ensemble(self):
+        chain = IsotropicNd(RadialCoefficient.squared_log(0.5), 2, 0.05)
+        small = ensemble(chain, 0.5, 1.0, 1e-2, 100, 23)
+        large = ensemble(chain, 0.5, 1.0, 1e-2, 350, 23)
+        assert np.array_equal(large.values[:100], small.values)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("coeff", [RadialCoefficient.power(1.0),
+                                       RadialCoefficient.squared_log(0.5)],
+                             ids=["power1", "squared_log05"])
+    def test_intrinsic_radius_matches_radial_chain(self, coeff, n):
+        # the law of rho_tilde(|X|) is the 1-D chain's with drift L rho and
+        # sigma sqrt(2); both chains reflect at 0.01, in their own radius
+        N, T, dt, floor = 20_000, 0.2, 1e-3, 0.01
+        nd = rho_tilde(coeff, ensemble(IsotropicNd(coeff, n, floor), 1.0, T,
+                                       dt, N, 2010, store_every=10 ** 6)
+                       .values[:, -1])
+        chain = Sde1D(drift=radial_drift((coeff, n), floor=floor), floor=floor)
+        radial = ensemble(chain, rho_tilde(coeff, 1.0), T, dt, N, 2011,
+                          store_every=10 ** 6).values[:, -1]
+        se = math.hypot(nd.std(ddof=1), radial.std(ddof=1)) / math.sqrt(N)
+        assert abs(nd.mean() - radial.mean()) <= 3.0 * se
+
+

@@ -15,8 +15,8 @@ from escrate.errors import (
     ExtrapolationError,
 )
 from escrate.profiles import RadialCoefficient, profile_from_radial
-from escrate.rate_solver import RateFunction, rate_table
-from escrate.sde import Sde1D, ensemble
+from escrate.rate_solver import RateFunction, euclidean_rate, rate_table
+from escrate.sde import IsotropicNd, Sde1D, ensemble
 from escrate.verify import (
     _terminal_run,
     comparison_mc,
@@ -71,6 +71,23 @@ class TestExceedance:
                          C_grid=[4.0], t0=10.0)
         assert rep.fractions[0] <= pinned.ENVELOPE_C4_MAX_FRACTION
 
+    def test_nd_escape_within_psi(self):
+        # the paper's first theorem on the process of the Dirichlet form:
+        # rho_tilde(|X_t|) > psi(C t) is the event |X_t| > rho_tilde^{-1}(
+        # psi(C t)); configuration matches the pinned pilot exactly
+        coeff = RadialCoefficient.power(1.0)
+        psi = rate_table(profile_from_radial(coeff, 3, "unit_energy"),
+                         np.geomspace(0.5, 1000.0, 60), scale_c=1.0)
+        rep = exceedance_mc(IsotropicNd(coeff, 3, 0.01), 1.0, 20.0, 1e-2,
+                            2000, 2012, euclidean_rate(psi, coeff),
+                            C_grid=[1.0, 2.0, 4.0, 8.0], t0=1.0)
+        assert np.all(np.diff(rep.fractions) <= 0.0)
+        assert rep.fractions[1] <= pinned.ND_ENVELOPE_C2_MAX_FRACTION
+
+
+def _isotropic():
+    return IsotropicNd(RadialCoefficient.power(1.0), 3, 0.05)
+
 
 class TestComparisonMc:
     def test_identical_drifts_agree(self):
@@ -100,6 +117,13 @@ class TestComparisonMc:
         with pytest.raises(DomainError, match="sigma"):
             comparison_mc(Sde1D(drift=one, sigma=1.0), Sde1D(drift=zero, sigma=3.0),
                           r0=1.0, t=1.0, delta=0.5, R=5.0, N=100, dt=1e-2,
+                          master_seed=7)
+
+    def test_isotropic_nd_rejected(self):
+        # the comparison needs scalar drifts; an IsotropicNd has none
+        with pytest.raises(DomainError, match="IsotropicNd"):
+            comparison_mc(_isotropic(), Sde1D(drift=zero, sigma=1.0), r0=1.0,
+                          t=1.0, delta=0.5, R=5.0, N=100, dt=1e-2,
                           master_seed=7)
 
     def test_drift_order_checked(self):
@@ -149,6 +173,11 @@ class TestCoupledDominance:
         with pytest.raises(DomainError, match="sigma"):
             coupled_dominance(Sde1D(drift=zero, sigma=3.0), Sde1D(drift=one, sigma=1.0),
                               1.0, 1.0, 1e-2, 1000, master_seed=7)
+
+    def test_isotropic_nd_rejected(self):
+        with pytest.raises(DomainError, match="IsotropicNd"):
+            coupled_dominance(Sde1D(drift=zero, sigma=1.0), _isotropic(), 1.0,
+                              1.0, 1e-2, 100, master_seed=7)
 
     def test_monotone_step_condition_enforced(self):
         steep = Sde1D(drift=lambda x: -500.0 * np.asarray(x, dtype=float),
@@ -292,6 +321,18 @@ class TestStreamedReductions:
         assert lil_mc(*args, 3.0, eps_grid,
                       store_every=store_every).tolist() == lil.tolist()
         assert lil[0] > 0.0
+
+    def test_nd_exceedance_equals_stored(self, monkeypatch):
+        # the radii |X| of 300 paths at n = 3: 900 noise coordinates
+        args = (_isotropic(), 1.0, self.T, self.DT, 300, 42)
+        C_grid = [16.0, 64.0, 256.0]
+        stored = exceedance(ensemble(*args, store_every=self.EVERY),
+                            math.sqrt, C_grid, 1.0)
+        for streamed in self._each_thread_count(monkeypatch, lambda: (
+                exceedance_mc(*args, math.sqrt, C_grid, 1.0,
+                              store_every=self.EVERY))):
+            assert streamed.fractions.tolist() == stored.fractions.tolist()
+        assert 0.0 < stored.fractions[-1] < stored.fractions[0]
 
     def test_lil_equals_stored(self, monkeypatch):
         sde = Sde1D(drift=zero, sigma=1.0, floor=1e-6)

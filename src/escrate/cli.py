@@ -36,7 +36,8 @@ from .profiles import (
     RadialCoefficient,
     profile_from_radial,
 )
-from .sde import HyperbolicBound, Sde1D, ensemble, radial_drift, worker_threads
+from .sde import (HyperbolicBound, Sde1D, _stored_steps, ensemble, radial_drift,
+                  worker_threads)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -302,23 +303,32 @@ def cmd_conserve(cfg, out: _Out) -> int:
 def cmd_simulate(cfg, out: _Out, seed_override) -> int:
     sim = _need(cfg, "simulation")
     output = sim.get("output", "paths").strip().lower()
-    ens = run_ensemble(cfg, seed_override)
-    if output == "summary":
-        out.row("path", "final", "exitTime")
-        for i in range(ens.n_paths):
-            exit_t = None
-            if ens.first_exit is not None and not math.isnan(ens.first_exit[i]):
-                exit_t = float(ens.first_exit[i])
-            out.row(i, float(ens.values[i, -1]), exit_t)
-        return EXIT_OK
-    if output != "paths":
+    if output not in ("summary", "paths"):
         raise ConfigError(f"unknown output mode {output!r}")
+    args = _simulation_args(cfg, seed_override)
+    if output == "summary":
+        # store steps 0 and int(T/dt) only; exits are observed at every step
+        stored = _stored_steps(args["sde"], args["x0"], args["T"], args["dt"],
+                               args["n_paths"], args["store_every"])
+        ens = ensemble(**dict(args, store_every=int(stored[-1])))
+        exits = ([None] * ens.n_paths if ens.first_exit is None
+                 else ens.first_exit.tolist())  # _fmt blanks a NaN: no exit
+        out.row("path", "final", "exitTime")
+        for i, (x, exit_t) in enumerate(zip(ens.values[:, -1].tolist(), exits)):
+            out.row(i, x, exit_t)
+        return EXIT_OK
+    ens = ensemble(**args)
     out.row("path", "step", "t", "x")
     # Bytes as out.row's: NonFiniteState rules out the NaN that _fmt blanks.
-    middles = [",%d,%.17g," % (round(t / ens.dt), t) for t in ens.times.tolist()]
-    for i, path in enumerate(ens.values.tolist()):
-        out.fh.write("".join(["%d%s%.17g\n" % (i, m, x)
-                              for m, x in zip(middles, path)]))
+    # A path's rows are one template over (index, x) pairs, its floats
+    # converted from one row at a time.
+    rows = "".join("%%d,%d,%.17g,%%.17g\n" % (round(t / ens.dt), t)
+                   for t in ens.times.tolist())
+    cells = [0] * (2 * ens.times.size)
+    for i in range(ens.n_paths):
+        cells[::2] = [i] * ens.times.size
+        cells[1::2] = ens.values[i].tolist()
+        out.fh.write(rows % tuple(cells))
     return EXIT_OK
 
 

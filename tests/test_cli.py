@@ -288,6 +288,68 @@ class TestSimulate:
             for i in range(ens.n_paths) for j, t in enumerate(ens.times)]
         assert dest.read_bytes() == ("\n".join(rows) + "\n").encode()
 
+    README = ("[model]\nwarp = hyperbolic\nn = 2\nk = 1\n"
+              "[simulation]\nx0 = 1\nt = 50\ndt = 0.01\nn_paths = 1000\n"
+              "master_seed = 7\ndrift = manifold\nfloor = 0.05\n"
+              "output = summary\n")
+
+    def test_summary_memory_independent_of_steps(self, tmp_path):
+        # the README config: 1000 paths x 5001 steps take 40 MB as float64,
+        # but a summary stores steps 0 and 5000 only
+        from escrate import cli
+
+        cfg = write_config(tmp_path, self.README)
+        out = tmp_path / "summary.csv"
+        tracemalloc.start()
+        try:
+            rc = cli.main(["simulate", "--config", cfg, "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert len(out.read_text().splitlines()) == 1001
+        assert peak < 5e6, peak
+
+    @pytest.mark.parametrize("store_every", [7, 5000])
+    def test_summary_matches_stored_ensemble(self, tmp_path, store_every):
+        # exit times come from every step, whatever the configured store_every
+        from escrate import cli
+
+        cfg = write_config(tmp_path, (
+            "[model]\nwarp = hyperbolic\nn = 2\nk = 1\n"
+            "[simulation]\nx0 = 1\nt = 2\ndt = 0.01\nn_paths = 300\n"
+            "master_seed = 5\ndrift = manifold\nfloor = 0.05\nbarrier = 3\n"
+            f"store_every = {store_every}\noutput = summary\n"))
+        dest = tmp_path / "summary.csv"
+        assert cli.main(["simulate", "--config", cfg, "--out", str(dest)]) == 0
+        ens = cli.run_ensemble(cli.load_config(cfg))
+        exits = np.isfinite(ens.first_exit)
+        assert 0 < exits.sum() < ens.n_paths
+        rows = ["path,final,exitTime"] + [
+            ",".join(cli._fmt(c) for c in
+                     (i, float(ens.values[i, -1]), float(ens.first_exit[i])))
+            for i in range(ens.n_paths)]
+        assert dest.read_bytes() == ("\n".join(rows) + "\n").encode()
+
+    @pytest.mark.parametrize("output, message", [
+        ("sumary", "ConfigError: unknown output mode 'sumary'"),
+        ("summary\nstore_every = 0", "DomainError: store_every must be >= 1"),
+    ], ids=["unknown_output", "summary_store_every_0"])
+    def test_rejected_before_any_step(self, tmp_path, monkeypatch, capsys,
+                                      output, message):
+        from escrate import cli, sde
+
+        def kernel(*args, **kwargs):
+            raise AssertionError("the Euler kernel ran")
+
+        monkeypatch.setattr(sde, "_shared_noise_run", kernel)
+        cfg = write_config(tmp_path, self.README.replace(
+            "output = summary", "output = " + output))
+        assert cli.main(["simulate", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message + "\n"
+
     @pytest.mark.parametrize("sigma", ["nan", "inf"])
     def test_nonfinite_sigma_exits_2(self, tmp_path, sigma):
         # rejected when the chain is built, before any step or raw warning

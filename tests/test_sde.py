@@ -120,12 +120,14 @@ class TestEnsemble:
                                   equal_nan=True), threads
             assert a.floor_hits.sum() > 0 and np.isfinite(a.first_exit).any()
 
-    @pytest.mark.parametrize("store_every", [1, 7])
+    @pytest.mark.parametrize("store_every", [1, 7, 293, 1000])
     def test_store_matches_row_by_row_reference(self, store_every):
         # 300 paths (a partial second noise chunk), 293 steps; each step
         # of the reference loop is the kernel's arithmetic, written into a
-        # row-major array
+        # row-major array. A store_every of at least the step count keeps
+        # steps 0 and 293 only.
         n_paths, n_steps, seed, dt, sigma, floor = 300, 293, 77, 0.01, 1.5, 0.05
+        barrier = 4.0  # about two thirds of the paths cross it
         drift = radial_drift(ManifoldModel.hyperbolic(2, 1.0), floor=floor)
         z = reference_normals(seed, n_paths, n_steps)
         stored = list(range(0, n_steps + 1, store_every))
@@ -139,12 +141,22 @@ class TestEnsemble:
             x = np.maximum(x + drift(x) * dt + noise, floor)
             if step in stored:
                 expected[:, stored.index(step)] = x
-        ens = ensemble(Sde1D(drift=drift, sigma=sigma, floor=floor), 0.2,
-                       n_steps * dt, dt, n_paths, seed,
-                       store_every=store_every)
+        chain = Sde1D(drift=drift, sigma=sigma, floor=floor)
+        ens, every_step = (ensemble(chain, 0.2, n_steps * dt, dt, n_paths, seed,
+                                    barrier=barrier, store_every=s)
+                           for s in (store_every, 1))
         assert ens.values.shape == expected.shape
         assert ens.values.flags.f_contiguous
         assert np.array_equal(ens.values, expected)
+        if store_every >= n_steps:
+            assert ens.values.shape == (n_paths, 2)
+            assert np.array_equal(ens.times, [0.0, n_steps * dt])
+        # exits and floor hits are observed at every step, stored or not
+        exited = np.isfinite(every_step.first_exit)
+        assert 0 < exited.sum() < n_paths and every_step.floor_hits.sum() > 0
+        assert np.array_equal(ens.first_exit, every_step.first_exit,
+                              equal_nan=True)
+        assert np.array_equal(ens.floor_hits, every_step.floor_hits)
 
     def test_repelling_drift_avoids_floor(self):
         # near-origin repulsion: floor reflection stays inactive

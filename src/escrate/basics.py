@@ -1,0 +1,72 @@
+"""The numpy-free part of escrate: what every CLI launch may need.
+
+The closed-form catalogue, the conservativeness rule of the coefficient
+families and the worker-thread count need no numerics, so ``catalogue``,
+``conserve`` on a family and every config or ``ESCRATE_THREADS`` error run
+without importing numpy. ``escrate.profiles.CATALOGUE`` and
+``escrate.sde.worker_threads`` are these same objects.
+"""
+
+from __future__ import annotations
+
+import os
+from typing import Optional
+
+from .errors import ConfigError
+
+__all__ = ["CATALOGUE", "family_verdict", "worker_threads"]
+
+
+# The closed forms of profiles.closed_form_rate as ``escrate catalogue``
+# prints them: (case, parameter range, psi, psi_tilde), with psi_tilde ""
+# where the case has no Euclidean-metric companion. Its cases are the kinds
+# profiles.catalogue_case accepts.
+CATALOGUE = (
+    ("diri1", "", "sqrt(t log t)", "sqrt(t log t)"),
+    ("diri2", "alpha<2", "sqrt(t log t)", "(t log t)^(1/(2-alpha))"),
+    ("diri3", "beta<1", "t^(1+beta/(2-2 beta))", "exp(t^(1/(1-beta)))"),
+    ("diri3", "beta=1", "exp(t)", "exp(exp(t))"),
+    ("geo1", "", "sqrt(t log log t)", "sqrt(t log log t)"),
+    ("geo2", "alpha<2", "sqrt(t log log t)", "(t log log t)^(1/(2-alpha))"),
+    ("geo3", "beta<1", "t^(1+beta/(2-2 beta))", "exp(t^(1/(1-beta)))"),
+    ("geo3", "beta=1", "exp(t)", "exp(exp(t))"),
+    ("g_alpha", "alpha=-1", "sqrt(t log log t)", ""),
+    ("g_alpha", "-1<alpha<1", "t^(1/(1-alpha))", ""),
+    ("g_alpha", "alpha=1", "exp(t)", ""),
+    ("hyperbolic_linear", "n>=2, K>0", "(1+eps)(n-1) sqrt(K) t", ""),
+)
+
+
+def family_verdict(family: str, param) -> Optional[str]:
+    """Conservative or NonConservative for a coefficient family and its
+    parameter: constant; power for alpha <= 2; squared_log for beta <= 1.
+    None for a family with no symbolic rule (tabulated)."""
+    if family == "constant":
+        return "Conservative"
+    if family == "power":
+        return "Conservative" if param <= 2.0 else "NonConservative"
+    if family == "squared_log":
+        return "Conservative" if param <= 1.0 else "NonConservative"
+    return None
+
+
+def worker_threads() -> int:
+    """Worker threads for noise generation: the CPUs this process may run on,
+    capped by ESCRATE_THREADS (a positive integer) when it is set.
+
+    Raises ConfigError for a malformed ESCRATE_THREADS.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    raw = os.environ.get("ESCRATE_THREADS")
+    if raw is None:
+        return cpus
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise ConfigError(f"ESCRATE_THREADS must be a positive integer, got {raw!r}")
+    if cap < 1:
+        raise ConfigError(f"ESCRATE_THREADS must be >= 1, got {cap}")
+    return min(cpus, cap)

@@ -5,6 +5,10 @@ catalogue. Configuration is INI-style (flat sections, key = value); every
 command is deterministic given its config, and CSV output is byte-identical
 across reruns. Exit codes: 0 ok, 2 config error, 3 solver error,
 4 simulation error, 5 verification failure.
+
+numpy and the numeric modules are imported inside the commands that compute,
+so ``catalogue``, ``conserve`` on a coefficient family and every config error
+run on the standard library and ``escrate.basics`` alone.
 """
 
 from __future__ import annotations
@@ -13,10 +17,9 @@ import argparse
 import configparser
 import math
 import sys
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import rate_solver, verify as verify_mod
+from .basics import CATALOGUE, family_verdict, worker_threads
 from .errors import (
     ConfigError,
     DomainError,
@@ -30,14 +33,10 @@ from .errors import (
     QuadratureFailure,
     SingularOrigin,
 )
-from .profiles import (
-    CATALOGUE,
-    ManifoldModel,
-    RadialCoefficient,
-    profile_from_radial,
-)
-from .sde import (HyperbolicBound, Sde1D, _stored_steps, ensemble, radial_drift,
-                  worker_threads)
+
+if TYPE_CHECKING:
+    from .profiles import RadialCoefficient
+    from .sde import Sde1D
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -92,9 +91,12 @@ def _getfloat(sec, key, default=None):
             raise ConfigError(f"missing key '{key}' in [{sec.name}]")
         return default
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"key '{key}' in [{sec.name}] is not a number: {raw!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"key '{key}' in [{sec.name}] must be finite, got {raw!r}")
+    return value
 
 
 def _getint(sec, key, default=None):
@@ -105,6 +107,8 @@ def _getint(sec, key, default=None):
 
 
 def _float_list(raw: str):
+    import numpy as np
+
     raw = raw.strip()
     if not raw:
         return np.array([])
@@ -116,6 +120,8 @@ def _float_list(raw: str):
 
 def _parse_t_grid(sec):
     """t_grid is a comma list, or 'geom:<lo>:<hi>:<count>', or empty."""
+    import numpy as np
+
     raw = sec.get("t_grid", "").strip()
     if raw.startswith("geom:"):
         parts = raw.split(":")
@@ -131,28 +137,43 @@ def _parse_t_grid(sec):
     return _float_list(raw)
 
 
-def build_coefficient(model) -> RadialCoefficient:
+def _family(model):
+    """The coefficient family named in [model] and its parameter: alpha for
+    power, beta for squared_log, None for constant and tabulated."""
     family = model.get("family")
     if family is None:
         raise ConfigError("missing key 'family' in [model]")
     family = family.strip().lower()
+    if family in ("constant", "tabulated"):
+        return family, None
+    if family == "power":
+        return family, _getfloat(model, "alpha")
+    if family == "squared_log":
+        return family, _getfloat(model, "beta")
+    raise ConfigError(f"unknown coefficient family {family!r}")
+
+
+def build_coefficient(model) -> RadialCoefficient:
+    from .profiles import RadialCoefficient
+
+    family, param = _family(model)
     try:
         if family == "constant":
             return RadialCoefficient.constant()
         if family == "power":
-            return RadialCoefficient.power(_getfloat(model, "alpha"))
+            return RadialCoefficient.power(param)
         if family == "squared_log":
-            return RadialCoefficient.squared_log(_getfloat(model, "beta"))
-        if family == "tabulated":
-            radii = _float_list(model.get("radii", ""))
-            values = _float_list(model.get("values", ""))
-            return RadialCoefficient.tabulated(radii, values)
+            return RadialCoefficient.squared_log(param)
+        radii = _float_list(model.get("radii", ""))
+        values = _float_list(model.get("values", ""))
+        return RadialCoefficient.tabulated(radii, values)
     except DomainError as exc:
         raise ConfigError(str(exc))
-    raise ConfigError(f"unknown coefficient family {family!r}")
 
 
 def build_profile(cfg):
+    from .profiles import profile_from_radial
+
     model = _need(cfg, "model")
     coeff = build_coefficient(model)
     n = _getint(model, "n", 1)
@@ -167,6 +188,9 @@ def build_drift(cfg, floor: float):
     """Resolve the simulation drift from config, checked against ``floor``
     once: a manifold's mean curvature, the radial-coefficient drift or the
     hyperbolic majorant. build_sde gives ``drift = none`` a None drift."""
+    from .profiles import ManifoldModel
+    from .sde import HyperbolicBound, radial_drift
+
     model = cfg["model"] if cfg.has_section("model") else {}
     kind = _need(cfg, "simulation").get("drift", "manifold").strip().lower()
     if kind == "manifold":
@@ -190,6 +214,8 @@ def build_drift(cfg, floor: float):
 
 
 def build_sde(cfg) -> Sde1D:
+    from .sde import Sde1D
+
     sim = _need(cfg, "simulation")
     floor = _getfloat(sim, "floor", 1e-6)
     driftless = sim.get("drift", "").strip().lower() == "none"
@@ -221,6 +247,8 @@ def _simulation_args(cfg, seed_override=None) -> dict:
 
 
 def run_ensemble(cfg, seed_override=None):
+    from .sde import ensemble
+
     return ensemble(**_simulation_args(cfg, seed_override))
 
 
@@ -262,19 +290,21 @@ class _Out:
 # ---------------------------------------------------------------------------
 
 def cmd_rate(cfg, out: _Out, quiet: bool) -> int:
+    from . import rate_solver
+
     coeff, profile = build_profile(cfg)
     solver = cfg["solver"] if cfg.has_section("solver") else None
     if solver is None:
         raise ConfigError("rate needs a [solver] section")
     t_grid = _parse_t_grid(solver)
     scale_c = _getfloat(solver, "scale_c", rate_solver.PROOF_SCALE_C)
-    r_lo = solver.get("r_lo")
+    r_lo = _getfloat(solver, "r_lo") if "r_lo" in solver else None
     out.row("t", "psi", "psi_tilde")
     if t_grid.size == 0:
         return EXIT_OK
     rate = rate_solver.rate_table(
         profile, t_grid, scale_c=scale_c,
-        r_lo=float(r_lo) if r_lo is not None else None)
+        r_lo=r_lo)
     psi_tilde = [None] * rate.times.size
     if profile.label.endswith("unit-energy"):
         psi_tilde = rate_solver.euclidean_rate(rate, coeff).values.tolist()
@@ -287,20 +317,26 @@ def cmd_rate(cfg, out: _Out, quiet: bool) -> int:
 
 def cmd_conserve(cfg, out: _Out) -> int:
     model = _need(cfg, "model")
-    coeff = build_coefficient(model)
-    verdict = rate_solver.conservativeness(coeff)
+    family, param = _family(model)
+    kind, leaning = family_verdict(family, param), None
+    if kind is None:  # tabulated: the numeric heuristic
+        from .rate_solver import conservativeness
+
+        verdict = conservativeness(build_coefficient(model))
+        kind, leaning = verdict.kind, verdict.leaning
     params = ""
-    if coeff.param is not None:
-        name = "alpha" if coeff.family == "power" else "beta"
-        params = f"{name}={_fmt(float(coeff.param))}"
-    line = f"verdict={verdict.kind} family={coeff.family} params={params}"
-    if verdict.leaning:
-        line += f" leaning={verdict.leaning}"
+    if param is not None:
+        params = f"{'alpha' if family == 'power' else 'beta'}={_fmt(param)}"
+    line = f"verdict={kind} family={family} params={params}"
+    if leaning:
+        line += f" leaning={leaning}"
     out.line(line)
     return EXIT_OK
 
 
 def cmd_simulate(cfg, out: _Out, seed_override) -> int:
+    from .sde import _stored_steps, ensemble
+
     sim = _need(cfg, "simulation")
     output = sim.get("output", "paths").strip().lower()
     if output not in ("summary", "paths"):
@@ -320,15 +356,12 @@ def cmd_simulate(cfg, out: _Out, seed_override) -> int:
     ens = ensemble(**args)
     out.row("path", "step", "t", "x")
     # Bytes as out.row's: NonFiniteState rules out the NaN that _fmt blanks.
-    # A path's rows are one template over (index, x) pairs, its floats
-    # converted from one row at a time.
+    # A path's rows are one template with its index filled in, over its x
+    # values, converted from one row at a time.
     rows = "".join("%%d,%d,%.17g,%%.17g\n" % (round(t / ens.dt), t)
                    for t in ens.times.tolist())
-    cells = [0] * (2 * ens.times.size)
     for i in range(ens.n_paths):
-        cells[::2] = [i] * ens.times.size
-        cells[1::2] = ens.values[i].tolist()
-        out.fh.write(rows % tuple(cells))
+        out.fh.write(rows.replace("%d", str(i)) % tuple(ens.values[i].tolist()))
     return EXIT_OK
 
 
@@ -338,6 +371,12 @@ def _verdict_exit(passed: bool, label: str, out: _Out) -> int:
 
 
 def cmd_verify(cfg, mode: str, out: _Out, seed_override) -> int:
+    import numpy as np
+
+    from . import rate_solver, verify as verify_mod
+    from .profiles import ManifoldModel
+    from .sde import HyperbolicBound, Sde1D, radial_drift
+
     ver = _need(cfg, "verify")
 
     if mode == "envelope":

@@ -2,9 +2,10 @@
 
 Defines the radial coefficient families, the intrinsic-radius transform
 ``rho_tilde`` and its inverse, growth profiles (log-volume plus energy-density
-bound), radial drift and mean-curvature formulas, and the catalogue of
-closed-form escape envelopes used as asymptotic targets by the solver and the
-Monte Carlo checks.
+bound), radial drift and mean-curvature formulas, and the closed-form escape
+envelopes of the catalogue (its printed table, ``CATALOGUE``, is defined in
+``escrate.basics``) used as asymptotic targets by the solver and the Monte
+Carlo checks.
 
 The transform, its inverse and the drift formulas take floats or numpy
 arrays. The families use their closed-form antiderivatives; a ``tabulated``
@@ -22,6 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._numerics import brentq, pchip, quad
+from .basics import CATALOGUE
 from .errors import (
     DomainError,
     NonMonotoneTransform,
@@ -116,8 +118,13 @@ class RadialCoefficient:
     def tabulated(radii, values) -> "RadialCoefficient":
         radii = np.asarray(radii, dtype=float)
         values = np.asarray(values, dtype=float)
+        if not np.all(np.isfinite(radii)) or not np.all(np.isfinite(values)):
+            raise DomainError("tabulated radii and values must be finite")
         if radii.ndim != 1 or radii.size < 2 or np.any(np.diff(radii) <= 0):
-            raise ValueError("tabulated radii must be strictly increasing, >= 2 points")
+            raise DomainError("tabulated radii must be strictly increasing, >= 2 points")
+        if values.shape != radii.shape:
+            raise DomainError(f"tabulated coefficient has {radii.size} radii "
+                              f"but {values.size} values")
         if np.any(values <= 0):
             raise NonPositiveCoefficient("tabulated coefficient samples must be > 0")
         spline, deriv = pchip(radii, values)
@@ -441,26 +448,6 @@ class CatalogueCase:
     n: Optional[int] = None
     K: Optional[float] = None
     eps: Optional[float] = None
-
-
-# The closed forms of closed_form_rate as ``escrate catalogue`` prints them:
-# (case, parameter range, psi, psi_tilde), with psi_tilde "" where the case
-# has no Euclidean-metric companion. Its cases are the kinds catalogue_case
-# accepts.
-CATALOGUE = (
-    ("diri1", "", "sqrt(t log t)", "sqrt(t log t)"),
-    ("diri2", "alpha<2", "sqrt(t log t)", "(t log t)^(1/(2-alpha))"),
-    ("diri3", "beta<1", "t^(1+beta/(2-2 beta))", "exp(t^(1/(1-beta)))"),
-    ("diri3", "beta=1", "exp(t)", "exp(exp(t))"),
-    ("geo1", "", "sqrt(t log log t)", "sqrt(t log log t)"),
-    ("geo2", "alpha<2", "sqrt(t log log t)", "(t log log t)^(1/(2-alpha))"),
-    ("geo3", "beta<1", "t^(1+beta/(2-2 beta))", "exp(t^(1/(1-beta)))"),
-    ("geo3", "beta=1", "exp(t)", "exp(exp(t))"),
-    ("g_alpha", "alpha=-1", "sqrt(t log log t)", ""),
-    ("g_alpha", "-1<alpha<1", "t^(1/(1-alpha))", ""),
-    ("g_alpha", "alpha=1", "exp(t)", ""),
-    ("hyperbolic_linear", "n>=2, K>0", "(1+eps)(n-1) sqrt(K) t", ""),
-)
 
 
 def catalogue_case(kind: str, **kw) -> CatalogueCase:

@@ -18,6 +18,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from ._numerics import brentq, quad
+from .basics import family_verdict
 from .errors import (
     DomainError,
     ExtrapolationError,
@@ -272,16 +273,6 @@ class Verdict:
         return self.kind
 
 
-def _family_verdict(family: str, param) -> Optional[Verdict]:
-    if family == "constant":
-        return Verdict("Conservative")
-    if family == "power":
-        return Verdict("Conservative" if param <= 2.0 else "NonConservative")
-    if family == "squared_log":
-        return Verdict("Conservative" if param <= 1.0 else "NonConservative")
-    return None
-
-
 def conservativeness(
         obj: Union[RadialCoefficient, CatalogueCase, GrowthProfile]) -> Verdict:
     """Classify conservativeness.
@@ -292,9 +283,9 @@ def conservativeness(
     decidable numerically.
     """
     if isinstance(obj, RadialCoefficient):
-        v = _family_verdict(obj.family, obj.param)
-        if v is not None:
-            return v
+        kind = family_verdict(obj.family, obj.param)
+        if kind is not None:
+            return Verdict(kind)
         # tabulated: fall through to the heuristic on its Euclidean profile
         obj = profile_from_radial(obj, 1, "coefficient_energy")
     if isinstance(obj, CatalogueCase):

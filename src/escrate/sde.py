@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import contextlib
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, NonFiniteState, SingularOrigin
+from .basics import worker_threads
+from .errors import DomainError, NonFiniteState, SingularOrigin
 from .profiles import (
     DEFAULT_ORIGIN_FLOOR,
     ManifoldModel,
@@ -173,28 +173,6 @@ class PathEnsemble:
 
 def _path_generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-
-
-def worker_threads() -> int:
-    """Worker threads for noise generation: the CPUs this process may run on,
-    capped by ESCRATE_THREADS (a positive integer) when it is set.
-
-    Raises ConfigError for a malformed ESCRATE_THREADS.
-    """
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    raw = os.environ.get("ESCRATE_THREADS")
-    if raw is None:
-        return cpus
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(f"ESCRATE_THREADS must be a positive integer, got {raw!r}")
-    if cap < 1:
-        raise ConfigError(f"ESCRATE_THREADS must be >= 1, got {cap}")
-    return min(cpus, cap)
 
 
 def _check_sim_args(sdes, x0: float, T: float, dt: float, n_paths: int) -> int:

@@ -3,6 +3,7 @@ shape, and reproducibility."""
 
 import csv
 import io
+import json
 import os
 import subprocess
 import sys
@@ -62,6 +63,55 @@ class TestConfigValidation:
                              env=env)
         assert res.returncode == 2
 
+    SIM = ("[model]\nwarp = hyperbolic\nn = 2\nk = 1\n[simulation]\nx0 = 1\n"
+           "t = {t}\ndt = {dt}\nn_paths = 4\nmaster_seed = 1\nfloor = 0.05\n"
+           "output = summary\n")
+
+    @pytest.mark.parametrize("command,body,message", [
+        ("rate", "[model]\nfamily = constant\nn = inf\n[solver]\nt_grid = 1\n",
+         "key 'n' in [model] must be finite, got 'inf'"),
+        ("rate", "[model]\nfamily = constant\nn = nan\n[solver]\nt_grid = 1\n",
+         "key 'n' in [model] must be finite, got 'nan'"),
+        ("simulate", SIM.format(t="nan", dt=0.01),
+         "key 't' in [simulation] must be finite, got 'nan'"),
+        ("simulate", SIM.format(t="inf", dt=0.01),
+         "key 't' in [simulation] must be finite, got 'inf'"),
+        ("simulate", SIM.format(t=1, dt="nan"),
+         "key 'dt' in [simulation] must be finite, got 'nan'"),
+        ("conserve", "[model]\nfamily = power\nalpha = nan\n",
+         "key 'alpha' in [model] must be finite, got 'nan'"),
+        ("rate", "[model]\nfamily = constant\nn = 3\n[solver]\nt_grid = 1\n"
+                 "r_lo = nan\n",
+         "key 'r_lo' in [solver] must be finite, got 'nan'"),
+        ("rate", "[model]\nfamily = constant\nn = 3\n[solver]\nt_grid = 1\n"
+                 "r_lo = two\n",
+         "key 'r_lo' in [solver] is not a number: 'two'"),
+    ], ids=["n_inf", "n_nan", "t_nan", "t_inf", "dt_nan", "alpha_nan",
+            "r_lo_nan", "r_lo_text"])
+    def test_nonfinite_number_exits_2(self, tmp_path, command, body, message):
+        cfg = write_config(tmp_path, body)
+        res = run_cli([command, "--config", cfg], tmp_path)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == f"ConfigError: {message}\n"
+
+    @pytest.mark.parametrize("radii,values,message", [
+        ("0,2,1", "1,2,3", "tabulated radii must be strictly increasing, "
+                           ">= 2 points"),
+        ("0,1", "1,2,3", "tabulated coefficient has 2 radii but 3 values"),
+        ("0,nan,2", "1,2,3", "tabulated radii and values must be finite"),
+    ], ids=["unordered", "more_values", "nan_radius"])
+    @pytest.mark.parametrize("command", ["rate", "conserve"])
+    def test_malformed_table_exits_2(self, tmp_path, command, radii, values,
+                                     message):
+        cfg = write_config(tmp_path, (
+            "[model]\nfamily = tabulated\nn = 3\nmode = coefficient_energy\n"
+            f"radii = {radii}\nvalues = {values}\n[solver]\nt_grid = 1,10\n"))
+        res = run_cli([command, "--config", cfg], tmp_path)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == f"ConfigError: {message}\n"
+
 
 _TAB_RADII = [0.0] + [2.0 ** k for k in range(31)]
 _TABULATED = ("family = tabulated\nn = 3\n"
@@ -70,51 +120,88 @@ _TABULATED = ("family = tabulated\nn = 3\n"
               + "\n")
 
 
-class TestNoScipy:
-    def test_no_command_loads_scipy(self, tmp_path):
-        # every command, integrating or not, runs on numpy alone
+_NUMERIC = ("numpy", "escrate.profiles", "escrate.rate_solver", "escrate.sde",
+            "escrate.verify")
+
+
+class TestModulesLoaded:
+    def test_each_command_loads_only_what_it_uses(self, tmp_path):
+        # (command, config, environment, exit code, modules it must not load);
+        # no command loads scipy: the package runs on numpy alone
+        family = "[model]\nfamily = {}\n"
         calls = {
+            "catalogue": ("catalogue", None, {}, 0, _NUMERIC),
+            "conserve_constant": ("conserve", family.format("constant"), {}, 0,
+                                  _NUMERIC),
+            "conserve_power": ("conserve", family.format("power\nalpha = 3"),
+                               {}, 0, _NUMERIC),
+            "conserve_squared_log": ("conserve",
+                                     family.format("squared_log\nbeta = 1"),
+                                     {}, 0, _NUMERIC),
+            "unknown_key": ("conserve", family.format("constant\nbogus = 1"),
+                            {}, 2, _NUMERIC),
+            "missing_config": ("conserve --config missing.ini", None, {}, 2,
+                               _NUMERIC),
+            "bad_threads": ("conserve", family.format("constant"),
+                            {"ESCRATE_THREADS": "many"}, 2, _NUMERIC),
             "rate_family": ("rate", "[model]\nfamily = constant\nn = 3\n"
-                            "mode = unit_energy\n[solver]\nt_grid = 1,10\n"),
+                            "mode = unit_energy\n[solver]\nt_grid = 1,10\n",
+                            {}, 0, ("escrate.sde", "escrate.verify")),
             "rate_tabulated": ("rate", "[model]\n" + _TABULATED
                                + "mode = coefficient_energy\n"
-                               "[solver]\nt_grid = 1,10\n"),
+                               "[solver]\nt_grid = 1,10\n",
+                               {}, 0, ("escrate.sde", "escrate.verify")),
+            "conserve_tabulated": ("conserve", "[model]\n" + _TABULATED, {}, 0,
+                                   ("escrate.sde", "escrate.verify")),
+            "simulate": ("simulate", (
+                "[model]\nwarp = hyperbolic\nn = 2\nk = 1\n[simulation]\n"
+                "x0 = 1\nt = 1\ndt = 0.01\nn_paths = 20\nmaster_seed = 7\n"
+                "drift = manifold\nfloor = 0.05\noutput = summary\n"),
+                {}, 0, ("escrate.verify", "escrate.rate_solver")),
             "envelope_table": ("verify envelope", (
                 "[model]\nfamily = constant\nn = 3\nmode = unit_energy\n"
                 "warp = euclidean\n[solver]\nt_grid = geom:1:100:10\n"
                 "scale_c = 1\n[simulation]\nx0 = 1\nt = 5\ndt = 0.01\n"
                 "n_paths = 50\nmaster_seed = 9\ndrift = manifold\n"
-                "floor = 0.01\n[verify]\nc_grid = 1,2\nt0 = 1\n")),
+                "floor = 0.01\n[verify]\nc_grid = 1,2\nt0 = 1\n"), {}, 0, ()),
             "dyadic": ("verify dyadic", (
                 "[model]\nfamily = constant\nn = 1\nmode = unit_energy\n"
-                "[verify]\nc = 4\nn_levels = 30\n")),
-            "conserve_tabulated": ("conserve", "[model]\n" + _TABULATED),
-            "simulate": ("simulate", (
-                "[model]\nwarp = hyperbolic\nn = 2\nk = 1\n[simulation]\n"
-                "x0 = 1\nt = 1\ndt = 0.01\nn_paths = 20\nmaster_seed = 7\n"
-                "drift = manifold\nfloor = 0.05\noutput = summary\n")),
+                "[verify]\nc = 4\nn_levels = 30\n"), {}, 0, ()),
         }
-        argvs = [["catalogue", "--out", "catalogue.csv"]]
-        for name, (command, text) in calls.items():
-            cfg = write_config(tmp_path, text, f"{name}.ini")
-            argvs.append(command.split() + ["--config", cfg, "--out", f"{name}.csv"])
-        script = (
-            "import sys\n"
-            "import escrate.cli as cli\n"
-            f"for argv in {argvs!r}:\n"
-            "    rc = cli.main(argv)\n"
-            "    loaded = sorted(m for m in sys.modules\n"
-            "                    if m == 'scipy' or m.startswith('scipy.'))\n"
-            "    if rc != 0 or loaded:\n"
-            "        sys.exit(f'{argv[:2]}: rc={rc}, loaded {loaded[:5]}')\n")
-        env = dict(os.environ)
-        env.pop("ESCRATE_THREADS", None)
-        res = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                             text=True, cwd=str(tmp_path), env=env)
+        report = ("import json, sys\n"
+                  "print(json.dumps(sorted(m for m in sys.modules\n"
+                  "      if m.startswith(('numpy', 'escrate', 'scipy')))))\n")
+        for name, (command, text, env_extra, rc, absent) in calls.items():
+            argv = command.split() + ["--out", f"{name}.csv"]
+            if text is not None:
+                argv += ["--config", write_config(tmp_path, text, f"{name}.ini")]
+            script = ("import sys\nimport escrate.cli as cli\n"
+                      f"rc = cli.main({argv!r})\n" + report
+                      + "sys.exit(rc)\n")
+            env = dict(os.environ, **env_extra)
+            if not env_extra:
+                env.pop("ESCRATE_THREADS", None)
+            res = subprocess.run([sys.executable, "-c", script],
+                                 capture_output=True, text=True,
+                                 cwd=str(tmp_path), env=env)
+            assert res.returncode == rc, (name, res.stderr)
+            assert (res.stderr == "") == (rc == 0), (name, res.stderr)
+            loaded = set(json.loads(res.stdout))
+            assert not loaded & set(absent), (name, sorted(loaded & set(absent)))
+            assert not any(m.startswith("scipy") for m in loaded), name
+            if rc == 0:
+                assert (tmp_path / f"{name}.csv").read_text().strip(), name
+
+        # the package's names resolve on first use
+        res = subprocess.run([sys.executable, "-c", (
+            "import escrate\n" + report
+            + "from escrate import rate_table, Sde1D, comparison_mc\n"
+            "assert rate_table.__module__ == 'escrate.rate_solver'\n"
+            "assert Sde1D.__module__ == 'escrate.sde'\n"
+            "assert comparison_mc.__module__ == 'escrate.verify'\n")],
+            capture_output=True, text=True, cwd=str(tmp_path))
         assert res.returncode == 0, res.stderr
-        assert res.stderr == ""
-        for name in ["catalogue"] + list(calls):
-            assert (tmp_path / f"{name}.csv").read_text().strip(), name
+        assert json.loads(res.stdout) == ["escrate"]
 
 
 class TestRate:
@@ -235,6 +322,15 @@ class TestSimulate:
         assert len(lines) == 5
         # no barrier configured, so the exit column stays empty
         assert all(l.endswith(",") for l in lines[1:])
+
+    def test_infinite_barrier_is_never_crossed(self, tmp_path):
+        # barrier is parsed on its own: inf is allowed where t or dt may not be
+        plain = run_cli(["simulate", "--config", write_config(tmp_path, self.SIM)],
+                        tmp_path)
+        cfg = write_config(tmp_path, self.SIM + "barrier = inf\n", "inf.ini")
+        res = run_cli(["simulate", "--config", cfg], tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == plain.stdout
 
     def test_seed_flag_changes_output(self, tmp_path):
         cfg = write_config(tmp_path, self.SIM)

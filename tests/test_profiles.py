@@ -53,6 +53,23 @@ class TestRadialCoefficient:
         with pytest.raises(NonPositiveCoefficient):
             RadialCoefficient.tabulated([0.0, 1.0, 2.0], [1.0, -1.0, 1.0])
 
+    @pytest.mark.parametrize("radii,values,message", [
+        ([0.0, 2.0, 1.0], [1.0, 2.0, 3.0], "strictly increasing"),
+        ([0.0, 1.0, 1.0], [1.0, 2.0, 3.0], "strictly increasing"),
+        ([0.0], [1.0], "strictly increasing"),
+        ([0.0, 1.0], [1.0, 2.0, 3.0], "2 radii but 3 values"),
+        ([0.0, 1.0, 2.0], [1.0, 2.0], "3 radii but 2 values"),
+        ([0.0, math.nan, 2.0], [1.0, 2.0, 3.0], "finite"),
+        ([0.0, 1.0, math.inf], [1.0, 2.0, 3.0], "finite"),
+        ([0.0, 1.0, 2.0], [1.0, math.nan, 3.0], "finite"),
+        ([0.0, 1.0, 2.0], [1.0, 2.0, math.inf], "finite"),
+    ], ids=["unordered", "repeated", "one_point", "more_values",
+            "fewer_values", "nan_radius", "inf_radius", "nan_value",
+            "inf_value"])
+    def test_tabulated_rejects_malformed_tables(self, radii, values, message):
+        with pytest.raises(DomainError, match=message):
+            RadialCoefficient.tabulated(radii, values)
+
     def test_tabulated_interpolates(self):
         c = RadialCoefficient.tabulated([0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
         assert c.a(0.5) == pytest.approx(1.5, abs=0.1)

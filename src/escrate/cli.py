@@ -106,16 +106,19 @@ def _getint(sec, key, default=None):
     return int(v)
 
 
-def _float_list(raw: str):
+def _float_list(sec, key, default="", finite=True):
+    """The comma list of numbers in ``key``; non-finite entries are a
+    ConfigError unless ``finite`` is False."""
     import numpy as np
 
-    raw = raw.strip()
-    if not raw:
-        return np.array([])
+    raw = sec.get(key, default).strip()
     try:
-        return np.array([float(tok) for tok in raw.split(",")])
+        values = np.array([float(tok) for tok in raw.split(",")] if raw else [])
     except ValueError:
         raise ConfigError(f"cannot parse number list: {raw!r}")
+    if finite and not np.all(np.isfinite(values)):
+        raise ConfigError(f"key '{key}' in [{sec.name}] must be finite, got {raw!r}")
+    return values
 
 
 def _parse_t_grid(sec):
@@ -131,10 +134,11 @@ def _parse_t_grid(sec):
             lo, hi, count = float(parts[1]), float(parts[2]), int(parts[3])
         except ValueError:
             raise ConfigError(f"bad t_grid spec: {raw!r}")
-        if lo <= 0 or hi <= lo or count < 2:
-            raise ConfigError("t_grid geometric spec needs 0 < lo < hi, count >= 2")
+        if not 0 < lo < hi < math.inf or count < 2:
+            raise ConfigError(
+                "t_grid geometric spec needs finite 0 < lo < hi, count >= 2")
         return np.geomspace(lo, hi, count)
-    return _float_list(raw)
+    return _float_list(sec, "t_grid")
 
 
 def _family(model):
@@ -164,8 +168,9 @@ def build_coefficient(model) -> RadialCoefficient:
             return RadialCoefficient.power(param)
         if family == "squared_log":
             return RadialCoefficient.squared_log(param)
-        radii = _float_list(model.get("radii", ""))
-        values = _float_list(model.get("values", ""))
+        # the table's own check names a non-finite entry
+        radii = _float_list(model, "radii", finite=False)
+        values = _float_list(model, "values", finite=False)
         return RadialCoefficient.tabulated(radii, values)
     except DomainError as exc:
         raise ConfigError(str(exc))
@@ -380,7 +385,7 @@ def cmd_verify(cfg, mode: str, out: _Out, seed_override) -> int:
     ver = _need(cfg, "verify")
 
     if mode == "envelope":
-        C_grid = _float_list(ver.get("c_grid", "1"))
+        C_grid = _float_list(ver, "c_grid", "1")
         t0 = _getfloat(ver, "t0")
         threshold = _getfloat(ver, "max_fraction", 0.5)
         sentinel = ver.get("envelope", "table").strip().lower()
@@ -434,7 +439,7 @@ def cmd_verify(cfg, mode: str, out: _Out, seed_override) -> int:
             f"{_fmt(report.coupled_dominance_fraction)}", out)
 
     if mode == "lil":
-        eps_grid = _float_list(ver.get("eps_grid", "0,0.25,0.5,1.0"))
+        eps_grid = _float_list(ver, "eps_grid", "0,0.25,0.5,1.0")
         t0 = _getfloat(ver, "t0")
         args = _simulation_args(cfg, seed_override)
         del args["barrier"]  # the streamed run records no exit times

@@ -7,11 +7,10 @@ envelopes of the catalogue (its printed table, ``CATALOGUE``, is defined in
 ``escrate.basics``) used as asymptotic targets by the solver and the Monte
 Carlo checks.
 
-The transform, its inverse and the drift formulas take floats or numpy
-arrays. The families use their closed-form antiderivatives; a ``tabulated``
-coefficient integrates a^{-1/2} once per knot interval, on first use, and
-keeps the cumulative table. ``log_rho_tilde_inverse`` takes floats only: it is
-the unit-energy log-volume, called once per point of the rate quadrature.
+The transform, its inverse and log-inverse, the growth profiles and the
+drift formulas take floats or numpy arrays. The families use their
+closed-form antiderivatives; a ``tabulated`` coefficient integrates a^{-1/2}
+once per knot interval, on first use, and keeps the cumulative table.
 """
 
 from __future__ import annotations
@@ -196,21 +195,21 @@ def _knot_table(coeff: RadialCoefficient):
     return coeff._rho_table
 
 
-def _log1p_inverse(coeff: RadialCoefficient, r, xp):
+def _log1p_inverse(coeff: RadialCoefficient, r: np.ndarray) -> np.ndarray:
     """log(1 + rho_tilde^{-1}(r)) for the power and squared-log families, from
-    their antiderivatives; ``xp`` is ``math`` for a float, ``np`` for arrays."""
+    their antiderivatives."""
     if coeff.family == "power":
         alpha = coeff.param
         if alpha == 2.0:
             return r                       # s = e^r - 1
         p = 1.0 - alpha / 2.0
-        return xp.log1p(p * r) / p
+        return np.log1p(p * r) / p
     beta = coeff.param
     if beta == 2.0:
-        ell = xp.exp(r)                    # 1 + log(1+s)
+        ell = np.exp(r)                    # 1 + log(1+s)
     else:
         p = 1.0 - beta / 2.0
-        ell = xp.exp(xp.log1p(p * r) / p)
+        ell = np.exp(np.log1p(p * r) / p)
     return ell - 1.0
 
 
@@ -253,6 +252,18 @@ def rho_tilde(coeff: RadialCoefficient, s):
     return _scalar_or_array(out)
 
 
+def _intrinsic_radius(coeff: RadialCoefficient, r) -> np.ndarray:
+    """r as an array, checked to lie in [0, sup rho_tilde)."""
+    r = np.asarray(r, dtype=float)
+    if (r < 0).any():
+        raise DomainError("r must be nonnegative")
+    sup = coeff.rho_tilde_sup()
+    if (r >= sup).any():
+        raise OutOfRange(
+            f"intrinsic radius {float(np.max(r)):.6g} >= sup rho_tilde = {sup:.6g}")
+    return r
+
+
 def rho_tilde_inverse(coeff: RadialCoefficient, r):
     """The s with rho_tilde(coeff, s) = r, for a float or an array r.
 
@@ -260,18 +271,12 @@ def rho_tilde_inverse(coeff: RadialCoefficient, r):
     ``tabulated``, one Brent solve inside the knot interval holding r.
     Raises OutOfRange when r >= the supremum of rho_tilde.
     """
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
-        raise DomainError("r must be nonnegative")
-    sup = coeff.rho_tilde_sup()
-    if np.any(r >= sup):
-        raise OutOfRange(
-            f"intrinsic radius {float(np.max(r)):.6g} >= sup rho_tilde = {sup:.6g}")
+    r = _intrinsic_radius(coeff, r)
     if coeff.family == "constant":
         return _scalar_or_array(r + 0.0)
     if coeff.family != "tabulated":
         with np.errstate(over="ignore"):
-            return _scalar_or_array(np.expm1(_log1p_inverse(coeff, r, np)))
+            return _scalar_or_array(np.expm1(_log1p_inverse(coeff, r)))
     knots, cum = _knot_table(coeff)
     i = np.searchsorted(cum, r, side="right") - 1
     out = np.array([brentq(
@@ -282,27 +287,21 @@ def rho_tilde_inverse(coeff: RadialCoefficient, r):
     return _scalar_or_array(out)
 
 
-def log_rho_tilde_inverse(coeff: RadialCoefficient, r: float) -> float:
-    """log of rho_tilde_inverse, robust to inverses beyond float range.
-
-    A scalar on Python floats: it is the unit-energy log-volume, evaluated
-    once per integrand point of the rate quadrature.
-    """
-    r = float(r)
-    if r < 0:
-        raise DomainError("r must be nonnegative")
-    if r == 0.0:
-        return -math.inf
-    sup = coeff.rho_tilde_sup()
-    if r >= sup:
-        raise OutOfRange(f"intrinsic radius {r:.6g} >= sup rho_tilde = {sup:.6g}")
-    if coeff.family == "constant":
-        return math.log(r)
-    if coeff.family == "tabulated":
-        return math.log(rho_tilde_inverse(coeff, r))
-    y = _log1p_inverse(coeff, r, math)
-    # log s = y + log(1 - e^{-y})
-    return y + math.log1p(-math.exp(-y)) if y > 1e-8 else math.log(math.expm1(y))
+def log_rho_tilde_inverse(coeff: RadialCoefficient, r):
+    """log of rho_tilde_inverse for a float or an array r, finite where the
+    inverse itself is beyond float range; -inf at r = 0."""
+    r = _intrinsic_radius(coeff, r)
+    with np.errstate(divide="ignore", over="ignore"):
+        if coeff.family == "constant":
+            out = np.log(r)
+        elif coeff.family == "tabulated":
+            out = np.log(rho_tilde_inverse(coeff, r))
+        else:
+            y = _log1p_inverse(coeff, r)
+            # log s = y + log(1 - e^{-y}), or log(e^y - 1) for small y
+            out = np.where(y > 1e-8, y + np.log1p(-np.exp(-y)),
+                           np.log(np.expm1(y)))
+    return _scalar_or_array(out)
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +312,10 @@ def log_rho_tilde_inverse(coeff: RadialCoefficient, r: float) -> float:
 class GrowthProfile:
     """Log-volume V(r) and energy-density bound lambda(r) on [r_min, r_max).
 
-    V is nondecreasing and lambda strictly positive and nondecreasing on the
-    valid domain. Radii are in the metric the profile was built in, and so
-    are ``knots``, the radii where V or lambda is only piecewise smooth (a
+    V and lambda take a float or an array of radii; lambda may return a
+    scalar that broadcasts against them. V is nondecreasing and lambda
+    strictly positive and nondecreasing on the valid domain. Radii are in
+    the metric the profile was built in, and so are ``knots``, the radii where V or lambda is only piecewise smooth (a
     tabulated coefficient's knots), which quadratures break at.
     """
 
@@ -338,30 +338,19 @@ def profile_from_radial(coeff: RadialCoefficient, n: int, mode: str) -> GrowthPr
 
     mode "unit_energy": intrinsic-metric profile, V(r) = n*log(rho_tilde^{-1}(r)),
     lambda = 1. mode "coefficient_energy": Euclidean-radius profile,
-    V(r) = n*log(r), lambda(r) = a(r).
+    V(r) = n*log(r), lambda(r) = a(r). The mode is case-insensitive.
     """
     if n < 1:
         raise DomainError("dimension n must be >= 1")
     mode = mode.lower()
-    if mode in ("unit_energy", "unitenergy", "unit"):
-        sup = coeff.rho_tilde_sup()
+    if mode == "unit_energy":
         knots = _knot_table(coeff)[1] if coeff._knots is not None else None
-
-        def V(r):
-            return n * log_rho_tilde_inverse(coeff, float(r))
-
-        return GrowthProfile(V, lambda r: 1.0, r_min=0.0, r_max=sup,
+        return GrowthProfile(lambda r: n * log_rho_tilde_inverse(coeff, r),
+                             lambda r: 1.0, r_min=0.0, r_max=coeff.rho_tilde_sup(),
                              label=f"{coeff.family} n={n} unit-energy", knots=knots)
-    if mode in ("coefficient_energy", "coefficientenergy", "coefficient"):
+    if mode == "coefficient_energy":
         r_max = float(coeff._knots[-1]) if coeff._knots is not None else math.inf
-
-        def V(r):
-            return n * math.log(float(r))
-
-        def lam(r):
-            return float(coeff.a(float(r)))
-
-        return GrowthProfile(V, lam, r_min=0.0, r_max=r_max,
+        return GrowthProfile(lambda r: n * np.log(r), coeff.a, r_min=0.0, r_max=r_max,
                              label=f"{coeff.family} n={n} coefficient-energy",
                              knots=coeff._knots)
     raise DomainError(f"unknown profile mode {mode!r}")

@@ -68,10 +68,13 @@ __all__ = [
 # phi and its inverse
 # ---------------------------------------------------------------------------
 
-def _denominator(profile: GrowthProfile, r: float) -> float:
-    if r <= 1.0:
-        raise NonPositiveDenominator(r, f"log log r undefined at r={r}")
-    return float(profile.lam(r)) * (float(profile.V(r)) + math.log(math.log(r)))
+def _denominator(profile: GrowthProfile, r):
+    """lambda(r) (V(r) + log log r) at a radius or an array of radii."""
+    r = np.asarray(r, dtype=float)
+    if (r <= 1.0).any():
+        bad = float(r.flat[np.argmax(r <= 1.0)])
+        raise NonPositiveDenominator(bad, f"log log r undefined at r={bad}")
+    return profile.lam(r) * (profile.V(r) + np.log(np.log(r)))
 
 
 def phi(profile: GrowthProfile, R: float, r_lo: float = PAPER_LOWER_LIMIT) -> float:
@@ -91,14 +94,12 @@ def phi(profile: GrowthProfile, R: float, r_lo: float = PAPER_LOWER_LIMIT) -> fl
         raise DomainError(f"R={R} beyond profile domain r_max={profile.r_max}")
 
     def integrand(us):
-        out = []
-        for u in us.tolist():
-            r = math.exp(u)
-            den = _denominator(profile, r)
-            if den <= 0.0:
-                raise NonPositiveDenominator(r)
-            out.append(r * r / den)
-        return out
+        r = np.exp(us)
+        den = _denominator(profile, r)
+        if (den <= 0.0).any():
+            raise NonPositiveDenominator(float(r[np.argmax(den <= 0.0)]))
+        with np.errstate(over="ignore"):   # r*r past float range: inf
+            return r * r / den
 
     knots = profile.knots
     breaks = () if knots is None else np.log(knots[(knots > r_lo) & (knots < R)])
@@ -206,7 +207,9 @@ class RateFunction:
         self.values = np.asarray(self.values, dtype=float)
         if self.times.size != self.values.size or self.times.size == 0:
             raise DomainError("rate table needs matching nonempty samples")
-        if np.any(np.diff(self.times) <= 0) or np.any(np.diff(self.values) < 0):
+        # neighbours compared, not subtracted: inf - inf is nan (and a warning)
+        if (np.any(self.times[1:] <= self.times[:-1])
+                or np.any(self.values[1:] < self.values[:-1])):
             raise DomainError("rate table samples must be increasing")
 
     def __call__(self, t):

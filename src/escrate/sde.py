@@ -185,6 +185,8 @@ def _check_sim_args(sdes, x0: float, T: float, dt: float, n_paths: int) -> int:
         raise DomainError("need dt > 0 and T >= dt")
     if n_paths < 1:
         raise DomainError("n_paths must be >= 1")
+    if not T / dt < 2.0 ** 63:
+        raise DomainError(f"T/dt = {T / dt:.6g} steps is more than a run can take")
     return int(T / dt)
 
 

@@ -86,14 +86,40 @@ class TestConfigValidation:
         ("rate", "[model]\nfamily = constant\nn = 3\n[solver]\nt_grid = 1\n"
                  "r_lo = two\n",
          "key 'r_lo' in [solver] is not a number: 'two'"),
+        ("rate", "[model]\nfamily = constant\nn = 3\n[solver]\n"
+                 "t_grid = 1,nan,10\n",
+         "key 't_grid' in [solver] must be finite, got '1,nan,10'"),
+        ("rate", "[model]\nfamily = constant\nn = 3\n[solver]\n"
+                 "t_grid = geom:1:inf:3\n",
+         "t_grid geometric spec needs finite 0 < lo < hi, count >= 2"),
+        ("verify envelope", "[model]\nwarp = euclidean\nn = 3\n[simulation]\n"
+                            "x0 = 1\nt = 1\ndt = 0.01\nn_paths = 4\n"
+                            "master_seed = 1\n[verify]\nt0 = 1\n"
+                            "envelope = infinity\nc_grid = 1,inf\n",
+         "key 'c_grid' in [verify] must be finite, got '1,inf'"),
+        ("verify lil", "[simulation]\nx0 = 1\nt = 10\ndt = 1\nn_paths = 4\n"
+                       "master_seed = 1\ndrift = none\nsigma = 1\n"
+                       "[verify]\nt0 = 1\neps_grid = 0,nan,1\n",
+         "key 'eps_grid' in [verify] must be finite, got '0,nan,1'"),
     ], ids=["n_inf", "n_nan", "t_nan", "t_inf", "dt_nan", "alpha_nan",
-            "r_lo_nan", "r_lo_text"])
+            "r_lo_nan", "r_lo_text", "t_grid", "t_grid_geom", "c_grid",
+            "eps_grid"])
     def test_nonfinite_number_exits_2(self, tmp_path, command, body, message):
         cfg = write_config(tmp_path, body)
-        res = run_cli([command, "--config", cfg], tmp_path)
+        res = run_cli(command.split() + ["--config", cfg], tmp_path)
         assert res.returncode == 2
         assert res.stdout == ""
         assert res.stderr == f"ConfigError: {message}\n"
+
+    def test_profile_mode_alias_exits_2(self, tmp_path):
+        # only unit_energy and coefficient_energy (any case) name a mode
+        cfg = write_config(tmp_path, (
+            "[model]\nfamily = constant\nn = 3\nmode = unit\n"
+            "[solver]\nt_grid = 1,10\n"))
+        res = run_cli(["rate", "--config", cfg], tmp_path)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "unknown profile mode" in res.stderr
 
     @pytest.mark.parametrize("radii,values,message", [
         ("0,2,1", "1,2,3", "tabulated radii must be strictly increasing, "
@@ -257,6 +283,17 @@ class TestRate:
         (row,) = list(csv.reader(io.StringIO(res.stdout)))[1:]
         assert row[2] == "inf"
 
+    def test_two_infinite_psi_tilde_rows_print_no_warning(self, tmp_path):
+        # the rate table's monotonicity check must not subtract inf from inf
+        cfg = write_config(tmp_path, (
+            "[model]\nfamily = squared_log\nbeta = 0.5\nn = 3\n"
+            "mode = unit_energy\n[solver]\nt_grid = 100,200\n"))
+        res = run_cli(["rate", "--config", cfg, "--quiet"], tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert "Warning" not in res.stderr
+        rows = list(csv.reader(io.StringIO(res.stdout)))[1:]
+        assert [row[2] for row in rows] == ["inf", "inf"]
+
     def test_unrepresentable_envelope_fails_cleanly(self, tmp_path):
         # exp(exp(t)) growth: psi passes 1e150 before phi reaches 512 t,
         # and the integrand r*r would overflow soon after
@@ -331,6 +368,18 @@ class TestSimulate:
         res = run_cli(["simulate", "--config", cfg], tmp_path)
         assert res.returncode == 0, res.stderr
         assert res.stdout == plain.stdout
+
+    def test_unrepresentable_step_count_exits_2(self, tmp_path):
+        # t and dt are finite, but t/dt is not
+        cfg = write_config(tmp_path, (
+            "[model]\nwarp = hyperbolic\nn = 2\nk = 1\n[simulation]\n"
+            "x0 = 1\nt = 1e300\ndt = 1e-10\nn_paths = 4\nmaster_seed = 7\n"
+            "drift = manifold\nfloor = 0.05\noutput = summary\n"))
+        res = run_cli(["simulate", "--config", cfg], tmp_path)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("DomainError: ")
+        assert res.stderr.count("\n") == 1
 
     def test_seed_flag_changes_output(self, tmp_path):
         cfg = write_config(tmp_path, self.SIM)

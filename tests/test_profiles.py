@@ -139,6 +139,23 @@ class TestRhoTilde:
         lv = log_rho_tilde_inverse(c, 50.0)
         assert math.isfinite(lv) and lv > 100.0
 
+    @pytest.mark.parametrize("coeff,radii", [
+        (RadialCoefficient.constant(), [0.0, 1e-9, 0.5, 3.0, 1e6]),
+        (RadialCoefficient.power(1.0), [0.0, 1e-9, 0.5, 3.0, 1e6]),
+        (RadialCoefficient.power(3.0), [0.0, 1e-9, 0.5, 1.9]),
+        # beta = 1 at r = 50: log s = 675; at r = 100, s is beyond float range
+        (RadialCoefficient.squared_log(1.0), [0.0, 1e-9, 0.5, 50.0, 100.0]),
+        (RadialCoefficient.tabulated([0.0, 1.0, 4.0, 16.0], [1.0, 2.0, 3.0, 5.0]),
+         [0.0, 1e-9, 0.5, 3.0, 6.0]),
+    ], ids=["constant", "power1", "power3", "squared_log1", "tabulated"])
+    def test_log_inverse_array_matches_scalars(self, coeff, radii):
+        out = log_rho_tilde_inverse(coeff, np.array(radii))
+        each = [log_rho_tilde_inverse(coeff, r) for r in radii]
+        assert all(type(v) is float for v in each)
+        assert out.tolist() == each
+        assert out[0] == -math.inf
+        assert np.all(np.isfinite(out[1:])) and np.all(np.diff(out) > 0)
+
     def test_monotone(self):
         c = RadialCoefficient.squared_log(0.25)
         svals = np.linspace(0.0, 20.0, 25)

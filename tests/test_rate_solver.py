@@ -64,8 +64,34 @@ class TestPhi:
         p = GrowthProfile(log_volume=lambda r: -10.0,
                           energy_bound=lambda r: 1.0,
                           r_min=1.0, r_max=math.inf, label="bad")
-        with pytest.raises(NonPositiveDenominator):
+        with pytest.raises(NonPositiveDenominator) as exc:
             phi(p, 10.0, 2.0)
+        # the first offending radius: the lowest node of the first rule
+        lo, hi = math.log(2.0), math.log(10.0)
+        first = math.exp(0.5 * (lo + hi) - 0.5 * (hi - lo) * 0.9956571630258081)
+        assert exc.value.radius == pytest.approx(first, rel=1e-14)
+
+    def test_integrand_takes_node_arrays(self, monkeypatch):
+        # V and lambda see each rule's 21 nodes at once, once per rule
+        from escrate import _numerics
+
+        coeff = RadialCoefficient.tabulated(_TAB_RADII, 1.0 + np.sqrt(_TAB_RADII))
+        base = profile_from_radial(coeff, 3, "coefficient_energy")
+        expected = phi(base, 1e6, 2.0)
+        shapes = {"V": [], "lam": []}
+
+        def seen(name, f):
+            return lambda r: shapes[name].append(np.shape(r)) or f(r)
+
+        prof = GrowthProfile(seen("V", base.V), seen("lam", base.lam),
+                             r_max=base.r_max, knots=base.knots)
+        rules = []
+        rule = _numerics._rule
+        monkeypatch.setattr(_numerics, "_rule",
+                            lambda *a: rules.append(1) or rule(*a))
+        assert phi(prof, 1e6, 2.0) == expected
+        assert len(rules) > 1
+        assert shapes["V"] == shapes["lam"] == [(21,)] * len(rules)
 
     def test_wide_domain(self):
         # stays accurate across ten decades of radius
@@ -151,6 +177,13 @@ class TestRateTable:
         slope = np.polyfit(lt, np.log(er.values), 1)[0]
         ref = np.polyfit(lt, np.log(rate.times * np.log(rate.times)), 1)[0]
         assert abs(slope / ref - 1.0) <= 0.05
+
+    def test_euclidean_conversion_beyond_float_range(self):
+        # two inf rows: the table's monotonicity check must not form inf - inf
+        coeff = RadialCoefficient.squared_log(0.5)
+        prof = profile_from_radial(coeff, 3, "unit_energy")
+        er = euclidean_rate(rate_table(prof, [100.0, 200.0]), coeff)
+        assert er.values.tolist() == [math.inf, math.inf]
 
     def test_rejects_unsorted_grid(self):
         with pytest.raises(DomainError):

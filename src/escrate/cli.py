@@ -17,6 +17,7 @@ import argparse
 import configparser
 import math
 import sys
+from functools import partial
 from typing import TYPE_CHECKING
 
 from .basics import CATALOGUE, family_verdict, worker_threads
@@ -48,119 +49,160 @@ _SOLVER_ERRORS = (FiniteTotalIntegral, QuadratureFailure, NonPositiveDenominator
                   OutOfRange, NonPositiveCoefficient, ExtrapolationError)
 _SIM_ERRORS = (NonFiniteState, SingularOrigin)
 
-_ALLOWED_KEYS = {
-    "model": {"family", "alpha", "beta", "n", "mode", "warp", "k",
-              "radii", "values"},
-    "solver": {"r_lo", "scale_c", "t_grid"},
-    "simulation": {"x0", "t", "dt", "n_paths", "master_seed", "floor",
-                   "barrier", "drift", "sigma", "output", "store_every"},
-    "verify": {"c_grid", "eps_grid", "t0", "delta", "r", "t", "n_paths",
-               "dt", "c", "n_levels", "envelope", "max_fraction"},
-}
-
-
 # ---------------------------------------------------------------------------
 # Config parsing
 # ---------------------------------------------------------------------------
 
+def _number(raw, where, finite=True):
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ConfigError(f"{where} is not a number: {raw!r}") from None
+    if finite and not math.isfinite(value):
+        raise ConfigError(f"{where} must be finite, got {raw!r}")
+    return value
+
+
+def _int(raw, where):
+    value = _number(raw, where)
+    if value != int(value):
+        raise ConfigError(f"{where} must be an integer")
+    return int(value)
+
+
+def _seed(raw, where):
+    """An integer in [0, 2^64), the range of a Philox key."""
+    seed = raw if isinstance(raw, int) else _int(raw, where)
+    if not 0 <= seed < 2 ** 64:
+        raise ConfigError(f"{where} must be in [0, 2^64), got {raw!r}")
+    return seed
+
+
+def _barrier(raw, where):
+    """A finite number, or inf: no crossing is ever recorded."""
+    return math.inf if _real(raw, where) == math.inf else _number(raw, where)
+
+
+def _word(raw, where):
+    return raw.strip().lower()
+
+
+def _numbers(raw, where, finite=True):
+    import numpy as np
+
+    raw = raw.strip()
+    try:
+        values = np.array([float(tok) for tok in raw.split(",")] if raw else [])
+    except ValueError:
+        raise ConfigError(f"cannot parse number list: {raw!r}") from None
+    if finite and not np.all(np.isfinite(values)):
+        raise ConfigError(f"{where} must be finite, got {raw!r}")
+    return values
+
+
+def _t_grid(raw, where):
+    """A comma list, or 'geom:<lo>:<hi>:<count>', or empty."""
+    raw = raw.strip()
+    if not raw.startswith("geom:"):
+        return _numbers(raw, where)
+    import numpy as np
+
+    parts = raw.split(":")
+    if len(parts) != 4:
+        raise ConfigError("t_grid geometric spec is geom:<lo>:<hi>:<count>")
+    try:
+        lo, hi, count = float(parts[1]), float(parts[2]), int(parts[3])
+    except ValueError:
+        raise ConfigError(f"bad t_grid spec: {raw!r}") from None
+    if not 0 < lo < hi < math.inf or count < 2:
+        raise ConfigError("t_grid geometric spec needs finite 0 < lo < hi, count >= 2")
+    return np.geomspace(lo, hi, count)
+
+
+# section -> key -> (parser, default). A parser takes the raw text (or the
+# default) and the key's name for messages. A default of ... makes the key
+# required wherever it is read, None leaves it unset, and a dict holds one
+# default per use. sigma and a table's entries may be non-finite: Sde1D and
+# the table's own check name them. README's config-key table lists every key.
+_real, _any_numbers = partial(_number, finite=False), partial(_numbers, finite=False)
+_SCHEMA = {
+    "model": {"family": (_word, ...), "alpha": (_number, ...),
+              "beta": (_number, ...), "n": (_int, {"profile": 1, "drift": 2}),
+              "mode": (_word, "unit_energy"), "warp": (_word, "euclidean"),
+              "k": (_number, 1.0), "radii": (_any_numbers, ""),
+              "values": (_any_numbers, "")},
+    "solver": {"r_lo": (_number, None), "t_grid": (_t_grid, ""),
+               "scale_c": (_number, {"rate": 512.0, "envelope": 1.0})},
+    "simulation": {"x0": (_number, ...), "t": (_number, ...),
+                   "dt": (_number, ...), "n_paths": (_int, ...),
+                   "master_seed": (_seed, ...), "floor": (_number, 1e-6),
+                   "barrier": (_barrier, None), "drift": (_word, "manifold"),
+                   "sigma": (_real, None), "output": (_word, "paths"),
+                   "store_every": (_int, 1)},
+    "verify": {"c_grid": (_numbers, "1"),
+               "eps_grid": (_numbers, "0,0.25,0.5,1.0"),
+               "t0": (_number, ...), "delta": (_number, ...),
+               "r": (_number, ...), "t": (_number, ...),
+               "n_paths": (_int, ...), "dt": (_number, ...),
+               "c": (_number, 4.0), "n_levels": (_int, 30),
+               "envelope": (_word, "table"), "max_fraction": (_number, 0.5)},
+}
+
+
 def load_config(path: str) -> configparser.ConfigParser:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise ConfigError(f"config file not found: {path}")
     for section in parser.sections():
-        if section not in _ALLOWED_KEYS:
+        if section not in _SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
-        extra = set(parser[section]) - _ALLOWED_KEYS[section]
+        extra = set(parser[section]) - set(_SCHEMA[section])
         if extra:
             raise ConfigError(
                 f"unknown key(s) in [{section}]: {', '.join(sorted(extra))}")
     return parser
 
 
-def _need(cfg, section: str):
+def _get(cfg, section: str, key: str, use: str = None):
+    """``key`` of ``[section]``, parsed; an absent key or section takes the
+    default (the one for ``use`` where it differs by use)."""
+    parse, default = _SCHEMA[section][key]
+    default = default[use] if isinstance(default, dict) else default
+    raw = cfg.get(section, key, fallback=default)
+    if raw is ...:
+        raise ConfigError(f"missing key '{key}' in [{section}]")
+    return None if raw is None else parse(raw, f"key '{key}' in [{section}]")
+
+
+def _need(cfg, section: str) -> None:
     if not cfg.has_section(section):
         raise ConfigError(f"missing required config section [{section}]")
-    return cfg[section]
 
 
-def _getfloat(sec, key, default=None):
-    raw = sec.get(key)
-    if raw is None:
-        if default is None:
-            raise ConfigError(f"missing key '{key}' in [{sec.name}]")
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigError(f"key '{key}' in [{sec.name}] is not a number: {raw!r}")
-    if not math.isfinite(value):
-        raise ConfigError(f"key '{key}' in [{sec.name}] must be finite, got {raw!r}")
-    return value
+def _master_seed(cfg, seed_override):
+    """``--seed`` if given, else [simulation] master_seed."""
+    return (_get(cfg, "simulation", "master_seed") if seed_override is None
+            else _seed(seed_override, "--seed"))
 
 
-def _getint(sec, key, default=None):
-    v = _getfloat(sec, key, default)
-    if v != int(v):
-        raise ConfigError(f"key '{key}' in [{sec.name}] must be an integer")
-    return int(v)
-
-
-def _float_list(sec, key, default="", finite=True):
-    """The comma list of numbers in ``key``; non-finite entries are a
-    ConfigError unless ``finite`` is False."""
-    import numpy as np
-
-    raw = sec.get(key, default).strip()
-    try:
-        values = np.array([float(tok) for tok in raw.split(",")] if raw else [])
-    except ValueError:
-        raise ConfigError(f"cannot parse number list: {raw!r}")
-    if finite and not np.all(np.isfinite(values)):
-        raise ConfigError(f"key '{key}' in [{sec.name}] must be finite, got {raw!r}")
-    return values
-
-
-def _parse_t_grid(sec):
-    """t_grid is a comma list, or 'geom:<lo>:<hi>:<count>', or empty."""
-    import numpy as np
-
-    raw = sec.get("t_grid", "").strip()
-    if raw.startswith("geom:"):
-        parts = raw.split(":")
-        if len(parts) != 4:
-            raise ConfigError("t_grid geometric spec is geom:<lo>:<hi>:<count>")
-        try:
-            lo, hi, count = float(parts[1]), float(parts[2]), int(parts[3])
-        except ValueError:
-            raise ConfigError(f"bad t_grid spec: {raw!r}")
-        if not 0 < lo < hi < math.inf or count < 2:
-            raise ConfigError(
-                "t_grid geometric spec needs finite 0 < lo < hi, count >= 2")
-        return np.geomspace(lo, hi, count)
-    return _float_list(sec, "t_grid")
-
-
-def _family(model):
+def _family(cfg):
     """The coefficient family named in [model] and its parameter: alpha for
     power, beta for squared_log, None for constant and tabulated."""
-    family = model.get("family")
-    if family is None:
-        raise ConfigError("missing key 'family' in [model]")
-    family = family.strip().lower()
+    _need(cfg, "model")
+    family = _get(cfg, "model", "family")
     if family in ("constant", "tabulated"):
         return family, None
     if family == "power":
-        return family, _getfloat(model, "alpha")
+        return family, _get(cfg, "model", "alpha")
     if family == "squared_log":
-        return family, _getfloat(model, "beta")
+        return family, _get(cfg, "model", "beta")
     raise ConfigError(f"unknown coefficient family {family!r}")
 
 
-def build_coefficient(model) -> RadialCoefficient:
+def build_coefficient(cfg) -> RadialCoefficient:
     from .profiles import RadialCoefficient
 
-    family, param = _family(model)
+    family, param = _family(cfg)
     try:
         if family == "constant":
             return RadialCoefficient.constant()
@@ -168,10 +210,8 @@ def build_coefficient(model) -> RadialCoefficient:
             return RadialCoefficient.power(param)
         if family == "squared_log":
             return RadialCoefficient.squared_log(param)
-        # the table's own check names a non-finite entry
-        radii = _float_list(model, "radii", finite=False)
-        values = _float_list(model, "values", finite=False)
-        return RadialCoefficient.tabulated(radii, values)
+        return RadialCoefficient.tabulated(_get(cfg, "model", "radii"),
+                                           _get(cfg, "model", "values"))
     except DomainError as exc:
         raise ConfigError(str(exc))
 
@@ -179,10 +219,8 @@ def build_coefficient(model) -> RadialCoefficient:
 def build_profile(cfg):
     from .profiles import profile_from_radial
 
-    model = _need(cfg, "model")
-    coeff = build_coefficient(model)
-    n = _getint(model, "n", 1)
-    mode = model.get("mode", "unit_energy").strip()
+    coeff = build_coefficient(cfg)
+    n, mode = _get(cfg, "model", "n", "profile"), _get(cfg, "model", "mode")
     try:
         return coeff, profile_from_radial(coeff, n, mode)
     except DomainError as exc:
@@ -196,65 +234,40 @@ def build_drift(cfg, floor: float):
     from .profiles import ManifoldModel
     from .sde import HyperbolicBound, radial_drift
 
-    model = cfg["model"] if cfg.has_section("model") else {}
-    kind = _need(cfg, "simulation").get("drift", "manifold").strip().lower()
+    model = partial(_get, cfg, "model")
+    kind, n = _get(cfg, "simulation", "drift"), model("n", "drift")
     if kind == "manifold":
-        warp = (model.get("warp") or "euclidean").strip().lower()
-        n = _getint(cfg["model"], "n", 2) if cfg.has_section("model") else 2
+        warp = model("warp")
         if warp == "euclidean":
             return radial_drift(ManifoldModel.euclidean(n), floor=floor)
         if warp == "hyperbolic":
-            K = _getfloat(cfg["model"], "k", 1.0)
-            return radial_drift(ManifoldModel.hyperbolic(n, K), floor=floor)
+            return radial_drift(ManifoldModel.hyperbolic(n, model("k")), floor=floor)
         raise ConfigError(f"unknown warp {warp!r}")
     if kind == "hyperbolic_bound":
-        n = _getint(cfg["model"], "n", 2)
-        K = _getfloat(cfg["model"], "k", 1.0)
-        return radial_drift(HyperbolicBound(n, K), floor=floor)
+        return radial_drift(HyperbolicBound(n, model("k")), floor=floor)
     if kind == "coefficient":
-        coeff = build_coefficient(_need(cfg, "model"))
-        n = _getint(cfg["model"], "n", 2)
-        return radial_drift((coeff, n), floor=floor)
+        return radial_drift((build_coefficient(cfg), n), floor=floor)
     raise ConfigError(f"unknown drift kind {kind!r}")
 
 
 def build_sde(cfg) -> Sde1D:
     from .sde import Sde1D
 
-    sim = _need(cfg, "simulation")
-    floor = _getfloat(sim, "floor", 1e-6)
-    driftless = sim.get("drift", "").strip().lower() == "none"
-    drift = None if driftless else build_drift(cfg, floor)
-    sigma_raw = sim.get("sigma")
-    if sigma_raw is None:
-        return Sde1D(drift=drift, floor=floor)
-    try:
-        sigma = float(sigma_raw)
-    except ValueError:
-        raise ConfigError(f"sigma must be a number, got {sigma_raw!r}")
-    return Sde1D(drift=drift, sigma=sigma, floor=floor)
+    _need(cfg, "simulation")
+    sim = partial(_get, cfg, "simulation")
+    floor = sim("floor")
+    drift = None if sim("drift") == "none" else build_drift(cfg, floor)
+    sigma = sim("sigma")  # unset: Sde1D's default
+    return Sde1D(drift=drift, floor=floor,
+                 **({} if sigma is None else {"sigma": sigma}))
 
 
 def _simulation_args(cfg, seed_override=None) -> dict:
     """Keyword arguments of sde.ensemble from the [simulation] section."""
-    sim = _need(cfg, "simulation")
-    sde = build_sde(cfg)
-    seed = seed_override if seed_override is not None else _getint(sim, "master_seed")
-    barrier_raw = sim.get("barrier")
-    barrier = None
-    if barrier_raw is not None:
-        barrier = math.inf if barrier_raw.strip().lower() in ("inf", "+inf") \
-            else float(barrier_raw)
-    store_every = _getint(sim, "store_every", 1)
-    return dict(sde=sde, x0=_getfloat(sim, "x0"), T=_getfloat(sim, "t"),
-                dt=_getfloat(sim, "dt"), n_paths=_getint(sim, "n_paths"),
-                master_seed=seed, barrier=barrier, store_every=store_every)
-
-
-def run_ensemble(cfg, seed_override=None):
-    from .sde import ensemble
-
-    return ensemble(**_simulation_args(cfg, seed_override))
+    get = partial(_get, cfg, "simulation")
+    return dict(sde=build_sde(cfg), master_seed=_master_seed(cfg, seed_override),
+                barrier=get("barrier"), store_every=get("store_every"),
+                x0=get("x0"), T=get("t"), dt=get("dt"), n_paths=get("n_paths"))
 
 
 # ---------------------------------------------------------------------------
@@ -298,18 +311,13 @@ def cmd_rate(cfg, out: _Out, quiet: bool) -> int:
     from . import rate_solver
 
     coeff, profile = build_profile(cfg)
-    solver = cfg["solver"] if cfg.has_section("solver") else None
-    if solver is None:
-        raise ConfigError("rate needs a [solver] section")
-    t_grid = _parse_t_grid(solver)
-    scale_c = _getfloat(solver, "scale_c", rate_solver.PROOF_SCALE_C)
-    r_lo = _getfloat(solver, "r_lo") if "r_lo" in solver else None
+    _need(cfg, "solver")
+    solver = partial(_get, cfg, "solver")
+    t_grid, scale_c, r_lo = solver("t_grid"), solver("scale_c", "rate"), solver("r_lo")
     out.row("t", "psi", "psi_tilde")
     if t_grid.size == 0:
         return EXIT_OK
-    rate = rate_solver.rate_table(
-        profile, t_grid, scale_c=scale_c,
-        r_lo=r_lo)
+    rate = rate_solver.rate_table(profile, t_grid, scale_c=scale_c, r_lo=r_lo)
     psi_tilde = [None] * rate.times.size
     if profile.label.endswith("unit-energy"):
         psi_tilde = rate_solver.euclidean_rate(rate, coeff).values.tolist()
@@ -321,13 +329,12 @@ def cmd_rate(cfg, out: _Out, quiet: bool) -> int:
 
 
 def cmd_conserve(cfg, out: _Out) -> int:
-    model = _need(cfg, "model")
-    family, param = _family(model)
+    family, param = _family(cfg)
     kind, leaning = family_verdict(family, param), None
     if kind is None:  # tabulated: the numeric heuristic
         from .rate_solver import conservativeness
 
-        verdict = conservativeness(build_coefficient(model))
+        verdict = conservativeness(build_coefficient(cfg))
         kind, leaning = verdict.kind, verdict.leaning
     params = ""
     if param is not None:
@@ -342,8 +349,7 @@ def cmd_conserve(cfg, out: _Out) -> int:
 def cmd_simulate(cfg, out: _Out, seed_override) -> int:
     from .sde import _stored_steps, ensemble
 
-    sim = _need(cfg, "simulation")
-    output = sim.get("output", "paths").strip().lower()
+    output = _get(cfg, "simulation", "output")
     if output not in ("summary", "paths"):
         raise ConfigError(f"unknown output mode {output!r}")
     args = _simulation_args(cfg, seed_override)
@@ -382,26 +388,24 @@ def cmd_verify(cfg, mode: str, out: _Out, seed_override) -> int:
     from .profiles import ManifoldModel
     from .sde import HyperbolicBound, Sde1D, radial_drift
 
-    ver = _need(cfg, "verify")
+    _need(cfg, "verify")
+    ver = partial(_get, cfg, "verify")
 
     if mode == "envelope":
-        C_grid = _float_list(ver, "c_grid", "1")
-        t0 = _getfloat(ver, "t0")
-        threshold = _getfloat(ver, "max_fraction", 0.5)
-        sentinel = ver.get("envelope", "table").strip().lower()
+        C_grid, t0, threshold = ver("c_grid"), ver("t0"), ver("max_fraction")
+        sentinel = ver("envelope")
         if sentinel == "zero":
             rate = lambda t: 0.0
         elif sentinel in ("inf", "infinity"):
             rate = lambda t: math.inf
         else:
             _, profile = build_profile(cfg)
-            solver = _need(cfg, "solver")
-            t_grid = _parse_t_grid(solver)
+            _need(cfg, "solver")
+            t_grid = _get(cfg, "solver", "t_grid")
             if t_grid.size == 0:
                 raise ConfigError("envelope mode needs a nonempty t_grid")
             rate = rate_solver.rate_table(
-                profile, t_grid,
-                scale_c=_getfloat(solver, "scale_c", 1.0))
+                profile, t_grid, scale_c=_get(cfg, "solver", "scale_c", "envelope"))
         args = _simulation_args(cfg, seed_override)
         del args["barrier"]  # the streamed run records no exit times
         report = verify_mod.exceedance_mc(rate=rate, C_grid=C_grid, t0=t0,
@@ -415,21 +419,18 @@ def cmd_verify(cfg, mode: str, out: _Out, seed_override) -> int:
                              f"threshold={_fmt(threshold)}", out)
 
     if mode == "compare":
-        sim = _need(cfg, "simulation")
-        model = _need(cfg, "model")
-        n = _getint(model, "n", 2)
-        K = _getfloat(model, "k", 1.0)
-        floor = _getfloat(sim, "floor", 1e-6)
+        _need(cfg, "simulation")
+        _need(cfg, "model")
+        n, K = _get(cfg, "model", "n", "drift"), _get(cfg, "model", "k")
+        floor = _get(cfg, "simulation", "floor")
         dominated = Sde1D(drift=radial_drift(ManifoldModel.hyperbolic(n, K),
                                              floor=floor), floor=floor)
         dominating = Sde1D(drift=radial_drift(HyperbolicBound(n, K),
                                               floor=floor), floor=floor)
-        seed = seed_override if seed_override is not None \
-            else _getint(sim, "master_seed")
+        seed = _master_seed(cfg, seed_override)
         report = verify_mod.comparison_mc(
-            dominating, dominated, _getfloat(sim, "x0"), _getfloat(ver, "t"),
-            _getfloat(ver, "delta"), _getfloat(ver, "r"),
-            _getint(ver, "n_paths"), _getfloat(ver, "dt"), seed)
+            dominating, dominated, _get(cfg, "simulation", "x0"), ver("t"),
+            ver("delta"), ver("r"), ver("n_paths"), ver("dt"), seed)
         out.row("side", "estimate", "stderr")
         out.row("lhs", report.lhs_estimate, report.lhs_stderr)
         out.row("rhs", report.rhs_estimate, report.rhs_stderr)
@@ -439,8 +440,7 @@ def cmd_verify(cfg, mode: str, out: _Out, seed_override) -> int:
             f"{_fmt(report.coupled_dominance_fraction)}", out)
 
     if mode == "lil":
-        eps_grid = _float_list(ver, "eps_grid", "0,0.25,0.5,1.0")
-        t0 = _getfloat(ver, "t0")
+        eps_grid, t0 = ver("eps_grid"), ver("t0")
         args = _simulation_args(cfg, seed_override)
         del args["barrier"]  # the streamed run records no exit times
         fractions = verify_mod.lil_mc(t0=t0, eps_grid=eps_grid, **args)
@@ -453,8 +453,7 @@ def cmd_verify(cfg, mode: str, out: _Out, seed_override) -> int:
 
     if mode == "dyadic":
         _, profile = build_profile(cfg)
-        c = _getfloat(ver, "c", 4.0)
-        N = _getint(ver, "n_levels", 30)
+        c, N = ver("c"), ver("n_levels")
         scheme = rate_solver.dyadic_scheme(profile, c, N)
         out.row("n", "R", "r", "t", "T", "bound", "partial_sum", "slack")
         for i in range(N):

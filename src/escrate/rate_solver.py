@@ -365,11 +365,16 @@ def dyadic_scheme(profile: GrowthProfile, c: float, N: int) -> DyadicScheme:
     t_n = r_n^2 / (32 lambda(R_n) (V(R_n) + log log R_n)), cumulative
     T_n, the Borel-Cantelli summand, and the slack of the
     T_n >= phi(2^{n+1} c)/256 lower bound. The ball measure mu_b1 is
-    exp(V(2c)).
+    exp(V(2c)). A top radius 2^(N+1) c beyond 1e150 is a DomainError,
+    raised before any level is computed.
     """
     if N < 1:
         raise DomainError("N must be >= 1")
     c = float(c)
+    # the slack needs phi up to 2^(N+1) c; r_n * r_n overflows soon after
+    if c > 0 and N + 1 + math.log2(c) > math.log2(_REPRESENTABLE):
+        raise DomainError(f"dyadic radius 2^{N + 1} * {c:.6g} is not "
+                          f"representable (above {_REPRESENTABLE:.6g})")
     mu_b1 = math.exp(float(profile.V(2.0 * c)))
     if mu_b1 <= 0:
         raise DomainError("mu_b1 must be positive")

@@ -116,7 +116,7 @@ def test_quadrature_against_trapezoid():
         r = np.linspace(r_lo, R, 1_000_001)
         lam = np.array([profile.lam(v) for v in (r_lo, R)])  # lambda == 1 here
         assert np.allclose(lam, 1.0)
-        den = np.array([profile.V(v) for v in r]) + np.log(np.log(r))
+        den = profile.V(r) + np.log(np.log(r))
         oracle = np.trapezoid(r / den, r)
         got = rs.phi(profile, R, r_lo)
         assert abs(got / oracle - 1.0) <= 1e-6, f"{kind} {kw}"

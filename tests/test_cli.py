@@ -5,10 +5,12 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,9 +103,15 @@ class TestConfigValidation:
                        "master_seed = 1\ndrift = none\nsigma = 1\n"
                        "[verify]\nt0 = 1\neps_grid = 0,nan,1\n",
          "key 'eps_grid' in [verify] must be finite, got '0,nan,1'"),
+        ("simulate", SIM.format(t=1, dt=0.01) + "barrier = abc\n",
+         "key 'barrier' in [simulation] is not a number: 'abc'"),
+        ("simulate", SIM.format(t=1, dt=0.01) + "barrier = nan\n",
+         "key 'barrier' in [simulation] must be finite, got 'nan'"),
+        ("simulate", SIM.format(t=1, dt=0.01) + "barrier = -inf\n",
+         "key 'barrier' in [simulation] must be finite, got '-inf'"),
     ], ids=["n_inf", "n_nan", "t_nan", "t_inf", "dt_nan", "alpha_nan",
             "r_lo_nan", "r_lo_text", "t_grid", "t_grid_geom", "c_grid",
-            "eps_grid"])
+            "eps_grid", "barrier_text", "barrier_nan", "barrier_minus_inf"])
     def test_nonfinite_number_exits_2(self, tmp_path, command, body, message):
         cfg = write_config(tmp_path, body)
         res = run_cli(command.split() + ["--config", cfg], tmp_path)
@@ -137,6 +145,83 @@ class TestConfigValidation:
         assert res.returncode == 2
         assert res.stdout == ""
         assert res.stderr == f"ConfigError: {message}\n"
+
+    @pytest.mark.parametrize("source,seed,message", [
+        ("config", "-1",
+         "key 'master_seed' in [simulation] must be in [0, 2^64), got '-1'"),
+        ("config", "1e30",
+         "key 'master_seed' in [simulation] must be in [0, 2^64), got '1e30'"),
+        ("flag", "-1", "--seed must be in [0, 2^64), got -1"),
+        ("flag", "18446744073709551616",
+         "--seed must be in [0, 2^64), got 18446744073709551616"),
+    ], ids=["config_negative", "config_1e30", "flag_negative", "flag_2_64"])
+    @pytest.mark.parametrize("command", ["simulate", "verify compare"])
+    def test_seed_out_of_range_exits_2(self, tmp_path, monkeypatch, capsys,
+                                       command, source, seed, message):
+        # a Philox key is a uint64: checked before any chain steps
+        from escrate import cli, sde, verify as verify_mod
+
+        def run(*args, **kwargs):
+            raise AssertionError("a chain stepped")
+
+        monkeypatch.setattr(sde, "_shared_noise_run", run)
+        monkeypatch.setattr(verify_mod, "comparison_mc", run)
+        cfg = write_config(tmp_path, (
+            "[model]\nwarp = hyperbolic\nn = 2\nk = 1\n[simulation]\nx0 = 1\n"
+            "t = 0.5\ndt = 0.01\nn_paths = 4\nfloor = 0.05\noutput = summary\n"
+            f"master_seed = {seed if source == 'config' else 7}\n"
+            "[verify]\nt = 0.5\ndelta = 0.8\nr = 10\nn_paths = 4\ndt = 0.001\n"))
+        flag = ["--seed", seed] if source == "flag" else []
+        assert cli.main(command.split() + ["--config", cfg] + flag) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"ConfigError: {message}\n"
+
+
+class TestConfigSchema:
+    """Every key's parser and default sit in one table, cli._SCHEMA."""
+
+    @staticmethod
+    def _stated(cell):
+        # a README default cell: required, not set, empty, `x`, or
+        # `x` (use), `y` (use) for a default per use
+        words = {"required": ..., "not set": None, "empty": ""}
+        if cell in words:
+            return words[cell]
+        uses = re.findall(r"`([^`]*)` \((\w+)\)", cell)
+        return {use: text for text, use in uses} if uses else cell.strip("`")
+
+    @classmethod
+    def _matches(cls, default, stated):
+        if isinstance(default, dict):
+            return (isinstance(stated, dict) and stated.keys() == default.keys()
+                    and all(cls._matches(default[u], stated[u]) for u in default))
+        if isinstance(default, (int, float)):
+            return isinstance(stated, str) and float(stated) == default
+        return stated == default
+
+    def test_readme_lists_every_key_with_its_default(self):
+        from escrate import cli
+
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = re.findall(r"^\| `\[(\w+)\]` \| `(\w+)` \| [^|]+ \| ([^|]+) \|",
+                          readme, re.M)
+        stated = {(section, key): self._stated(cell.strip())
+                  for section, key, cell in rows}
+        assert len(stated) == len(rows)
+        schema = {(section, key): default
+                  for section, keys in cli._SCHEMA.items()
+                  for key, (_, default) in keys.items()}
+        assert stated.keys() == schema.keys()
+        for where, default in schema.items():
+            assert self._matches(default, stated[where]), (where, stated[where])
+
+    def test_defaults_match_the_library(self):
+        from escrate import cli, profiles, rate_solver
+
+        _, scale_c = cli._SCHEMA["solver"]["scale_c"]
+        assert scale_c["rate"] == rate_solver.PROOF_SCALE_C
+        assert cli._SCHEMA["simulation"]["floor"][1] == profiles.DEFAULT_ORIGIN_FLOOR
 
 
 _TAB_RADII = [0.0] + [2.0 ** k for k in range(31)]
@@ -381,6 +466,18 @@ class TestSimulate:
         assert res.stderr.startswith("DomainError: ")
         assert res.stderr.count("\n") == 1
 
+    def test_hyperbolic_bound_without_model_section(self, tmp_path):
+        # n and k take the drift defaults, 2 and 1, as drift = manifold does
+        body = self.SIM.split("[simulation]")[1].replace("manifold",
+                                                         "hyperbolic_bound")
+        res = run_cli(["simulate", "--config",
+                       write_config(tmp_path, "[simulation]" + body)], tmp_path)
+        ref = run_cli(["simulate", "--config", write_config(
+            tmp_path, "[model]\nn = 2\nk = 1\n[simulation]" + body, "ref.ini")],
+            tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == ref.stdout and res.stdout.startswith("path,")
+
     def test_seed_flag_changes_output(self, tmp_path):
         cfg = write_config(tmp_path, self.SIM)
         a = run_cli(["simulate", "--config", cfg], tmp_path)
@@ -413,7 +510,7 @@ class TestSimulate:
         assert abs(mean / 20.0 - 1.0) <= 0.25
 
     def test_paths_output_matches_row_by_row_reference(self, tmp_path):
-        from escrate import cli
+        from escrate import cli, sde
 
         cfg = write_config(tmp_path, (
             "[model]\nwarp = hyperbolic\nn = 2\nk = 1\n"
@@ -424,7 +521,7 @@ class TestSimulate:
         res = run_cli(["simulate", "--config", cfg, "--out", str(dest)],
                       tmp_path)
         assert res.returncode == 0, res.stderr
-        ens = cli.run_ensemble(cli.load_config(cfg))
+        ens = sde.ensemble(**cli._simulation_args(cli.load_config(cfg)))
         steps = np.rint(ens.times / ens.dt).astype(int).tolist()
         assert steps[:3] == [0, 3, 6]
         rows = ["path,step,t,x"] + [
@@ -458,7 +555,7 @@ class TestSimulate:
     @pytest.mark.parametrize("store_every", [7, 5000])
     def test_summary_matches_stored_ensemble(self, tmp_path, store_every):
         # exit times come from every step, whatever the configured store_every
-        from escrate import cli
+        from escrate import cli, sde
 
         cfg = write_config(tmp_path, (
             "[model]\nwarp = hyperbolic\nn = 2\nk = 1\n"
@@ -467,7 +564,7 @@ class TestSimulate:
             f"store_every = {store_every}\noutput = summary\n"))
         dest = tmp_path / "summary.csv"
         assert cli.main(["simulate", "--config", cfg, "--out", str(dest)]) == 0
-        ens = cli.run_ensemble(cli.load_config(cfg))
+        ens = sde.ensemble(**cli._simulation_args(cli.load_config(cfg)))
         exits = np.isfinite(ens.first_exit)
         assert 0 < exits.sum() < ens.n_paths
         rows = ["path,final,exitTime"] + [
@@ -556,6 +653,18 @@ class TestVerify:
         assert res.returncode == 0
         assert "sum_bound=" in res.stdout
         assert "PASS" in res.stdout
+
+    def test_dyadic_beyond_float_range_exits_2(self, tmp_path):
+        # level radii up to 2^601 * 4 pass 1e150: refused before any level
+        cfg = write_config(tmp_path, (
+            "[model]\nfamily = constant\nn = 1\nmode = unit_energy\n"
+            "[verify]\nc = 4\nn_levels = 600\n"))
+        res = run_cli(["verify", "dyadic", "--config", cfg], tmp_path)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("DomainError: ")
+        assert res.stderr.count("\n") == 1
+        assert "Warning" not in res.stderr
 
     def test_compare_independent_of_thread_count(self, tmp_path):
         # 600 paths: three 256-path noise chunks, the last one padded

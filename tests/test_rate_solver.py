@@ -314,6 +314,15 @@ class TestDyadicScheme:
         with pytest.raises(DomainError):
             dyadic_scheme(euclid(2), c=3.0, N=0)
 
+    def test_rejects_radii_beyond_float_range(self):
+        # the slack needs phi at 2^(N+1) c: 2^497 * 4 passes 1e150, where
+        # the level terms r_n * r_n are close to overflowing; 2^496 * 4 not
+        profile = catalogue_profile(catalogue_case("diri1"))
+        for N in (496, 600):
+            with pytest.raises(DomainError, match="not representable"):
+                dyadic_scheme(profile, c=4.0, N=N)
+        assert np.isfinite(dyadic_scheme(profile, c=4.0, N=495).partial_sums[-1])
+
 
 class TestDriftEnvelope:
     def test_constant_majorant_is_linear(self):

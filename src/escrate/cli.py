@@ -64,7 +64,8 @@ def _number(raw, where, finite=True):
 
 
 def _int(raw, where):
-    value = _number(raw, where)
+    text = str(raw).strip()  # digits are read exactly, also beyond 2^53
+    value = int(text) if text.isdecimal() else _number(raw, where)
     if value != int(value):
         raise ConfigError(f"{where} must be an integer")
     return int(value)
@@ -72,7 +73,7 @@ def _int(raw, where):
 
 def _seed(raw, where):
     """An integer in [0, 2^64), the range of a Philox key."""
-    seed = raw if isinstance(raw, int) else _int(raw, where)
+    seed = _int(raw, where)
     if not 0 <= seed < 2 ** 64:
         raise ConfigError(f"{where} must be in [0, 2^64), got {raw!r}")
     return seed
@@ -94,7 +95,7 @@ def _numbers(raw, where, finite=True):
     try:
         values = np.array([float(tok) for tok in raw.split(",")] if raw else [])
     except ValueError:
-        raise ConfigError(f"cannot parse number list: {raw!r}") from None
+        raise ConfigError(f"{where} is not a number: {raw!r}") from None
     if finite and not np.all(np.isfinite(values)):
         raise ConfigError(f"{where} must be finite, got {raw!r}")
     return values
@@ -319,7 +320,7 @@ def cmd_rate(cfg, out: _Out, quiet: bool) -> int:
         return EXIT_OK
     rate = rate_solver.rate_table(profile, t_grid, scale_c=scale_c, r_lo=r_lo)
     psi_tilde = [None] * rate.times.size
-    if profile.label.endswith("unit-energy"):
+    if _get(cfg, "model", "mode") == "unit_energy":
         psi_tilde = rate_solver.euclidean_rate(rate, coeff).values.tolist()
     for t, psi_val, psi_t in zip(rate.times, rate.values, psi_tilde):
         out.row(float(t), float(psi_val), psi_t)

@@ -55,9 +55,9 @@ class ExtrapolationError(EscrateError):
 class NonFiniteState(EscrateError):
     """A simulation step produced a non-finite value.
 
-    Carries a step index in ``.step``: for a 1-D chain, the first step of
-    the noise block (up to 128 steps) in which the state went non-finite;
-    for the n-dimensional diffusion, the offending step itself.
+    Carries in ``.step`` the first step of the noise block (up to 128 steps)
+    in which the state went non-finite: every chain, 1-D or n-dimensional,
+    runs on the one stepping kernel, which checks its states once per block.
     """
 
     def __init__(self, step, message=None):

@@ -310,18 +310,17 @@ def log_rho_tilde_inverse(coeff: RadialCoefficient, r):
 
 @dataclass(frozen=True)
 class GrowthProfile:
-    """Log-volume V(r) and energy-density bound lambda(r) on [r_min, r_max).
+    """Log-volume V(r) and energy-density bound lambda(r) for radii below r_max.
 
     V and lambda take a float or an array of radii; lambda may return a
-    scalar that broadcasts against them. V is nondecreasing and lambda
-    strictly positive and nondecreasing on the valid domain. Radii are in
-    the metric the profile was built in, and so are ``knots``, the radii where V or lambda is only piecewise smooth (a
-    tabulated coefficient's knots), which quadratures break at.
+    scalar that broadcasts against them. On the valid domain 1 < r < r_max,
+    V is nondecreasing and lambda positive and nondecreasing. Radii are in
+    the profile's own metric, and so are ``knots``, where V or lambda is only
+    piecewise smooth (a tabulated coefficient's knots): quadratures break there.
     """
 
     log_volume: Callable
     energy_bound: Callable
-    r_min: float = 0.0
     r_max: float = math.inf
     label: str = ""
     knots: Optional[np.ndarray] = None
@@ -346,11 +345,11 @@ def profile_from_radial(coeff: RadialCoefficient, n: int, mode: str) -> GrowthPr
     if mode == "unit_energy":
         knots = _knot_table(coeff)[1] if coeff._knots is not None else None
         return GrowthProfile(lambda r: n * log_rho_tilde_inverse(coeff, r),
-                             lambda r: 1.0, r_min=0.0, r_max=coeff.rho_tilde_sup(),
+                             lambda r: 1.0, r_max=coeff.rho_tilde_sup(),
                              label=f"{coeff.family} n={n} unit-energy", knots=knots)
     if mode == "coefficient_energy":
         r_max = float(coeff._knots[-1]) if coeff._knots is not None else math.inf
-        return GrowthProfile(lambda r: n * np.log(r), coeff.a, r_min=0.0, r_max=r_max,
+        return GrowthProfile(lambda r: n * np.log(r), coeff.a, r_max=r_max,
                              label=f"{coeff.family} n={n} coefficient-energy",
                              knots=coeff._knots)
     raise DomainError(f"unknown profile mode {mode!r}")

@@ -5,14 +5,15 @@ envelope psi, converts intrinsic envelopes to Euclidean ones, classifies
 conservativeness, and builds the dyadic radius/time scheme with its
 per-level crossing-probability bounds.
 
-One helper, _invert_increasing, inverts phi (psi, rate_table) and the
-integral of 1/b_tilde (drift_envelope), a whole sorted grid in one pass.
+One generator, _doublings, walks the doubling shells [R, 2R] of phi for psi,
+rate_table, conservativeness and the dyadic slack, and of 1/b_tilde too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -43,8 +44,8 @@ PAPER_LOWER_LIMIT = 2.0
 # Denominator must exceed this before integration may start.
 DENOMINATOR_FLOOR = 1e-6
 
-# Largest radius an inversion doubles past: phi's integrand r*r overflows a
-# float beyond about 1.3e154.
+# Largest radius a doubling walk starts a shell from: phi's integrand r*r
+# overflows a float beyond about 1.3e154.
 _REPRESENTABLE = 1e150
 
 __all__ = [
@@ -68,13 +69,18 @@ __all__ = [
 # phi and its inverse
 # ---------------------------------------------------------------------------
 
-def _denominator(profile: GrowthProfile, r):
-    """lambda(r) (V(r) + log log r) at a radius or an array of radii."""
-    r = np.asarray(r, dtype=float)
+def _loglog(r: np.ndarray) -> np.ndarray:
+    """log log r; NonPositiveDenominator at the first radius r <= 1."""
     if (r <= 1.0).any():
         bad = float(r.flat[np.argmax(r <= 1.0)])
         raise NonPositiveDenominator(bad, f"log log r undefined at r={bad}")
-    return profile.lam(r) * (profile.V(r) + np.log(np.log(r)))
+    return np.log(np.log(r))
+
+
+def _denominator(profile: GrowthProfile, r):
+    """lambda(r) (V(r) + log log r) at a radius or an array of radii."""
+    r = np.asarray(r, dtype=float)
+    return profile.lam(r) * (profile.V(r) + _loglog(r))
 
 
 def phi(profile: GrowthProfile, R: float, r_lo: float = PAPER_LOWER_LIMIT) -> float:
@@ -129,15 +135,31 @@ def effective_lower_limit(profile: GrowthProfile,
         f"no radius in [{start}, {cap:.4g}] with positive rate denominator")
 
 
-def _invert_increasing(piece: Callable, start: float, first_hi: float,
-                       targets, cap: float, what: str) -> np.ndarray:
+def _doublings(piece: Callable, start: float, cap: float, first_hi: float = 0.0,
+               stop_on=()):
+    """Walk the shells [start, max(2 start, first_hi)], [hi, 2 hi], ... of
+    F(x) = piece(start, x), hi capped at cap, integrating each once: yields
+    (lo, hi, F(lo), piece(lo, hi)). Ends before a shell would start at cap
+    or beyond 1e150, or when piece raises one of ``stop_on``."""
+    lo, F_lo = start, 0.0
+    while lo < cap and lo <= _REPRESENTABLE:
+        hi = min(max(2.0 * lo, first_hi), cap)
+        try:
+            step = piece(lo, hi)
+        except stop_on:
+            return
+        yield lo, hi, F_lo, step
+        lo, F_lo = hi, F_lo + step
+
+
+def _invert_increasing(piece: Callable, start: float, targets, cap: float,
+                       what: str, first_hi: float = 0.0) -> np.ndarray:
     """The x with F(x) = t for each of the nondecreasing targets t, where
     F(x) = piece(start, x) is an increasing integral; start for t = 0.
 
-    One pass: the segments [start, first_hi], [first_hi, 2 first_hi], ... are
-    integrated once each by piece(lo, hi) while F(lo) is carried, and each
+    One pass over the _doublings shells, capped at cap (1 - 1e-13): each
     target gets one Brent solve of F(lo) + piece(lo, x) = t inside the
-    segment that holds it, handed the known end values F(lo) - t and
+    shell that holds it, handed the known end values F(lo) - t and
     F(hi) - t. FiniteTotalIntegral when F stays below a target at
     the cap, after a doubling that adds under 1e-13 F, or beyond 1e150.
     """
@@ -145,21 +167,18 @@ def _invert_increasing(piece: Callable, start: float, first_hi: float,
     if targets and targets[0] < 0:
         raise DomainError("t must be nonnegative")
     top = cap * (1.0 - 1e-13)
+    shells = _doublings(piece, start, top, first_hi)
     roots = np.full(len(targets), float(start))
-    lo = hi = start
-    F_lo = F_hi = 0.0
+    hi, F_hi = start, 0.0
     for i, t in enumerate(targets):
         while F_hi < t:
-            if hi >= top:
+            shell = next(shells, None)
+            if shell is None:  # the walk ended at the cap, else past 1e150
                 raise FiniteTotalIntegral(
-                    f"{what} bounded by {F_hi:.6g} on the domain, below t={t:.6g}")
-            if hi > _REPRESENTABLE:
-                raise FiniteTotalIntegral(
-                    f"envelope radius for t={t:.6g} not representable "
-                    f"({what} = {F_hi:.6g} at {hi:.6g})")
-            lo, F_lo = hi, F_hi
-            hi = min(max(2.0 * lo, first_hi), top)
-            step = piece(lo, hi)
+                    f"{what} bounded by {F_hi:.6g} on the domain, below t={t:.6g}"
+                    if hi >= top else f"envelope radius for t={t:.6g} not "
+                    f"representable ({what} = {F_hi:.6g} at {hi:.6g})")
+            lo, hi, F_lo, step = shell
             F_hi = F_lo + step
             if step < 1e-13 * max(F_hi, 1.0) and F_hi < t:
                 raise FiniteTotalIntegral(
@@ -180,8 +199,8 @@ def psi(profile: GrowthProfile, t: float, r_lo: float = PAPER_LOWER_LIMIT) -> fl
     (non-conservative regime) or the required radius is not representable.
     """
     r_lo = float(r_lo)
-    return float(_invert_increasing(lambda a, b: phi(profile, b, a), r_lo,
-                                    2.0 * r_lo, [t], profile.r_max, "phi")[0])
+    return float(_invert_increasing(lambda a, b: phi(profile, b, a), r_lo, [t],
+                                    profile.r_max, "phi")[0])
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +261,7 @@ def rate_table(profile: GrowthProfile, t_grid, scale_c: float = PROOF_SCALE_C,
     else:
         note = "" if r_lo == PAPER_LOWER_LIMIT else f"caller-supplied lower limit {r_lo:.6g}"
     values = _invert_increasing(lambda a, b: phi(profile, b, a), float(r_lo),
-                                2.0 * r_lo, scale_c * t_grid, profile.r_max, "phi")
+                                scale_c * t_grid, profile.r_max, "phi")
     return RateFunction(t_grid, values, r_star=float(r_lo), shift_note=note,
                         scale_c=float(scale_c))
 
@@ -281,11 +300,14 @@ def conservativeness(
     """Classify conservativeness.
 
     Known coefficient families and catalogue cases get a symbolic verdict.
-    Arbitrary profiles get a numeric heuristic over up to 40 dyadic
-    shells, always wrapped as Inconclusive with a leaning: divergence is not
-    decidable numerically.
+    Arbitrary profiles get a numeric heuristic over up to 40 dyadic shells
+    of phi, always wrapped as Inconclusive with a leaning: divergence is not
+    decidable numerically. The trend of the last increments decides, after
+    the rule that a profile whose finite domain is covered leans
+    NonConservative; a tabulated coefficient's domain ends with its data.
     """
-    if isinstance(obj, RadialCoefficient):
+    table = isinstance(obj, RadialCoefficient)
+    if table:
         kind = family_verdict(obj.family, obj.param)
         if kind is not None:
             return Verdict(kind)
@@ -299,25 +321,13 @@ def conservativeness(
 
     profile = obj
     r_lo = effective_lower_limit(profile)
-    increments = []
-    lo = r_lo
-    total = 0.0
-    for _ in range(40):
-        hi = min(2.0 * lo, profile.r_max)
-        if hi <= lo:
-            break
-        try:
-            inc = phi(profile, hi, lo)
-        except (NonPositiveDenominator, QuadratureFailure):
-            break
-        increments.append(inc)
-        total += inc
-        lo = hi
-        if hi >= profile.r_max:
-            break
-    increments = np.array(increments)
-    report = {"increments": increments, "total": total, "r_star": r_lo}
-    if math.isfinite(profile.r_max) and lo >= profile.r_max:
+    shells = list(islice(_doublings(
+        lambda a, b: phi(profile, b, a), r_lo, profile.r_max,
+        stop_on=(NonPositiveDenominator, QuadratureFailure)), 40))
+    _, end, F_lo, step = shells[-1] if shells else (r_lo, r_lo, 0.0, 0.0)
+    increments = np.array([step for *_, step in shells])
+    report = {"increments": increments, "total": F_lo + step, "r_star": r_lo}
+    if not table and math.isfinite(profile.r_max) and end >= profile.r_max:
         # whole domain covered: total crossing time is finite
         return Verdict("Inconclusive", leaning="NonConservative", report=report)
     if increments.size >= 5:
@@ -379,40 +389,27 @@ def dyadic_scheme(profile: GrowthProfile, c: float, N: int) -> DyadicScheme:
     if mu_b1 <= 0:
         raise DomainError("mu_b1 must be positive")
 
-    ns = np.arange(1, N + 1)
-    R = (2.0 ** ns) * c
+    R = (2.0 ** np.arange(1, N + 1)) * c
     r = np.diff(np.concatenate([[0.0], R]))
-    t = np.empty(N)
-    bound = np.empty(N)
-    lemma_rhs = np.empty(N)
-    T_run = 0.0
-    T = np.empty(N)
-    log_mu_b1 = math.log(mu_b1)
-    pref = 2.0 / math.sqrt(2.0 * math.pi)
-    lemma_pref = 16.0 / math.sqrt(2.0 * math.pi)
-
-    for i, n in enumerate(ns):
-        Rn, rn = R[i], r[i]
-        lam = float(profile.lam(Rn))
-        Vn = float(profile.V(Rn))
-        loglog = math.log(math.log(Rn))
-        den = Vn + loglog
-        if den <= 0:
-            raise NonPositiveDenominator(Rn, f"V + log log <= 0 at level {n}")
-        t[i] = rn * rn / (32.0 * lam * den)
-        T_run += t[i]
-        T[i] = T_run
-        # proof's per-level Borel-Cantelli summand
-        bound[i] = pref / mu_b1 / den * (Rn / rn) * math.exp(-2.0 * loglog)
-        # sharper pre-simplification bound, evaluated in logs
-        log_rhs = (math.log(lemma_pref) + Vn - log_mu_b1
-                   + math.log(T_run) + 0.5 * math.log(lam)
-                   - 0.5 * math.log(t[i]) - math.log(rn)
-                   - rn * rn / (8.0 * lam * t[i]))
-        lemma_rhs[i] = math.exp(log_rhs) if log_rhs > -745 else 0.0
-
-    slack = np.array([T[i] - phi(profile, (2.0 ** (n + 1)) * c, 2.0 * c) / 256.0
-                      for i, n in enumerate(ns)])
+    lam, V, loglog = profile.lam(R), profile.V(R), _loglog(R)
+    den = V + loglog
+    if (den <= 0).any():
+        i = int(np.argmax(den <= 0))
+        raise NonPositiveDenominator(R[i], f"V + log log <= 0 at level {i + 1}")
+    t = r * r / (32.0 * lam * den)
+    T = np.cumsum(t)
+    # proof's per-level Borel-Cantelli summand
+    bound = (2.0 / math.sqrt(2.0 * math.pi) / mu_b1 / den * (R / r)
+             * np.exp(-2.0 * loglog))
+    # sharper pre-simplification bound, evaluated in logs
+    log_rhs = (math.log(16.0 / math.sqrt(2.0 * math.pi)) + V - math.log(mu_b1)
+               + np.log(T) + 0.5 * np.log(lam) - 0.5 * np.log(t) - np.log(r)
+               - r * r / (8.0 * lam * t))
+    lemma_rhs = np.exp(np.where(log_rhs > -745, log_rhs, -np.inf))
+    # phi(2^(n+1) c, 2c) is the sum of the first n shells from 2c
+    shells = islice(_doublings(lambda a, b: phi(profile, b, a), 2.0 * c,
+                               math.inf), N)
+    slack = T - np.cumsum([step for *_, step in shells]) / 256.0
     return DyadicScheme(c=c, mu_b1=float(mu_b1), R=R, r=r, t=t, T=T,
                         bound=bound, lemma_rhs=lemma_rhs,
                         partial_sums=np.cumsum(bound), slack=slack)
@@ -436,8 +433,8 @@ def drift_envelope(b_tilde: Callable, t: float) -> float:
                     a, b, epsrel=1e-11, limit=400,
                     label=f"1/b_tilde integral on [{a}, {b}]")
 
-    return float(_invert_increasing(piece, 0.0, 1.0, [t], math.inf,
-                                    "1/b_tilde integral")[0])
+    return float(_invert_increasing(piece, 0.0, [t], math.inf,
+                                    "1/b_tilde integral", first_hi=1.0)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,9 @@ class TestConfigValidation:
                  "t_grid = 1,nan,10\n",
          "key 't_grid' in [solver] must be finite, got '1,nan,10'"),
         ("rate", "[model]\nfamily = constant\nn = 3\n[solver]\n"
+                 "t_grid = 1,x\n",
+         "key 't_grid' in [solver] is not a number: '1,x'"),
+        ("rate", "[model]\nfamily = constant\nn = 3\n[solver]\n"
                  "t_grid = geom:1:inf:3\n",
          "t_grid geometric spec needs finite 0 < lo < hi, count >= 2"),
         ("verify envelope", "[model]\nwarp = euclidean\nn = 3\n[simulation]\n"
@@ -110,8 +113,9 @@ class TestConfigValidation:
         ("simulate", SIM.format(t=1, dt=0.01) + "barrier = -inf\n",
          "key 'barrier' in [simulation] must be finite, got '-inf'"),
     ], ids=["n_inf", "n_nan", "t_nan", "t_inf", "dt_nan", "alpha_nan",
-            "r_lo_nan", "r_lo_text", "t_grid", "t_grid_geom", "c_grid",
-            "eps_grid", "barrier_text", "barrier_nan", "barrier_minus_inf"])
+            "r_lo_nan", "r_lo_text", "t_grid", "t_grid_text", "t_grid_geom",
+            "c_grid", "eps_grid", "barrier_text", "barrier_nan",
+            "barrier_minus_inf"])
     def test_nonfinite_number_exits_2(self, tmp_path, command, body, message):
         cfg = write_config(tmp_path, body)
         res = run_cli(command.split() + ["--config", cfg], tmp_path)
@@ -427,7 +431,7 @@ class TestConserve:
         res = run_cli(["conserve", "--config", cfg], tmp_path)
         assert res.returncode == 0
         assert "verdict=Inconclusive" in res.stdout
-        assert "leaning=" in res.stdout
+        assert "leaning=Conservative" in res.stdout
 
 
 class TestSimulate:
@@ -484,6 +488,18 @@ class TestSimulate:
         b = run_cli(["simulate", "--config", cfg, "--seed", "13"], tmp_path)
         assert a.returncode == b.returncode == 0
         assert a.stdout != b.stdout
+
+    def test_seed_beyond_float_precision(self, tmp_path):
+        # 2^53 + 1: a float would round it to 2^53
+        cfg = write_config(tmp_path, self.SIM.replace(
+            "master_seed = 12", "master_seed = 9007199254740993"))
+        a = run_cli(["simulate", "--config", cfg], tmp_path)
+        b = run_cli(["simulate", "--config", cfg, "--seed", "9007199254740993"],
+                    tmp_path)
+        c = run_cli(["simulate", "--config", cfg, "--seed", "9007199254740992"],
+                    tmp_path)
+        assert a.returncode == b.returncode == c.returncode == 0
+        assert a.stdout == b.stdout != c.stdout
 
     def test_out_file_lf_endings(self, tmp_path):
         cfg = write_config(tmp_path, self.SIM)

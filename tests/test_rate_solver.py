@@ -37,7 +37,7 @@ from escrate.rate_solver import (
 def euclid(n):
     return GrowthProfile(log_volume=lambda r: n * np.log(r),
                          energy_bound=lambda r: 1.0,
-                         r_min=1.0, r_max=math.inf, label=f"euclid{n}")
+                         r_max=math.inf, label=f"euclid{n}")
 
 
 # a(r) = 1 + sqrt(r) on radii 0, 2^0, ..., 2^30, as in the benchmark's table
@@ -63,7 +63,7 @@ class TestPhi:
         # V + log log r < 0 near r = 1 for a shrinking profile
         p = GrowthProfile(log_volume=lambda r: -10.0,
                           energy_bound=lambda r: 1.0,
-                          r_min=1.0, r_max=math.inf, label="bad")
+                          r_max=math.inf, label="bad")
         with pytest.raises(NonPositiveDenominator) as exc:
             phi(p, 10.0, 2.0)
         # the first offending radius: the lowest node of the first rule
@@ -146,6 +146,47 @@ class TestPsi:
     def test_negative_time_rejected(self):
         with pytest.raises(DomainError):
             psi(euclid(2), -1.0, 2.0)
+
+    @pytest.mark.parametrize("lam_power,r_max,message", [
+        # phi grows like log log R: still below t at 1e150
+        (2, math.inf, "envelope radius for t=100 not representable "
+                      "(phi = 5.5599 at 1.6367e+150)"),
+        # the cap ends the walk past 1e150 too: "on the domain" comes first
+        (2, 1.5e150, "phi bounded by 5.55965 on the domain, below t=100"),
+        # shells shrink like R^-4
+        (6, math.inf, "phi numerically bounded by 0.0234356 < t=100"),
+    ], ids=["not_representable", "capped", "numerically_bounded"])
+    def test_unreachable_target_messages(self, lam_power, r_max, message):
+        prof = GrowthProfile(log_volume=lambda r: np.log(r),
+                             energy_bound=lambda r: np.asarray(r) ** lam_power,
+                             r_max=r_max)
+        with pytest.raises(FiniteTotalIntegral) as exc:
+            psi(prof, 100.0, 2.0)
+        assert str(exc.value) == message
+
+
+class TestDoublings:
+    def test_shells_double_and_carry_the_sum(self):
+        shells = list(rate_solver._doublings(lambda a, b: b - a, 0.0, 5.0, 1.0))
+        assert shells == [(0.0, 1.0, 0.0, 1.0), (1.0, 2.0, 1.0, 1.0),
+                          (2.0, 4.0, 2.0, 2.0), (4.0, 5.0, 4.0, 1.0)]
+
+    def test_stops_quietly_on_listed_errors(self):
+        def piece(a, b):
+            if b > 8.0:
+                raise QuadratureFailure("past 8")
+            return b - a
+
+        walk = rate_solver._doublings(piece, 2.0, math.inf,
+                                      stop_on=(QuadratureFailure,))
+        assert [hi for _, hi, _, _ in walk] == [4.0, 8.0]
+        with pytest.raises(QuadratureFailure):
+            list(rate_solver._doublings(piece, 2.0, math.inf))
+
+    def test_no_shell_starts_beyond_1e150(self):
+        his = [hi for _, hi, _, _ in
+               rate_solver._doublings(lambda a, b: 1.0, 1.0, math.inf)]
+        assert his[-2] <= 1e150 < his[-1] == 2.0 * his[-2]
 
 
 class TestRateTable:
@@ -265,7 +306,7 @@ class TestEffectiveLowerLimit:
         # V negative until r ~ 20: denominator only positive later
         p = GrowthProfile(log_volume=lambda r: np.log(r) - 3.0,
                           energy_bound=lambda r: 1.0,
-                          r_min=1.0, r_max=math.inf, label="shifted")
+                          r_max=math.inf, label="shifted")
         r_star = effective_lower_limit(p)
         assert r_star > 2.0
         assert p.V(r_star) + math.log(math.log(r_star)) > 0
@@ -292,6 +333,26 @@ class TestConservativeness:
         assert v.kind == "Inconclusive"
         assert v.leaning == "NonConservative"
 
+    @pytest.mark.parametrize("values,leaning", [
+        (np.ones_like(_TAB_RADII), "Conservative"),
+        (1.0 + np.sqrt(_TAB_RADII), "Conservative"),
+        ((1.0 + _TAB_RADII) ** 2, "Conservative"),
+        ((1.0 + _TAB_RADII) ** 3, "NonConservative"),
+    ], ids=["constant", "sqrt", "square", "cube"])
+    def test_table_read_by_its_trend(self, values, leaning):
+        # the shells reach the last knot, where the data ends, not the space
+        v = conservativeness(RadialCoefficient.tabulated(_TAB_RADII, values))
+        assert v.report["increments"].size == 29
+        assert (v.kind, v.leaning) == ("Inconclusive", leaning)
+
+    def test_covered_finite_domain_leans_non_conservative(self):
+        # unit-energy power 2.5: rho_tilde is bounded by 4
+        prof = profile_from_radial(RadialCoefficient.power(2.5), 1, "unit_energy")
+        v = conservativeness(prof)
+        assert v.report["increments"].size == 1
+        assert v.report["total"] == v.report["increments"][0]
+        assert (v.kind, v.leaning) == ("Inconclusive", "NonConservative")
+
 
 class TestDyadicScheme:
     def test_radii_double(self):
@@ -309,6 +370,59 @@ class TestDyadicScheme:
         assert np.all(scheme.bound > 0)
         assert scheme.partial_sums[-1] < np.inf
         assert np.all(scheme.lemma_rhs >= 0)
+
+    def test_slack_against_whole_integral(self):
+        # the acceptance scheme: each level's phi is a sum of shells from 2c
+        profile = catalogue_profile(catalogue_case("diri1"))
+        scheme = dyadic_scheme(profile, c=4.0, N=30)
+        whole = np.array([scheme.T[n - 1] - phi(profile, 2.0 ** (n + 1) * 4.0, 8.0)
+                          / 256.0 for n in range(1, 31)])
+        assert np.allclose(scheme.slack, whole, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("profile", [
+        catalogue_profile(catalogue_case("diri1")),
+        profile_from_radial(RadialCoefficient.tabulated(
+            _TAB_RADII, 1.0 + np.sqrt(_TAB_RADII)), 3, "coefficient_energy"),
+    ], ids=["constant", "tabulated"])
+    def test_levels_match_per_level_loop(self, profile):
+        # reference: the levels one at a time, in math's scalar functions
+        scheme = dyadic_scheme(profile, c=4.0, N=25)
+        T, t, bound, lemma = 0.0, [], [], []
+        for Rn, rn in zip(scheme.R.tolist(), scheme.r.tolist()):
+            lam, Vn = float(profile.lam(Rn)), float(profile.V(Rn))
+            loglog = math.log(math.log(Rn))
+            t.append(rn * rn / (32.0 * lam * (Vn + loglog)))
+            T += t[-1]
+            bound.append(2.0 / math.sqrt(2.0 * math.pi) / scheme.mu_b1
+                         / (Vn + loglog) * (Rn / rn) * math.exp(-2.0 * loglog))
+            lemma.append(math.exp(
+                math.log(16.0 / math.sqrt(2.0 * math.pi)) + Vn
+                - math.log(scheme.mu_b1) + math.log(T) + 0.5 * math.log(lam)
+                - 0.5 * math.log(t[-1]) - math.log(rn)
+                - rn * rn / (8.0 * lam * t[-1])))
+        assert scheme.t.tolist() == t
+        assert scheme.T.tolist() == np.cumsum(t).tolist()
+        # np.exp and math.exp may round differently in the last place
+        assert np.allclose(scheme.bound, bound, rtol=1e-15, atol=0.0)
+        assert np.allclose(scheme.lemma_rhs, lemma, rtol=1e-13, atol=0.0)
+
+    def test_one_phi_per_level(self, monkeypatch):
+        spans = []
+        real_phi = rate_solver.phi
+
+        def recording_phi(profile, R, r_lo):
+            spans.append((r_lo, R))
+            return real_phi(profile, R, r_lo)
+
+        monkeypatch.setattr(rate_solver, "phi", recording_phi)
+        dyadic_scheme(euclid(2), c=3.0, N=8)
+        assert spans == [(3.0 * 2.0 ** n, 3.0 * 2.0 ** (n + 1))
+                         for n in range(1, 9)]
+
+    def test_log_log_undefined_at_first_level(self):
+        # c = 0.5 puts R_1 at 1, where log log R is undefined
+        with pytest.raises(NonPositiveDenominator, match="undefined at r=1.0"):
+            dyadic_scheme(euclid(1), c=0.5, N=4)
 
     def test_rejects_bad_level_count(self):
         with pytest.raises(DomainError):

@@ -1,7 +1,8 @@
 """The numpy-free part of escrate: what every CLI launch may need.
 
-The closed-form catalogue, the conservativeness rule of the coefficient
-families and the worker-thread count need no numerics, so ``catalogue``,
+The closed-form catalogue, the coefficient families with their parameter
+keys and conservativeness rule, and the worker-thread count need no
+numerics, so ``catalogue``,
 ``conserve`` on a family and every config or ``ESCRATE_THREADS`` error run
 without importing numpy. ``escrate.profiles.CATALOGUE`` and
 ``escrate.sde.worker_threads`` are these same objects.
@@ -14,7 +15,7 @@ from typing import Optional
 
 from .errors import ConfigError
 
-__all__ = ["CATALOGUE", "family_verdict", "worker_threads"]
+__all__ = ["CATALOGUE", "FAMILIES", "family_verdict", "worker_threads"]
 
 
 # The closed forms of profiles.closed_form_rate as ``escrate catalogue``
@@ -35,6 +36,12 @@ CATALOGUE = (
     ("g_alpha", "alpha=1", "exp(t)", ""),
     ("hyperbolic_linear", "n>=2, K>0", "(1+eps)(n-1) sqrt(K) t", ""),
 )
+
+
+# Each coefficient family (a RadialCoefficient constructor of the same name)
+# and the [model] key of its parameter, None for a family without one.
+FAMILIES = {"constant": None, "power": "alpha", "squared_log": "beta",
+            "tabulated": None}
 
 
 def family_verdict(family: str, param) -> Optional[str]:

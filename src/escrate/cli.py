@@ -3,8 +3,9 @@
 Subcommands: rate, conserve, simulate, verify {envelope|compare|lil|dyadic},
 catalogue. Configuration is INI-style (flat sections, key = value); every
 command is deterministic given its config, and CSV output is byte-identical
-across reruns. Exit codes: 0 ok, 2 config error, 3 solver error,
-4 simulation error, 5 verification failure.
+across reruns. Exit codes: 0 ok, 5 verification failure, and for an error
+the code its class in ``escrate.errors`` declares: 2 config error, 3 solver
+error, 4 simulation error.
 
 numpy and the numeric modules are imported inside the commands that compute,
 so ``catalogue``, ``conserve`` on a coefficient family and every config error
@@ -20,34 +21,15 @@ import sys
 from functools import partial
 from typing import TYPE_CHECKING
 
-from .basics import CATALOGUE, family_verdict, worker_threads
-from .errors import (
-    ConfigError,
-    DomainError,
-    EscrateError,
-    ExtrapolationError,
-    FiniteTotalIntegral,
-    NonFiniteState,
-    NonPositiveCoefficient,
-    NonPositiveDenominator,
-    OutOfRange,
-    QuadratureFailure,
-    SingularOrigin,
-)
+from .basics import CATALOGUE, FAMILIES, family_verdict, worker_threads
+from .errors import ConfigError, DomainError, EscrateError
 
 if TYPE_CHECKING:
     from .profiles import RadialCoefficient
     from .sde import Sde1D
 
 EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_SOLVER = 3
-EXIT_SIMULATION = 4
 EXIT_VERIFY = 5
-
-_SOLVER_ERRORS = (FiniteTotalIntegral, QuadratureFailure, NonPositiveDenominator,
-                  OutOfRange, NonPositiveCoefficient, ExtrapolationError)
-_SIM_ERRORS = (NonFiniteState, SingularOrigin)
 
 # ---------------------------------------------------------------------------
 # Config parsing
@@ -187,32 +169,26 @@ def _master_seed(cfg, seed_override):
 
 
 def _family(cfg):
-    """The coefficient family named in [model] and its parameter: alpha for
-    power, beta for squared_log, None for constant and tabulated."""
+    """The coefficient family named in [model], its parameter's key in
+    ``FAMILIES`` and the parameter's value (both None for no parameter)."""
     _need(cfg, "model")
     family = _get(cfg, "model", "family")
-    if family in ("constant", "tabulated"):
-        return family, None
-    if family == "power":
-        return family, _get(cfg, "model", "alpha")
-    if family == "squared_log":
-        return family, _get(cfg, "model", "beta")
-    raise ConfigError(f"unknown coefficient family {family!r}")
+    if family not in FAMILIES:
+        raise ConfigError(f"unknown coefficient family {family!r}")
+    key = FAMILIES[family]
+    return family, key, None if key is None else _get(cfg, "model", key)
 
 
 def build_coefficient(cfg) -> RadialCoefficient:
     from .profiles import RadialCoefficient
 
-    family, param = _family(cfg)
+    family, _, param = _family(cfg)
     try:
-        if family == "constant":
-            return RadialCoefficient.constant()
-        if family == "power":
-            return RadialCoefficient.power(param)
-        if family == "squared_log":
-            return RadialCoefficient.squared_log(param)
-        return RadialCoefficient.tabulated(_get(cfg, "model", "radii"),
-                                           _get(cfg, "model", "values"))
+        if family == "tabulated":
+            return RadialCoefficient.tabulated(_get(cfg, "model", "radii"),
+                                               _get(cfg, "model", "values"))
+        make = getattr(RadialCoefficient, family)  # the family's constructor
+        return make() if param is None else make(param)
     except DomainError as exc:
         raise ConfigError(str(exc))
 
@@ -330,16 +306,14 @@ def cmd_rate(cfg, out: _Out, quiet: bool) -> int:
 
 
 def cmd_conserve(cfg, out: _Out) -> int:
-    family, param = _family(cfg)
+    family, key, param = _family(cfg)
     kind, leaning = family_verdict(family, param), None
     if kind is None:  # tabulated: the numeric heuristic
         from .rate_solver import conservativeness
 
         verdict = conservativeness(build_coefficient(cfg))
         kind, leaning = verdict.kind, verdict.leaning
-    params = ""
-    if param is not None:
-        params = f"{'alpha' if family == 'power' else 'beta'}={_fmt(param)}"
+    params = "" if key is None else f"{key}={_fmt(param)}"
     line = f"verdict={kind} family={family} params={params}"
     if leaning:
         line += f" leaning={leaning}"
@@ -394,11 +368,13 @@ def cmd_verify(cfg, mode: str, out: _Out, seed_override) -> int:
 
     if mode == "envelope":
         C_grid, t0, threshold = ver("c_grid"), ver("t0"), ver("max_fraction")
-        sentinel = ver("envelope")
-        if sentinel == "zero":
+        envelope = ver("envelope")
+        if envelope == "zero":
             rate = lambda t: 0.0
-        elif sentinel in ("inf", "infinity"):
+        elif envelope in ("inf", "infinity"):
             rate = lambda t: math.inf
+        elif envelope != "table":
+            raise ConfigError(f"unknown envelope {envelope!r}")
         else:
             _, profile = build_profile(cfg)
             _need(cfg, "solver")
@@ -452,21 +428,19 @@ def cmd_verify(cfg, mode: str, out: _Out, seed_override) -> int:
         return _verdict_exit(passed, "PASS monotone" if passed
                              else "FAIL fractions not monotone", out)
 
-    if mode == "dyadic":
-        _, profile = build_profile(cfg)
-        c, N = ver("c"), ver("n_levels")
-        scheme = rate_solver.dyadic_scheme(profile, c, N)
-        out.row("n", "R", "r", "t", "T", "bound", "partial_sum", "slack")
-        for i in range(N):
-            out.row(i + 1, scheme.R[i], scheme.r[i], scheme.t[i], scheme.T[i],
-                    scheme.bound[i], scheme.partial_sums[i], scheme.slack[i])
-        total = float(scheme.partial_sums[-1])
-        passed = (math.isfinite(total) and np.all(scheme.slack >= 0)
-                  and scheme.bound[-1] < 1e-3 * total)
-        return _verdict_exit(passed, f"{'PASS' if passed else 'FAIL'} "
-                             f"sum_bound={_fmt(total)}", out)
-
-    raise ConfigError(f"unknown verify mode {mode!r}")
+    # dyadic: the last of the modes that argparse accepts
+    _, profile = build_profile(cfg)
+    c, N = ver("c"), ver("n_levels")
+    scheme = rate_solver.dyadic_scheme(profile, c, N)
+    out.row("n", "R", "r", "t", "T", "bound", "partial_sum", "slack")
+    for i in range(N):
+        out.row(i + 1, scheme.R[i], scheme.r[i], scheme.t[i], scheme.T[i],
+                scheme.bound[i], scheme.partial_sums[i], scheme.slack[i])
+    total = float(scheme.partial_sums[-1])
+    passed = (math.isfinite(total) and np.all(scheme.slack >= 0)
+              and scheme.bound[-1] < 1e-3 * total)
+    return _verdict_exit(passed, f"{'PASS' if passed else 'FAIL'} "
+                         f"sum_bound={_fmt(total)}", out)
 
 
 def cmd_catalogue(out: _Out) -> int:
@@ -488,20 +462,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "verification.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, **kw):
+    def add(name, seed=False, **kw):
         p = sub.add_parser(name, **kw)
-        p.add_argument("--config", required=(name != "catalogue"),
-                       help="INI config file")
+        if name != "catalogue":
+            p.add_argument("--config", required=True, help="INI config file")
         p.add_argument("--out", help="output CSV path (default stdout)")
-        p.add_argument("--seed", type=int, help="override master seed")
-        p.add_argument("--quiet", action="store_true",
-                       help="suppress informational notes")
+        if seed:
+            p.add_argument("--seed", type=int, help="override master seed")
         return p
 
-    add("rate", help="tabulate the escape envelope psi")
+    add("rate", help="tabulate the escape envelope psi").add_argument(
+        "--quiet", action="store_true", help="suppress informational notes")
     add("conserve", help="classify conservativeness")
-    add("simulate", help="simulate a path ensemble")
-    pv = add("verify", help="run a Monte Carlo verification mode")
+    add("simulate", seed=True, help="simulate a path ensemble")
+    pv = add("verify", seed=True, help="run a Monte Carlo verification mode")
     pv.add_argument("mode", choices=["envelope", "compare", "lil", "dyadic"])
     add("catalogue", help="print the closed-form rate catalogue")
     return parser
@@ -523,21 +497,10 @@ def main(argv=None) -> int:
             return cmd_conserve(cfg, out)
         if args.command == "simulate":
             return cmd_simulate(cfg, out, args.seed)
-        if args.command == "verify":
-            return cmd_verify(cfg, args.mode, out, args.seed)
-        raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
-        print(f"ConfigError: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except _SOLVER_ERRORS as exc:
+        return cmd_verify(cfg, args.mode, out, args.seed)
+    except EscrateError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except _SIM_ERRORS as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_SIMULATION
-    except DomainError as exc:
-        print(f"DomainError: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return exc.exit_code
     finally:
         if out is not None:
             out.close()

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -56,6 +57,10 @@ __all__ = [
 # Radial coefficient families
 # ---------------------------------------------------------------------------
 
+# a field that a constructor fills: left out of repr and equality
+_hidden = partial(field, default=None, repr=False, compare=False)
+
+
 @dataclass(frozen=True)
 class RadialCoefficient:
     """A strictly positive radial coefficient a(r) with derivative a'(r).
@@ -70,15 +75,22 @@ class RadialCoefficient:
     The squared-log family uses 1 + log(1+r) rather than log(1+r) so the
     coefficient stays strictly positive at the origin; the two agree to
     leading order for large r, which is all the rate asymptotics depend on.
+
+    Each constructor declares its whole family: a and a', and the
+    intrinsic-radius transform that ``rho_tilde``, ``rho_tilde_inverse`` and
+    ``log_rho_tilde_inverse`` call once their arguments are range-checked.
     """
 
     family: str
     param: Optional[float] = None
-    _a: Callable = field(default=None, repr=False, compare=False)
-    _a_prime: Callable = field(default=None, repr=False, compare=False)
-    _knots: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    # (knots, rho_tilde at the knots) of a tabulated coefficient; see _knot_table
-    _rho_table: Optional[tuple] = field(default=None, repr=False, compare=False)
+    _a: Callable = _hidden()
+    _a_prime: Callable = _hidden()
+    _rho: Callable = _hidden()          # rho_tilde of an array s >= 0
+    _inverse: Callable = _hidden()      # its inverse on an array in [0, sup)
+    _log_inverse: Callable = _hidden()  # log of the inverse
+    _sup: Callable = _hidden()          # () -> sup rho_tilde (may be +inf)
+    _knots: Optional[np.ndarray] = _hidden()  # a tabulated coefficient's radii
+    _rho_knots: Callable = _hidden()    # () -> rho_tilde at 0 and those radii
 
     # -- constructors -------------------------------------------------------
 
@@ -88,20 +100,32 @@ class RadialCoefficient:
             "constant", None,
             lambda r: np.ones_like(np.asarray(r, dtype=float)),
             lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-        )
+            _rho=lambda s: s + 0.0, _inverse=lambda r: r + 0.0,
+            _log_inverse=np.log, _sup=lambda: math.inf)
 
     @staticmethod
     def power(alpha: float) -> "RadialCoefficient":
+        alpha = float(alpha)
+
         def a(r):
             return (1.0 + np.asarray(r, dtype=float)) ** alpha
 
         def a_prime(r):
             return alpha * (1.0 + np.asarray(r, dtype=float)) ** (alpha - 1.0)
 
-        return RadialCoefficient("power", float(alpha), a, a_prime)
+        p = 1.0 - alpha / 2.0
+        if alpha == 2.0:
+            rho, log1p_inverse = np.log1p, lambda r: r    # s = e^r - 1
+        else:
+            rho = lambda s: ((1.0 + s) ** p - 1.0) / p
+            log1p_inverse = lambda r: np.log1p(p * r) / p
+        return RadialCoefficient("power", alpha, a, a_prime, _rho=rho,
+                                 **_log1p_transform(alpha, log1p_inverse))
 
     @staticmethod
     def squared_log(beta: float) -> "RadialCoefficient":
+        beta = float(beta)
+
         def a(r):
             r = np.asarray(r, dtype=float)
             return (1.0 + r) ** 2 * (1.0 + np.log1p(r)) ** beta
@@ -111,7 +135,16 @@ class RadialCoefficient:
             ell = 1.0 + np.log1p(r)
             return (1.0 + r) * ell ** (beta - 1.0) * (2.0 * ell + beta)
 
-        return RadialCoefficient("squared_log", float(beta), a, a_prime)
+        # with ell = 1 + log(1+s): rho_tilde = log ell, or (ell^p - 1)/p
+        p = 1.0 - beta / 2.0
+        if beta == 2.0:
+            rho = lambda s: np.log(1.0 + np.log1p(s))
+            log1p_inverse = lambda r: np.exp(r) - 1.0
+        else:
+            rho = lambda s: ((1.0 + np.log1p(s)) ** p - 1.0) / p
+            log1p_inverse = lambda r: np.exp(np.log1p(p * r) / p) - 1.0
+        return RadialCoefficient("squared_log", beta, a, a_prime, _rho=rho,
+                                 **_log1p_transform(beta, log1p_inverse))
 
     @staticmethod
     def tabulated(radii, values) -> "RadialCoefficient":
@@ -140,7 +173,40 @@ class RadialCoefficient:
                 raise OutOfRange("tabulated coefficient evaluated outside its grid")
             return out
 
-        return RadialCoefficient("tabulated", None, a, a_prime, _knots=radii)
+        @cache
+        def knot_table():
+            """Knots 0 = k_0 < k_1 < ... and rho_tilde at each: one
+            quadrature per knot interval, on first use."""
+            knots = np.concatenate(([0.0], radii[radii > 0.0]))
+            pieces = [_integral(coeff, lo, hi)
+                      for lo, hi in zip(knots[:-1], knots[1:])]
+            return knots, np.concatenate(([0.0], np.cumsum(pieces)))
+
+        def rho(s):
+            # the knot table plus one quadrature from the knot below s
+            knots, cum = knot_table()
+            if np.any(s > knots[-1]):
+                raise OutOfRange("tabulated coefficient evaluated outside its grid")
+            i = np.searchsorted(knots, s, side="right") - 1
+            return np.array([cum[j] + _integral(coeff, knots[j], v)
+                             for j, v in zip(i.flat, s.flat)]).reshape(s.shape)
+
+        def inverse(r):
+            # one Brent solve inside the knot interval holding r
+            knots, cum = knot_table()
+            i = np.searchsorted(cum, r, side="right") - 1
+            return np.array([brentq(
+                lambda x, j=j, v=v: cum[j] + _integral(coeff, knots[j], x) - v,
+                knots[j], knots[j + 1], rtol=1e-12, xtol=1e-300, maxiter=200,
+                fa=cum[j] - v, fb=cum[j + 1] - v)
+                for j, v in zip(i.flat, r.flat)]).reshape(r.shape)
+
+        coeff = RadialCoefficient(
+            "tabulated", None, a, a_prime, _rho=rho, _inverse=inverse,
+            _log_inverse=lambda r: np.log(inverse(r)),
+            _sup=lambda: float(knot_table()[1][-1]),
+            _knots=radii, _rho_knots=lambda: knot_table()[1])
+        return coeff
 
     # -- evaluation ---------------------------------------------------------
 
@@ -152,19 +218,25 @@ class RadialCoefficient:
 
     def rho_tilde_sup(self) -> float:
         """Supremum of rho_tilde over [0, inf) (may be +inf)."""
-        if self.family == "power":
-            alpha = self.param
-            if alpha > 2.0:
-                return 2.0 / (alpha - 2.0)
-            return math.inf
-        if self.family == "squared_log":
-            beta = self.param
-            if beta > 2.0:
-                return 2.0 / (beta - 2.0)
-            return math.inf
-        if self.family == "tabulated":
-            return float(_knot_table(self)[1][-1])
-        return math.inf
+        return self._sup()
+
+
+def _log1p_transform(param: float, log1p_inverse: Callable) -> dict:
+    """The inverse, log-inverse and sup of a power or squared-log family,
+    from y(r) = log(1 + rho_tilde^{-1}(r)); rho_tilde is bounded, by
+    2/(param - 2), when param > 2."""
+    sup = 2.0 / (param - 2.0) if param > 2.0 else math.inf
+
+    def inverse(r):
+        with np.errstate(over="ignore"):    # an s beyond float range is inf
+            return np.expm1(log1p_inverse(r))
+
+    def log_inverse(r):
+        y = log1p_inverse(r)
+        # log s = y + log(1 - e^{-y}), or log(e^y - 1) for small y
+        return np.where(y > 1e-8, y + np.log1p(-np.exp(-y)), np.log(np.expm1(y)))
+
+    return dict(_inverse=inverse, _log_inverse=log_inverse, _sup=lambda: sup)
 
 
 # ---------------------------------------------------------------------------
@@ -184,35 +256,6 @@ def _integral(coeff: RadialCoefficient, lo: float, hi: float) -> float:
                 label=f"rho_tilde integral on [{lo}, {hi}]")
 
 
-def _knot_table(coeff: RadialCoefficient):
-    """Knots 0 = k_0 < k_1 < ... of a tabulated coefficient and rho_tilde at
-    each: one quadrature per knot interval, done on first use and kept."""
-    if coeff._rho_table is None:
-        knots = np.concatenate(([0.0], coeff._knots[coeff._knots > 0.0]))
-        pieces = [_integral(coeff, lo, hi) for lo, hi in zip(knots[:-1], knots[1:])]
-        object.__setattr__(coeff, "_rho_table",
-                           (knots, np.concatenate(([0.0], np.cumsum(pieces)))))
-    return coeff._rho_table
-
-
-def _log1p_inverse(coeff: RadialCoefficient, r: np.ndarray) -> np.ndarray:
-    """log(1 + rho_tilde^{-1}(r)) for the power and squared-log families, from
-    their antiderivatives."""
-    if coeff.family == "power":
-        alpha = coeff.param
-        if alpha == 2.0:
-            return r                       # s = e^r - 1
-        p = 1.0 - alpha / 2.0
-        return np.log1p(p * r) / p
-    beta = coeff.param
-    if beta == 2.0:
-        ell = np.exp(r)                    # 1 + log(1+s)
-    else:
-        p = 1.0 - beta / 2.0
-        ell = np.exp(np.log1p(p * r) / p)
-    return ell - 1.0
-
-
 def _scalar_or_array(out: np.ndarray):
     """A 0-d result as a Python float, any other as the array."""
     return float(out) if out.ndim == 0 else out
@@ -228,39 +271,20 @@ def rho_tilde(coeff: RadialCoefficient, s):
     s = np.asarray(s, dtype=float)
     if np.any(s < 0):
         raise DomainError("s must be nonnegative")
-    if coeff.family == "constant":
-        return _scalar_or_array(s + 0.0)
-    if coeff.family == "power":
-        alpha = coeff.param
-        if alpha == 2.0:
-            return _scalar_or_array(np.log1p(s))
-        p = 1.0 - alpha / 2.0
-        return _scalar_or_array(((1.0 + s) ** p - 1.0) / p)
-    if coeff.family == "squared_log":
-        beta = coeff.param
-        ell = 1.0 + np.log1p(s)
-        if beta == 2.0:
-            return _scalar_or_array(np.log(ell))
-        p = 1.0 - beta / 2.0
-        return _scalar_or_array((ell ** p - 1.0) / p)
-    knots, cum = _knot_table(coeff)
-    if np.any(s > knots[-1]):
-        raise OutOfRange("tabulated coefficient evaluated outside its grid")
-    i = np.searchsorted(knots, s, side="right") - 1
-    out = np.array([cum[j] + _integral(coeff, knots[j], v)
-                    for j, v in zip(i.flat, s.flat)]).reshape(s.shape)
-    return _scalar_or_array(out)
+    return _scalar_or_array(coeff._rho(s))
 
 
 def _intrinsic_radius(coeff: RadialCoefficient, r) -> np.ndarray:
-    """r as an array, checked to lie in [0, sup rho_tilde)."""
+    """r as an array, checked to lie in [0, sup rho_tilde); OutOfRange names
+    the first radius at or above the sup."""
     r = np.asarray(r, dtype=float)
     if (r < 0).any():
         raise DomainError("r must be nonnegative")
     sup = coeff.rho_tilde_sup()
-    if (r >= sup).any():
-        raise OutOfRange(
-            f"intrinsic radius {float(np.max(r)):.6g} >= sup rho_tilde = {sup:.6g}")
+    above = r >= sup
+    if above.any():
+        raise OutOfRange(f"intrinsic radius {float(r.flat[np.argmax(above)]):.6g}"
+                         f" >= sup rho_tilde = {sup:.6g}")
     return r
 
 
@@ -271,20 +295,7 @@ def rho_tilde_inverse(coeff: RadialCoefficient, r):
     ``tabulated``, one Brent solve inside the knot interval holding r.
     Raises OutOfRange when r >= the supremum of rho_tilde.
     """
-    r = _intrinsic_radius(coeff, r)
-    if coeff.family == "constant":
-        return _scalar_or_array(r + 0.0)
-    if coeff.family != "tabulated":
-        with np.errstate(over="ignore"):
-            return _scalar_or_array(np.expm1(_log1p_inverse(coeff, r)))
-    knots, cum = _knot_table(coeff)
-    i = np.searchsorted(cum, r, side="right") - 1
-    out = np.array([brentq(
-        lambda x, j=j, v=v: cum[j] + _integral(coeff, knots[j], x) - v,
-        knots[j], knots[j + 1], rtol=1e-12, xtol=1e-300, maxiter=200,
-        fa=cum[j] - v, fb=cum[j + 1] - v)
-        for j, v in zip(i.flat, r.flat)]).reshape(r.shape)
-    return _scalar_or_array(out)
+    return _scalar_or_array(coeff._inverse(_intrinsic_radius(coeff, r)))
 
 
 def log_rho_tilde_inverse(coeff: RadialCoefficient, r):
@@ -292,16 +303,7 @@ def log_rho_tilde_inverse(coeff: RadialCoefficient, r):
     inverse itself is beyond float range; -inf at r = 0."""
     r = _intrinsic_radius(coeff, r)
     with np.errstate(divide="ignore", over="ignore"):
-        if coeff.family == "constant":
-            out = np.log(r)
-        elif coeff.family == "tabulated":
-            out = np.log(rho_tilde_inverse(coeff, r))
-        else:
-            y = _log1p_inverse(coeff, r)
-            # log s = y + log(1 - e^{-y}), or log(e^y - 1) for small y
-            out = np.where(y > 1e-8, y + np.log1p(-np.exp(-y)),
-                           np.log(np.expm1(y)))
-    return _scalar_or_array(out)
+        return _scalar_or_array(coeff._log_inverse(r))
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +324,6 @@ class GrowthProfile:
     log_volume: Callable
     energy_bound: Callable
     r_max: float = math.inf
-    label: str = ""
     knots: Optional[np.ndarray] = None
 
     def V(self, r):
@@ -343,14 +344,13 @@ def profile_from_radial(coeff: RadialCoefficient, n: int, mode: str) -> GrowthPr
         raise DomainError("dimension n must be >= 1")
     mode = mode.lower()
     if mode == "unit_energy":
-        knots = _knot_table(coeff)[1] if coeff._knots is not None else None
+        knots = None if coeff._rho_knots is None else coeff._rho_knots()
         return GrowthProfile(lambda r: n * log_rho_tilde_inverse(coeff, r),
                              lambda r: 1.0, r_max=coeff.rho_tilde_sup(),
-                             label=f"{coeff.family} n={n} unit-energy", knots=knots)
+                             knots=knots)
     if mode == "coefficient_energy":
         r_max = float(coeff._knots[-1]) if coeff._knots is not None else math.inf
         return GrowthProfile(lambda r: n * np.log(r), coeff.a, r_max=r_max,
-                             label=f"{coeff.family} n={n} coefficient-energy",
                              knots=coeff._knots)
     raise DomainError(f"unknown profile mode {mode!r}")
 

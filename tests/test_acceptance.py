@@ -104,7 +104,7 @@ def test_quadrature_against_trapezoid():
     from escrate.profiles import GrowthProfile
     prof = GrowthProfile(log_volume=lambda r: 3.0 * np.log(r),
                          energy_bound=lambda r: 1.0,
-                         r_max=math.inf, label="euclid3")
+                         r_max=math.inf)
     got = rs.phi(prof, 10.0, 2.0)
     assert abs(got / pinned.PHI_EUCLID3_2_10_TRAPEZOID - 1.0) <= 1e-6
 

@@ -181,6 +181,49 @@ class TestConfigValidation:
         assert captured.out == ""
         assert captured.err == f"ConfigError: {message}\n"
 
+    def test_flags_only_where_read(self, monkeypatch, capsys):
+        # --quiet only on rate, --seed only on simulate and verify, and
+        # catalogue reads no config; every benchmark call still parses
+        from escrate import cli
+
+        for argv in (["rate", "--config", "x.ini", "--seed", "3"],
+                     ["conserve", "--config", "x.ini", "--quiet"],
+                     ["simulate", "--config", "x.ini", "--quiet"],
+                     ["catalogue", "--config", "x.ini"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        import workloads
+
+        for workload in workloads.workloads(lil_cap=0.1).values():
+            for call in workload.calls + workload.once + workload.probes:
+                argv = list(call.command) + ["--out", "x.csv"]
+                argv += ["--config", "x.ini"] if call.config is not None else []
+                argv += ["--seed", "41"] if call.seeded else []
+                cli.build_parser().parse_args(argv)
+
+    def test_each_error_class_declares_its_exit_code(self, monkeypatch, capsys):
+        # cli.main prints `Name: message` and exits with the class's code
+        from escrate import cli, errors
+
+        classes = [c for c in vars(errors).values() if isinstance(c, type)
+                   and issubclass(c, errors.EscrateError)
+                   and c is not errors.EscrateError]
+        assert len(classes) == 12
+        for cls in classes:
+            assert cls.exit_code in {2, 3, 4, 5}, cls
+
+            def fail(out, cls=cls):
+                raise cls.__new__(cls, "boom")
+
+            monkeypatch.setattr(cli, "cmd_catalogue", fail)
+            assert cli.main(["catalogue"]) == cls.exit_code, cls
+            assert capsys.readouterr().err == f"{cls.__name__}: boom\n"
+        assert errors.DriftOrderViolated.exit_code == 5
+        assert errors.NonMonotoneTransform.exit_code == 3
+
 
 class TestConfigSchema:
     """Every key's parser and default sit in one table, cli._SCHEMA."""
@@ -219,6 +262,17 @@ class TestConfigSchema:
         assert stated.keys() == schema.keys()
         for where, default in schema.items():
             assert self._matches(default, stated[where]), (where, stated[where])
+
+    def test_readme_family_row_lists_the_families(self):
+        from escrate.basics import FAMILIES
+
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        meaning = {key: cell for key, cell in re.findall(
+            r"^\| `\[model\]` \| `(\w+)` \|[^|]+\|[^|]+\| ([^|]+) \|", readme, re.M)}
+        assert re.findall(r"`([a-z_]+)`", meaning["family"]) == list(FAMILIES)
+        for family, key in FAMILIES.items():
+            if key is not None:
+                assert f"`{family}`" in meaning[key], key
 
     def test_defaults_match_the_library(self):
         from escrate import cli, profiles, rate_solver
@@ -745,8 +799,11 @@ class TestStreamedVerify:
         ("envelope", "c_grid = 1,2\nt0 = 2\nmax_fraction = abc\n", 2,
          "ConfigError: key 'max_fraction' in [verify] is not a number: "
          "'abc'"),
+        ("envelope", "c_grid = 1,2\nt0 = 2\nenvelope = tabel\n", 2,
+         "ConfigError: unknown envelope 'tabel'"),
     ], ids=["lil_t0_below_e", "envelope_t0_at_horizon",
-            "envelope_table_too_short", "envelope_bad_max_fraction"])
+            "envelope_table_too_short", "envelope_bad_max_fraction",
+            "envelope_unknown_word"])
     def test_rejected_before_any_step(self, tmp_path, monkeypatch, capsys,
                                       mode, verify, rc, message):
         from escrate import cli, sde, verify as verify_mod

@@ -54,7 +54,7 @@ class TestAgainstScipy:
     def test_phi_next_to_dead_zone(self):
         # V + log log r starts just above the 1e-6 floor at r_star
         p = GrowthProfile(log_volume=lambda r: np.log(r) - 3.0,
-                          energy_bound=lambda r: 1.0, label="shifted")
+                          energy_bound=lambda r: 1.0)
         r_star = effective_lower_limit(p)
 
         def g(u):

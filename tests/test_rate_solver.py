@@ -15,6 +15,7 @@ from escrate.errors import (
     ExtrapolationError,
     FiniteTotalIntegral,
     NonPositiveDenominator,
+    OutOfRange,
     QuadratureFailure,
 )
 from escrate.profiles import GrowthProfile, RadialCoefficient, catalogue_case, profile_from_radial
@@ -37,7 +38,7 @@ from escrate.rate_solver import (
 def euclid(n):
     return GrowthProfile(log_volume=lambda r: n * np.log(r),
                          energy_bound=lambda r: 1.0,
-                         r_max=math.inf, label=f"euclid{n}")
+                         r_max=math.inf)
 
 
 # a(r) = 1 + sqrt(r) on radii 0, 2^0, ..., 2^30, as in the benchmark's table
@@ -63,7 +64,7 @@ class TestPhi:
         # V + log log r < 0 near r = 1 for a shrinking profile
         p = GrowthProfile(log_volume=lambda r: -10.0,
                           energy_bound=lambda r: 1.0,
-                          r_max=math.inf, label="bad")
+                          r_max=math.inf)
         with pytest.raises(NonPositiveDenominator) as exc:
             phi(p, 10.0, 2.0)
         # the first offending radius: the lowest node of the first rule
@@ -306,7 +307,7 @@ class TestEffectiveLowerLimit:
         # V negative until r ~ 20: denominator only positive later
         p = GrowthProfile(log_volume=lambda r: np.log(r) - 3.0,
                           energy_bound=lambda r: 1.0,
-                          r_max=math.inf, label="shifted")
+                          r_max=math.inf)
         r_star = effective_lower_limit(p)
         assert r_star > 2.0
         assert p.V(r_star) + math.log(math.log(r_star)) > 0
@@ -423,6 +424,15 @@ class TestDyadicScheme:
         # c = 0.5 puts R_1 at 1, where log log R is undefined
         with pytest.raises(NonPositiveDenominator, match="undefined at r=1.0"):
             dyadic_scheme(euclid(1), c=0.5, N=4)
+
+    def test_level_beyond_sup_named(self):
+        # power 2.5 caps the intrinsic radius at 4: the first level radius
+        # at or above it is named, as NonPositiveDenominator names its first
+        profile = profile_from_radial(RadialCoefficient.power(2.5), 1,
+                                      "unit_energy")
+        with pytest.raises(OutOfRange, match="intrinsic radius 4 >= sup "
+                                             "rho_tilde = 4$"):
+            dyadic_scheme(profile, 1.0, 5)
 
     def test_rejects_bad_level_count(self):
         with pytest.raises(DomainError):

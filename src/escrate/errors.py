@@ -70,9 +70,9 @@ class ExtrapolationError(EscrateError):
 class NonFiniteState(EscrateError):
     """A simulation step produced a non-finite value.
 
-    Carries in ``.step`` the first step of the noise block (up to 128 steps)
-    in which the state went non-finite: every chain, 1-D or n-dimensional,
-    runs on the one stepping kernel, which checks its states once per block.
+    Carries in ``.step`` the first step of the window of up to 128 steps in
+    which the state went non-finite: every chain, 1-D or n-dimensional, runs
+    on the one stepping kernel, which checks its states once per window.
     """
     exit_code = 4
 

@@ -89,8 +89,8 @@ class RadialCoefficient:
     _inverse: Callable = _hidden()      # its inverse on an array in [0, sup)
     _log_inverse: Callable = _hidden()  # log of the inverse
     _sup: Callable = _hidden()          # () -> sup rho_tilde (may be +inf)
-    _knots: Optional[np.ndarray] = _hidden()  # a tabulated coefficient's radii
-    _rho_knots: Callable = _hidden()    # () -> rho_tilde at 0 and those radii
+    _table: Optional[tuple] = field(default=None, repr=False)  # (radii, values)
+    _rho_knots: Callable = _hidden()    # () -> rho_tilde at 0 and the radii
 
     # -- constructors -------------------------------------------------------
 
@@ -205,7 +205,7 @@ class RadialCoefficient:
             "tabulated", None, a, a_prime, _rho=rho, _inverse=inverse,
             _log_inverse=lambda r: np.log(inverse(r)),
             _sup=lambda: float(knot_table()[1][-1]),
-            _knots=radii, _rho_knots=lambda: knot_table()[1])
+            _table=(tuple(radii), tuple(values)), _rho_knots=lambda: knot_table()[1])
         return coeff
 
     # -- evaluation ---------------------------------------------------------
@@ -349,9 +349,9 @@ def profile_from_radial(coeff: RadialCoefficient, n: int, mode: str) -> GrowthPr
                              lambda r: 1.0, r_max=coeff.rho_tilde_sup(),
                              knots=knots)
     if mode == "coefficient_energy":
-        r_max = float(coeff._knots[-1]) if coeff._knots is not None else math.inf
-        return GrowthProfile(lambda r: n * np.log(r), coeff.a, r_max=r_max,
-                             knots=coeff._knots)
+        knots = None if coeff._table is None else np.array(coeff._table[0])
+        r_max = math.inf if knots is None else float(knots[-1])
+        return GrowthProfile(lambda r: n * np.log(r), coeff.a, r_max=r_max, knots=knots)
     raise DomainError(f"unknown profile mode {mode!r}")
 
 

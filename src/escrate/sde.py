@@ -7,11 +7,13 @@ all stepped by one kernel on counter-based noise keyed by (seed, chunk of
 256 noise coordinates).
 
 The kernel's normals xi_k are Box-Muller transforms of raw Philox words,
-128 words per step of a chunk (see _box_muller for the layout); they are
-cut at |xi| <= sqrt(50 log 2) = 5.89, a tail of probability 3.9e-9 per
-draw. A seed reproduces the same bytes for every ESCRATE_THREADS, and on
-numpy's AVX2 and AVX-512 float32 loops alike; on the x86-64-v2 baseline
-loops float32 log, sin and cos round differently and the normals differ.
+128 words per step of a chunk (see _box_muller for the layout), made in
+fills that shorten as paths grow to keep their scratch within a budget (see
+_noise_blocks); they are cut at |xi| <= sqrt(50 log 2) = 5.89, a tail of
+probability 3.9e-9 per draw. A seed reproduces the same bytes for every
+ESCRATE_THREADS and fill length, and on numpy's AVX2 and AVX-512 float32
+loops alike; on the x86-64-v2 baseline loops float32 log, sin and cos round
+differently.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
@@ -34,9 +37,11 @@ from .profiles import (
 )
 
 _SQRT2 = math.sqrt(2.0)
-# Steps of noise generated per RNG call. Each of the (at most two) noise
-# buffers holds _NOISE_BLOCK float32 normals per path: 0.5 KiB.
-_NOISE_BLOCK = 128
+# Steps per noise fill: _NOISE_BLOCK, or fewer so that a fill's normals and
+# raw words (2 KiB per chunk-step) stay within _NOISE_BUDGET chunk-steps, but
+# at least _MIN_BLOCK (a fill makes one RNG call per chunk). States are
+# checked for finiteness every _NOISE_BLOCK steps.
+_NOISE_BLOCK, _MIN_BLOCK, _NOISE_BUDGET = 128, 32, 320
 _NOISE_CHUNK = 256  # noise coordinates sharing one noise stream
 _WORDS = _NOISE_CHUNK // 2  # raw 64-bit Philox words per step of a chunk
 _ANGLE = np.float32(2.0 * math.pi * 2.0 ** -24)
@@ -190,24 +195,22 @@ def _check_sim_args(sdes, x0: float, T: float, dt: float, n_paths: int) -> int:
     return int(T / dt)
 
 
-def _box_muller(bit_generator, out: np.ndarray) -> None:
-    """Fill ``out``, a C-contiguous (block, _NOISE_CHUNK) float32 array, with
-    standard normals made from block * _WORDS raw 64-bit words of
-    ``bit_generator``.
+def _box_muller(words: np.ndarray, out: np.ndarray) -> None:
+    """Fill ``out``, a C-contiguous (rows, _NOISE_CHUNK) float32 array, with
+    standard normals made from ``words``, a C-contiguous uint64 array of
+    rows * _WORDS raw 64-bit words, which serves as scratch space.
 
-    Layout: word j of step row i (word i * _WORDS + j of the draw) gives
-    paths j and j + _WORDS of that step. Its low and high 32-bit halves,
+    Layout: word j of row i (word i * _WORDS + j of ``words``) gives
+    entries j and j + _WORDS of that row. Its low and high 32-bit halves,
     each shifted right by 8, are 24-bit integers k1 and k2. With
     u1 = (k1 + 1/2) 2^-24 in (0, 1), r = sqrt(-2 log u1) and
-    theta = 2 pi k2 2^-24, path j gets r cos(theta) and path j + _WORDS gets
-    r sin(theta) (Box and Muller, 1958), all in float32. As u1 >= 2^-25,
-    |normal| <= sqrt(50 log 2) = 5.89 (rounded to float32): the tail beyond
-    it has probability 3.9e-9 per draw. The draw itself is the only scratch
-    space.
+    theta = 2 pi k2 2^-24, entry j gets r cos(theta) and entry j + _WORDS
+    gets r sin(theta) (Box and Muller, 1958), all in float32. As
+    u1 >= 2^-25, |normal| <= sqrt(50 log 2) = 5.89 (rounded to float32): the
+    tail beyond it has probability 3.9e-9 per draw. Each word is transformed
+    on its own, so a normal does not depend on how many rows one call fills.
     """
-    block = out.shape[0]
-    n = block * _WORDS
-    words = bit_generator.random_raw(n)
+    n = words.size
     # (low, high) halves of each word on a little-endian host
     halves = words.view(np.uint32).reshape(n, 2)
     np.right_shift(halves, 8, out=halves)
@@ -215,7 +218,7 @@ def _box_muller(bit_generator, out: np.ndarray) -> None:
     halves = halves.view(np.int32)
     # The transforms run on contiguous arrays, as numpy's float32 loops are
     # slower on strided or row-by-row views: r and theta in out's memory, cos
-    # and sin in the draw's; the products are copied into the layout last.
+    # and sin in the words'; the products are copied into the layout last.
     r, theta = out.reshape(2, n)  # a view: out is C-contiguous
     np.add(halves[:, 0], np.float32(0.5), out=r, dtype=np.float32,
            casting="unsafe")
@@ -230,53 +233,64 @@ def _box_muller(bit_generator, out: np.ndarray) -> None:
     np.sin(theta, out=sin)
     cos *= r
     sin *= r
-    out[:, :_WORDS] = cos.reshape(block, _WORDS)
-    out[:, _WORDS:] = sin.reshape(block, _WORDS)
+    out[:, :_WORDS] = cos.reshape(-1, _WORDS)
+    out[:, _WORDS:] = sin.reshape(-1, _WORDS)
 
 
 def _noise_blocks(gens, n_steps: int):
-    """Yield (k, block, buf) for the steps k .. k+block-1, in blocks of up to
-    _NOISE_BLOCK steps: buf[c, :block] holds chunk c's float32 normals,
-    made by _box_muller from the next block * _WORDS raw words of gens[c]:
-    exactly _WORDS words per step, whatever the block size.
+    """Yield (k, block, buf) for the steps k .. k+block-1: buf[c], of shape
+    (block, _NOISE_CHUNK), holds chunk c's float32 normals, made by
+    _box_muller from the next block * _WORDS raw words of gens[c]: exactly
+    _WORDS words per step, whatever the block length (see _NOISE_BUDGET).
 
-    With more than one worker thread (worker_threads) the chunks are filled
-    in parallel, and the next block is drawn while the caller steps through
-    the current one. Each stream is still read in order, and each fill draws
-    its own scratch, so the values do not depend on the thread count.
+    A fill draws every chunk's words into one scratch and transforms them in
+    one pass, or, for a worker's lone chunk, transforms the draw itself. With
+    more than one worker thread (worker_threads) each worker fills a
+    contiguous range of chunks through its own part of the scratch, and the
+    next block is drawn into a second buffer while the caller steps through
+    the current one. Each stream is still read in order, so the values
+    depend on neither the thread count nor the block length.
     """
     n_chunks = len(gens)
-    shape = (n_chunks, _NOISE_BLOCK, _NOISE_CHUNK)
-    blocks = [(k, min(_NOISE_BLOCK, n_steps - k))
-              for k in range(0, n_steps, _NOISE_BLOCK)]
-
-    def fill(buf, chunks, block):
-        for c in chunks:
-            _box_muller(gens[c].bit_generator, buf[c, :block])
-
+    size = min(_NOISE_BLOCK, max(_MIN_BLOCK, _NOISE_BUDGET // n_chunks))
     n_threads = min(worker_threads(), n_chunks)
-    if n_threads <= 1:
-        buf = np.empty(shape, dtype=np.float32)
-        for k, block in blocks:
-            fill(buf, range(n_chunks), block)
-            yield k, block, buf
-        return
+    edges = [n_chunks * w // n_threads for w in range(n_threads + 1)]
+    # words of the chunks that share a worker (a lone chunk needs none)
+    words = np.empty(n_chunks * size * _WORDS if n_chunks > n_threads else 0, np.uint64)
+    stores = [np.empty((n_chunks * size, _NOISE_CHUNK), dtype=np.float32)
+              for _ in range(min(n_threads, 2))]
 
-    # numpy releases the GIL while it fills a chunk
-    from concurrent.futures import ThreadPoolExecutor
-    bufs = [np.empty(shape, dtype=np.float32) for _ in range(2)]
-    with ThreadPoolExecutor(n_threads) as pool:
-        def draw(i):
-            return [pool.submit(fill, bufs[i % 2], range(w, n_chunks, n_threads),
-                                blocks[i][1]) for w in range(n_threads)]
+    def fill(buf, lo, hi):
+        n = buf.shape[1] * _WORDS
+        if hi - lo == 1:
+            return _box_muller(gens[lo].bit_generator.random_raw(n), buf[lo])
+        for c in range(lo, hi):
+            words[c * n:(c + 1) * n] = gens[c].bit_generator.random_raw(n)
+        _box_muller(words[lo * n:hi * n], buf[lo:hi].reshape(-1, _NOISE_CHUNK))
 
+    def draw(k):
+        # one thread fills a block once the caller reaches it; a pool fills
+        # it into the other buffer while the caller steps through the last
+        block = min(size, n_steps - k)
+        buf = stores[k // size % len(stores)][:n_chunks * block].reshape(
+            n_chunks, block, _NOISE_CHUNK)
+        parts = [partial(fill, buf, lo, hi) for lo, hi in zip(edges, edges[1:])]
+        return buf, parts if pool is None else [pool.submit(p).result
+                                                for p in parts]
+
+    with contextlib.ExitStack() as stack:
+        pool = None
+        if n_threads > 1:  # numpy releases the GIL while it fills a chunk
+            from concurrent.futures import ThreadPoolExecutor
+            pool = stack.enter_context(ThreadPoolExecutor(n_threads))
         pending = draw(0)
-        for i, (k, block) in enumerate(blocks):
-            for done in pending:
-                done.result()
-            if i + 1 < len(blocks):
-                pending = draw(i + 1)
-            yield k, block, bufs[i % 2]
+        for k in range(0, n_steps, size):
+            buf, parts = pending
+            for part in parts:
+                part()
+            if k + size < n_steps:
+                pending = draw(k + size)
+            yield k, buf.shape[1], buf
 
 
 def _shared_noise_run(sdes, x0: float, T: float, dt: float, n_paths: int,
@@ -297,8 +311,8 @@ def _shared_noise_run(sdes, x0: float, T: float, dt: float, n_paths: int,
     (numpy's loop for a float32 array times a Python float), with a relative
     error of up to 6e-8, and only then added to the float64 states.
     ``observe(step, states)`` runs after every step, with
-    step = 1 .. int(T / dt). States are checked once per noise block; a
-    non-finite one raises NonFiniteState with the block's first step.
+    step = 1 .. int(T / dt). States are checked every _NOISE_BLOCK steps; a
+    non-finite one raises NonFiniteState with the window's first step.
     """
     n_steps = _check_sim_args(sdes, x0, T, dt, n_paths)
     n_coords = n_paths * sdes[0].width
@@ -311,18 +325,21 @@ def _shared_noise_run(sdes, x0: float, T: float, dt: float, n_paths: int,
     scale = sdes[0].sigma * math.sqrt(dt)
     with contextlib.closing(_noise_blocks(gens, n_steps)) as blocks:
         for k, block, buf in blocks:
-            for j in range(block):
-                np.multiply(buf[:, j], scale, out=noise_chunks)
+            for step in range(k + 1, k + block + 1):
+                np.multiply(buf[:, step - k - 1], scale, out=noise_chunks)
                 for update in updates:
                     update()
-                observe(k + j + 1, states)
-            for x in states:
-                bad = ~np.isfinite(x)
-                if bad.any():
-                    what = (f"path {int(np.argmax(bad))} non-finite"
-                            if len(sdes) == 1 else "non-finite coupled state")
-                    raise NonFiniteState(
-                        k, f"{what} within steps [{k}, {k + block})")
+                observe(step, states)
+                if step % _NOISE_BLOCK and step < n_steps:
+                    continue
+                start = (step - 1) // _NOISE_BLOCK * _NOISE_BLOCK
+                for x in states:
+                    bad = ~np.isfinite(x)
+                    if bad.any():
+                        what = (f"path {int(np.argmax(bad))} non-finite"
+                                if len(sdes) == 1 else "non-finite coupled state")
+                        raise NonFiniteState(
+                            start, f"{what} within steps [{start}, {step})")
     return states
 
 

@@ -763,6 +763,32 @@ class TestVerify:
             assert outputs[0] == outputs[1], name
             assert outputs[0].startswith(head), name
 
+    @pytest.mark.parametrize("threads,bound", [("1", 4.5e6), ("2", 6.5e6)])
+    def test_compare_noise_scratch_bounded(self, tmp_path, monkeypatch,
+                                           threads, bound):
+        # the benchmark's verify compare (10^4 paths, 40 noise chunks) on a
+        # short horizon: the noise buffers and word scratch take 1.3 MB
+        # each, about 0.9 MB more is the chains' states and the run's own
+        from escrate import cli
+
+        monkeypatch.setenv("ESCRATE_THREADS", threads)
+        cfg = write_config(tmp_path, (
+            "[model]\nwarp = hyperbolic\nn = 2\nk = 1\n"
+            "[simulation]\nx0 = 1\nfloor = 0.05\nmaster_seed = 6001\n"
+            "[verify]\nn_paths = 10000\ndt = 0.001\nt = 0.1\nr = 20\n"
+            "delta = 2\n"))
+        argv = ["verify", "compare", "--config", cfg,
+                "--out", str(tmp_path / "compare.csv")]
+        assert cli.main(argv) == 0  # first, untraced: lazy imports
+        tracemalloc.start()
+        try:
+            rc = cli.main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < bound, peak
+
     def test_compare_without_paths_exits_2(self, tmp_path):
         for n_paths in (0, -3):
             cfg = write_config(tmp_path, (

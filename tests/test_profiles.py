@@ -74,6 +74,31 @@ class TestRadialCoefficient:
         c = RadialCoefficient.tabulated([0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
         assert c.a(0.5) == pytest.approx(1.5, abs=0.1)
 
+    @pytest.mark.parametrize("radii,values", [
+        ([0.0, 1.0], [5.0, 6.0]), ([0.0, 2.0], [1.0, 2.0]),
+        ([0.0, 1.0, 2.0], [1.0, 2.0, 3.0])],
+        ids=["other_values", "other_knots", "more_knots"])
+    def test_tables_compare_by_their_table(self, radii, values):
+        table = RadialCoefficient.tabulated([0.0, 1.0], [1.0, 2.0])
+        other = RadialCoefficient.tabulated(radii, values)
+        assert table != other
+        assert hash(table) != hash(other)
+        assert len({table, other}) == 2
+        same = RadialCoefficient.tabulated(np.array([0, 1]), (1, 2))
+        assert same == table and hash(same) == hash(table)
+        assert repr(other) == "RadialCoefficient(family='tabulated', param=None)"
+
+    def test_families_compare_by_value(self):
+        assert RadialCoefficient.power(2) == RadialCoefficient.power(2.0)
+        assert len({RadialCoefficient.squared_log(0.5),
+                    RadialCoefficient.squared_log(0.5)}) == 1
+        assert RadialCoefficient.constant() == RadialCoefficient.constant()
+        assert RadialCoefficient.power(1.0) != RadialCoefficient.power(2.0)
+        assert RadialCoefficient.constant() != RadialCoefficient.tabulated(
+            [0.0, 1.0], [1.0, 1.0])
+        assert repr(RadialCoefficient.power(2)) == (
+            "RadialCoefficient(family='power', param=2.0)")
+
 
 def _quad_rho_tilde(coeff, s):
     """Reference intrinsic radius: quad of a^{-1/2} over [0, s]."""

@@ -2,6 +2,7 @@
 n-dimensional isotropic diffusion."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -225,18 +226,52 @@ class TestNoise:
 
         # the smallest and largest 24-bit halves: u1 = 2^-25 gives the
         # largest radius, and no word reaches log(0)
-        class Words:
-            @staticmethod
-            def random_raw(size):
-                return np.resize(np.array([0, 0xFFFFFFFF_FFFFFFFF, 0xFF,
-                                           0xFFFFFF00_000000FF], np.uint64),
-                                 size)
-
+        words = np.resize(np.array([0, 0xFFFFFFFF_FFFFFFFF, 0xFF,
+                                    0xFFFFFF00_000000FF], np.uint64), 128)
         out = np.empty((1, 256), dtype=np.float32)
-        sde_mod._box_muller(Words(), out)
+        sde_mod._box_muller(words, out)
         assert np.all(np.isfinite(out))
         assert np.abs(out).max() <= np.float32(bound)
         assert out[0, 0] == pytest.approx(bound, rel=1e-6)
+
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_normals_independent_of_fill_length(self, monkeypatch, workers):
+        # chunk 0's normals over 300 steps: alone (128-step fills) and as
+        # one of 40 chunks (shorter fills), read from the same stream; 8
+        # workers, more than the cores, switching often, share the scratch
+        monkeypatch.setattr(sde_mod, "worker_threads", lambda: workers)
+        interval = sys.getswitchinterval()
+
+        def chunk0(n_chunks):
+            gens = [sde_mod._path_generator(91 ^ (256 * c))
+                    for c in range(n_chunks)]
+            blocks = [(block, buf[0].copy())
+                      for _, block, buf in sde_mod._noise_blocks(gens, 300)]
+            sizes = {block for block, _ in blocks[:-1]}
+            return sizes, np.concatenate([rows for _, rows in blocks])
+
+        sys.setswitchinterval(1e-6)
+        try:
+            (alone_size,), alone = chunk0(1)
+            (shared_size,), shared = chunk0(40)
+        finally:
+            sys.setswitchinterval(interval)
+        assert alone_size == 128 and shared_size < 128
+        assert alone.shape == shared.shape == (300, 256)
+        assert np.array_equal(alone, shared)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_nonfinite_reported_on_128_step_windows(self, monkeypatch,
+                                                     threads):
+        # 10^4 paths (40 chunks, short fills) of x' = x^2 from 0.5: the
+        # Euler chain overflows at step 215, inside the window [128, 256)
+        monkeypatch.setenv("ESCRATE_THREADS", threads)
+        s = Sde1D(drift=lambda x: x * x, sigma=0.0)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NonFiniteState) as info:
+            ensemble(s, 0.5, 3.0, 1e-2, 10_000, 1, store_every=10 ** 6)
+        assert info.value.step == 128
+        assert str(info.value).endswith("within steps [128, 256)")
 
 
 class TestRadialDrift:

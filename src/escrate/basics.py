@@ -58,8 +58,9 @@ def family_verdict(family: str, param) -> Optional[str]:
 
 
 def worker_threads() -> int:
-    """Worker threads for noise generation: the CPUs this process may run on,
-    capped by ESCRATE_THREADS (a positive integer) when it is set.
+    """The CPUs this process may run on, capped by ESCRATE_THREADS (a
+    positive integer) when it is set. Noise is made on the calling thread, so
+    the count is no longer used; the call checks the variable.
 
     Raises ConfigError for a malformed ESCRATE_THREADS.
     """

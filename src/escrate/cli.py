@@ -359,7 +359,7 @@ def _verdict_exit(passed: bool, label: str, out: _Out) -> int:
 def cmd_verify(cfg, mode: str, out: _Out, seed_override) -> int:
     import numpy as np
 
-    from . import rate_solver, verify as verify_mod
+    from . import verify as verify_mod
     from .profiles import ManifoldModel
     from .sde import HyperbolicBound, Sde1D, radial_drift
 
@@ -376,12 +376,14 @@ def cmd_verify(cfg, mode: str, out: _Out, seed_override) -> int:
         elif envelope != "table":
             raise ConfigError(f"unknown envelope {envelope!r}")
         else:
+            from .rate_solver import rate_table
+
             _, profile = build_profile(cfg)
             _need(cfg, "solver")
             t_grid = _get(cfg, "solver", "t_grid")
             if t_grid.size == 0:
                 raise ConfigError("envelope mode needs a nonempty t_grid")
-            rate = rate_solver.rate_table(
+            rate = rate_table(
                 profile, t_grid, scale_c=_get(cfg, "solver", "scale_c", "envelope"))
         args = _simulation_args(cfg, seed_override)
         del args["barrier"]  # the streamed run records no exit times
@@ -429,9 +431,11 @@ def cmd_verify(cfg, mode: str, out: _Out, seed_override) -> int:
                              else "FAIL fractions not monotone", out)
 
     # dyadic: the last of the modes that argparse accepts
+    from .rate_solver import dyadic_scheme
+
     _, profile = build_profile(cfg)
     c, N = ver("c"), ver("n_levels")
-    scheme = rate_solver.dyadic_scheme(profile, c, N)
+    scheme = dyadic_scheme(profile, c, N)
     out.row("n", "R", "r", "t", "T", "bound", "partial_sum", "slack")
     for i in range(N):
         out.row(i + 1, scheme.R[i], scheme.r[i], scheme.t[i], scheme.T[i],

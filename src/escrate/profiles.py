@@ -10,7 +10,8 @@ Carlo checks.
 The transform, its inverse and log-inverse, the growth profiles and the
 drift formulas take floats or numpy arrays. The families use their
 closed-form antiderivatives; a ``tabulated`` coefficient integrates a^{-1/2}
-once per knot interval, on first use, and keeps the cumulative table.
+once per knot interval, on first use, and keeps the cumulative table. Only
+a tabulated coefficient imports ``escrate._numerics``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._numerics import brentq, pchip, quad
 from .basics import CATALOGUE
 from .errors import (
     DomainError,
@@ -159,6 +159,8 @@ class RadialCoefficient:
                               f"but {values.size} values")
         if np.any(values <= 0):
             raise NonPositiveCoefficient("tabulated coefficient samples must be > 0")
+        from ._numerics import brentq, pchip
+
         spline, deriv = pchip(radii, values)
 
         def a(r):
@@ -245,6 +247,8 @@ def _log1p_transform(param: float, log1p_inverse: Callable) -> dict:
 
 def _integral(coeff: RadialCoefficient, lo: float, hi: float) -> float:
     """Integral of a(u)^{-1/2} over [lo, hi] by adaptive quadrature."""
+    from ._numerics import quad
+
     def integrand(u):
         au = coeff.a(u)
         if np.any(au <= 0.0):

@@ -21,7 +21,6 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
@@ -37,13 +36,16 @@ from .profiles import (
 )
 
 _SQRT2 = math.sqrt(2.0)
-# Steps per noise fill: _NOISE_BLOCK, or fewer so that a fill's normals and
-# raw words (2 KiB per chunk-step) stay within _NOISE_BUDGET chunk-steps, but
-# at least _MIN_BLOCK (a fill makes one RNG call per chunk). States are
-# checked for finiteness every _NOISE_BLOCK steps.
-_NOISE_BLOCK, _MIN_BLOCK, _NOISE_BUDGET = 128, 32, 320
+# Steps per noise fill: _NOISE_BLOCK, or fewer so that a fill's normals
+# (1 KiB per chunk-step) stay within _NOISE_BUDGET chunk-steps, but at least
+# _MIN_BLOCK (a fill makes one RNG call per chunk). The raw words (1 KiB per
+# chunk-step) go through one tile of _WORD_TILE words, or of one chunk's
+# fill if that is longer. States are checked for finiteness every
+# _NOISE_BLOCK steps.
+_NOISE_BLOCK, _MIN_BLOCK, _NOISE_BUDGET = 128, 8, 320
 _NOISE_CHUNK = 256  # noise coordinates sharing one noise stream
 _WORDS = _NOISE_CHUNK // 2  # raw 64-bit Philox words per step of a chunk
+_WORD_TILE = 8192  # raw words one pass of the word tile transforms (64 KiB)
 _ANGLE = np.float32(2.0 * math.pi * 2.0 ** -24)
 
 __all__ = [
@@ -242,55 +244,33 @@ def _noise_blocks(gens, n_steps: int):
     (block, _NOISE_CHUNK), holds chunk c's float32 normals, made by
     _box_muller from the next block * _WORDS raw words of gens[c]: exactly
     _WORDS words per step, whatever the block length (see _NOISE_BUDGET).
+    Each buf is a view into one buffer that the next fill overwrites: a
+    caller that keeps a block past its own steps must copy it.
 
-    A fill draws every chunk's words into one scratch and transforms them in
-    one pass, or, for a worker's lone chunk, transforms the draw itself. With
-    more than one worker thread (worker_threads) each worker fills a
-    contiguous range of chunks through its own part of the scratch, and the
-    next block is drawn into a second buffer while the caller steps through
-    the current one. Each stream is still read in order, so the values
-    depend on neither the thread count nor the block length.
+    A fill draws each chunk's words in one call and copies the draws of as
+    many chunks as _WORD_TILE words hold (at least one) into one word tile,
+    which _box_muller transforms in one pass, all on the caller's thread.
+    Each stream is still read in order, so the values do not depend on the
+    block length. ESCRATE_THREADS is only checked (worker_threads); it
+    changes nothing here.
     """
+    worker_threads()  # a malformed ESCRATE_THREADS raises ConfigError
     n_chunks = len(gens)
     size = min(_NOISE_BLOCK, max(_MIN_BLOCK, _NOISE_BUDGET // n_chunks))
-    n_threads = min(worker_threads(), n_chunks)
-    edges = [n_chunks * w // n_threads for w in range(n_threads + 1)]
-    # words of the chunks that share a worker (a lone chunk needs none)
-    words = np.empty(n_chunks * size * _WORDS if n_chunks > n_threads else 0, np.uint64)
-    stores = [np.empty((n_chunks * size, _NOISE_CHUNK), dtype=np.float32)
-              for _ in range(min(n_threads, 2))]
-
-    def fill(buf, lo, hi):
-        n = buf.shape[1] * _WORDS
-        if hi - lo == 1:
-            return _box_muller(gens[lo].bit_generator.random_raw(n), buf[lo])
-        for c in range(lo, hi):
-            words[c * n:(c + 1) * n] = gens[c].bit_generator.random_raw(n)
-        _box_muller(words[lo * n:hi * n], buf[lo:hi].reshape(-1, _NOISE_CHUNK))
-
-    def draw(k):
-        # one thread fills a block once the caller reaches it; a pool fills
-        # it into the other buffer while the caller steps through the last
+    group = max(1, _WORD_TILE // (size * _WORDS))  # chunks per pass
+    tile = np.empty(group * size * _WORDS, np.uint64)
+    store = np.empty((n_chunks * size, _NOISE_CHUNK), dtype=np.float32)
+    for k in range(0, n_steps, size):
         block = min(size, n_steps - k)
-        buf = stores[k // size % len(stores)][:n_chunks * block].reshape(
-            n_chunks, block, _NOISE_CHUNK)
-        parts = [partial(fill, buf, lo, hi) for lo, hi in zip(edges, edges[1:])]
-        return buf, parts if pool is None else [pool.submit(p).result
-                                                for p in parts]
-
-    with contextlib.ExitStack() as stack:
-        pool = None
-        if n_threads > 1:  # numpy releases the GIL while it fills a chunk
-            from concurrent.futures import ThreadPoolExecutor
-            pool = stack.enter_context(ThreadPoolExecutor(n_threads))
-        pending = draw(0)
-        for k in range(0, n_steps, size):
-            buf, parts = pending
-            for part in parts:
-                part()
-            if k + size < n_steps:
-                pending = draw(k + size)
-            yield k, buf.shape[1], buf
+        buf = store[:n_chunks * block].reshape(n_chunks, block, _NOISE_CHUNK)
+        n = block * _WORDS
+        for c in range(0, n_chunks, group):
+            chunks = gens[c:c + group]
+            words = tile[:len(chunks) * n]
+            for gen, row in zip(chunks, words.reshape(-1, n)):
+                row[:] = gen.bit_generator.random_raw(n)
+            _box_muller(words, buf[c:c + len(chunks)].reshape(-1, _NOISE_CHUNK))
+        yield k, block, buf
 
 
 def _shared_noise_run(sdes, x0: float, T: float, dt: float, n_paths: int,
@@ -304,9 +284,9 @@ def _shared_noise_run(sdes, x0: float, T: float, dt: float, n_paths: int,
     first coordinate index is q reads the Philox stream keyed by seed XOR q,
     step-major, _WORDS raw words per step, which _box_muller turns into one
     row of _NOISE_CHUNK float32 normals. A path's noise is thus a pure
-    function of (seed, path index), whatever n_paths and however many
-    worker threads fill the chunks. Only the real coordinates are stepped:
-    the unused tail of the last chunk stays in the noise scratch buffer.
+    function of (seed, path index), whatever n_paths and the fill length.
+    Only the real coordinates are stepped: the unused tail of the last chunk
+    stays in the noise scratch buffer.
     Each step's increments sigma sqrt(dt) xi are formed once, in float32
     (numpy's loop for a float32 array times a Python float), with a relative
     error of up to 6e-8, and only then added to the float64 states.

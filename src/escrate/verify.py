@@ -11,15 +11,18 @@ reducer.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import DomainError, DriftOrderViolated, ExtrapolationError
-from .rate_solver import RateFunction
 from .sde import (IsotropicNd, PathEnsemble, Sde1D, _shared_noise_run,
                   _stored_steps)
+
+if TYPE_CHECKING:
+    from .rate_solver import RateFunction
 
 __all__ = [
     "EnvelopeReport",
@@ -99,7 +102,9 @@ def _streamed_fractions(sde: Sde1D | IsotropicNd, x0: float, T: float, dt: float
 
 
 def _envelope_values(rate, ts: np.ndarray) -> np.ndarray:
-    if isinstance(rate, RateFunction):
+    # a RateFunction exists only once escrate.rate_solver is loaded
+    rate_solver = sys.modules.get(f"{__package__}.rate_solver")
+    if rate_solver is not None and isinstance(rate, rate_solver.RateFunction):
         lo, hi = rate.domain
         if ts[-1] > hi + 1e-12 or ts[0] < lo - 1e-12:
             raise ExtrapolationError(

@@ -2,7 +2,6 @@
 n-dimensional isotropic diffusion."""
 
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -237,10 +236,9 @@ class TestNoise:
     @pytest.mark.parametrize("workers", [1, 2, 8])
     def test_normals_independent_of_fill_length(self, monkeypatch, workers):
         # chunk 0's normals over 300 steps: alone (128-step fills) and as
-        # one of 40 chunks (shorter fills), read from the same stream; 8
-        # workers, more than the cores, switching often, share the scratch
-        monkeypatch.setattr(sde_mod, "worker_threads", lambda: workers)
-        interval = sys.getswitchinterval()
+        # one of 40 chunks (8-step fills, eight chunks per pass of the word
+        # tile), read from the same stream; ESCRATE_THREADS changes nothing
+        monkeypatch.setenv("ESCRATE_THREADS", str(workers))
 
         def chunk0(n_chunks):
             gens = [sde_mod._path_generator(91 ^ (256 * c))
@@ -250,13 +248,9 @@ class TestNoise:
             sizes = {block for block, _ in blocks[:-1]}
             return sizes, np.concatenate([rows for _, rows in blocks])
 
-        sys.setswitchinterval(1e-6)
-        try:
-            (alone_size,), alone = chunk0(1)
-            (shared_size,), shared = chunk0(40)
-        finally:
-            sys.setswitchinterval(interval)
-        assert alone_size == 128 and shared_size < 128
+        (alone_size,), alone = chunk0(1)
+        (shared_size,), shared = chunk0(40)
+        assert alone_size == 128 and shared_size == 8
         assert alone.shape == shared.shape == (300, 256)
         assert np.array_equal(alone, shared)
 

@@ -1,21 +1,16 @@
 """The numpy-free part of escrate: what every CLI launch may need.
 
-The closed-form catalogue, the coefficient families with their parameter
-keys and conservativeness rule, and the worker-thread count need no
-numerics, so ``catalogue``,
-``conserve`` on a family and every config or ``ESCRATE_THREADS`` error run
-without importing numpy. ``escrate.profiles.CATALOGUE`` and
-``escrate.sde.worker_threads`` are these same objects.
+The closed-form catalogue and the coefficient families with their parameter
+keys and conservativeness rule need no numerics, so ``catalogue``,
+``conserve`` on a family and every config error run without importing
+numpy. ``escrate.profiles.CATALOGUE`` is this same object.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
-from .errors import ConfigError
-
-__all__ = ["CATALOGUE", "FAMILIES", "family_verdict", "worker_threads"]
+__all__ = ["CATALOGUE", "FAMILIES", "family_verdict"]
 
 
 # The closed forms of profiles.closed_form_rate as ``escrate catalogue``
@@ -55,26 +50,3 @@ def family_verdict(family: str, param) -> Optional[str]:
     if family == "squared_log":
         return "Conservative" if param <= 1.0 else "NonConservative"
     return None
-
-
-def worker_threads() -> int:
-    """The CPUs this process may run on, capped by ESCRATE_THREADS (a
-    positive integer) when it is set. Noise is made on the calling thread, so
-    the count is no longer used; the call checks the variable.
-
-    Raises ConfigError for a malformed ESCRATE_THREADS.
-    """
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    raw = os.environ.get("ESCRATE_THREADS")
-    if raw is None:
-        return cpus
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(f"ESCRATE_THREADS must be a positive integer, got {raw!r}")
-    if cap < 1:
-        raise ConfigError(f"ESCRATE_THREADS must be >= 1, got {cap}")
-    return min(cpus, cap)

@@ -21,7 +21,7 @@ import sys
 from functools import partial
 from typing import TYPE_CHECKING
 
-from .basics import CATALOGUE, FAMILIES, family_verdict, worker_threads
+from .basics import CATALOGUE, FAMILIES, family_verdict
 from .errors import ConfigError, DomainError, EscrateError
 
 if TYPE_CHECKING:
@@ -489,7 +489,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out = None
     try:
-        worker_threads()  # reject a malformed ESCRATE_THREADS before any work
         if args.command == "catalogue":
             out = _Out(args.out)
             return cmd_catalogue(out)

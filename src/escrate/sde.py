@@ -11,9 +11,8 @@ The kernel's normals xi_k are Box-Muller transforms of raw Philox words,
 fills that shorten as paths grow to keep their scratch within a budget (see
 _noise_blocks); they are cut at |xi| <= sqrt(50 log 2) = 5.89, a tail of
 probability 3.9e-9 per draw. A seed reproduces the same bytes for every
-ESCRATE_THREADS and fill length, and on numpy's AVX2 and AVX-512 float32
-loops alike; on the x86-64-v2 baseline loops float32 log, sin and cos round
-differently.
+fill length, and on numpy's AVX2 and AVX-512 float32 loops alike; on the
+x86-64-v2 baseline loops float32 log, sin and cos round differently.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
-from .basics import worker_threads
 from .errors import DomainError, NonFiniteState, SingularOrigin
 from .profiles import (
     DEFAULT_ORIGIN_FLOOR,
@@ -55,7 +53,6 @@ __all__ = [
     "HyperbolicBound",
     "ensemble",
     "radial_drift",
-    "worker_threads",
 ]
 
 
@@ -249,12 +246,9 @@ def _noise_blocks(gens, n_steps: int):
 
     A fill draws each chunk's words in one call and copies the draws of as
     many chunks as _WORD_TILE words hold (at least one) into one word tile,
-    which _box_muller transforms in one pass, all on the caller's thread.
-    Each stream is still read in order, so the values do not depend on the
-    block length. ESCRATE_THREADS is only checked (worker_threads); it
-    changes nothing here.
+    which _box_muller transforms in one pass. Each stream is still read in
+    order, so the values do not depend on the block length.
     """
-    worker_threads()  # a malformed ESCRATE_THREADS raises ConfigError
     n_chunks = len(gens)
     size = min(_NOISE_BLOCK, max(_MIN_BLOCK, _NOISE_BUDGET // n_chunks))
     group = max(1, _WORD_TILE // (size * _WORDS))  # chunks per pass
@@ -343,11 +337,10 @@ def ensemble(sde: Sde1D | IsotropicNd, x0: float, T: float, dt: float, n_paths: 
     """Simulate n_paths chains on the chunk-keyed noise of _shared_noise_run
     and store their observed states (x, or |X| for an IsotropicNd).
 
-    Path i's noise depends only on (master_seed, i), so the result is
-    bit-identical for every ESCRATE_THREADS, and the first m paths of a
-    larger ensemble are the m paths of a smaller one. ``store_every`` thins
-    the stored grid (step 0, every store_every-th step thereafter, and the
-    last step).
+    Path i's noise depends only on (master_seed, i), so the first m paths
+    of a larger ensemble are the m paths of a smaller one. ``store_every``
+    thins the stored grid (step 0, every store_every-th step thereafter, and
+    the last step).
     """
     stored_idx = _stored_steps(sde, x0, T, dt, n_paths, store_every)
     n_steps = int(stored_idx[-1])

@@ -106,19 +106,16 @@ class TestEnsemble:
                         ff.std(ddof=1) / math.sqrt(ff.size))
         assert abs(fc.mean() - ff.mean()) <= 3.0 * se
 
-    def test_none_drift_equals_zero_drift(self, monkeypatch):
+    def test_none_drift_equals_zero_drift(self):
         # a driftless chain skips the drift stage; x + 0.0 == x above the
         # floor, so the bytes are those of an explicit zero drift
-        for threads in ("1", "2"):
-            monkeypatch.setenv("ESCRATE_THREADS", threads)
-            a, b = (ensemble(Sde1D(drift=d, floor=0.05), 0.3, 3.0, 1e-2, 300,
-                             master_seed=12, barrier=1.2, store_every=7)
-                    for d in (None, zero))
-            assert np.array_equal(a.values, b.values), threads
-            assert np.array_equal(a.floor_hits, b.floor_hits), threads
-            assert np.array_equal(a.first_exit, b.first_exit,
-                                  equal_nan=True), threads
-            assert a.floor_hits.sum() > 0 and np.isfinite(a.first_exit).any()
+        a, b = (ensemble(Sde1D(drift=d, floor=0.05), 0.3, 3.0, 1e-2, 300,
+                         master_seed=12, barrier=1.2, store_every=7)
+                for d in (None, zero))
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.floor_hits, b.floor_hits)
+        assert np.array_equal(a.first_exit, b.first_exit, equal_nan=True)
+        assert a.floor_hits.sum() > 0 and np.isfinite(a.first_exit).any()
 
     @pytest.mark.parametrize("store_every", [1, 7, 293, 1000])
     def test_store_matches_row_by_row_reference(self, store_every):
@@ -187,7 +184,7 @@ def reference_normals(seed, n_paths, n_steps):
 
 
 class TestNoise:
-    def test_layout_matches_reference_loop(self, monkeypatch):
+    def test_layout_matches_reference_loop(self):
         # 300 paths: a full chunk and a partial one; 293 steps: two noise
         # blocks and a remainder of 37
         n_paths, n_steps, seed = 300, 2 * 128 + 37, 4242
@@ -200,10 +197,8 @@ class TestNoise:
             x = np.maximum(x + 0.0 + z[step], 1e-6)
             expected[:, step + 1] = x
         s = Sde1D(drift=zero, sigma=1.0, floor=1e-6)
-        for threads in ("1", "2"):
-            monkeypatch.setenv("ESCRATE_THREADS", threads)
-            ens = ensemble(s, 1000.0, float(n_steps), 1.0, n_paths, seed)
-            assert np.array_equal(ens.values, expected), threads
+        ens = ensemble(s, 1000.0, float(n_steps), 1.0, n_paths, seed)
+        assert np.array_equal(ens.values, expected)
 
     def test_standard_normal_law(self):
         bound = math.sqrt(50.0 * math.log(2.0))
@@ -233,12 +228,10 @@ class TestNoise:
         assert np.abs(out).max() <= np.float32(bound)
         assert out[0, 0] == pytest.approx(bound, rel=1e-6)
 
-    @pytest.mark.parametrize("workers", [1, 2, 8])
-    def test_normals_independent_of_fill_length(self, monkeypatch, workers):
+    def test_normals_independent_of_fill_length(self):
         # chunk 0's normals over 300 steps: alone (128-step fills) and as
         # one of 40 chunks (8-step fills, eight chunks per pass of the word
-        # tile), read from the same stream; ESCRATE_THREADS changes nothing
-        monkeypatch.setenv("ESCRATE_THREADS", str(workers))
+        # tile), read from the same stream
 
         def chunk0(n_chunks):
             gens = [sde_mod._path_generator(91 ^ (256 * c))
@@ -254,12 +247,9 @@ class TestNoise:
         assert alone.shape == shared.shape == (300, 256)
         assert np.array_equal(alone, shared)
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_nonfinite_reported_on_128_step_windows(self, monkeypatch,
-                                                     threads):
+    def test_nonfinite_reported_on_128_step_windows(self):
         # 10^4 paths (40 chunks, short fills) of x' = x^2 from 0.5: the
         # Euler chain overflows at step 215, inside the window [128, 256)
-        monkeypatch.setenv("ESCRATE_THREADS", threads)
         s = Sde1D(drift=lambda x: x * x, sigma=0.0)
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(NonFiniteState) as info:
@@ -455,16 +445,16 @@ class TestIsotropicNd:
         np.testing.assert_allclose(ens.values[paths], expected, rtol=1e-12,
                                    atol=0.0)
 
-    def test_independent_of_thread_count(self, monkeypatch):
+    def test_exits_prefix_of_larger_ensemble(self):
+        # 300 paths at n = 3 end inside the fourth noise chunk, 700 inside
+        # the ninth: the first 300 paths' exits and floor hits agree too
         chain = IsotropicNd(RadialCoefficient.power(1.0), 3, 0.05)
-        runs = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("ESCRATE_THREADS", threads)
-            runs.append(ensemble(chain, 0.3, 3.0, 1e-2, 300, 17, barrier=2.0))
-        a, b = runs
-        assert np.array_equal(a.values, b.values)
-        assert np.array_equal(a.floor_hits, b.floor_hits)
-        assert np.array_equal(a.first_exit, b.first_exit, equal_nan=True)
+        a, b = (ensemble(chain, 0.3, 3.0, 1e-2, n, 17, barrier=2.0)
+                for n in (300, 700))
+        assert np.array_equal(a.values, b.values[:300])
+        assert np.array_equal(a.floor_hits, b.floor_hits[:300])
+        assert np.array_equal(a.first_exit, b.first_exit[:300], equal_nan=True)
+        assert np.isfinite(a.first_exit).any()
 
     def test_prefix_of_larger_ensemble(self):
         chain = IsotropicNd(RadialCoefficient.squared_log(0.5), 2, 0.05)

@@ -1,7 +1,6 @@
 """Statistical checks: envelope exceedance, Monte Carlo comparison,
 coupled dominance, and the iterated-logarithm diagnostic."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +8,6 @@ import pytest
 
 from escrate import pinned
 from escrate.errors import (
-    ConfigError,
     DomainError,
     DriftOrderViolated,
     ExtrapolationError,
@@ -192,24 +190,8 @@ class TestCoupledDominance:
             coupled_dominance(s, s, 1.0, 1.0, 1e-2, -3, master_seed=1)
 
 
-class TestThreadedNoise:
+class TestPathNoise:
     # 700 paths: two full 256-path noise chunks and a padded third
-    def test_reports_independent_of_thread_count(self, monkeypatch):
-        lo = Sde1D(drift=zero, sigma=math.sqrt(2.0))
-        hi = Sde1D(drift=lambda x: np.ones_like(np.asarray(x, dtype=float)))
-        results, values = [], []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("ESCRATE_THREADS", threads)
-            rep = comparison_mc(hi, lo, r0=1.0, t=0.6, delta=0.5, R=5.0,
-                                N=700, dt=1e-3, master_seed=71)
-            frac = coupled_dominance(lo, hi, 1.0, 0.6, 1e-3, 700,
-                                     master_seed=72)
-            results.append((dataclasses.asdict(rep), frac))
-            values.append(ensemble(hi, 1.0, 0.6, 1e-3, 700,
-                                   master_seed=73).values)
-        assert results[0] == results[1]
-        assert np.array_equal(values[0], values[1])
-
     def test_path_noise_independent_of_ensemble_size(self):
         s = Sde1D(drift=zero)
         x_small, exit_small = _terminal_run(s, 1.0, 0.6, 1e-3, 300, 5, 2.0)
@@ -220,13 +202,6 @@ class TestThreadedNoise:
         ens_small = ensemble(s, 1.0, 0.6, 1e-3, 300, master_seed=5)
         ens_big = ensemble(s, 1.0, 0.6, 1e-3, 700, master_seed=5)
         assert np.array_equal(ens_small.values, ens_big.values[:300])
-
-    def test_malformed_thread_cap_rejected(self, monkeypatch):
-        monkeypatch.setenv("ESCRATE_THREADS", "0")
-        with pytest.raises(ConfigError):
-            comparison_mc(Sde1D(drift=zero), Sde1D(drift=zero), r0=1.0,
-                          t=0.1, delta=0.5, R=5.0, N=10, dt=1e-2,
-                          master_seed=1)
 
 
 class TestLilStatistic:
@@ -246,26 +221,15 @@ class TestLilStatistic:
 
 class TestStreamedReductions:
     """exceedance_mc and lil_mc reduce as the chains step; their fractions
-    must equal the stored-ensemble reductions exactly, for every thread
-    count. 700 paths fill two 256-path noise chunks and part of a third;
-    500 steps stored every 7th leave step 500 to be stored as the last."""
+    must equal the stored-ensemble reductions exactly. 700 paths fill two
+    256-path noise chunks and part of a third; 500 steps stored every 7th
+    leave step 500 to be stored as the last."""
 
     T, DT, N, EVERY = 5.0, 1e-2, 700, 7
 
-    @staticmethod
-    def _each_thread_count(monkeypatch, run):
-        results = []
-        for threads in ("1", None):
-            if threads is None:
-                monkeypatch.delenv("ESCRATE_THREADS", raising=False)
-            else:
-                monkeypatch.setenv("ESCRATE_THREADS", threads)
-            results.append(run())
-        return results
-
     @pytest.mark.parametrize("case", [
         "step0", "last_step", "sqrt", "table", "zero", "infinity"])
-    def test_exceedance_equals_stored(self, monkeypatch, case):
+    def test_exceedance_equals_stored(self, case):
         sde = Sde1D(drift=lambda x: 2.0 / np.asarray(x, dtype=float),
                     floor=0.01)
         C_grid, t0, expected = [1.0, 3.0], 1.0, None
@@ -288,15 +252,13 @@ class TestStreamedReductions:
         args = (sde, 1.0, self.T, self.DT, self.N, 41)
         stored = exceedance(ensemble(*args, store_every=self.EVERY), rate,
                             C_grid, t0)
-        for streamed in self._each_thread_count(monkeypatch, lambda: (
-                exceedance_mc(*args, rate, C_grid, t0,
-                              store_every=self.EVERY))):
-            assert streamed.fractions.tolist() == stored.fractions.tolist()
-            assert streamed.C_grid.tolist() == stored.C_grid.tolist()
-            assert (streamed.t0, streamed.T, streamed.n_paths,
-                    streamed.master_seed) == (stored.t0, stored.T,
-                                              stored.n_paths,
-                                              stored.master_seed)
+        streamed = exceedance_mc(*args, rate, C_grid, t0,
+                                 store_every=self.EVERY)
+        assert streamed.fractions.tolist() == stored.fractions.tolist()
+        assert streamed.C_grid.tolist() == stored.C_grid.tolist()
+        assert (streamed.t0, streamed.T, streamed.n_paths,
+                streamed.master_seed) == (stored.t0, stored.T, stored.n_paths,
+                                          stored.master_seed)
         if expected is not None:
             assert stored.fractions.tolist() == expected
         else:
@@ -322,25 +284,23 @@ class TestStreamedReductions:
                       store_every=store_every).tolist() == lil.tolist()
         assert lil[0] > 0.0
 
-    def test_nd_exceedance_equals_stored(self, monkeypatch):
+    def test_nd_exceedance_equals_stored(self):
         # the radii |X| of 300 paths at n = 3: 900 noise coordinates
         args = (_isotropic(), 1.0, self.T, self.DT, 300, 42)
         C_grid = [16.0, 64.0, 256.0]
         stored = exceedance(ensemble(*args, store_every=self.EVERY),
                             math.sqrt, C_grid, 1.0)
-        for streamed in self._each_thread_count(monkeypatch, lambda: (
-                exceedance_mc(*args, math.sqrt, C_grid, 1.0,
-                              store_every=self.EVERY))):
-            assert streamed.fractions.tolist() == stored.fractions.tolist()
+        streamed = exceedance_mc(*args, math.sqrt, C_grid, 1.0,
+                                 store_every=self.EVERY)
+        assert streamed.fractions.tolist() == stored.fractions.tolist()
         assert 0.0 < stored.fractions[-1] < stored.fractions[0]
 
-    def test_lil_equals_stored(self, monkeypatch):
+    def test_lil_equals_stored(self):
         sde = Sde1D(drift=zero, sigma=1.0, floor=1e-6)
         args = (sde, 1e-6, 500.0, 1.0, self.N, 606)
         eps_grid = [0.0, 0.25, 0.5, 1.0]
         ens = ensemble(*args, store_every=self.EVERY)
         stored = lil_statistic(ens, 10.0, ens.times[-1], eps_grid)
-        for streamed in self._each_thread_count(monkeypatch, lambda: lil_mc(
-                *args, 10.0, eps_grid, store_every=self.EVERY)):
-            assert streamed.tolist() == stored.tolist()
+        streamed = lil_mc(*args, 10.0, eps_grid, store_every=self.EVERY)
+        assert streamed.tolist() == stored.tolist()
         assert stored[0] > stored[-1]

@@ -228,10 +228,13 @@ class TestNoise:
         assert np.abs(out).max() <= np.float32(bound)
         assert out[0, 0] == pytest.approx(bound, rel=1e-6)
 
-    def test_normals_independent_of_fill_length(self):
-        # chunk 0's normals over 300 steps: alone (128-step fills) and as
-        # one of 40 chunks (8-step fills, eight chunks per pass of the word
-        # tile), read from the same stream
+    @pytest.mark.parametrize("n_chunks", [1, 2, 8])
+    def test_normals_independent_of_fill_length(self, n_chunks):
+        # chunk 0's normals over 300 steps: among n_chunks chunks (128-step
+        # fills at 1 and 2 chunks, 40-step fills that leave a 20-step
+        # remainder at 8, one chunk per pass of the word tile) and as one
+        # of 40 chunks (8-step fills, eight chunks per pass), read from the
+        # same stream
 
         def chunk0(n_chunks):
             gens = [sde_mod._path_generator(91 ^ (256 * c))
@@ -241,21 +244,27 @@ class TestNoise:
             sizes = {block for block, _ in blocks[:-1]}
             return sizes, np.concatenate([rows for _, rows in blocks])
 
-        (alone_size,), alone = chunk0(1)
+        (alone_size,), alone = chunk0(n_chunks)
         (shared_size,), shared = chunk0(40)
-        assert alone_size == 128 and shared_size == 8
+        assert alone_size == {1: 128, 2: 128, 8: 40}[n_chunks]
+        assert shared_size == 8
         assert alone.shape == shared.shape == (300, 256)
         assert np.array_equal(alone, shared)
 
-    def test_nonfinite_reported_on_128_step_windows(self):
-        # 10^4 paths (40 chunks, short fills) of x' = x^2 from 0.5: the
-        # Euler chain overflows at step 215, inside the window [128, 256)
+    @pytest.mark.parametrize("window", [1, 2])
+    def test_nonfinite_reported_on_128_step_windows(self, window):
+        # 10^4 paths (40 chunks, short fills) of x' = x^2: the Euler chain
+        # overflows at step 215 from 0.5, inside the window [128, 256), and
+        # at step 315 from 1/3, inside [256, 384)
+        x0, t = {1: (0.5, 3.0), 2: (1.0 / 3.0, 4.0)}[window]
         s = Sde1D(drift=lambda x: x * x, sigma=0.0)
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(NonFiniteState) as info:
-            ensemble(s, 0.5, 3.0, 1e-2, 10_000, 1, store_every=10 ** 6)
-        assert info.value.step == 128
-        assert str(info.value).endswith("within steps [128, 256)")
+            ensemble(s, x0, t, 1e-2, 10_000, 1, store_every=10 ** 6)
+        start = 128 * window
+        assert info.value.step == start
+        assert str(info.value).endswith(
+            f"within steps [{start}, {start + 128})")
 
 
 class TestRadialDrift:

@@ -204,10 +204,10 @@ def build_profile(cfg):
         raise ConfigError(str(exc))
 
 
-def build_drift(cfg, floor: float):
-    """Resolve the simulation drift from config, checked against ``floor``
-    once: a manifold's mean curvature, the radial-coefficient drift or the
-    hyperbolic majorant. build_sde gives ``drift = none`` a None drift."""
+def build_drift(cfg):
+    """Resolve the simulation drift from config: a manifold's mean
+    curvature, the radial-coefficient drift or the hyperbolic majorant. The
+    chain owns the floor. build_sde gives ``drift = none`` a None drift."""
     from .profiles import ManifoldModel
     from .sde import HyperbolicBound, radial_drift
 
@@ -216,14 +216,14 @@ def build_drift(cfg, floor: float):
     if kind == "manifold":
         warp = model("warp")
         if warp == "euclidean":
-            return radial_drift(ManifoldModel.euclidean(n), floor=floor)
+            return radial_drift(ManifoldModel.euclidean(n))
         if warp == "hyperbolic":
-            return radial_drift(ManifoldModel.hyperbolic(n, model("k")), floor=floor)
+            return radial_drift(ManifoldModel.hyperbolic(n, model("k")))
         raise ConfigError(f"unknown warp {warp!r}")
     if kind == "hyperbolic_bound":
-        return radial_drift(HyperbolicBound(n, model("k")), floor=floor)
+        return radial_drift(HyperbolicBound(n, model("k")))
     if kind == "coefficient":
-        return radial_drift((build_coefficient(cfg), n), floor=floor)
+        return radial_drift((build_coefficient(cfg), n))
     raise ConfigError(f"unknown drift kind {kind!r}")
 
 
@@ -232,10 +232,9 @@ def build_sde(cfg) -> Sde1D:
 
     _need(cfg, "simulation")
     sim = partial(_get, cfg, "simulation")
-    floor = sim("floor")
-    drift = None if sim("drift") == "none" else build_drift(cfg, floor)
+    drift = None if sim("drift") == "none" else build_drift(cfg)
     sigma = sim("sigma")  # unset: Sde1D's default
-    return Sde1D(drift=drift, floor=floor,
+    return Sde1D(drift=drift, floor=sim("floor"),
                  **({} if sigma is None else {"sigma": sigma}))
 
 
@@ -402,10 +401,9 @@ def cmd_verify(cfg, mode: str, out: _Out, seed_override) -> int:
         _need(cfg, "model")
         n, K = _get(cfg, "model", "n", "drift"), _get(cfg, "model", "k")
         floor = _get(cfg, "simulation", "floor")
-        dominated = Sde1D(drift=radial_drift(ManifoldModel.hyperbolic(n, K),
-                                             floor=floor), floor=floor)
-        dominating = Sde1D(drift=radial_drift(HyperbolicBound(n, K),
-                                              floor=floor), floor=floor)
+        dominated = Sde1D(drift=radial_drift(ManifoldModel.hyperbolic(n, K)),
+                          floor=floor)
+        dominating = Sde1D(drift=radial_drift(HyperbolicBound(n, K)), floor=floor)
         seed = _master_seed(cfg, seed_override)
         report = verify_mod.comparison_mc(
             dominating, dominated, _get(cfg, "simulation", "x0"), ver("t"),

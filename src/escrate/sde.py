@@ -24,7 +24,7 @@ from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteState, SingularOrigin
+from .errors import DomainError, NonFiniteState
 from .profiles import (
     DEFAULT_ORIGIN_FLOOR,
     ManifoldModel,
@@ -394,27 +394,23 @@ class HyperbolicBound:
 
 
 def radial_drift(source: Union[ManifoldModel, Tuple[RadialCoefficient, int],
-                               HyperbolicBound],
-                 floor: float = DEFAULT_ORIGIN_FLOOR) -> Callable:
-    """Drift function for the radial comparison chain on radii >= ``floor``.
+                               HyperbolicBound]) -> Callable:
+    """Drift function for a radial comparison chain.
 
     A ManifoldModel gives its mean curvature m(r); a (coefficient, dimension)
     pair gives the radial-generator drift expressed in the intrinsic radius;
-    a HyperbolicBound gives the dominating majorant of coth. The floor is
-    checked once, here (SingularOrigin if <= 0): the model and majorant
-    drifts are bare ufunc expressions, for chains clamped at the drift's
-    floor as every CLI chain is, bitwise equal to mean_curvature and the
-    majorant's formula but without their per-call check.
+    a HyperbolicBound gives the dominating majorant of coth. The chain owns
+    the floor, and the drift takes none: the model and majorant drifts are
+    bare ufunc expressions, bitwise equal to mean_curvature and the
+    majorant's formula but without their per-call floor check.
 
-    The coefficient drift keeps drift_L_rho's guard and overflows quietly
-    (the kernel raises NonFiniteState). Its chain needs a floor away from 0:
-    at the default 1e-6 it overshoots, and from |x0| = 1 (T = 0.2, dt = 1e-3)
-    power alpha = 1 gave a mean intrinsic radius of 13.43 +- 0.78 at n = 2
-    and 2.29 +- 0.30 at n = 3, against IsotropicNd's 1.19 and 1.39, and
+    The coefficient drift overflows quietly (the kernel raises
+    NonFiniteState). Its chain needs a floor away from 0: at the default
+    1e-6 it overshoots, and from |x0| = 1 (T = 0.2, dt = 1e-3) power
+    alpha = 1 gave a mean intrinsic radius of 13.43 +- 0.78 at n = 2 and
+    2.29 +- 0.30 at n = 3, against IsotropicNd's 1.19 and 1.39, and
     squared_log beta = 0.5 gave NonFiniteState; at floor 0.01 they agree.
     """
-    if floor <= 0:
-        raise SingularOrigin(f"drift floor must be positive, got {floor}")
     if isinstance(source, ManifoldModel):
         return lambda r: (source.n - 1) * source.log_derivative(r)
     if isinstance(source, HyperbolicBound):
@@ -427,8 +423,9 @@ def radial_drift(source: Union[ManifoldModel, Tuple[RadialCoefficient, int],
             raise DomainError("expected (RadialCoefficient, dimension)")
 
         def coefficient_drift(rho):
+            # no floor of its own: the chain's floor keeps rho > 0
             with np.errstate(over="ignore", invalid="ignore"):
                 return drift_L_rho(coeff, n, rho_tilde_inverse(coeff, rho),
-                                   floor=floor)
+                                   floor=0.0)
         return coefficient_drift
     raise DomainError(f"cannot build a radial drift from {type(source).__name__}")

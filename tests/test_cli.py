@@ -201,6 +201,28 @@ class TestConfigValidation:
         assert captured.out == ""
         assert captured.err == f"ConfigError: {message}\n"
 
+    @pytest.mark.parametrize("command, drift", [
+        ("simulate", "manifold"), ("simulate", "hyperbolic_bound"),
+        ("simulate", "coefficient"), ("simulate", "none"),
+        ("verify compare", "manifold")],
+        ids=["manifold", "hyperbolic_bound", "coefficient", "none", "compare"])
+    @pytest.mark.parametrize("floor", ["0", "-1e-6"])
+    def test_nonpositive_floor_exits_2(self, tmp_path, capsys, command, drift,
+                                       floor):
+        # the chain owns the floor: one typed error, whatever the drift
+        from escrate import cli
+
+        cfg = write_config(tmp_path, (
+            "[model]\nfamily = power\nalpha = 1\nwarp = hyperbolic\nn = 2\n"
+            "k = 1\n[simulation]\nx0 = 1\nt = 0.5\ndt = 0.01\nn_paths = 4\n"
+            f"master_seed = 7\ndrift = {drift}\nfloor = {floor}\n"
+            "output = summary\n[verify]\nt = 0.5\ndelta = 0.8\nr = 10\n"
+            "n_paths = 4\ndt = 0.001\n"))
+        assert cli.main(command.split() + ["--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "DomainError: floor must be positive\n"
+
     def test_flags_only_where_read(self, monkeypatch, capsys):
         # --quiet only on rate, --seed only on simulate and verify, and
         # catalogue reads no config; every benchmark call still parses
@@ -718,6 +740,22 @@ class TestSimulate:
         assert res.stdout == ""
         lines = res.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("NonFiniteState: ")
+
+    def test_below_one_tabulated_coefficient_runs_from_floor(self, tmp_path):
+        # a = 0.25 near 0 puts the Euclidean radius of the intrinsic floor
+        # 0.05 at 0.025; the drift takes no floor to compare it with
+        cfg = write_config(tmp_path, (
+            "[model]\nfamily = tabulated\nradii = 0,1,10,100\n"
+            "values = 0.25,0.25,0.5,1\nn = 2\n"
+            "[simulation]\nx0 = 0.05\nfloor = 0.05\nt = 0.2\ndt = 0.01\n"
+            "n_paths = 20\nmaster_seed = 3\ndrift = coefficient\n"
+            "output = summary\n"))
+        res = run_cli(["simulate", "--config", cfg], tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert res.stderr == ""
+        rows = list(csv.reader(io.StringIO(res.stdout)))
+        assert rows[0] == ["path", "final", "exitTime"] and len(rows) == 21
+        assert all(float(final) >= 0.05 for _, final, _ in rows[1:])
 
     def test_coefficient_drift_runs_at_array_speed(self, tmp_path):
         cfg = write_config(tmp_path, (

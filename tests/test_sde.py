@@ -8,7 +8,7 @@ import pytest
 from scipy import integrate, optimize, stats
 
 from escrate import sde as sde_mod
-from escrate.errors import DomainError, NonFiniteState, SingularOrigin
+from escrate.errors import DomainError, NonFiniteState
 from escrate.profiles import (
     ManifoldModel,
     RadialCoefficient,
@@ -62,6 +62,17 @@ class TestEulerPath:
         with pytest.raises(DomainError):
             ensemble(s, 0.1, 1.0, 1e-2, 1, 1).values[0]
 
+    @pytest.mark.parametrize("floor", [0.0, -1e-6])
+    @pytest.mark.parametrize("chain", [
+        lambda floor: Sde1D(drift=radial_drift(ManifoldModel.euclidean(3)),
+                            floor=floor),
+        lambda floor: IsotropicNd(RadialCoefficient.power(1.0), 3, floor)],
+        ids=["Sde1D", "IsotropicNd"])
+    def test_nonpositive_floor_rejected_by_the_chain(self, chain, floor):
+        # the chain owns the floor; its drift takes none
+        with pytest.raises(DomainError, match="positive"):
+            chain(floor)
+
 
 class TestEnsemble:
     def test_driftless_martingale_mean(self):
@@ -95,7 +106,7 @@ class TestEnsemble:
 
     def test_halving_dt_stable_mean(self):
         # weak-convergence self-check on the hyperbolic majorant drift
-        drift = radial_drift(HyperbolicBound(2, 1.0), floor=0.05)
+        drift = radial_drift(HyperbolicBound(2, 1.0))
         s = Sde1D(drift=drift, floor=0.05)
         coarse = ensemble(s, 1.0, 2.0, 2e-3, 4000, master_seed=21,
                           store_every=1000)
@@ -125,7 +136,7 @@ class TestEnsemble:
         # steps 0 and 293 only.
         n_paths, n_steps, seed, dt, sigma, floor = 300, 293, 77, 0.01, 1.5, 0.05
         barrier = 4.0  # about two thirds of the paths cross it
-        drift = radial_drift(ManifoldModel.hyperbolic(2, 1.0), floor=floor)
+        drift = radial_drift(ManifoldModel.hyperbolic(2, 1.0))
         z = reference_normals(seed, n_paths, n_steps)
         stored = list(range(0, n_steps + 1, store_every))
         if stored[-1] != n_steps:
@@ -300,7 +311,7 @@ class TestRadialDrift:
             assert np.allclose(got, expected, rtol=1e-10, atol=0.0), c.family
 
     def test_hyperbolic_bound_dominates_coth(self):
-        drift = radial_drift(HyperbolicBound(2, 1.0), floor=1e-4)
+        drift = radial_drift(HyperbolicBound(2, 1.0))
         grid = np.geomspace(1e-3, 1e3, 120)
         coth = 1.0 / np.tanh(grid)
         assert np.all(drift(grid) >= coth)
@@ -317,7 +328,7 @@ class TestRadialDrift:
     def test_model_closure_is_mean_curvature(self, model):
         floor = 1e-3
         r = np.geomspace(floor, 1e3, 400)
-        drift = radial_drift(model, floor=floor)
+        drift = radial_drift(model)
         assert np.array_equal(drift(r), mean_curvature(model, r, floor=floor))
         assert drift(2.0) == mean_curvature(model, 2.0, floor=floor)
 
@@ -329,7 +340,7 @@ class TestRadialDrift:
             return float(out) if out.ndim == 0 else out
 
         r = np.geomspace(1e-3, 1e3, 400)
-        drift = radial_drift(HyperbolicBound(n, K), floor=1e-3)
+        drift = radial_drift(HyperbolicBound(n, K))
         assert np.array_equal(drift(r), formula(r))
         assert drift(0.7) == formula(0.7)
 
@@ -338,18 +349,9 @@ class TestRadialDrift:
         guarded = lambda r: mean_curvature(model, r, floor=floor)
         a, b = (ensemble(Sde1D(drift=d, floor=floor), 0.1, 3.0, 1e-2, 300,
                          master_seed=31)
-                for d in (radial_drift(model, floor=floor), guarded))
+                for d in (radial_drift(model), guarded))
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.floor_hits, b.floor_hits)
-
-    @pytest.mark.parametrize("floor", [0.0, -1e-6])
-    @pytest.mark.parametrize("source", [
-        ManifoldModel.euclidean(3), ManifoldModel.hyperbolic(2, 1.0),
-        HyperbolicBound(2, 1.0), (RadialCoefficient.power(1.0), 3)],
-        ids=["euclidean", "hyperbolic", "bound", "coefficient"])
-    def test_origin_checked_when_built(self, source, floor):
-        with pytest.raises(SingularOrigin):
-            radial_drift(source, floor=floor)
 
 
 class TestEuclideanDiffusionNd:
@@ -482,7 +484,7 @@ class TestIsotropicNd:
         nd = rho_tilde(coeff, ensemble(IsotropicNd(coeff, n, floor), 1.0, T,
                                        dt, N, 2010, store_every=10 ** 6)
                        .values[:, -1])
-        chain = Sde1D(drift=radial_drift((coeff, n), floor=floor), floor=floor)
+        chain = Sde1D(drift=radial_drift((coeff, n)), floor=floor)
         radial = ensemble(chain, rho_tilde(coeff, 1.0), T, dt, N, 2011,
                           store_every=10 ** 6).values[:, -1]
         se = math.hypot(nd.std(ddof=1), radial.std(ddof=1)) / math.sqrt(N)

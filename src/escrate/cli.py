@@ -358,15 +358,31 @@ def _verdict_exit(passed: bool, label: str, out: _Out) -> int:
 def cmd_verify(cfg, mode: str, out: _Out, seed_override) -> int:
     import numpy as np
 
-    from . import verify as verify_mod
-    from .profiles import ManifoldModel
-    from .sde import HyperbolicBound, Sde1D, radial_drift
-
     _need(cfg, "verify")
     ver = partial(_get, cfg, "verify")
 
+    if mode == "dyadic":  # the one mode that simulates nothing
+        from .rate_solver import dyadic_scheme
+
+        _, profile = build_profile(cfg)
+        c, N = ver("c"), ver("n_levels")
+        scheme = dyadic_scheme(profile, c, N)
+        out.row("n", "R", "r", "t", "T", "bound", "partial_sum", "slack")
+        for i in range(N):
+            out.row(i + 1, scheme.R[i], scheme.r[i], scheme.t[i], scheme.T[i],
+                    scheme.bound[i], scheme.partial_sums[i], scheme.slack[i])
+        total = float(scheme.partial_sums[-1])
+        passed = (math.isfinite(total) and np.all(scheme.slack >= 0)
+                  and scheme.bound[-1] < 1e-3 * total)
+        return _verdict_exit(passed, f"{'PASS' if passed else 'FAIL'} "
+                             f"sum_bound={_fmt(total)}", out)
+
+    from . import verify as verify_mod
+
     if mode == "envelope":
         C_grid, t0, threshold = ver("c_grid"), ver("t0"), ver("max_fraction")
+        if C_grid.size == 0:
+            raise ConfigError("envelope mode needs a nonempty c_grid")
         envelope = ver("envelope")
         if envelope == "zero":
             rate = lambda t: 0.0
@@ -397,6 +413,9 @@ def cmd_verify(cfg, mode: str, out: _Out, seed_override) -> int:
                              f"threshold={_fmt(threshold)}", out)
 
     if mode == "compare":
+        from .profiles import ManifoldModel
+        from .sde import HyperbolicBound, Sde1D, radial_drift
+
         _need(cfg, "simulation")
         _need(cfg, "model")
         n, K = _get(cfg, "model", "n", "drift"), _get(cfg, "model", "k")
@@ -416,33 +435,19 @@ def cmd_verify(cfg, mode: str, out: _Out, seed_override) -> int:
             passed, f"{'PASS' if passed else 'FAIL'} coupledDominanceFraction="
             f"{_fmt(report.coupled_dominance_fraction)}", out)
 
-    if mode == "lil":
-        eps_grid, t0 = ver("eps_grid"), ver("t0")
-        args = _simulation_args(cfg, seed_override)
-        del args["barrier"]  # the streamed run records no exit times
-        fractions = verify_mod.lil_mc(t0=t0, eps_grid=eps_grid, **args)
-        out.row("eps", "fraction")
-        for e, f in zip(eps_grid, fractions):
-            out.row(float(e), float(f))
-        passed = bool(np.all(np.diff(fractions) <= 0))
-        return _verdict_exit(passed, "PASS monotone" if passed
-                             else "FAIL fractions not monotone", out)
-
-    # dyadic: the last of the modes that argparse accepts
-    from .rate_solver import dyadic_scheme
-
-    _, profile = build_profile(cfg)
-    c, N = ver("c"), ver("n_levels")
-    scheme = dyadic_scheme(profile, c, N)
-    out.row("n", "R", "r", "t", "T", "bound", "partial_sum", "slack")
-    for i in range(N):
-        out.row(i + 1, scheme.R[i], scheme.r[i], scheme.t[i], scheme.T[i],
-                scheme.bound[i], scheme.partial_sums[i], scheme.slack[i])
-    total = float(scheme.partial_sums[-1])
-    passed = (math.isfinite(total) and np.all(scheme.slack >= 0)
-              and scheme.bound[-1] < 1e-3 * total)
-    return _verdict_exit(passed, f"{'PASS' if passed else 'FAIL'} "
-                         f"sum_bound={_fmt(total)}", out)
+    # lil: the last of the modes that argparse accepts
+    eps_grid, t0 = ver("eps_grid"), ver("t0")
+    if eps_grid.size == 0:
+        raise ConfigError("lil mode needs a nonempty eps_grid")
+    args = _simulation_args(cfg, seed_override)
+    del args["barrier"]  # the streamed run records no exit times
+    fractions = verify_mod.lil_mc(t0=t0, eps_grid=eps_grid, **args)
+    out.row("eps", "fraction")
+    for e, f in zip(eps_grid, fractions):
+        out.row(float(e), float(f))
+    passed = bool(np.all(np.diff(fractions) <= 0))
+    return _verdict_exit(passed, "PASS monotone" if passed
+                         else "FAIL fractions not monotone", out)
 
 
 def cmd_catalogue(out: _Out) -> int:

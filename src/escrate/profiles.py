@@ -378,6 +378,10 @@ class ManifoldModel:
     K: Optional[float]
     log_derivative: Callable = field(repr=False, compare=False)
 
+    def __post_init__(self):
+        if self.n < 1:
+            raise DomainError("dimension n must be >= 1")
+
     @staticmethod
     def euclidean(n: int) -> "ManifoldModel":
         return ManifoldModel(n, "euclidean", None,

@@ -421,6 +421,8 @@ def radial_drift(source: Union[ManifoldModel, Tuple[RadialCoefficient, int],
         coeff, n = source
         if not isinstance(coeff, RadialCoefficient):
             raise DomainError("expected (RadialCoefficient, dimension)")
+        if n < 1:
+            raise DomainError("dimension n must be >= 1")
 
         def coefficient_drift(rho):
             # no floor of its own: the chain's floor keeps rho > 0

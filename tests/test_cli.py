@@ -393,7 +393,8 @@ class TestModulesLoaded:
                 "floor = 0.01\n[verify]\nc_grid = 1,2\nt0 = 1\n"), {}, 0, ()),
             "dyadic": ("verify dyadic", (
                 "[model]\nfamily = constant\nn = 1\nmode = unit_energy\n"
-                "[verify]\nc = 4\nn_levels = 30\n"), {}, 0, ()),
+                "[verify]\nc = 4\nn_levels = 30\n"), {}, 0,
+                ("escrate.sde", "escrate.verify")),
         }
         report = ("import json, sys\n"
                   "print(json.dumps(sorted(m for m in sys.modules\n"
@@ -504,6 +505,28 @@ class TestRate:
         assert "FiniteTotalIntegral" in res.stderr
         assert "not representable" in res.stderr
         assert "Warning" not in res.stderr
+
+    @pytest.mark.parametrize("model, note", [
+        ("family = tabulated\nradii = 0,1,10,100\nvalues = 0.01,0.01,0.02,0.04\n"
+         "n = 1\n[solver]\n", "lower limit shifted from 2.0 to 5.82692 to "
+         "keep the denominator positive"),
+        ("family = constant\nn = 3\n[solver]\nr_lo = 3\n",
+         "caller-supplied lower limit 3"),
+    ], ids=["shifted", "caller_supplied"])
+    def test_lower_limit_note_and_quiet(self, tmp_path, capsys, model, note):
+        # the note goes to stderr; --quiet drops it and changes no CSV byte
+        from escrate import cli
+
+        cfg = write_config(tmp_path, "[model]\nmode = unit_energy\n" + model
+                           + "t_grid = 1,10\n")
+        assert cli.main(["rate", "--config", cfg]) == 0
+        loud = capsys.readouterr()
+        assert cli.main(["rate", "--config", cfg, "--quiet"]) == 0
+        quiet = capsys.readouterr()
+        assert loud.err == f"note: {note}\n"
+        assert quiet.err == ""
+        assert quiet.out == loud.out
+        assert len(loud.out.splitlines()) == 3
 
     def test_tabulated_unit_energy_table(self, tmp_path):
         radii = [0.0] + [2.0 ** k for k in range(31)]
@@ -741,6 +764,28 @@ class TestSimulate:
         lines = res.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("NonFiniteState: ")
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    @pytest.mark.parametrize("model, drift", [
+        ("warp = euclidean", "manifold"), ("warp = hyperbolic\nk = 1", "manifold"),
+        ("family = constant", "coefficient")],
+        ids=["euclidean", "hyperbolic", "coefficient"])
+    def test_dimension_below_one_exits_2(self, tmp_path, monkeypatch, capsys,
+                                         model, drift, n):
+        from escrate import cli, sde
+
+        def kernel(*args, **kwargs):
+            raise AssertionError("the Euler kernel ran")
+
+        monkeypatch.setattr(sde, "_shared_noise_run", kernel)
+        cfg = write_config(tmp_path, (
+            f"[model]\n{model}\nn = {n}\n[simulation]\nx0 = 1\nt = 0.5\n"
+            f"dt = 0.01\nn_paths = 4\nmaster_seed = 12\ndrift = {drift}\n"
+            "output = summary\n"))
+        assert cli.main(["simulate", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "DomainError: dimension n must be >= 1\n"
+
     def test_below_one_tabulated_coefficient_runs_from_floor(self, tmp_path):
         # a = 0.25 near 0 puts the Euclidean radius of the intrinsic floor
         # 0.05 at 0.025; the drift takes no floor to compare it with
@@ -898,9 +943,14 @@ class TestStreamedVerify:
          "'abc'"),
         ("envelope", "c_grid = 1,2\nt0 = 2\nenvelope = tabel\n", 2,
          "ConfigError: unknown envelope 'tabel'"),
+        ("lil", "t0 = 10\neps_grid =\n", 2,
+         "ConfigError: lil mode needs a nonempty eps_grid"),
+        ("envelope", "c_grid =\nt0 = 2\n", 2,
+         "ConfigError: envelope mode needs a nonempty c_grid"),
     ], ids=["lil_t0_below_e", "envelope_t0_at_horizon",
             "envelope_table_too_short", "envelope_bad_max_fraction",
-            "envelope_unknown_word"])
+            "envelope_unknown_word", "lil_empty_eps_grid",
+            "envelope_empty_c_grid"])
     def test_rejected_before_any_step(self, tmp_path, monkeypatch, capsys,
                                       mode, verify, rc, message):
         from escrate import cli, sde, verify as verify_mod

@@ -321,6 +321,16 @@ class TestRadialDrift:
         with pytest.raises(DomainError):
             radial_drift("not a drift source")
 
+    @pytest.mark.parametrize("n", [0, -3])
+    @pytest.mark.parametrize("make", [
+        ManifoldModel.euclidean, lambda n: ManifoldModel.hyperbolic(n, 1.0),
+        lambda n: radial_drift((RadialCoefficient.constant(), n))],
+        ids=["euclidean", "hyperbolic", "coefficient"])
+    def test_dimension_below_one_rejected(self, make, n):
+        # (n - 1)/r < 0 would pull the chain into its floor
+        with pytest.raises(DomainError, match=r"dimension n must be >= 1"):
+            make(n)
+
     @pytest.mark.parametrize("model", [
         ManifoldModel.euclidean(2), ManifoldModel.euclidean(3),
         ManifoldModel.hyperbolic(3, 1.0), ManifoldModel.hyperbolic(2, 0.25)],

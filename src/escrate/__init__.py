@@ -12,12 +12,12 @@ _EXPORTS = {
     "errors": ("EscrateError",),
     "profiles": ("CatalogueCase", "GrowthProfile", "ManifoldModel",
                  "RadialCoefficient", "catalogue_case", "closed_form_rate",
+                 "coefficient_drift", "hyperbolic_majorant", "mean_curvature",
                  "profile_from_radial"),
     "rate_solver": ("DyadicScheme", "RateFunction", "Verdict",
                     "conservativeness", "dyadic_scheme", "euclidean_rate",
                     "phi", "psi", "rate_table"),
-    "sde": ("HyperbolicBound", "PathEnsemble", "Sde1D", "ensemble",
-            "radial_drift"),
+    "sde": ("PathEnsemble", "Sde1D", "ensemble"),
     "verify": ("comparison_mc", "coupled_dominance", "exceedance",
                "exceedance_mc", "lil_mc", "lil_statistic"),
 }

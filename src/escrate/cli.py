@@ -8,8 +8,9 @@ the code its class in ``escrate.errors`` declares: 2 config error, 3 solver
 error, 4 simulation error.
 
 numpy and the numeric modules are imported inside the commands that compute,
-so ``catalogue``, ``conserve`` on a coefficient family and every config error
-run on the standard library and ``escrate.basics`` alone.
+so ``catalogue``, ``conserve`` on a coefficient family, and a config file that
+is missing, malformed or has an unknown key run on the standard library and
+``escrate.basics`` alone.
 """
 
 from __future__ import annotations
@@ -133,8 +134,14 @@ _SCHEMA = {
 
 
 def load_config(path: str) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    if not parser.read(path):
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       interpolation=None)
+    try:
+        found = parser.read(path)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        message = " ".join(str(exc).split())  # one line
+        raise ConfigError(f"malformed config file {path}: {message}") from None
+    if not found:
         raise ConfigError(f"config file not found: {path}")
     for section in parser.sections():
         if section not in _SCHEMA:
@@ -155,6 +162,19 @@ def _get(cfg, section: str, key: str, use: str = None):
     if raw is ...:
         raise ConfigError(f"missing key '{key}' in [{section}]")
     return None if raw is None else parse(raw, f"key '{key}' in [{section}]")
+
+
+def _increasing(ver, key: str, mode: str, least: int):
+    """[verify] ``key`` (read by ``ver``) for ``mode``: at least ``least``
+    strictly increasing values."""
+    values = ver(key)
+    if values.size == 0:
+        raise ConfigError(f"{mode} mode needs a nonempty {key}")
+    if values.size < least:
+        raise ConfigError(f"{mode} mode needs at least {least} {key} values")
+    if (values[1:] <= values[:-1]).any():
+        raise ConfigError(f"{mode} mode needs a strictly increasing {key}")
+    return values
 
 
 def _need(cfg, section: str) -> None:
@@ -208,22 +228,22 @@ def build_drift(cfg):
     """Resolve the simulation drift from config: a manifold's mean
     curvature, the radial-coefficient drift or the hyperbolic majorant. The
     chain owns the floor. build_sde gives ``drift = none`` a None drift."""
-    from .profiles import ManifoldModel
-    from .sde import HyperbolicBound, radial_drift
+    from .profiles import (ManifoldModel, coefficient_drift,
+                           hyperbolic_majorant, mean_curvature)
 
     model = partial(_get, cfg, "model")
     kind, n = _get(cfg, "simulation", "drift"), model("n", "drift")
     if kind == "manifold":
         warp = model("warp")
         if warp == "euclidean":
-            return radial_drift(ManifoldModel.euclidean(n))
+            return partial(mean_curvature, ManifoldModel.euclidean(n))
         if warp == "hyperbolic":
-            return radial_drift(ManifoldModel.hyperbolic(n, model("k")))
+            return partial(mean_curvature, ManifoldModel.hyperbolic(n, model("k")))
         raise ConfigError(f"unknown warp {warp!r}")
     if kind == "hyperbolic_bound":
-        return radial_drift(HyperbolicBound(n, model("k")))
+        return hyperbolic_majorant(n, model("k"))
     if kind == "coefficient":
-        return radial_drift((build_coefficient(cfg), n))
+        return coefficient_drift(build_coefficient(cfg), n)
     raise ConfigError(f"unknown drift kind {kind!r}")
 
 
@@ -266,7 +286,10 @@ class _Out:
 
     def __init__(self, path):
         self.path = path
-        self.fh = open(path, "w", newline="\n") if path else sys.stdout
+        try:
+            self.fh = open(path, "w", newline="\n") if path else sys.stdout
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out {path}: {exc.strerror}") from None
 
     def row(self, *cells):
         self.fh.write(",".join(_fmt(c) for c in cells) + "\n")
@@ -380,9 +403,8 @@ def cmd_verify(cfg, mode: str, out: _Out, seed_override) -> int:
     from . import verify as verify_mod
 
     if mode == "envelope":
-        C_grid, t0, threshold = ver("c_grid"), ver("t0"), ver("max_fraction")
-        if C_grid.size == 0:
-            raise ConfigError("envelope mode needs a nonempty c_grid")
+        C_grid = _increasing(ver, "c_grid", "envelope", 1)
+        t0, threshold = ver("t0"), ver("max_fraction")
         envelope = ver("envelope")
         if envelope == "zero":
             rate = lambda t: 0.0
@@ -413,16 +435,17 @@ def cmd_verify(cfg, mode: str, out: _Out, seed_override) -> int:
                              f"threshold={_fmt(threshold)}", out)
 
     if mode == "compare":
-        from .profiles import ManifoldModel
-        from .sde import HyperbolicBound, Sde1D, radial_drift
+        from .profiles import ManifoldModel, hyperbolic_majorant, mean_curvature
+        from .sde import Sde1D
 
         _need(cfg, "simulation")
         _need(cfg, "model")
         n, K = _get(cfg, "model", "n", "drift"), _get(cfg, "model", "k")
         floor = _get(cfg, "simulation", "floor")
-        dominated = Sde1D(drift=radial_drift(ManifoldModel.hyperbolic(n, K)),
+        dominated = Sde1D(drift=partial(mean_curvature,
+                                        ManifoldModel.hyperbolic(n, K)),
                           floor=floor)
-        dominating = Sde1D(drift=radial_drift(HyperbolicBound(n, K)), floor=floor)
+        dominating = Sde1D(drift=hyperbolic_majorant(n, K), floor=floor)
         seed = _master_seed(cfg, seed_override)
         report = verify_mod.comparison_mc(
             dominating, dominated, _get(cfg, "simulation", "x0"), ver("t"),
@@ -436,9 +459,7 @@ def cmd_verify(cfg, mode: str, out: _Out, seed_override) -> int:
             f"{_fmt(report.coupled_dominance_fraction)}", out)
 
     # lil: the last of the modes that argparse accepts
-    eps_grid, t0 = ver("eps_grid"), ver("t0")
-    if eps_grid.size == 0:
-        raise ConfigError("lil mode needs a nonempty eps_grid")
+    eps_grid, t0 = _increasing(ver, "eps_grid", "lil", 2), ver("t0")
     args = _simulation_args(cfg, seed_override)
     del args["barrier"]  # the streamed run records no exit times
     fractions = verify_mod.lil_mc(t0=t0, eps_grid=eps_grid, **args)

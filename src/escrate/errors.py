@@ -1,8 +1,8 @@
 """Exception hierarchy shared by all escrate modules.
 
 Each error class declares the exit code the CLI returns for it: 2 for a
-config or domain error, 3 for a solver failure, 4 for a simulation failure,
-5 for a failed verification.
+config or domain error, 3 for a solver failure, 4 for a non-finite
+simulation state (NonFiniteState), 5 for a failed verification.
 """
 
 
@@ -24,11 +24,6 @@ class QuadratureFailure(EscrateError):
 class OutOfRange(EscrateError):
     """Inversion target lies outside the range of the monotone function."""
     exit_code = 3
-
-
-class SingularOrigin(EscrateError):
-    """Evaluation requested below the configured origin floor."""
-    exit_code = 4
 
 
 class DomainError(EscrateError):

@@ -31,6 +31,7 @@ from .profiles import (
     CatalogueCase,
     GrowthProfile,
     RadialCoefficient,
+    hyperbolic_majorant,
     profile_from_radial,
     rho_tilde_inverse,
 )
@@ -478,9 +479,8 @@ def catalogue_drift_majorant(case: CatalogueCase) -> Callable:
         a = case.alpha
         return lambda x: max(float(x), 1.0) ** a
     if k == "hyperbolic_linear":
-        sk = math.sqrt(case.K)
-        base = (case.n - 1) * sk
-        return lambda x: base * (1.0 + 1.0 / (sk * max(float(x), 1.0)))
+        majorant = hyperbolic_majorant(case.n, case.K)
+        return lambda x: majorant(max(float(x), 1.0))
     raise DomainError(f"case {k!r} has no drift majorant")
 
 

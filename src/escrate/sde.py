@@ -1,10 +1,10 @@
 """Euler-Maruyama simulation of radial diffusions.
 
 Scalar chains x_{k+1} = max(floor, x_k + theta(x_k) dt + sigma sqrt(dt)
-xi_k) (Sde1D), with radial drifts for model manifolds and radial elliptic
-diffusions, and the n-dimensional diffusion of a Dirichlet form (IsotropicNd),
-all stepped by one kernel on counter-based noise keyed by (seed, chunk of
-256 noise coordinates).
+xi_k) (Sde1D), whose radial drifts are the formulas of escrate.profiles,
+and the n-dimensional diffusion of a Dirichlet form (IsotropicNd), all
+stepped by one kernel on counter-based noise keyed by (seed, chunk of 256
+noise coordinates).
 
 The kernel's normals xi_k are Box-Muller transforms of raw Philox words,
 128 words per step of a chunk (see _box_muller for the layout), made in
@@ -20,18 +20,14 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DomainError, NonFiniteState
-from .profiles import (
-    DEFAULT_ORIGIN_FLOOR,
-    ManifoldModel,
-    RadialCoefficient,
-    drift_L_rho,
-    rho_tilde_inverse,
-)
+from .profiles import RadialCoefficient
+
+DEFAULT_ORIGIN_FLOOR = 1e-6
 
 _SQRT2 = math.sqrt(2.0)
 # Steps per noise fill: _NOISE_BLOCK, or fewer so that a fill's normals
@@ -50,9 +46,7 @@ __all__ = [
     "Sde1D",
     "IsotropicNd",
     "PathEnsemble",
-    "HyperbolicBound",
     "ensemble",
-    "radial_drift",
 ]
 
 
@@ -373,61 +367,3 @@ def ensemble(sde: Sde1D | IsotropicNd, x0: float, T: float, dt: float, n_paths: 
                         T=n_steps * dt, n_paths=n_paths,
                         master_seed=master_seed, barrier=barrier,
                         first_exit=first_exit, floor_hits=floor_hits)
-
-
-# ---------------------------------------------------------------------------
-# Radial drifts
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class HyperbolicBound:
-    """Dominating drift theta(r) = (n-1) sqrt(K) (1 + 1/(sqrt(K) r)),
-    a pointwise upper bound for the hyperbolic mean curvature
-    (n-1) sqrt(K) coth(sqrt(K) r)."""
-
-    n: int
-    K: float
-
-    def __post_init__(self):
-        if self.n < 2 or self.K <= 0:
-            raise DomainError("HyperbolicBound needs n >= 2, K > 0")
-
-
-def radial_drift(source: Union[ManifoldModel, Tuple[RadialCoefficient, int],
-                               HyperbolicBound]) -> Callable:
-    """Drift function for a radial comparison chain.
-
-    A ManifoldModel gives its mean curvature m(r); a (coefficient, dimension)
-    pair gives the radial-generator drift expressed in the intrinsic radius;
-    a HyperbolicBound gives the dominating majorant of coth. The chain owns
-    the floor, and the drift takes none: the model and majorant drifts are
-    bare ufunc expressions, bitwise equal to mean_curvature and the
-    majorant's formula but without their per-call floor check.
-
-    The coefficient drift overflows quietly (the kernel raises
-    NonFiniteState). Its chain needs a floor away from 0: at the default
-    1e-6 it overshoots, and from |x0| = 1 (T = 0.2, dt = 1e-3) power
-    alpha = 1 gave a mean intrinsic radius of 13.43 +- 0.78 at n = 2 and
-    2.29 +- 0.30 at n = 3, against IsotropicNd's 1.19 and 1.39, and
-    squared_log beta = 0.5 gave NonFiniteState; at floor 0.01 they agree.
-    """
-    if isinstance(source, ManifoldModel):
-        return lambda r: (source.n - 1) * source.log_derivative(r)
-    if isinstance(source, HyperbolicBound):
-        base = (source.n - 1) * math.sqrt(source.K)
-        sk = math.sqrt(source.K)
-        return lambda r: base * (1.0 + 1.0 / (sk * r))
-    if isinstance(source, tuple) and len(source) == 2:
-        coeff, n = source
-        if not isinstance(coeff, RadialCoefficient):
-            raise DomainError("expected (RadialCoefficient, dimension)")
-        if n < 1:
-            raise DomainError("dimension n must be >= 1")
-
-        def coefficient_drift(rho):
-            # no floor of its own: the chain's floor keeps rho > 0
-            with np.errstate(over="ignore", invalid="ignore"):
-                return drift_L_rho(coeff, n, rho_tilde_inverse(coeff, rho),
-                                   floor=0.0)
-        return coefficient_drift
-    raise DomainError(f"cannot build a radial drift from {type(source).__name__}")

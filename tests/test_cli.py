@@ -54,6 +54,41 @@ class TestConfigValidation:
         res = run_cli(["conserve", "--config", "nope.ini"], tmp_path)
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("body, out, message", [
+        (b"x = 1\n", None, "File contains no section headers."),
+        (b"[model]\nfamily = constant\nfamily = power\n", None,
+         "option 'family' in section 'model' already exists"),
+        (b"[model]\nfamily = constant\n[model]\nalpha = 1\n", None,
+         "section 'model' already exists"),
+        (b"[model]\nfamily = constant\ngarbage\n", None,
+         "Source contains parsing errors"),
+        (b"[model]\nfamily = con%stant\n", None,
+         "unknown coefficient family 'con%stant'"),
+        # the message depends on the locale's encoding
+        (b"[model]\nfamily = caf\xe9\n", None, ""),
+        (b"[model]\nfamily = constant\n", ".",
+         "cannot write --out .: Is a directory"),
+        (b"[model]\nfamily = constant\n", "missing/x.csv",
+         "cannot write --out missing/x.csv: No such file or directory"),
+    ], ids=["no_section_header", "duplicate_option", "duplicate_section",
+            "line_without_value", "percent_sign", "not_utf8", "out_is_directory",
+            "out_in_missing_directory"])
+    def test_malformed_config_or_out_exits_2(self, tmp_path, monkeypatch,
+                                             capsys, body, out, message):
+        # one ConfigError line and no output, not a configparser or OSError
+        # traceback
+        from escrate import cli
+
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.ini").write_bytes(body)
+        argv = ["conserve", "--config", "cfg.ini"]
+        assert cli.main(argv + (["--out", out] if out else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ConfigError: ")
+        assert message in captured.err
+        assert captured.err.count("\n") == 1
+
     @pytest.fixture(scope="class")
     def unset_runs(self, tmp_path_factory):
         # conserve on a family and a 20-path simulate summary, with
@@ -253,7 +288,7 @@ class TestConfigValidation:
         classes = [c for c in vars(errors).values() if isinstance(c, type)
                    and issubclass(c, errors.EscrateError)
                    and c is not errors.EscrateError]
-        assert len(classes) == 12
+        assert len(classes) == 11
         for cls in classes:
             assert cls.exit_code in {2, 3, 4, 5}, cls
 
@@ -317,11 +352,11 @@ class TestConfigSchema:
                 assert f"`{family}`" in meaning[key], key
 
     def test_defaults_match_the_library(self):
-        from escrate import cli, profiles, rate_solver
+        from escrate import cli, rate_solver, sde
 
         _, scale_c = cli._SCHEMA["solver"]["scale_c"]
         assert scale_c["rate"] == rate_solver.PROOF_SCALE_C
-        assert cli._SCHEMA["simulation"]["floor"][1] == profiles.DEFAULT_ORIGIN_FLOOR
+        assert cli._SCHEMA["simulation"]["floor"][1] == sde.DEFAULT_ORIGIN_FLOOR
 
 
 _TAB_RADII = [0.0] + [2.0 ** k for k in range(31)]
@@ -355,6 +390,8 @@ class TestModulesLoaded:
                             {}, 2, _NUMERIC),
             "missing_config": ("conserve --config missing.ini", None, {}, 2,
                                _NUMERIC),
+            "malformed_ini": ("conserve", "family = constant\n", {}, 2,
+                              _NUMERIC),
             "threads_ignored": ("conserve", family.format("constant"),
                                 {"ESCRATE_THREADS": "many"}, 0, _NUMERIC),
             "rate_family": ("rate", "[model]\nfamily = constant\nn = 3\n"
@@ -428,6 +465,25 @@ class TestModulesLoaded:
             capture_output=True, text=True, cwd=str(tmp_path))
         assert res.returncode == 0, res.stderr
         assert json.loads(res.stdout) == ["escrate"]
+
+
+class TestExports:
+    def test_every_public_name_resolves(self):
+        # a stale name in a lazy export or an __all__ fails only on first use
+        import importlib
+        import pkgutil
+
+        import escrate
+
+        for name in escrate.__all__:
+            getattr(escrate, name)
+        for info in pkgutil.iter_modules(escrate.__path__):
+            module = importlib.import_module(f"escrate.{info.name}")
+            for name in getattr(module, "__all__", ()):
+                assert hasattr(module, name), (info.name, name)
+            exported = escrate._EXPORTS.get(info.name, ())
+            if hasattr(module, "__all__"):
+                assert set(exported) <= set(module.__all__), info.name
 
 
 class TestRate:
@@ -947,10 +1003,22 @@ class TestStreamedVerify:
          "ConfigError: lil mode needs a nonempty eps_grid"),
         ("envelope", "c_grid =\nt0 = 2\n", 2,
          "ConfigError: envelope mode needs a nonempty c_grid"),
+        ("envelope", "c_grid = 4,1\nt0 = 2\n", 2,
+         "ConfigError: envelope mode needs a strictly increasing c_grid"),
+        ("envelope", "c_grid = 1,2,2\nt0 = 2\n", 2,
+         "ConfigError: envelope mode needs a strictly increasing c_grid"),
+        ("lil", "t0 = 10\neps_grid = 1.0,0.5,0\n", 2,
+         "ConfigError: lil mode needs a strictly increasing eps_grid"),
+        ("lil", "t0 = 10\neps_grid = 0.5,0.5\n", 2,
+         "ConfigError: lil mode needs a strictly increasing eps_grid"),
+        ("lil", "t0 = 10\neps_grid = 0.5\n", 2,
+         "ConfigError: lil mode needs at least 2 eps_grid values"),
     ], ids=["lil_t0_below_e", "envelope_t0_at_horizon",
             "envelope_table_too_short", "envelope_bad_max_fraction",
             "envelope_unknown_word", "lil_empty_eps_grid",
-            "envelope_empty_c_grid"])
+            "envelope_empty_c_grid", "envelope_decreasing_c_grid",
+            "envelope_repeated_c_grid", "lil_decreasing_eps_grid",
+            "lil_repeated_eps_grid", "lil_one_eps_value"])
     def test_rejected_before_any_step(self, tmp_path, monkeypatch, capsys,
                                       mode, verify, rc, message):
         from escrate import cli, sde, verify as verify_mod

@@ -11,7 +11,6 @@ from escrate.errors import (
     DomainError,
     NonPositiveCoefficient,
     OutOfRange,
-    SingularOrigin,
 )
 from escrate.profiles import (
     CATALOGUE,
@@ -221,10 +220,6 @@ class TestDrifts:
         c = RadialCoefficient.constant()
         assert drift_L_rho(c, 3, 2.0) == pytest.approx(
             mean_curvature(ManifoldModel.euclidean(3), 2.0))
-
-    def test_below_floor_raises(self):
-        with pytest.raises(SingularOrigin):
-            drift_L_rho(RadialCoefficient.constant(), 3, 1e-9)
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("coeff", [RadialCoefficient.power(1.0),

@@ -22,6 +22,7 @@ from escrate.profiles import GrowthProfile, RadialCoefficient, catalogue_case, p
 from escrate.rate_solver import (
     PROOF_SCALE_C,
     RateFunction,
+    catalogue_drift_majorant,
     catalogue_numeric_rate,
     catalogue_profile,
     conservativeness,
@@ -477,6 +478,22 @@ class TestCatalogueNumeric:
     def test_g_alpha_zero_is_linear(self):
         case = catalogue_case("g_alpha", alpha=0.0)
         assert catalogue_numeric_rate(case, 50.0) == pytest.approx(50.0, rel=1e-9)
+
+    @pytest.mark.parametrize("n, K", [(2, 1.0), (3, 0.25), (5, 4.0)])
+    def test_hyperbolic_linear_majorant_is_its_formula(self, n, K):
+        # the majorant as written before it called hyperbolic_majorant,
+        # constant below radius 1
+        case = catalogue_case("hyperbolic_linear", n=n, K=K, eps=0.1)
+        majorant = catalogue_drift_majorant(case)
+        sk = math.sqrt(K)
+        base = (n - 1) * sk
+        grid = np.concatenate((np.geomspace(1e-4, 1.0, 41)[:-1],
+                               np.geomspace(1.0, 1e4, 41)))
+        for x in grid:
+            expected = base * (1.0 + 1.0 / (sk * max(float(x), 1.0)))
+            assert majorant(x) == expected
+            assert type(majorant(x)) is float
+        assert majorant(0.25) == majorant(1.0)
 
     def test_volume_route_monotone(self):
         case = catalogue_case("diri1")

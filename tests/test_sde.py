@@ -2,6 +2,7 @@
 n-dimensional isotropic diffusion."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,17 +13,13 @@ from escrate.errors import DomainError, NonFiniteState
 from escrate.profiles import (
     ManifoldModel,
     RadialCoefficient,
+    coefficient_drift,
     drift_L_rho,
+    hyperbolic_majorant,
     mean_curvature,
     rho_tilde,
 )
-from escrate.sde import (
-    HyperbolicBound,
-    IsotropicNd,
-    Sde1D,
-    ensemble,
-    radial_drift,
-)
+from escrate.sde import IsotropicNd, Sde1D, ensemble
 
 
 def zero(x):
@@ -64,7 +61,8 @@ class TestEulerPath:
 
     @pytest.mark.parametrize("floor", [0.0, -1e-6])
     @pytest.mark.parametrize("chain", [
-        lambda floor: Sde1D(drift=radial_drift(ManifoldModel.euclidean(3)),
+        lambda floor: Sde1D(drift=partial(mean_curvature,
+                                          ManifoldModel.euclidean(3)),
                             floor=floor),
         lambda floor: IsotropicNd(RadialCoefficient.power(1.0), 3, floor)],
         ids=["Sde1D", "IsotropicNd"])
@@ -106,7 +104,7 @@ class TestEnsemble:
 
     def test_halving_dt_stable_mean(self):
         # weak-convergence self-check on the hyperbolic majorant drift
-        drift = radial_drift(HyperbolicBound(2, 1.0))
+        drift = hyperbolic_majorant(2, 1.0)
         s = Sde1D(drift=drift, floor=0.05)
         coarse = ensemble(s, 1.0, 2.0, 2e-3, 4000, master_seed=21,
                           store_every=1000)
@@ -136,7 +134,7 @@ class TestEnsemble:
         # steps 0 and 293 only.
         n_paths, n_steps, seed, dt, sigma, floor = 300, 293, 77, 0.01, 1.5, 0.05
         barrier = 4.0  # about two thirds of the paths cross it
-        drift = radial_drift(ManifoldModel.hyperbolic(2, 1.0))
+        drift = partial(mean_curvature, ManifoldModel.hyperbolic(2, 1.0))
         z = reference_normals(seed, n_paths, n_steps)
         stored = list(range(0, n_steps + 1, store_every))
         if stored[-1] != n_steps:
@@ -280,13 +278,13 @@ class TestNoise:
 
 class TestRadialDrift:
     def test_euclidean_three_dim(self):
-        drift = radial_drift(ManifoldModel.euclidean(3))
+        drift = partial(mean_curvature, ManifoldModel.euclidean(3))
         assert drift(2.0) == pytest.approx(1.0)
         assert np.allclose(drift(np.array([1.0, 4.0])), [2.0, 0.5])
 
     def test_constant_coefficient_matches_euclidean(self):
-        drift_c = radial_drift((RadialCoefficient.constant(), 3))
-        drift_e = radial_drift(ManifoldModel.euclidean(3))
+        drift_c = coefficient_drift(RadialCoefficient.constant(), 3)
+        drift_e = partial(mean_curvature, ManifoldModel.euclidean(3))
         for r in (0.5, 2.0, 9.0):
             assert drift_c(r) == pytest.approx(drift_e(r))
 
@@ -306,25 +304,34 @@ class TestRadialDrift:
             expected = [drift_L_rho(c, 3, optimize.brentq(
                 lambda x, r=r: quad_rho(c, x) - r, 0.0, 2.0 * s,
                 xtol=1e-300, rtol=1e-13)) for s, r in zip(svals, rho)]
-            got = radial_drift((c, 3))(rho)
+            got = coefficient_drift(c, 3)(rho)
             assert got.shape == rho.shape
             assert np.allclose(got, expected, rtol=1e-10, atol=0.0), c.family
 
     def test_hyperbolic_bound_dominates_coth(self):
-        drift = radial_drift(HyperbolicBound(2, 1.0))
+        drift = hyperbolic_majorant(2, 1.0)
         grid = np.geomspace(1e-3, 1e3, 120)
         coth = 1.0 / np.tanh(grid)
         assert np.all(drift(grid) >= coth)
         assert drift(1.0) == pytest.approx(2.0)
 
-    def test_invalid_source(self):
-        with pytest.raises(DomainError):
-            radial_drift("not a drift source")
+    @pytest.mark.parametrize("make, message", [
+        (lambda: coefficient_drift(ManifoldModel.euclidean(3), 3),
+         "coefficient_drift needs a RadialCoefficient"),
+        (lambda: hyperbolic_majorant(1, 1.0), "majorant needs n >= 2, K > 0"),
+        (lambda: hyperbolic_majorant(2, 0.0), "majorant needs n >= 2, K > 0"),
+        (lambda: hyperbolic_majorant(2, -1.0), "majorant needs n >= 2, K > 0")],
+        ids=["coefficient_of_model", "majorant_n1", "majorant_K0",
+             "majorant_K_negative"])
+    def test_builders_check_their_arguments(self, make, message):
+        # checked once, when the drift is built
+        with pytest.raises(DomainError, match=message):
+            make()
 
     @pytest.mark.parametrize("n", [0, -3])
     @pytest.mark.parametrize("make", [
         ManifoldModel.euclidean, lambda n: ManifoldModel.hyperbolic(n, 1.0),
-        lambda n: radial_drift((RadialCoefficient.constant(), n))],
+        lambda n: coefficient_drift(RadialCoefficient.constant(), n)],
         ids=["euclidean", "hyperbolic", "coefficient"])
     def test_dimension_below_one_rejected(self, make, n):
         # (n - 1)/r < 0 would pull the chain into its floor
@@ -336,11 +343,20 @@ class TestRadialDrift:
         ManifoldModel.hyperbolic(3, 1.0), ManifoldModel.hyperbolic(2, 0.25)],
         ids=["euclidean2", "euclidean3", "hyperbolic1", "hyperbolic025"])
     def test_model_closure_is_mean_curvature(self, model):
-        floor = 1e-3
-        r = np.geomspace(floor, 1e3, 400)
-        drift = radial_drift(model)
-        assert np.array_equal(drift(r), mean_curvature(model, r, floor=floor))
-        assert drift(2.0) == mean_curvature(model, 2.0, floor=floor)
+        # partial(mean_curvature, model) against the closure it replaces,
+        # (n-1) xi'/xi with the warp's ratio written out
+        r = np.geomspace(1e-3, 1e3, 400)
+        sk = math.sqrt(model.K) if model.warp == "hyperbolic" else None
+
+        def closure(r):
+            ratio = (1.0 / np.asarray(r, dtype=float) if sk is None
+                     else sk / np.tanh(sk * np.asarray(r, dtype=float)))
+            return (model.n - 1) * ratio
+
+        drift = partial(mean_curvature, model)
+        assert np.array_equal(drift(r), closure(r))
+        assert drift(2.0) == closure(2.0)
+        assert type(drift(2.0)) is float
 
     @pytest.mark.parametrize("n, K", [(2, 1.0), (3, 0.25), (4, 3.0)])
     def test_hyperbolic_bound_closure_is_its_formula(self, n, K):
@@ -350,16 +366,24 @@ class TestRadialDrift:
             return float(out) if out.ndim == 0 else out
 
         r = np.geomspace(1e-3, 1e3, 400)
-        drift = radial_drift(HyperbolicBound(n, K))
+        drift = hyperbolic_majorant(n, K)
         assert np.array_equal(drift(r), formula(r))
         assert drift(0.7) == formula(0.7)
 
     def test_closure_ensemble_equals_guarded_drift(self):
+        # the manifold drift against the floor-guarded mean curvature it
+        # replaces, written out: the chain keeps every state at its floor
         model, floor = ManifoldModel.hyperbolic(2, 1.0), 0.05
-        guarded = lambda r: mean_curvature(model, r, floor=floor)
+
+        def guarded(r):
+            r = np.asarray(r, dtype=float)
+            assert not np.any(r < floor)
+            return (model.n - 1) * np.asarray(model.log_derivative(r),
+                                              dtype=float)
+
         a, b = (ensemble(Sde1D(drift=d, floor=floor), 0.1, 3.0, 1e-2, 300,
                          master_seed=31)
-                for d in (radial_drift(model), guarded))
+                for d in (partial(mean_curvature, model), guarded))
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.floor_hits, b.floor_hits)
 
@@ -494,7 +518,7 @@ class TestIsotropicNd:
         nd = rho_tilde(coeff, ensemble(IsotropicNd(coeff, n, floor), 1.0, T,
                                        dt, N, 2010, store_every=10 ** 6)
                        .values[:, -1])
-        chain = Sde1D(drift=radial_drift((coeff, n)), floor=floor)
+        chain = Sde1D(drift=coefficient_drift(coeff, n), floor=floor)
         radial = ensemble(chain, rho_tilde(coeff, 1.0), T, dt, N, 2011,
                           store_every=10 ** 6).values[:, -1]
         se = math.hypot(nd.std(ddof=1), radial.std(ddof=1)) / math.sqrt(N)

@@ -13,10 +13,10 @@ from typing import Optional
 __all__ = ["CATALOGUE", "FAMILIES", "family_verdict"]
 
 
-# The closed forms of profiles.closed_form_rate as ``escrate catalogue``
-# prints them: (case, parameter range, psi, psi_tilde), with psi_tilde ""
-# where the case has no Euclidean-metric companion. Its cases are the kinds
-# profiles.catalogue_case accepts.
+# The catalogue as ``escrate catalogue`` prints it: (case, parameter range,
+# psi, psi_tilde), with psi_tilde "" where the case has no Euclidean-metric
+# companion. profiles.catalogue_case declares each case: its parameters,
+# closed forms and numeric route.
 CATALOGUE = (
     ("diri1", "", "sqrt(t log t)", "sqrt(t log t)"),
     ("diri2", "alpha<2", "sqrt(t log t)", "(t log t)^(1/(2-alpha))"),

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import math
+import os
 import sys
 from functools import partial
 from typing import TYPE_CHECKING
@@ -282,12 +283,21 @@ def _fmt(x) -> str:
 
 
 class _Out:
-    """CSV sink: a file opened with LF endings, or stdout."""
+    """CSV sink: stdout, or a temporary file with LF endings in the
+    directory of ``--out`` that ``close`` renames onto it only when the
+    command completed, so a failed run leaves an existing file as it was."""
 
     def __init__(self, path):
         self.path = path
+        if not path:
+            self.fh = sys.stdout
+            return
+        head, name = os.path.split(path)
+        self.temp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+        if os.path.isdir(path):
+            raise ConfigError(f"cannot write --out {path}: Is a directory")
         try:
-            self.fh = open(path, "w", newline="\n") if path else sys.stdout
+            self.fh = open(self.temp, "w", newline="\n")
         except OSError as exc:
             raise ConfigError(f"cannot write --out {path}: {exc.strerror}") from None
 
@@ -297,9 +307,13 @@ class _Out:
     def line(self, text):
         self.fh.write(text + "\n")
 
-    def close(self):
+    def close(self, completed: bool):
         if self.path:
             self.fh.close()
+            if completed:
+                os.replace(self.temp, self.path)
+            else:
+                os.remove(self.temp)
 
 
 # ---------------------------------------------------------------------------
@@ -511,26 +525,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    out = None
+    out = code = None
     try:
-        if args.command == "catalogue":
-            out = _Out(args.out)
-            return cmd_catalogue(out)
-        cfg = load_config(args.config)
+        cfg = None if args.command == "catalogue" else load_config(args.config)
         out = _Out(args.out)
-        if args.command == "rate":
-            return cmd_rate(cfg, out, args.quiet)
-        if args.command == "conserve":
-            return cmd_conserve(cfg, out)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, out, args.seed)
-        return cmd_verify(cfg, args.mode, out, args.seed)
+        if args.command == "catalogue":
+            code = cmd_catalogue(out)
+        elif args.command == "rate":
+            code = cmd_rate(cfg, out, args.quiet)
+        elif args.command == "conserve":
+            code = cmd_conserve(cfg, out)
+        elif args.command == "simulate":
+            code = cmd_simulate(cfg, out, args.seed)
+        else:
+            code = cmd_verify(cfg, args.mode, out, args.seed)
+        return code  # EXIT_OK, or EXIT_VERIFY after its FAIL line
     except EscrateError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.exit_code
     finally:
         if out is not None:
-            out.close()
+            out.close(completed=code is not None)
 
 
 if __name__ == "__main__":

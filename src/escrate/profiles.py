@@ -3,10 +3,10 @@
 Defines the radial coefficient families, the intrinsic-radius transform
 ``rho_tilde`` and its inverse, growth profiles (log-volume plus energy-density
 bound), the radial drifts (mean curvature, its hyperbolic majorant and the
-coefficient drift L rho, each written once), and the closed-form escape
-envelopes of the catalogue (its printed table, ``CATALOGUE``, is defined in
-``escrate.basics``) used as asymptotic targets by the solver and the Monte
-Carlo checks.
+coefficient drift L rho, each written once), and the catalogue cases, each
+declared once by ``catalogue_case`` with its closed-form escape envelopes
+and numeric route (the printed table, ``CATALOGUE``, is defined in
+``escrate.basics``).
 
 The transform, its inverse and log-inverse, the growth profiles and the
 drift formulas take floats or numpy arrays. The families use their
@@ -18,6 +18,7 @@ a tabulated coefficient imports ``escrate._numerics``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cache, partial
 from typing import Callable, Optional
@@ -455,44 +456,18 @@ def coefficient_drift(coeff: RadialCoefficient, n: int) -> Callable:
 # Closed-form rate catalogue
 # ---------------------------------------------------------------------------
 
-_E = math.e
-
-
 @dataclass(frozen=True)
 class CatalogueCase:
-    """A catalogue entry with the paper-style closed-form envelope(s).
-
-    ``kind`` selects the family; parameter ranges: diri2/geo2 need alpha < 2,
-    diri3/geo3 need beta <= 1, g_alpha needs -1 <= alpha <= 1.
-    """
+    """A catalogue case as ``catalogue_case`` declares it: its parameters,
+    its closed forms t -> (psi, psi_tilde), and its numeric route, either the
+    intrinsic growth ``profile`` (a volume-route case) or the dominating
+    ``drift`` b_tilde (a comparison-route case)."""
 
     kind: str
-    alpha: Optional[float] = None
-    beta: Optional[float] = None
-    n: Optional[int] = None
-    K: Optional[float] = None
-    eps: Optional[float] = None
-
-
-def catalogue_case(kind: str, **kw) -> CatalogueCase:
-    kind = kind.lower()
-    if kind not in {row[0] for row in CATALOGUE}:
-        raise DomainError(f"unknown catalogue case {kind!r}")
-    case = CatalogueCase(kind, **kw)
-    if kind in ("diri2", "geo2"):
-        if case.alpha is None or case.alpha >= 2:
-            raise DomainError(f"{kind} requires alpha < 2")
-    elif kind in ("diri3", "geo3"):
-        if case.beta is None or case.beta > 1:
-            raise DomainError(f"{kind} requires beta <= 1")
-    elif kind == "g_alpha":
-        if case.alpha is None or not -1 <= case.alpha <= 1:
-            raise DomainError("g_alpha requires -1 <= alpha <= 1")
-    elif kind == "hyperbolic_linear":
-        if not (case.n and case.n >= 2 and case.K and case.K > 0
-                and case.eps is not None and case.eps > 0):
-            raise DomainError("hyperbolic_linear requires n >= 2, K > 0, eps > 0")
-    return case
+    params: dict = field(hash=False)
+    forms: Callable = field(repr=False, compare=False)
+    profile: Optional[GrowthProfile] = _hidden()
+    drift: Optional[Callable] = _hidden()
 
 
 def _safe_exp(x: float) -> float:
@@ -507,46 +482,110 @@ def _sqrt_t_log_t(t: float) -> float:
 
 
 def _sqrt_t_loglog_t(t: float) -> float:
-    if t <= _E:
+    if t <= math.e:
         raise DomainError(f"t={t} too small: needs log log t > 0")
     return math.sqrt(t * math.log(math.log(t)))
 
 
+def _beta_forms(beta: float) -> Callable:
+    """The closed forms of diri3 and geo3."""
+    if beta == 1.0:
+        return lambda t: (_safe_exp(t), _safe_exp(_safe_exp(t)))
+    return lambda t: (t ** (1.0 + beta / (2.0 - 2.0 * beta)),
+                      _safe_exp(t ** (1.0 / (1.0 - beta))))
+
+
+def _take(kind: str, params: dict, *names: str) -> list:
+    """The values of ``params``, which must be exactly ``names``, each a
+    finite number."""
+    takes = f"{kind} takes {', '.join(names) or 'no parameters'}"
+    if set(params) != set(names):
+        raise DomainError(f"{takes}; got {', '.join(params) or 'none'}")
+    for name, value in params.items():
+        if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            raise DomainError(f"{takes}; {name}={value!r} is not a finite number")
+    return [params[name] for name in names]
+
+
+def _require(ok: bool, kind: str, condition: str) -> None:
+    if not ok:
+        raise DomainError(f"{kind} requires {condition}")
+
+
+def catalogue_case(kind: str, **params) -> CatalogueCase:
+    """The catalogue case ``kind`` (a case of ``CATALOGUE``): the one
+    declaration of each case's parameters, their range, its closed forms
+    and its numeric route. A missing, extra, non-finite or out-of-range
+    parameter is a DomainError."""
+    kind = kind.lower()
+    take = partial(_take, kind, params)
+
+    # The volume route runs in dimension 1, and in dimension 3 for diri3 at
+    # beta = 1: the closed forms suppress dimension-dependent constants, and
+    # these choices keep those constants small enough that finite-time
+    # exponent comparisons are meaningful at desk scale.
+    def volume(forms, coeff, n=1):
+        profile = profile_from_radial(coeff, n, "unit_energy")
+        return CatalogueCase(kind, params, forms, profile=profile)
+
+    # b_tilde is held constant below radius 1, so 1/b_tilde is integrable at 0
+    def comparison(forms, b_tilde):
+        drift = lambda x: b_tilde(max(float(x), 1.0))
+        return CatalogueCase(kind, params, forms, drift=drift)
+
+    if kind == "diri1":
+        take()
+        return volume(lambda t: (_sqrt_t_log_t(t),) * 2, RadialCoefficient.constant())
+    if kind == "diri2":
+        alpha, = take("alpha")
+        _require(alpha < 2, kind, "alpha < 2")
+        return volume(lambda t: (_sqrt_t_log_t(t),
+                                 (t * math.log(t)) ** (1.0 / (2.0 - alpha))),
+                      RadialCoefficient.power(alpha))
+    if kind == "diri3":
+        beta, = take("beta")
+        _require(beta <= 1, kind, "beta <= 1")
+        return volume(_beta_forms(beta), RadialCoefficient.squared_log(beta),
+                      3 if beta == 1.0 else 1)
+    if kind == "geo1":
+        take()
+        return comparison(lambda t: (_sqrt_t_loglog_t(t),) * 2, lambda r: 1.0 / r)
+    if kind == "geo2":
+        alpha, = take("alpha")
+        _require(alpha < 2, kind, "alpha < 2")
+        return comparison(lambda t: (_sqrt_t_loglog_t(t),
+                                     (t * math.log(math.log(t))) ** (1.0 / (2.0 - alpha))),
+                          lambda r: 1.0 / r)
+    if kind == "geo3":
+        beta, = take("beta")
+        _require(beta <= 1, kind, "beta <= 1")
+        p = beta / (2.0 - beta)
+        return comparison(_beta_forms(beta), lambda r: r ** p)
+    if kind == "g_alpha":
+        alpha, = take("alpha")
+        _require(-1 <= alpha <= 1, kind, "-1 <= alpha <= 1")
+        if alpha == -1.0:
+            forms = lambda t: (_sqrt_t_loglog_t(t), None)
+        elif alpha == 1.0:
+            forms = lambda t: (_safe_exp(t), None)
+        else:
+            forms = lambda t: (t ** (1.0 / (1.0 - alpha)), None)
+        return comparison(forms, lambda r: r ** alpha)
+    if kind == "hyperbolic_linear":
+        n, K, eps = take("n", "K", "eps")
+        _require(n >= 2 and K > 0 and eps > 0, kind, "n >= 2, K > 0, eps > 0")
+        return comparison(lambda t: ((1.0 + eps) * (n - 1) * math.sqrt(K) * t, None),
+                          hyperbolic_majorant(n, K))
+    raise DomainError(f"unknown catalogue case {kind!r}")
+
+
 def closed_form_rate(case: CatalogueCase, t: float):
-    """The catalogue closed forms (psi, psi_tilde); psi_tilde is None when the
-    case does not define a Euclidean-metric companion."""
+    """The case's closed forms (psi, psi_tilde) at t > 0; psi_tilde is None
+    when the case does not define a Euclidean-metric companion."""
     t = float(t)
     if t <= 0:
         raise DomainError("t must be positive")
-    k = case.kind
-    if k == "diri1":
-        v = _sqrt_t_log_t(t)
-        return v, v
-    if k == "diri2":
-        psi = _sqrt_t_log_t(t)
-        return psi, (t * math.log(t)) ** (1.0 / (2.0 - case.alpha))
-    if k in ("diri3", "geo3"):
-        beta = case.beta
-        if beta == 1.0:
-            return _safe_exp(t), _safe_exp(_safe_exp(t))
-        psi = t ** (1.0 + beta / (2.0 - 2.0 * beta))
-        return psi, _safe_exp(t ** (1.0 / (1.0 - beta)))
-    if k == "geo1":
-        v = _sqrt_t_loglog_t(t)
-        return v, v
-    if k == "geo2":
-        psi = _sqrt_t_loglog_t(t)
-        return psi, (t * math.log(math.log(t))) ** (1.0 / (2.0 - case.alpha))
-    if k == "g_alpha":
-        alpha = case.alpha
-        if alpha == -1.0:
-            return _sqrt_t_loglog_t(t), None
-        if alpha == 1.0:
-            return _safe_exp(t), None
-        return t ** (1.0 / (1.0 - alpha)), None
-    if k == "hyperbolic_linear":
-        return (1.0 + case.eps) * (case.n - 1) * math.sqrt(case.K) * t, None
-    raise DomainError(f"unknown catalogue case {k!r}")
+    return case.forms(t)
 
 
 # ---------------------------------------------------------------------------

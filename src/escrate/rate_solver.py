@@ -31,7 +31,6 @@ from .profiles import (
     CatalogueCase,
     GrowthProfile,
     RadialCoefficient,
-    hyperbolic_majorant,
     profile_from_radial,
     rho_tilde_inverse,
 )
@@ -114,17 +113,16 @@ def phi(profile: GrowthProfile, R: float, r_lo: float = PAPER_LOWER_LIMIT) -> fl
                 label=f"phi on [{r_lo}, {R}]", points=breaks)
 
 
-def effective_lower_limit(profile: GrowthProfile,
-                          start: float = PAPER_LOWER_LIMIT) -> float:
-    """Smallest scanned radius >= start where the rate denominator exceeds the
-    positivity floor. Upper rate functions are insensitive to the constant
-    time shift this introduces."""
-    r = float(start)
+def effective_lower_limit(profile: GrowthProfile) -> float:
+    """Smallest scanned radius >= PAPER_LOWER_LIMIT where the rate
+    denominator exceeds the positivity floor. Upper rate functions are
+    insensitive to the constant time shift this introduces."""
+    r = PAPER_LOWER_LIMIT
     cap = min(profile.r_max, 1e12)
     if cap <= r:
         raise FiniteTotalIntegral(
             f"profile domain ends at r_max={profile.r_max:.6g}, at or below "
-            f"the lower limit {start:.6g}: the crossing-time integral is empty")
+            f"the lower limit {r:.6g}: the crossing-time integral is empty")
     while r < cap:
         try:
             if _denominator(profile, r) > DENOMINATOR_FLOOR:
@@ -133,7 +131,7 @@ def effective_lower_limit(profile: GrowthProfile,
             pass
         r *= 1.02
     raise FiniteTotalIntegral(
-        f"no radius in [{start}, {cap:.4g}] with positive rate denominator")
+        f"no radius in [{PAPER_LOWER_LIMIT}, {cap:.4g}] with positive rate denominator")
 
 
 def _doublings(piece: Callable, start: float, cap: float, first_hi: float = 0.0,
@@ -442,54 +440,10 @@ def drift_envelope(b_tilde: Callable, t: float) -> float:
 # Numeric reproduction of the catalogue
 # ---------------------------------------------------------------------------
 
-# Dimension used when reproducing each catalogue case numerically. The
-# closed forms suppress dimension-dependent constants; these choices keep
-# those constants small enough that finite-time exponent comparisons are
-# meaningful at desk scale.
-_NUMERIC_DIM = {"diri1": 1, "diri2": 1, "diri3": 1, "diri3_exp": 3}
-
-
-def catalogue_profile(case: CatalogueCase) -> GrowthProfile:
-    """Intrinsic-metric growth profile whose envelope reproduces a volume-route
-    catalogue case."""
-    if case.kind == "diri1":
-        coeff = RadialCoefficient.constant()
-        n = _NUMERIC_DIM["diri1"]
-    elif case.kind == "diri2":
-        coeff = RadialCoefficient.power(case.alpha)
-        n = _NUMERIC_DIM["diri2"]
-    elif case.kind == "diri3":
-        coeff = RadialCoefficient.squared_log(case.beta)
-        n = _NUMERIC_DIM["diri3_exp" if case.beta == 1.0 else "diri3"]
-    else:
-        raise DomainError(f"case {case.kind!r} has no volume-route profile")
-    return profile_from_radial(coeff, n, "unit_energy")
-
-
-def catalogue_drift_majorant(case: CatalogueCase) -> Callable:
-    """Dominating drift b_tilde for comparison-route catalogue cases, extended
-    as a constant below radius 1 so 1/b_tilde is integrable at the origin."""
-    k = case.kind
-    if k in ("geo1", "geo2"):
-        return lambda x: 1.0 / max(float(x), 1.0)
-    if k == "geo3":
-        p = case.beta / (2.0 - case.beta)
-        return lambda x: max(float(x), 1.0) ** p
-    if k == "g_alpha":
-        a = case.alpha
-        return lambda x: max(float(x), 1.0) ** a
-    if k == "hyperbolic_linear":
-        majorant = hyperbolic_majorant(case.n, case.K)
-        return lambda x: majorant(max(float(x), 1.0))
-    raise DomainError(f"case {k!r} has no drift majorant")
-
-
 def catalogue_numeric_rate(case: CatalogueCase, t: float) -> float:
     """Numeric envelope for a catalogue case, by the route the case comes
-    from: volume-growth inversion for the diri cases, drift-majorant
-    inversion for the geo / g_alpha / hyperbolic cases."""
-    if case.kind.startswith("diri"):
-        profile = catalogue_profile(case)
-        r_lo = effective_lower_limit(profile)
-        return psi(profile, float(t), r_lo)
-    return drift_envelope(catalogue_drift_majorant(case), float(t))
+    from: volume-growth inversion of its growth profile, or drift-majorant
+    inversion of its dominating drift."""
+    if case.profile is not None:
+        return psi(case.profile, float(t), effective_lower_limit(case.profile))
+    return drift_envelope(case.drift, float(t))

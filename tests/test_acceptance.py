@@ -83,7 +83,7 @@ def test_inversion_round_trip():
     start = time.time()
     rng = np.random.default_rng(20240817)
     for kind, kw in CATALOGUE_PROFILES:
-        profile = rs.catalogue_profile(catalogue_case(kind, **kw))
+        profile = catalogue_case(kind, **kw).profile
         r_lo = rs.effective_lower_limit(profile)
         hi = min(profile.r_max, 1e8)
         radii = np.exp(rng.uniform(np.log(2 * r_lo), np.log(hi), 100))
@@ -109,7 +109,7 @@ def test_quadrature_against_trapezoid():
 
     # independent composite rule on every catalogue profile
     for kind, kw in CATALOGUE_PROFILES:
-        profile = rs.catalogue_profile(catalogue_case(kind, **kw))
+        profile = catalogue_case(kind, **kw).profile
         r_lo = rs.effective_lower_limit(profile)
         R = min(profile.r_max, 1e4)
         r = np.linspace(r_lo, R, 1_000_001)
@@ -142,7 +142,7 @@ def test_conservativeness_verdicts():
 # ---------------------------------------------------------------------------
 
 def test_dyadic_scheme_bounds():
-    profile = rs.catalogue_profile(catalogue_case("diri1"))
+    profile = catalogue_case("diri1").profile
     scheme = rs.dyadic_scheme(profile, c=4.0, N=30)
     total = scheme.partial_sums[-1]
     assert math.isfinite(total)

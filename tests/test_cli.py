@@ -89,6 +89,55 @@ class TestConfigValidation:
         assert message in captured.err
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("command, body, code", [
+        ("conserve", "[model]\nfamily = nope\n", 2),
+        ("simulate", (
+            "[model]\nwarp = hyperbolic\nn = 2\nk = 1\n[simulation]\nx0 = 1\n"
+            "t = 0.5\ndt = 0.01\nn_paths = 4\nmaster_seed = 1\nfloor = 0\n"
+            "output = summary\n"), 2),
+        # the benchmark's squared_log beta = 1 probe
+        ("rate", (
+            "[model]\nfamily = squared_log\nbeta = 1\nn = 3\n"
+            "mode = unit_energy\n[solver]\nt_grid = geom:1:1e6:50\n"), 3),
+        # the overshooting coefficient drift of TestSimulate
+        ("simulate", (
+            "[model]\nfamily = squared_log\nbeta = 0.5\nn = 2\n"
+            "[simulation]\nx0 = 0.8\nt = 0.2\ndt = 0.001\nn_paths = 20000\n"
+            "master_seed = 5\ndrift = coefficient\n"), 4),
+    ], ids=["config_error", "zero_floor", "solver_error", "simulation_error"])
+    def test_failed_run_keeps_existing_out(self, tmp_path, command, body, code):
+        # a run writes a temporary file, renamed onto --out only when the
+        # command completes: a failure leaves the earlier output and no
+        # other file
+        dest = tmp_path / "out" / "res.csv"
+        dest.parent.mkdir()
+        dest.write_bytes(b"t,psi\n1,2\n")
+        cfg = write_config(tmp_path, body)
+        res = run_cli([command, "--config", cfg, "--out", str(dest)], tmp_path)
+        assert res.returncode == code, res.stderr
+        assert res.stderr.count("\n") == 1
+        assert dest.read_bytes() == b"t,psi\n1,2\n"
+        assert os.listdir(dest.parent) == ["res.csv"]
+
+    def test_completed_run_replaces_out(self, tmp_path):
+        # exit 5 completes the command: its rows and FAIL line replace the
+        # earlier output
+        dest = tmp_path / "out" / "res.csv"
+        dest.parent.mkdir()
+        dest.write_bytes(b"earlier\n")
+        cfg = write_config(tmp_path, (
+            "[simulation]\nx0 = 1\nt = 2\ndt = 0.01\nn_paths = 20\n"
+            "master_seed = 2\ndrift = none\n"
+            "[verify]\nenvelope = zero\nc_grid = 1\nt0 = 1\n"))
+        printed = run_cli(["verify", "envelope", "--config", cfg], tmp_path)
+        assert printed.returncode == 5
+        assert printed.stdout.splitlines()[-1].startswith("FAIL ")
+        res = run_cli(["verify", "envelope", "--config", cfg, "--out",
+                       str(dest)], tmp_path)
+        assert res.returncode == 5 and res.stdout == ""
+        assert dest.read_text() == printed.stdout
+        assert os.listdir(dest.parent) == ["res.csv"]
+
     @pytest.fixture(scope="class")
     def unset_runs(self, tmp_path_factory):
         # conserve on a family and a 20-path simulate summary, with

@@ -249,6 +249,50 @@ class TestCatalogue:
         with pytest.raises(DomainError):
             catalogue_case("hyperbolic_linear", n=1, K=1.0, eps=0.1)
 
+    @pytest.mark.parametrize("kind, params, takes", [
+        ("diri2", {"alpha": math.nan}, "alpha"),
+        ("diri3", {"beta": math.nan}, "beta"),
+        ("geo3", {"beta": -math.inf}, "beta"),
+        ("hyperbolic_linear", {"n": 3, "K": 1.0, "eps": math.inf}, "n, K, eps"),
+        ("hyperbolic_linear", {"n": 3, "K": 1.0}, "n, K, eps"),
+        ("diri1", {"alpha": 1.0}, "no parameters"),
+        ("diri1", {"gamma": 1}, "no parameters"),
+    ], ids=["diri2_nan", "diri3_nan", "geo3_minus_inf", "eps_inf",
+            "eps_missing", "diri1_alpha", "diri1_gamma"])
+    def test_parameters_checked_as_a_set(self, kind, params, takes):
+        # a missing, extra or non-finite parameter names what the case takes
+        with pytest.raises(DomainError, match=f"^{kind} takes {takes};"):
+            catalogue_case(kind, **params)
+
+    # a parameter inside each printed row's range
+    ROW_PARAMS = {
+        ("diri1", ""): {}, ("diri2", "alpha<2"): {"alpha": 1.0},
+        ("diri3", "beta<1"): {"beta": 0.5}, ("diri3", "beta=1"): {"beta": 1.0},
+        ("geo1", ""): {}, ("geo2", "alpha<2"): {"alpha": 1.0},
+        ("geo3", "beta<1"): {"beta": 0.5}, ("geo3", "beta=1"): {"beta": 1.0},
+        ("g_alpha", "alpha=-1"): {"alpha": -1.0},
+        ("g_alpha", "-1<alpha<1"): {"alpha": 0.5},
+        ("g_alpha", "alpha=1"): {"alpha": 1.0},
+        ("hyperbolic_linear", "n>=2, K>0"): {"n": 2, "K": 1.0, "eps": 0.1},
+    }
+
+    def test_every_printed_row_is_declared(self):
+        # the numpy-free table and the declarations are the two places the
+        # catalogue lives: each row's case is accepted, with a finite
+        # positive psi, a psi_tilde exactly where the row prints one, and a
+        # finite numeric envelope
+        from escrate.rate_solver import catalogue_numeric_rate
+
+        assert set(self.ROW_PARAMS) == {row[:2] for row in CATALOGUE}
+        assert len(CATALOGUE) == 12
+        for kind, where, _, printed_tilde in CATALOGUE:
+            case = catalogue_case(kind, **self.ROW_PARAMS[kind, where])
+            assert isinstance(case, CatalogueCase)
+            psi, psi_tilde = closed_form_rate(case, 100.0)
+            assert math.isfinite(psi) and psi > 0, (kind, where)
+            assert (psi_tilde is None) == (printed_tilde == ""), (kind, where)
+            assert math.isfinite(catalogue_numeric_rate(case, 20.0)), (kind, where)
+
     def test_table_cases_are_the_accepted_kinds(self):
         params = {"diri2": dict(alpha=1.0), "geo2": dict(alpha=1.0),
                   "diri3": dict(beta=0.5), "geo3": dict(beta=0.5),

@@ -22,9 +22,7 @@ from escrate.profiles import GrowthProfile, RadialCoefficient, catalogue_case, p
 from escrate.rate_solver import (
     PROOF_SCALE_C,
     RateFunction,
-    catalogue_drift_majorant,
     catalogue_numeric_rate,
-    catalogue_profile,
     conservativeness,
     drift_envelope,
     dyadic_scheme,
@@ -367,7 +365,7 @@ class TestDyadicScheme:
         assert np.allclose(scheme.T, np.cumsum(scheme.t))
 
     def test_bounds_positive_and_summable_at_depth(self):
-        scheme = dyadic_scheme(catalogue_profile(catalogue_case("diri1")),
+        scheme = dyadic_scheme(catalogue_case("diri1").profile,
                                c=4.0, N=25)
         assert np.all(scheme.bound > 0)
         assert scheme.partial_sums[-1] < np.inf
@@ -375,14 +373,14 @@ class TestDyadicScheme:
 
     def test_slack_against_whole_integral(self):
         # the acceptance scheme: each level's phi is a sum of shells from 2c
-        profile = catalogue_profile(catalogue_case("diri1"))
+        profile = catalogue_case("diri1").profile
         scheme = dyadic_scheme(profile, c=4.0, N=30)
         whole = np.array([scheme.T[n - 1] - phi(profile, 2.0 ** (n + 1) * 4.0, 8.0)
                           / 256.0 for n in range(1, 31)])
         assert np.allclose(scheme.slack, whole, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("profile", [
-        catalogue_profile(catalogue_case("diri1")),
+        catalogue_case("diri1").profile,
         profile_from_radial(RadialCoefficient.tabulated(
             _TAB_RADII, 1.0 + np.sqrt(_TAB_RADII)), 3, "coefficient_energy"),
     ], ids=["constant", "tabulated"])
@@ -442,7 +440,7 @@ class TestDyadicScheme:
     def test_rejects_radii_beyond_float_range(self):
         # the slack needs phi at 2^(N+1) c: 2^497 * 4 passes 1e150, where
         # the level terms r_n * r_n are close to overflowing; 2^496 * 4 not
-        profile = catalogue_profile(catalogue_case("diri1"))
+        profile = catalogue_case("diri1").profile
         for N in (496, 600):
             with pytest.raises(DomainError, match="not representable"):
                 dyadic_scheme(profile, c=4.0, N=N)
@@ -484,7 +482,7 @@ class TestCatalogueNumeric:
         # the majorant as written before it called hyperbolic_majorant,
         # constant below radius 1
         case = catalogue_case("hyperbolic_linear", n=n, K=K, eps=0.1)
-        majorant = catalogue_drift_majorant(case)
+        majorant = case.drift
         sk = math.sqrt(K)
         base = (n - 1) * sk
         grid = np.concatenate((np.geomspace(1e-4, 1.0, 41)[:-1],

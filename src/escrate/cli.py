@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import math
 import os
+import shutil
 import sys
 from functools import partial
 from typing import TYPE_CHECKING
@@ -283,23 +285,36 @@ def _fmt(x) -> str:
 
 
 class _Out:
-    """CSV sink: stdout, or a temporary file with LF endings in the
-    directory of ``--out`` that ``close`` renames onto it only when the
-    command completed, so a failed run leaves an existing file as it was."""
+    """CSV sink with LF endings: stdout, or the ``--out`` path.
+
+    A regular file, or a path with nothing there yet, is written through a
+    temporary file in the resolved target's directory that ``commit``
+    renames onto the target, so a failed run leaves an existing file as it
+    was. Anything else (a device such as /dev/null, a FIFO) is written
+    directly, since a rename would replace it."""
 
     def __init__(self, path):
-        self.path = path
+        self.path, self.temp, self.fh = path, None, sys.stdout
         if not path:
-            self.fh = sys.stdout
             return
-        head, name = os.path.split(path)
-        self.temp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
         if os.path.isdir(path):
-            raise ConfigError(f"cannot write --out {path}: Is a directory")
+            self._fail("Is a directory")
+        if os.path.exists(path) and not os.access(path, os.W_OK):
+            self._fail("Permission denied")
+        if not os.path.exists(path) or os.path.isfile(path):
+            self.target = os.path.realpath(path)
+            head, name = os.path.split(self.target)
+            self.temp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
         try:
-            self.fh = open(self.temp, "w", newline="\n")
+            self.fh = open(self.temp or path, "w", newline="\n")
+            if self.temp and os.path.exists(self.target):
+                shutil.copymode(self.target, self.temp)
         except OSError as exc:
-            raise ConfigError(f"cannot write --out {path}: {exc.strerror}") from None
+            self.discard()
+            self._fail(exc.strerror)
+
+    def _fail(self, reason):
+        raise ConfigError(f"cannot write --out {self.path}: {reason}") from None
 
     def row(self, *cells):
         self.fh.write(",".join(_fmt(c) for c in cells) + "\n")
@@ -307,13 +322,27 @@ class _Out:
     def line(self, text):
         self.fh.write(text + "\n")
 
-    def close(self, completed: bool):
-        if self.path:
+    def commit(self):
+        """Close the file and put the temporary file in the target's place."""
+        if self.fh is sys.stdout:
+            return
+        try:
             self.fh.close()
-            if completed:
-                os.replace(self.temp, self.path)
-            else:
+            if self.temp:
+                os.replace(self.temp, self.target)
+                self.temp = None
+        except OSError as exc:
+            self.discard()
+            self._fail(exc.strerror)
+
+    def discard(self):
+        """Close the file and remove a temporary file not yet committed."""
+        with contextlib.suppress(OSError):
+            if self.fh is not sys.stdout:
+                self.fh.close()
+            if self.temp:
                 os.remove(self.temp)
+        self.temp = None
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    out = code = None
+    out = None
     try:
         cfg = None if args.command == "catalogue" else load_config(args.config)
         out = _Out(args.out)
@@ -539,13 +568,14 @@ def main(argv=None) -> int:
             code = cmd_simulate(cfg, out, args.seed)
         else:
             code = cmd_verify(cfg, args.mode, out, args.seed)
+        out.commit()
         return code  # EXIT_OK, or EXIT_VERIFY after its FAIL line
     except EscrateError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.exit_code
     finally:
         if out is not None:
-            out.close(completed=code is not None)
+            out.discard()
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 import time
@@ -137,6 +138,72 @@ class TestConfigValidation:
         assert res.returncode == 5 and res.stdout == ""
         assert dest.read_text() == printed.stdout
         assert os.listdir(dest.parent) == ["res.csv"]
+
+    def test_out_device_is_written_in_place(self, capsys):
+        # a rename would put a regular file where the device was
+        from escrate import cli
+
+        assert cli.main(["catalogue", "--out", os.devnull]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+        head, name = os.path.split(os.devnull)
+        assert not [f for f in os.listdir(head) if f.startswith(f".{name}.")]
+
+    def test_out_symlink_writes_its_target(self, tmp_path, capsys):
+        from escrate import cli
+
+        assert cli.main(["catalogue"]) == 0
+        printed = capsys.readouterr().out
+        real = tmp_path / "real" / "res.csv"
+        real.parent.mkdir()
+        real.write_bytes(b"earlier\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(real)
+        assert cli.main(["catalogue", "--out", str(link)]) == 0
+        assert link.is_symlink() and link.resolve() == real
+        assert real.read_text() == printed
+        assert sorted(os.listdir(tmp_path)) == ["link.csv", "real"]
+        assert os.listdir(real.parent) == ["res.csv"]
+
+    def test_read_only_out(self, tmp_path, capsys):
+        # as at a direct open: a user who may not write the file gets exit 2
+        # before any work and the file keeps its bytes; one who may (root)
+        # replaces the bytes, and the file keeps its mode either way
+        from escrate import cli
+
+        dest = tmp_path / "res.csv"
+        dest.write_bytes(b"earlier\n")
+        dest.chmod(0o444)
+        writable = os.access(dest, os.W_OK)
+        code = cli.main(["catalogue", "--out", str(dest)])
+        captured = capsys.readouterr()
+        if writable:
+            assert code == 0 and captured == ("", "")
+            assert dest.read_text().startswith("case,range,psi,psi_tilde\n")
+        else:
+            assert code == 2
+            assert captured.err == (f"ConfigError: cannot write --out {dest}: "
+                                    "Permission denied\n")
+            assert dest.read_bytes() == b"earlier\n"
+        assert stat.S_IMODE(dest.stat().st_mode) == 0o444
+        assert os.listdir(tmp_path) == ["res.csv"]
+
+    def test_failed_rename_exits_2(self, tmp_path, monkeypatch, capsys):
+        # an OSError on closing or renaming is a ConfigError line, and the
+        # temporary file is removed
+        from escrate import cli
+
+        def no_space(src, dst):
+            raise OSError(28, "No space left on device")
+
+        dest = tmp_path / "res.csv"
+        dest.write_bytes(b"earlier\n")
+        monkeypatch.setattr(cli.os, "replace", no_space)
+        assert cli.main(["catalogue", "--out", str(dest)]) == 2
+        assert capsys.readouterr().err == (
+            f"ConfigError: cannot write --out {dest}: No space left on device\n")
+        assert dest.read_bytes() == b"earlier\n"
+        assert os.listdir(tmp_path) == ["res.csv"]
 
     @pytest.fixture(scope="class")
     def unset_runs(self, tmp_path_factory):

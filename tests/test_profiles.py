@@ -276,11 +276,11 @@ class TestCatalogue:
         ("hyperbolic_linear", "n>=2, K>0"): {"n": 2, "K": 1.0, "eps": 0.1},
     }
 
-    def test_every_printed_row_is_declared(self):
+    def test_table_cases_are_the_accepted_kinds(self):
         # the numpy-free table and the declarations are the two places the
         # catalogue lives: each row's case is accepted, with a finite
         # positive psi, a psi_tilde exactly where the row prints one, and a
-        # finite numeric envelope
+        # finite numeric envelope; no kind outside the table is accepted
         from escrate.rate_solver import catalogue_numeric_rate
 
         assert set(self.ROW_PARAMS) == {row[:2] for row in CATALOGUE}
@@ -292,24 +292,10 @@ class TestCatalogue:
             assert math.isfinite(psi) and psi > 0, (kind, where)
             assert (psi_tilde is None) == (printed_tilde == ""), (kind, where)
             assert math.isfinite(catalogue_numeric_rate(case, 20.0)), (kind, where)
-
-    def test_table_cases_are_the_accepted_kinds(self):
-        params = {"diri2": dict(alpha=1.0), "geo2": dict(alpha=1.0),
-                  "diri3": dict(beta=0.5), "geo3": dict(beta=0.5),
-                  "g_alpha": dict(alpha=0.0),
-                  "hyperbolic_linear": dict(n=2, K=1.0, eps=0.1)}
-        table = {row[0] for row in CATALOGUE}
-        accepted = set()
-        for kind in table | set(params) | {"diri1", "geo1", "diri4", "geo",
-                                           "hyperbolic", "custom"}:
-            try:
-                case = catalogue_case(kind, **params.get(kind, {}))
-            except DomainError:
-                continue
-            accepted.add(kind)
-            assert closed_form_rate(case, 100.0)[0] > 0
-        assert accepted == table
-        assert len(table) == 8
+        assert len({row[0] for row in CATALOGUE}) == 8
+        for kind in ("diri4", "geo", "hyperbolic", "custom"):
+            with pytest.raises(DomainError):
+                catalogue_case(kind)
 
     def test_diri1_closed_form(self):
         psi, psi_tilde = closed_form_rate(catalogue_case("diri1"), 100.0)

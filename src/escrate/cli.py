@@ -227,6 +227,17 @@ def build_profile(cfg):
         raise ConfigError(str(exc))
 
 
+def _rate_args(cfg, use: str):
+    """[model]'s coefficient, and rate_table's keyword arguments: [model]'s
+    growth profile and [solver]'s t_grid, r_lo and scale_c (its default for
+    ``use``)."""
+    coeff, profile = build_profile(cfg)
+    _need(cfg, "solver")
+    solver = partial(_get, cfg, "solver")
+    return coeff, dict(profile=profile, t_grid=solver("t_grid"),
+                       scale_c=solver("scale_c", use), r_lo=solver("r_lo"))
+
+
 def build_drift(cfg):
     """Resolve the simulation drift from config: a manifold's mean
     curvature, the radial-coefficient drift or the hyperbolic majorant. The
@@ -352,14 +363,11 @@ class _Out:
 def cmd_rate(cfg, out: _Out, quiet: bool) -> int:
     from . import rate_solver
 
-    coeff, profile = build_profile(cfg)
-    _need(cfg, "solver")
-    solver = partial(_get, cfg, "solver")
-    t_grid, scale_c, r_lo = solver("t_grid"), solver("scale_c", "rate"), solver("r_lo")
+    coeff, args = _rate_args(cfg, "rate")
     out.row("t", "psi", "psi_tilde")
-    if t_grid.size == 0:
+    if args["t_grid"].size == 0:
         return EXIT_OK
-    rate = rate_solver.rate_table(profile, t_grid, scale_c=scale_c, r_lo=r_lo)
+    rate = rate_solver.rate_table(**args)
     psi_tilde = [None] * rate.times.size
     if _get(cfg, "model", "mode") == "unit_energy":
         psi_tilde = rate_solver.euclidean_rate(rate, coeff).values.tolist()
@@ -458,23 +466,20 @@ def cmd_verify(cfg, mode: str, out: _Out, seed_override) -> int:
         else:
             from .rate_solver import rate_table
 
-            _, profile = build_profile(cfg)
-            _need(cfg, "solver")
-            t_grid = _get(cfg, "solver", "t_grid")
-            if t_grid.size == 0:
+            _, table = _rate_args(cfg, "envelope")
+            if table["t_grid"].size == 0:
                 raise ConfigError("envelope mode needs a nonempty t_grid")
-            rate = rate_table(
-                profile, t_grid, scale_c=_get(cfg, "solver", "scale_c", "envelope"))
+            rate = rate_table(**table)
         args = _simulation_args(cfg, seed_override)
         del args["barrier"]  # the streamed run records no exit times
-        report = verify_mod.exceedance_mc(rate=rate, C_grid=C_grid, t0=t0,
-                                          **args)
+        fractions = verify_mod.exceedance_mc(rate=rate, C_grid=C_grid, t0=t0,
+                                             **args)
         out.row("C", "fraction")
-        for C, f in zip(report.C_grid, report.fractions):
+        for C, f in zip(C_grid, fractions):
             out.row(float(C), float(f))
-        passed = float(report.fractions[-1]) <= threshold
+        passed = float(fractions[-1]) <= threshold
         return _verdict_exit(passed, f"{'PASS' if passed else 'FAIL'} "
-                             f"fraction_at_max_C={_fmt(float(report.fractions[-1]))} "
+                             f"fraction_at_max_C={_fmt(float(fractions[-1]))} "
                              f"threshold={_fmt(threshold)}", out)
 
     if mode == "compare":

@@ -495,15 +495,19 @@ def _beta_forms(beta: float) -> Callable:
                       _safe_exp(t ** (1.0 / (1.0 - beta))))
 
 
-def _take(kind: str, params: dict, *names: str) -> list:
+def _take(kind: str, params: dict, *names: str, integers=()) -> list:
     """The values of ``params``, which must be exactly ``names``, each a
-    finite number."""
+    finite number other than a bool, and an integer where named in
+    ``integers``."""
     takes = f"{kind} takes {', '.join(names) or 'no parameters'}"
     if set(params) != set(names):
         raise DomainError(f"{takes}; got {', '.join(params) or 'none'}")
     for name, value in params.items():
-        if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+        if isinstance(value, bool) or not (isinstance(value, numbers.Real)
+                                           and math.isfinite(value)):
             raise DomainError(f"{takes}; {name}={value!r} is not a finite number")
+        if name in integers and not isinstance(value, numbers.Integral):
+            raise DomainError(f"{takes}; {name}={value!r} is not an integer")
     return [params[name] for name in names]
 
 
@@ -515,8 +519,9 @@ def _require(ok: bool, kind: str, condition: str) -> None:
 def catalogue_case(kind: str, **params) -> CatalogueCase:
     """The catalogue case ``kind`` (a case of ``CATALOGUE``): the one
     declaration of each case's parameters, their range, its closed forms
-    and its numeric route. A missing, extra, non-finite or out-of-range
-    parameter is a DomainError."""
+    and its numeric route. A missing, extra, non-finite, bool or
+    out-of-range parameter, or a fractional dimension n, is a
+    DomainError."""
     kind = kind.lower()
     take = partial(_take, kind, params)
 
@@ -572,7 +577,7 @@ def catalogue_case(kind: str, **params) -> CatalogueCase:
             forms = lambda t: (t ** (1.0 / (1.0 - alpha)), None)
         return comparison(forms, lambda r: r ** alpha)
     if kind == "hyperbolic_linear":
-        n, K, eps = take("n", "K", "eps")
+        n, K, eps = take("n", "K", "eps", integers=("n",))
         _require(n >= 2 and K > 0 and eps > 0, kind, "n >= 2, K > 0, eps > 0")
         return comparison(lambda t: ((1.0 + eps) * (n - 1) * math.sqrt(K) * t, None),
                           hyperbolic_majorant(n, K))

@@ -8,8 +8,8 @@ noise coordinates).
 
 The kernel's normals xi_k are Box-Muller transforms of raw Philox words,
 128 words per step of a chunk (see _box_muller for the layout), made in
-fills that shorten as paths grow to keep their scratch within a budget (see
-_noise_blocks); they are cut at |xi| <= sqrt(50 log 2) = 5.89, a tail of
+fills of one Box-Muller pass each that shorten as paths grow to keep their
+scratch within a budget (see _noise_blocks); they are cut at |xi| <= sqrt(50 log 2) = 5.89, a tail of
 probability 3.9e-9 per draw. A seed reproduces the same bytes for every
 fill length, and on numpy's AVX2 and AVX-512 float32 loops alike; on the
 x86-64-v2 baseline loops float32 log, sin and cos round differently.
@@ -30,16 +30,13 @@ from .profiles import RadialCoefficient
 DEFAULT_ORIGIN_FLOOR = 1e-6
 
 _SQRT2 = math.sqrt(2.0)
-# Steps per noise fill: _NOISE_BLOCK, or fewer so that a fill's normals
-# (1 KiB per chunk-step) stay within _NOISE_BUDGET chunk-steps, but at least
-# _MIN_BLOCK (a fill makes one RNG call per chunk). The raw words (1 KiB per
-# chunk-step) go through one tile of _WORD_TILE words, or of one chunk's
-# fill if that is longer. States are checked for finiteness every
-# _NOISE_BLOCK steps.
+# Steps per noise fill: _NOISE_BLOCK, or fewer so that a fill's normals and
+# raw words (1 KiB each per chunk-step) stay within _NOISE_BUDGET
+# chunk-steps, but at least _MIN_BLOCK (a fill makes one RNG call per chunk).
+# States are checked for finiteness every _NOISE_BLOCK steps.
 _NOISE_BLOCK, _MIN_BLOCK, _NOISE_BUDGET = 128, 8, 320
 _NOISE_CHUNK = 256  # noise coordinates sharing one noise stream
 _WORDS = _NOISE_CHUNK // 2  # raw 64-bit Philox words per step of a chunk
-_WORD_TILE = 8192  # raw words one pass of the word tile transforms (64 KiB)
 _ANGLE = np.float32(2.0 * math.pi * 2.0 ** -24)
 
 __all__ = [
@@ -238,26 +235,22 @@ def _noise_blocks(gens, n_steps: int):
     Each buf is a view into one buffer that the next fill overwrites: a
     caller that keeps a block past its own steps must copy it.
 
-    A fill draws each chunk's words in one call and copies the draws of as
-    many chunks as _WORD_TILE words hold (at least one) into one word tile,
-    which _box_muller transforms in one pass. Each stream is still read in
-    order, so the values do not depend on the block length.
+    A fill draws each chunk's words in one call into that chunk's row of one
+    word buffer, which _box_muller transforms in one pass. Each stream is
+    read in order, so the values do not depend on the block length.
     """
     n_chunks = len(gens)
     size = min(_NOISE_BLOCK, max(_MIN_BLOCK, _NOISE_BUDGET // n_chunks))
-    group = max(1, _WORD_TILE // (size * _WORDS))  # chunks per pass
-    tile = np.empty(group * size * _WORDS, np.uint64)
+    words = np.empty(n_chunks * size * _WORDS, np.uint64)
     store = np.empty((n_chunks * size, _NOISE_CHUNK), dtype=np.float32)
     for k in range(0, n_steps, size):
         block = min(size, n_steps - k)
-        buf = store[:n_chunks * block].reshape(n_chunks, block, _NOISE_CHUNK)
         n = block * _WORDS
-        for c in range(0, n_chunks, group):
-            chunks = gens[c:c + group]
-            words = tile[:len(chunks) * n]
-            for gen, row in zip(chunks, words.reshape(-1, n)):
-                row[:] = gen.bit_generator.random_raw(n)
-            _box_muller(words, buf[c:c + len(chunks)].reshape(-1, _NOISE_CHUNK))
+        fill = words[:n_chunks * n]
+        for gen, row in zip(gens, fill.reshape(n_chunks, n)):
+            row[:] = gen.bit_generator.random_raw(n)
+        buf = store[:n_chunks * block].reshape(n_chunks, block, _NOISE_CHUNK)
+        _box_muller(fill, buf.reshape(-1, _NOISE_CHUNK))
         yield k, block, buf
 
 

@@ -25,7 +25,6 @@ if TYPE_CHECKING:
     from .rate_solver import RateFunction
 
 __all__ = [
-    "EnvelopeReport",
     "ComparisonReport",
     "exceedance",
     "exceedance_mc",
@@ -39,23 +38,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Envelope exceedance
 # ---------------------------------------------------------------------------
-
-@dataclass
-class EnvelopeReport:
-    """Exceedance fractions per envelope scale constant.
-
-    fractions[i] is the share of paths whose stored trajectory exceeds the
-    envelope t -> rate(C_grid[i] * t) somewhere on [t0, T]. Nonincreasing in
-    C by construction on a shared ensemble.
-    """
-
-    C_grid: np.ndarray
-    fractions: np.ndarray
-    t0: float
-    T: float
-    n_paths: int
-    master_seed: int
-
 
 class _Exceedance:
     """One flag row per envelope level: flags[i, p] is set once path p has
@@ -114,9 +96,10 @@ def _envelope_values(rate, ts: np.ndarray) -> np.ndarray:
     return np.array([float(rate(t)) for t in ts])
 
 
-def _envelope_rows(times: np.ndarray, rate, C_grid: np.ndarray, t0: float):
+def _envelope_rows(times: np.ndarray, rate, C_grid, t0: float):
     """Window of the stored times on [t0, T] and the envelope rows
     rate(C * t) on it, one per C."""
+    C_grid = np.asarray(C_grid, dtype=float)
     if np.any(C_grid <= 0):
         raise DomainError("scale constants must be positive")
     if t0 >= times[-1]:
@@ -130,26 +113,22 @@ def _envelope_rows(times: np.ndarray, rate, C_grid: np.ndarray, t0: float):
 
 
 def exceedance(ens: PathEnsemble, rate: Union[RateFunction, Callable],
-               C_grid: Sequence[float], t0: float) -> EnvelopeReport:
-    """Fraction of paths above the envelope rate(C t) at some stored time
-    in [t0, T], per C.
+               C_grid: Sequence[float], t0: float) -> np.ndarray:
+    """Per-C fraction of paths above the envelope rate(C t) at some stored
+    time in [t0, T]; nonincreasing in C, as the events are nested.
 
     ``rate`` is a RateFunction table or any callable (useful sentinels:
     constant 0 or +inf). A table must cover C t on the window
     (ExtrapolationError otherwise).
     """
-    C_grid = np.asarray(C_grid, dtype=float)
     window, env = _envelope_rows(ens.times, rate, C_grid, t0)
-    return EnvelopeReport(C_grid=C_grid,
-                          fractions=_stored_fractions(ens, window, env),
-                          t0=float(t0), T=float(ens.times[-1]),
-                          n_paths=ens.n_paths, master_seed=ens.master_seed)
+    return _stored_fractions(ens, window, env)
 
 
 def exceedance_mc(sde: Sde1D | IsotropicNd, x0: float, T: float, dt: float, n_paths: int,
                   master_seed: int, rate: Union[RateFunction, Callable],
                   C_grid: Sequence[float], t0: float,
-                  store_every: int = 1) -> EnvelopeReport:
+                  store_every: int = 1) -> np.ndarray:
     """``exceedance`` of ``ensemble(sde, x0, T, dt, n_paths, master_seed,
     store_every=store_every)``, equal to it, reduced as the chains step
     without storing them. An IsotropicNd's |X| exceeds rho_tilde^{-1}(psi)
@@ -158,15 +137,10 @@ def exceedance_mc(sde: Sde1D | IsotropicNd, x0: float, T: float, dt: float, n_pa
     Every argument is checked, and the envelope evaluated, before the first
     step.
     """
-    C_grid = np.asarray(C_grid, dtype=float)
     stored = _stored_steps(sde, x0, T, dt, n_paths, store_every)
-    times = stored * dt
-    window, env = _envelope_rows(times, rate, C_grid, t0)
-    fractions = _streamed_fractions(sde, x0, T, dt, n_paths, master_seed,
-                                    stored[window], env)
-    return EnvelopeReport(C_grid=C_grid, fractions=fractions, t0=float(t0),
-                          T=float(times[-1]), n_paths=n_paths,
-                          master_seed=master_seed)
+    window, env = _envelope_rows(stored * dt, rate, C_grid, t0)
+    return _streamed_fractions(sde, x0, T, dt, n_paths, master_seed,
+                               stored[window], env)
 
 
 # ---------------------------------------------------------------------------

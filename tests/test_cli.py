@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 RUN = [sys.executable, "-m", "escrate.cli"]
+README_MD = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(args, cwd, env=None):
@@ -28,6 +29,14 @@ def write_config(tmp_path, text, name="cfg.ini"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def readme_configs():
+    """README's two example configs, by command: its rate table's and its
+    simulation's."""
+    rate, simulate = re.findall(r"^```ini\n(.*?)^```$", README_MD.read_text(),
+                                re.M | re.S)
+    return {"rate": rate, "simulate": simulate}
 
 
 class TestConfigValidation:
@@ -443,7 +452,7 @@ class TestConfigSchema:
     def test_readme_lists_every_key_with_its_default(self):
         from escrate import cli
 
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        readme = README_MD.read_text()
         rows = re.findall(r"^\| `\[(\w+)\]` \| `(\w+)` \| [^|]+ \| ([^|]+) \|",
                           readme, re.M)
         stated = {(section, key): self._stated(cell.strip())
@@ -459,7 +468,7 @@ class TestConfigSchema:
     def test_readme_family_row_lists_the_families(self):
         from escrate.basics import FAMILIES
 
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        readme = README_MD.read_text()
         meaning = {key: cell for key, cell in re.findall(
             r"^\| `\[model\]` \| `(\w+)` \|[^|]+\|[^|]+\| ([^|]+) \|", readme, re.M)}
         assert re.findall(r"`([a-z_]+)`", meaning["family"]) == list(FAMILIES)
@@ -486,6 +495,23 @@ _NUMERIC = ("numpy", "escrate.profiles", "escrate.rate_solver", "escrate.sde",
             "escrate.verify")
 # what only the solver and the tabulated coefficients' numerics need
 _SOLVER = ("escrate.rate_solver", "escrate._numerics")
+
+
+class TestReadmeExamples:
+    @pytest.mark.parametrize("command", ["rate", "simulate"])
+    def test_rerun_byte_identical(self, tmp_path, capsys, command):
+        # README's own example configs, run twice: exit 0, the same bytes
+        from escrate import cli
+
+        cfg = write_config(tmp_path, readme_configs()[command])
+        outputs = []
+        for run in range(2):
+            out = tmp_path / f"{run}.csv"
+            assert cli.main([command, "--config", cfg, "--out", str(out)]) == 0
+            outputs.append((out.read_bytes(), capsys.readouterr()))
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0][0].splitlines()) == {"rate": 51,
+                                                   "simulate": 1001}[command]
 
 
 class TestModulesLoaded:
@@ -851,10 +877,7 @@ class TestSimulate:
             for i in range(ens.n_paths) for j, t in enumerate(ens.times)]
         assert dest.read_bytes() == ("\n".join(rows) + "\n").encode()
 
-    README = ("[model]\nwarp = hyperbolic\nn = 2\nk = 1\n"
-              "[simulation]\nx0 = 1\nt = 50\ndt = 0.01\nn_paths = 1000\n"
-              "master_seed = 7\ndrift = manifold\nfloor = 0.05\n"
-              "output = summary\n")
+    README = readme_configs()["simulate"]
 
     def test_summary_memory_independent_of_steps(self, tmp_path):
         # the README config: 1000 paths x 5001 steps take 40 MB as float64,
@@ -1054,10 +1077,10 @@ class TestVerify:
     @pytest.mark.parametrize("runs, bound", [(1, 1.6e6), (2, 2.2e6)])
     def test_compare_noise_scratch_bounded(self, tmp_path, runs, bound):
         # the benchmark's verify compare (10^4 paths, 40 noise chunks) on a
-        # short horizon: its 8-step fills hold 320 KiB of normals and a
-        # 64 KiB word tile; about 0.85 MB more is the chains' states and the
-        # run's own. Two runs in one trace stay below twice one run's peak
-        # (about 1.23e6 B): the first run's scratch is freed
+        # short horizon: its 8-step fills hold 320 KiB of normals and one
+        # word buffer of 320 KiB; about 0.85 MB more is the chains' states
+        # and the run's own. Two runs in one trace stay below twice one
+        # run's peak (about 1.5e6 B): the first run's scratch is freed
         from escrate import cli
 
         cfg = write_config(tmp_path, (
@@ -1150,6 +1173,28 @@ class TestStreamedVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == message + "\n"
+
+    def test_envelope_reads_the_table_rate_prints(self, tmp_path, monkeypatch,
+                                                  capsys):
+        # verify envelope's table is rate's, [solver] r_lo included
+        from escrate import cli, verify as verify_mod
+
+        tables = []
+
+        def exceedance_mc(rate, C_grid, **kwargs):
+            tables.append(rate)
+            return np.zeros(len(C_grid))
+
+        monkeypatch.setattr(verify_mod, "exceedance_mc", exceedance_mc)
+        cfg = write_config(tmp_path, self.ENVELOPE.replace(
+            "scale_c = 1\n", "scale_c = 1\nr_lo = 50\n")
+            + "[verify]\nc_grid = 1\nt0 = 2\n")
+        assert cli.main(["rate", "--config", cfg, "--quiet"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+        assert cli.main(["verify", "envelope", "--config", cfg]) == 0
+        (rate,) = tables
+        assert rate.values.tolist() == [float(psi) for _, psi, _ in rows]
+        assert rate.values[0] > 50.0
 
     def test_lil_memory_linear_in_paths(self, tmp_path):
         # 10^4 paths x 1001 stored steps: stored as float64 they take 80 MB

@@ -257,10 +257,14 @@ class TestCatalogue:
         ("hyperbolic_linear", {"n": 3, "K": 1.0}, "n, K, eps"),
         ("diri1", {"alpha": 1.0}, "no parameters"),
         ("diri1", {"gamma": 1}, "no parameters"),
+        ("diri2", {"alpha": True}, "alpha"),
+        ("hyperbolic_linear", {"n": 2.5, "K": 1.0, "eps": 0.1}, "n, K, eps"),
     ], ids=["diri2_nan", "diri3_nan", "geo3_minus_inf", "eps_inf",
-            "eps_missing", "diri1_alpha", "diri1_gamma"])
+            "eps_missing", "diri1_alpha", "diri1_gamma", "diri2_bool",
+            "n_fractional"])
     def test_parameters_checked_as_a_set(self, kind, params, takes):
-        # a missing, extra or non-finite parameter names what the case takes
+        # a missing, extra, non-finite or bool parameter, or a fractional
+        # dimension, names what the case takes
         with pytest.raises(DomainError, match=f"^{kind} takes {takes};"):
             catalogue_case(kind, **params)
 

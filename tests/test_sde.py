@@ -241,9 +241,9 @@ class TestNoise:
     def test_normals_independent_of_fill_length(self, n_chunks):
         # chunk 0's normals over 300 steps: among n_chunks chunks (128-step
         # fills at 1 and 2 chunks, 40-step fills that leave a 20-step
-        # remainder at 8, one chunk per pass of the word tile) and as one
-        # of 40 chunks (8-step fills, eight chunks per pass), read from the
-        # same stream
+        # remainder at 8) and as one of 40 chunks (8-step fills), read from
+        # the same stream; each fill is one word buffer and one Box-Muller
+        # pass over all its chunks
 
         def chunk0(n_chunks):
             gens = [sde_mod._path_generator(91 ^ (256 * c))

@@ -228,9 +228,8 @@ def build_profile(cfg):
 
 
 def _rate_args(cfg, use: str):
-    """[model]'s coefficient, and rate_table's keyword arguments: [model]'s
-    growth profile and [solver]'s t_grid, r_lo and scale_c (its default for
-    ``use``)."""
+    """[model]'s coefficient, and rate_table's keyword arguments: its growth
+    profile and [solver]'s t_grid, r_lo and scale_c (default by ``use``)."""
     coeff, profile = build_profile(cfg)
     _need(cfg, "solver")
     solver = partial(_get, cfg, "solver")

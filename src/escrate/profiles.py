@@ -497,8 +497,7 @@ def _beta_forms(beta: float) -> Callable:
 
 def _take(kind: str, params: dict, *names: str, integers=()) -> list:
     """The values of ``params``, which must be exactly ``names``, each a
-    finite number other than a bool, and an integer where named in
-    ``integers``."""
+    finite number, not a bool, and an integer if named in ``integers``."""
     takes = f"{kind} takes {', '.join(names) or 'no parameters'}"
     if set(params) != set(names):
         raise DomainError(f"{takes}; got {', '.join(params) or 'none'}")

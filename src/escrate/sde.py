@@ -6,13 +6,13 @@ and the n-dimensional diffusion of a Dirichlet form (IsotropicNd), all
 stepped by one kernel on counter-based noise keyed by (seed, chunk of 256
 noise coordinates).
 
-The kernel's normals xi_k are Box-Muller transforms of raw Philox words,
-128 words per step of a chunk (see _box_muller for the layout), made in
-fills of one Box-Muller pass each that shorten as paths grow to keep their
-scratch within a budget (see _noise_blocks); they are cut at |xi| <= sqrt(50 log 2) = 5.89, a tail of
-probability 3.9e-9 per draw. A seed reproduces the same bytes for every
-fill length, and on numpy's AVX2 and AVX-512 float32 loops alike; on the
-x86-64-v2 baseline loops float32 log, sin and cos round differently.
+The kernel's normals xi_k are Box-Muller transforms of raw Philox words, 128
+per step of a chunk (see _box_muller for the layout), made in fills of one
+pass each that shorten as paths grow to keep their scratch within a budget
+(see _noise_blocks); they are cut at |xi| <= sqrt(50 log 2) = 5.89, a tail of
+probability 3.9e-9 per draw. A seed reproduces the same bytes for every fill
+length, and on numpy's AVX2 and AVX-512 float32 loops alike; on the x86-64-v2
+baseline loops float32 log, sin and cos round differently.
 """
 
 from __future__ import annotations

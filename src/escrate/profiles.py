@@ -605,6 +605,7 @@ class Prop5Report:
     ``noise_C`` are the fitted growth envelope sigma f' <= C (1 + x^alpha).
     When a dominating drift b_tilde is supplied, ``c2`` is the supremum of
     -(sigma/b_tilde)^2 b_tilde' and ``rate_constant`` = 1 + c2/2.
+    ``rate`` is t -> g((s + eps) t), s the rate constant if any, else b0.
     """
 
     b0: float
@@ -615,7 +616,6 @@ class Prop5Report:
     noise_verified: bool
     c2: Optional[float]
     rate_constant: Optional[float]
-    eps: float
     rate: Callable
 
     @property
@@ -684,4 +684,4 @@ def check_prop5_conditions(b, sigma, f, f_prime, f_second, g, grid,
     return Prop5Report(b0=b0, noise_sup=noise_sup, noise_alpha=alpha_fit,
                        noise_C=C_fit, drift_verified=drift_ok,
                        noise_verified=noise_ok, c2=c2,
-                       rate_constant=rate_constant, eps=eps, rate=rate)
+                       rate_constant=rate_constant, rate=rate)

@@ -208,7 +208,8 @@ def psi(profile: GrowthProfile, t: float, r_lo: float = PAPER_LOWER_LIMIT) -> fl
 
 @dataclass
 class RateFunction:
-    """A strictly increasing envelope t -> psi(scale_c * t), as a sample table.
+    """A strictly increasing envelope t -> psi(C t), as a sample table
+    (``rate_table`` takes the time constant C as scale_c).
 
     Evaluation between samples is monotone (linear) interpolation;
     extrapolation beyond the sampled range raises ExtrapolationError.
@@ -218,7 +219,6 @@ class RateFunction:
     values: np.ndarray
     r_star: float
     shift_note: str = ""
-    scale_c: float = 1.0
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -259,10 +259,11 @@ def rate_table(profile: GrowthProfile, t_grid, scale_c: float = PROOF_SCALE_C,
                 "to keep the denominator positive")
     else:
         note = "" if r_lo == PAPER_LOWER_LIMIT else f"caller-supplied lower limit {r_lo:.6g}"
+    with np.errstate(over="ignore"):  # a target past float range is inf
+        targets = scale_c * t_grid
     values = _invert_increasing(lambda a, b: phi(profile, b, a), float(r_lo),
-                                scale_c * t_grid, profile.r_max, "phi")
-    return RateFunction(t_grid, values, r_star=float(r_lo), shift_note=note,
-                        scale_c=float(scale_c))
+                                targets, profile.r_max, "phi")
+    return RateFunction(t_grid, values, r_star=float(r_lo), shift_note=note)
 
 
 def euclidean_rate(rate: RateFunction, coeff: RadialCoefficient) -> RateFunction:
@@ -270,7 +271,7 @@ def euclidean_rate(rate: RateFunction, coeff: RadialCoefficient) -> RateFunction
     inverse intrinsic transform."""
     values = rho_tilde_inverse(coeff, rate.values)
     return RateFunction(rate.times.copy(), values, r_star=rate.r_star,
-                        shift_note=rate.shift_note, scale_c=rate.scale_c)
+                        shift_note=rate.shift_note)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +356,6 @@ class DyadicScheme:
     T_n - phi(2^{n+1} c)/256, nonnegative by the proof's Riemann-sum bound.
     """
 
-    c: float
     mu_b1: float
     R: np.ndarray
     r: np.ndarray
@@ -374,8 +374,9 @@ def dyadic_scheme(profile: GrowthProfile, c: float, N: int) -> DyadicScheme:
     t_n = r_n^2 / (32 lambda(R_n) (V(R_n) + log log R_n)), cumulative
     T_n, the Borel-Cantelli summand, and the slack of the
     T_n >= phi(2^{n+1} c)/256 lower bound. The ball measure mu_b1 is
-    exp(V(2c)). A top radius 2^(N+1) c beyond 1e150 is a DomainError,
-    raised before any level is computed.
+    exp(V(2c)). A top radius 2^(N+1) c beyond 1e150, or a mu_b1 that is
+    not a positive float, is a DomainError, raised before any level is
+    computed.
     """
     if N < 1:
         raise DomainError("N must be >= 1")
@@ -384,9 +385,13 @@ def dyadic_scheme(profile: GrowthProfile, c: float, N: int) -> DyadicScheme:
     if c > 0 and N + 1 + math.log2(c) > math.log2(_REPRESENTABLE):
         raise DomainError(f"dyadic radius 2^{N + 1} * {c:.6g} is not "
                           f"representable (above {_REPRESENTABLE:.6g})")
-    mu_b1 = math.exp(float(profile.V(2.0 * c)))
-    if mu_b1 <= 0:
-        raise DomainError("mu_b1 must be positive")
+    try:
+        mu_b1 = math.exp(float(profile.V(2.0 * c)))
+    except OverflowError:
+        mu_b1 = math.inf
+    if not 0 < mu_b1 < math.inf:
+        raise DomainError(f"ball measure mu_b1 = exp(V({2.0 * c:.6g})) = "
+                          f"{mu_b1:.6g} is not a positive float")
 
     R = (2.0 ** np.arange(1, N + 1)) * c
     r = np.diff(np.concatenate([[0.0], R]))
@@ -409,7 +414,7 @@ def dyadic_scheme(profile: GrowthProfile, c: float, N: int) -> DyadicScheme:
     shells = islice(_doublings(lambda a, b: phi(profile, b, a), 2.0 * c,
                                math.inf), N)
     slack = T - np.cumsum([step for *_, step in shells]) / 256.0
-    return DyadicScheme(c=c, mu_b1=float(mu_b1), R=R, r=r, t=t, T=T,
+    return DyadicScheme(mu_b1=float(mu_b1), R=R, r=r, t=t, T=T,
                         bound=bound, lemma_rhs=lemma_rhs,
                         partial_sums=np.cumsum(bound), slack=slack)
 

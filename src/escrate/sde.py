@@ -38,6 +38,9 @@ _NOISE_BLOCK, _MIN_BLOCK, _NOISE_BUDGET = 128, 8, 320
 _NOISE_CHUNK = 256  # noise coordinates sharing one noise stream
 _WORDS = _NOISE_CHUNK // 2  # raw 64-bit Philox words per step of a chunk
 _ANGLE = np.float32(2.0 * math.pi * 2.0 ** -24)
+# numpy's error state for stepping chains and evaluating their drifts: an
+# overflow or invalid value is left to the non-finite check that follows
+_STEP_ERRSTATE = dict(all="ignore")
 
 __all__ = [
     "Sde1D",
@@ -125,39 +128,33 @@ class IsotropicNd:
         dW = noise.reshape(n_paths, self.n)
 
         def step():
-            # a state that overflows turns non-finite quietly, and the
-            # kernel raises NonFiniteState
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                pull = coeff.a_prime(r) / r * dt
-                amp = np.sqrt(2.0 * coeff.a(r))
-                np.add(X, pull[:, None] * X + amp[:, None] * dW, out=X)
-                np.sqrt(np.einsum("ij,ij->i", X, X), out=r)
-                hit = np.flatnonzero(r < floor)
-                if hit.size:
-                    X[hit] *= (floor / r[hit])[:, None]
-                    r[hit] = floor
+            pull = coeff.a_prime(r) / r * dt
+            amp = np.sqrt(2.0 * coeff.a(r))
+            np.add(X, pull[:, None] * X + amp[:, None] * dW, out=X)
+            np.sqrt(np.einsum("ij,ij->i", X, X), out=r)
+            hit = np.flatnonzero(r < floor)
+            if hit.size:
+                X[hit] *= (floor / r[hit])[:, None]
+                r[hit] = floor
         return r, step
 
 
 @dataclass
 class PathEnsemble:
-    """Grid values of a batch of Euler chains, with reproduction parameters.
+    """Grid values of a batch of Euler chains, and what the run observed.
 
     ``values`` has shape (n_paths, len(times)); ``times`` is the stored grid
     (possibly thinned by ``store_every``); ``ensemble`` gives a column-major
     view, each stored step one contiguous column; an IsotropicNd's values
     are radii |X|. ``first_exit[i]`` is the first step time, stored or not,
-    with value > barrier, NaN when the path never exits. ``floor_hits[i]``
-    counts the steps that ended on the reflection floor.
+    with value > the barrier, NaN when the path never exits; None without a
+    barrier. ``floor_hits[i]`` counts the steps that ended on the floor.
     """
 
     times: np.ndarray
     values: np.ndarray
     dt: float
-    T: float
     n_paths: int
-    master_seed: int
-    barrier: Optional[float] = None
     first_exit: Optional[np.ndarray] = None
     floor_hits: Optional[np.ndarray] = None
 
@@ -171,8 +168,8 @@ def _path_generator(seed: int) -> np.random.Generator:
 
 
 def _check_sim_args(sdes, x0: float, T: float, dt: float, n_paths: int) -> int:
-    """Validate a run of n_paths chains of each SDE in ``sdes``; return its
-    step count int(T / dt)."""
+    """Validate a run of n_paths chains of each SDE in ``sdes`` (of one
+    width) before anything is allocated; return its step count int(T / dt)."""
     for sde in sdes:
         if x0 < sde.floor:
             raise DomainError(f"x0={x0} below floor {sde.floor}")
@@ -182,6 +179,9 @@ def _check_sim_args(sdes, x0: float, T: float, dt: float, n_paths: int) -> int:
         raise DomainError("n_paths must be >= 1")
     if not T / dt < 2.0 ** 63:
         raise DomainError(f"T/dt = {T / dt:.6g} steps is more than a run can take")
+    if not int(n_paths) * sdes[0].width < 2 ** 63:
+        raise DomainError(f"n_paths x width = {n_paths} x {sdes[0].width} noise "
+                          "coordinates is more than a run can take")
     return int(T / dt)
 
 
@@ -272,8 +272,9 @@ def _shared_noise_run(sdes, x0: float, T: float, dt: float, n_paths: int,
     (numpy's loop for a float32 array times a Python float), with a relative
     error of up to 6e-8, and only then added to the float64 states.
     ``observe(step, states)`` runs after every step, with
-    step = 1 .. int(T / dt). States are checked every _NOISE_BLOCK steps; a
-    non-finite one raises NonFiniteState with the window's first step.
+    step = 1 .. int(T / dt), under _STEP_ERRSTATE. States are checked every
+    _NOISE_BLOCK steps; a non-finite one raises NonFiniteState with the
+    window's first step.
     """
     n_steps = _check_sim_args(sdes, x0, T, dt, n_paths)
     n_coords = n_paths * sdes[0].width
@@ -284,7 +285,8 @@ def _shared_noise_run(sdes, x0: float, T: float, dt: float, n_paths: int,
     chains = [sde._euler(x0, n_paths, dt, padded[:n_coords]) for sde in sdes]
     states, updates = zip(*chains)
     scale = sdes[0].sigma * math.sqrt(dt)
-    with contextlib.closing(_noise_blocks(gens, n_steps)) as blocks:
+    with np.errstate(**_STEP_ERRSTATE), \
+            contextlib.closing(_noise_blocks(gens, n_steps)) as blocks:
         for k, block, buf in blocks:
             for step in range(k + 1, k + block + 1):
                 np.multiply(buf[:, step - k - 1], scale, out=noise_chunks)
@@ -357,6 +359,5 @@ def ensemble(sde: Sde1D | IsotropicNd, x0: float, T: float, dt: float, n_paths: 
     if barrier is not None:
         first_exit = np.where(exit_step >= 0, exit_step * dt, np.nan)
     return PathEnsemble(times=stored_idx * dt, values=values, dt=dt,
-                        T=n_steps * dt, n_paths=n_paths,
-                        master_seed=master_seed, barrier=barrier,
-                        first_exit=first_exit, floor_hits=floor_hits)
+                        n_paths=n_paths, first_exit=first_exit,
+                        floor_hits=floor_hits)

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import DomainError, DriftOrderViolated, ExtrapolationError
-from .sde import (IsotropicNd, PathEnsemble, Sde1D, _shared_noise_run,
-                  _stored_steps)
+from .sde import (_STEP_ERRSTATE, IsotropicNd, PathEnsemble, Sde1D,
+                  _check_sim_args, _shared_noise_run, _stored_steps)
 
 if TYPE_CHECKING:
     from .rate_solver import RateFunction
@@ -106,10 +106,9 @@ def _envelope_rows(times: np.ndarray, rate, C_grid, t0: float):
         raise DomainError(f"burn-in t0={t0} at or beyond horizon {times[-1]}")
     window = times >= t0
     ts = times[window]
-    env = np.empty((C_grid.size, ts.size))
-    for i, C in enumerate(C_grid):
-        env[i] = _envelope_values(rate, C * ts)
-    return window, env
+    with np.errstate(over="ignore"):  # a C t past float range is inf
+        Ct = C_grid[:, None] * ts
+    return window, np.array([_envelope_values(rate, row) for row in Ct])
 
 
 def exceedance(ens: PathEnsemble, rate: Union[RateFunction, Callable],
@@ -178,12 +177,14 @@ def _coupled_run(low: Sde1D, high: Sde1D, x0: float, T: float, dt: float,
 
 @dataclass
 class ComparisonReport:
-    """Monte Carlo check of drift domination.
+    """What comparison_mc computed.
 
     lhs is the dominating-drift process's probability of the event
     {x_t < delta, t < tau_R}; rhs the dominated process's. Domination pushes
     the lhs process away from 0, so lhs <= rhs up to noise; ``violation`` is
     set when lhs exceeds rhs by more than two combined standard errors.
+    ``coupled_dominance_fraction`` is None when the coupling check was
+    skipped; ``seeds`` holds the sub-seeds of the three runs, by name.
     """
 
     lhs_estimate: float
@@ -192,19 +193,14 @@ class ComparisonReport:
     rhs_stderr: float
     coupled_dominance_fraction: Optional[float]
     violation: bool
-    t: float
-    delta: float
-    R: float
-    n_paths: int
-    dt: float
-    master_seed: int
-    seeds: dict = field(default_factory=dict)
+    seeds: dict
 
 
 def _check_drift_order(low: Sde1D, high: Sde1D, R: float):
     grid = np.geomspace(max(low.floor, high.floor), R, 200)
-    dl, dh = (np.zeros_like(grid) if s.drift is None else  # None: zero drift
-              np.asarray(s.drift(grid), dtype=float) for s in (low, high))
+    with np.errstate(**_STEP_ERRSTATE):  # as the kernel evaluates drifts
+        dl, dh = (np.zeros_like(grid) if s.drift is None else  # None: zero drift
+                  np.asarray(s.drift(grid), dtype=float) for s in (low, high))
     bad = dh < dl
     if np.any(bad):
         r = float(grid[np.argmax(bad)])
@@ -235,12 +231,14 @@ def comparison_mc(dominating: Sde1D, dominated: Sde1D, r0: float, t: float,
 
     ``coupling_paths`` sizes the shared-noise ordering check (defaults to N;
     0 skips it — the check is an exact deterministic property, so a smaller
-    pair count loses nothing when the monotone-step condition holds).
+    pair count loses nothing when the monotone-step condition holds). Both
+    path counts are checked before any run; a negative one is a DomainError.
     """
-    if not (0 < delta < R) or not (dominated.floor <= r0 < R):
-        raise DomainError("need floor <= r0 < R and 0 < delta < R")
-    if N < 1:
-        raise DomainError("n_paths must be >= 1")
+    n_cpl = N if coupling_paths is None else coupling_paths
+    for n_paths in (N, n_cpl or N):  # the ensembles' and the coupled pairs'
+        _check_sim_args([dominating, dominated], r0, t, dt, n_paths)
+    if not (0 < delta < R) or not r0 < R:
+        raise DomainError("need r0 < R and 0 < delta < R")
     _check_coupled(dominated, dominating)
     _check_drift_order(dominated, dominating, R)
     seed_lhs, seed_rhs, seed_cpl = _sub_seeds(master_seed, 3)
@@ -257,16 +255,13 @@ def comparison_mc(dominating: Sde1D, dominated: Sde1D, r0: float, t: float,
     rhs, se_r = estimate(x_rhs, exited_rhs)
 
     frac = None
-    n_cpl = N if coupling_paths is None else coupling_paths
-    if n_cpl > 0:
+    if n_cpl:
         frac = _coupled_run(dominated, dominating, r0, t, dt, n_cpl, seed_cpl)
 
     violation = lhs > rhs + 2.0 * math.sqrt(se_l ** 2 + se_r ** 2)
     return ComparisonReport(
         lhs_estimate=lhs, lhs_stderr=se_l, rhs_estimate=rhs, rhs_stderr=se_r,
         coupled_dominance_fraction=frac, violation=violation,
-        t=float(t), delta=float(delta), R=float(R), n_paths=int(N),
-        dt=float(dt), master_seed=int(master_seed),
         seeds={"lhs": seed_lhs, "rhs": seed_rhs, "coupled": seed_cpl})
 
 
@@ -277,8 +272,7 @@ def coupled_dominance(low: Sde1D, high: Sde1D, x0: float, T: float, dt: float,
     pointwise ordered and dt * max Lipschitz bound <= 1 (the Euler step map
     is then monotone); unequal sigmas or a chain that is not an Sde1D are a
     DomainError."""
-    if N < 1:
-        raise DomainError("n_paths must be >= 1")
+    _check_sim_args([low, high], x0, T, dt, N)
     _check_coupled(low, high)
     grid_top = x0 + 100.0 * math.sqrt(2.0 * T) + 10.0
     _check_drift_order(low, high, grid_top)

@@ -383,6 +383,58 @@ class TestConfigValidation:
         assert captured.out == ""
         assert captured.err == "DomainError: floor must be positive\n"
 
+    @pytest.mark.parametrize("n_paths", ["1e20", "12345678901234567890"],
+                             ids=["1e20", "20_digits"])
+    @pytest.mark.parametrize("command", ["simulate", "verify envelope",
+                                         "verify lil", "verify compare"])
+    def test_path_count_beyond_a_run_exits_2(self, tmp_path, capsys, command,
+                                             n_paths):
+        # 2^63 noise coordinates or more: one typed error, before any array
+        # of paths is made
+        from escrate import cli
+
+        cfg = write_config(tmp_path, (
+            "[model]\nfamily = constant\nwarp = hyperbolic\nn = 2\nk = 1\n"
+            "[solver]\nt_grid = geom:1:100:20\nscale_c = 1\n"
+            "[simulation]\nx0 = 1\nt = 5\ndt = 0.01\nmaster_seed = 7\n"
+            f"n_paths = {n_paths}\nfloor = 0.05\noutput = summary\n"
+            "[verify]\nc_grid = 1,2\nt0 = 3\nt = 0.5\ndelta = 0.8\nr = 10\n"
+            f"n_paths = {n_paths}\ndt = 0.001\n"))
+        assert cli.main(command.split() + ["--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("DomainError: n_paths x width = ")
+        assert captured.err.endswith(" noise coordinates is more than a run "
+                                     "can take\n")
+
+    @pytest.mark.parametrize("command, body, error", [
+        ("rate", "[model]\nfamily = constant\nn = 3\n"
+         "[solver]\nt_grid = 1,10\nscale_c = 1e308\n", "FiniteTotalIntegral"),
+        ("verify envelope", "[model]\nfamily = constant\nn = 3\n"
+         "[solver]\nt_grid = geom:1:100:20\nscale_c = 1\n"
+         "[simulation]\nx0 = 1\nt = 20\ndt = 0.01\nn_paths = 30\n"
+         "master_seed = 9\nfloor = 0.01\n[verify]\nc_grid = 1,1e308\nt0 = 2\n",
+         "ExtrapolationError"),
+        ("verify lil", "[simulation]\nx0 = 1\nt = 5\ndt = 0.01\nn_paths = 20\n"
+         "master_seed = 1\ndrift = none\nsigma = 1e308\n[verify]\nt0 = 3\n",
+         "NonFiniteState"),
+        ("verify compare", "[model]\nn = 2\nk = 1\n[simulation]\nx0 = 1\n"
+         "floor = 1e-320\nmaster_seed = 21\n[verify]\nt = 0.5\ndelta = 0.5\n"
+         "r = 5\nn_paths = 20\ndt = 0.01\n", "NonFiniteState"),
+    ], ids=["rate_scale_c", "envelope_c_grid", "lil_sigma", "compare_floor"])
+    def test_overflow_gives_one_error_line(self, tmp_path, capsys, command,
+                                           body, error):
+        # a product past float range is inf, and then the typed error; under
+        # pyproject's error::RuntimeWarning a raw warning would escape main
+        from escrate import cli, errors
+
+        cfg = write_config(tmp_path, body)
+        rc = cli.main(command.split() + ["--config", cfg])
+        assert rc == getattr(errors, error).exit_code
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"{error}: ")
+        assert captured.err.count("\n") == 1
+
     def test_flags_only_where_read(self, monkeypatch, capsys):
         # --quiet only on rate, --seed only on simulate and verify, and
         # catalogue reads no config; every benchmark call still parses
@@ -1037,16 +1089,21 @@ class TestVerify:
         assert "PASS" in res.stdout
 
     def test_dyadic_beyond_float_range_exits_2(self, tmp_path):
-        # level radii up to 2^601 * 4 pass 1e150: refused before any level
-        cfg = write_config(tmp_path, (
-            "[model]\nfamily = constant\nn = 1\nmode = unit_energy\n"
-            "[verify]\nc = 4\nn_levels = 600\n"))
-        res = run_cli(["verify", "dyadic", "--config", cfg], tmp_path)
-        assert res.returncode == 2
-        assert res.stdout == ""
-        assert res.stderr.startswith("DomainError: ")
-        assert res.stderr.count("\n") == 1
-        assert "Warning" not in res.stderr
+        # level radii up to 2^601 * 4 pass 1e150; the ball measure exp(V(8))
+        # overflows at n = 1e20 and is inf at n = 1e308: each is refused
+        # before any level
+        for n, levels, what in (("1", "600", "dyadic radius"),
+                                ("1e20", "30", "ball measure mu_b1"),
+                                ("1e308", "30", "ball measure mu_b1")):
+            cfg = write_config(tmp_path, (
+                f"[model]\nfamily = constant\nn = {n}\nmode = unit_energy\n"
+                f"[verify]\nc = 4\nn_levels = {levels}\n"))
+            res = run_cli(["verify", "dyadic", "--config", cfg], tmp_path)
+            assert res.returncode == 2, (n, res.stderr)
+            assert res.stdout == ""
+            assert res.stderr.startswith(f"DomainError: {what} ")
+            assert res.stderr.count("\n") == 1
+            assert "Warning" not in res.stderr
 
     def test_compare_rerun_byte_identical(self, tmp_path):
         # 600 paths: three 256-path noise chunks, the last one padded; a

@@ -241,7 +241,7 @@ class TestOnePassTable:
         prof = profile_from_radial(coeff, 3, "coefficient_energy")
         grid = np.geomspace(1.0, 1e6, 100)
         rate = rate_table(prof, grid)
-        targets = rate.scale_c * grid
+        targets = PROOF_SCALE_C * grid
         direct = [psi(prof, t, rate.r_star) for t in targets]
         assert np.allclose(rate.values, direct, rtol=1e-9, atol=0.0)
         # phi split at the table's knots, where the integrand is smooth: one

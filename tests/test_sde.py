@@ -59,6 +59,17 @@ class TestEulerPath:
         with pytest.raises(DomainError):
             ensemble(s, 0.1, 1.0, 1e-2, 1, 1).values[0]
 
+    @pytest.mark.parametrize("chain, n_paths", [
+        (Sde1D(), 2 ** 63),
+        (IsotropicNd(RadialCoefficient.power(1.0), 3), 2 ** 62)],
+        ids=["Sde1D", "IsotropicNd"])
+    def test_path_count_beyond_a_run_rejected(self, chain, n_paths):
+        # 2^63 noise coordinates or more: refused before any array is made
+        with pytest.raises(DomainError, match="noise coordinates"):
+            ensemble(chain, 1.0, 1.0, 0.1, n_paths, 1)
+        # half as many pass the check (nothing is run here)
+        assert sde_mod._check_sim_args([chain], 1.0, 1.0, 0.1, n_paths // 2) == 10
+
     @pytest.mark.parametrize("floor", [0.0, -1e-6])
     @pytest.mark.parametrize("chain", [
         lambda floor: Sde1D(drift=partial(mean_curvature,

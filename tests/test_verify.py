@@ -126,6 +126,15 @@ class TestComparisonMc:
                           t=1.0, delta=0.5, R=5.0, N=100, dt=1e-2,
                           master_seed=7)
 
+    @pytest.mark.parametrize("N, coupling_paths", [(2 ** 63, None), (100, 2 ** 63)],
+                             ids=["paths", "coupling_paths"])
+    def test_path_count_beyond_a_run_rejected(self, N, coupling_paths):
+        # refused before either ensemble or the coupled pairs are allocated
+        s = Sde1D(drift=zero)
+        with pytest.raises(DomainError, match="noise coordinates"):
+            comparison_mc(s, s, r0=1.0, t=1.0, delta=0.5, R=5.0, N=N, dt=1e-2,
+                          master_seed=1, coupling_paths=coupling_paths)
+
     def test_drift_order_checked(self):
         lo = Sde1D(drift=lambda x: np.ones_like(np.asarray(x, dtype=float)),
                    lipschitz=None)
@@ -190,6 +199,11 @@ class TestCoupledDominance:
         s = Sde1D(drift=zero)
         with pytest.raises(DomainError):
             coupled_dominance(s, s, 1.0, 1.0, 1e-2, -3, master_seed=1)
+
+    def test_path_count_beyond_a_run_rejected(self):
+        s = Sde1D(drift=zero)
+        with pytest.raises(DomainError, match="noise coordinates"):
+            coupled_dominance(s, s, 1.0, 1.0, 1e-2, 2 ** 63, master_seed=1)
 
 
 class TestPathNoise:

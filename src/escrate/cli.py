@@ -394,7 +394,7 @@ def cmd_conserve(cfg, out: _Out) -> int:
 
 
 def cmd_simulate(cfg, out: _Out, seed_override) -> int:
-    from .sde import _stored_steps, ensemble
+    from .sde import _check_sim_args, ensemble
 
     output = _get(cfg, "simulation", "output")
     if output not in ("summary", "paths"):
@@ -402,9 +402,9 @@ def cmd_simulate(cfg, out: _Out, seed_override) -> int:
     args = _simulation_args(cfg, seed_override)
     if output == "summary":
         # store steps 0 and int(T/dt) only; exits are observed at every step
-        stored = _stored_steps(args["sde"], args["x0"], args["T"], args["dt"],
-                               args["n_paths"], args["store_every"])
-        ens = ensemble(**dict(args, store_every=int(stored[-1])))
+        n_steps = _check_sim_args([args["sde"]], args["x0"], args["T"],
+                                  args["dt"], args["n_paths"], args["store_every"])
+        ens = ensemble(**dict(args, store_every=n_steps))
         exits = ([None] * ens.n_paths if ens.first_exit is None
                  else ens.first_exit.tolist())  # _fmt blanks a NaN: no exit
         out.row("path", "final", "exitTime")

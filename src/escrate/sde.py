@@ -7,12 +7,14 @@ stepped by one kernel on counter-based noise keyed by (seed, chunk of 256
 noise coordinates).
 
 The kernel's normals xi_k are Box-Muller transforms of raw Philox words, 128
-per step of a chunk (see _box_muller for the layout), made in fills of one
-pass each that shorten as paths grow to keep their scratch within a budget
-(see _noise_blocks); they are cut at |xi| <= sqrt(50 log 2) = 5.89, a tail of
-probability 3.9e-9 per draw. A seed reproduces the same bytes for every fill
-length, and on numpy's AVX2 and AVX-512 float32 loops alike; on the x86-64-v2
-baseline loops float32 log, sin and cos round differently.
+per step of a chunk (see _box_muller for the layout), cut at
+|xi| <= sqrt(50 log 2) = 5.89, a tail of probability 3.9e-9 per draw. Fills
+of one pass each, which shorten as paths grow to keep their scratch within a
+budget (see _noise_blocks), hand the chains the float32 increments
+sigma sqrt(dt) xi_k, one contiguous row per step. A seed reproduces the same
+bytes for every fill length, and on numpy's AVX2 and AVX-512 float32 loops
+alike; on the x86-64-v2 baseline loops float32 log, sin and cos round
+differently.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .profiles import RadialCoefficient
 DEFAULT_ORIGIN_FLOOR = 1e-6
 
 _SQRT2 = math.sqrt(2.0)
-# Steps per noise fill: _NOISE_BLOCK, or fewer so that a fill's normals and
+# Steps per noise fill: _NOISE_BLOCK, or fewer so that a fill's increments and
 # raw words (1 KiB each per chunk-step) stay within _NOISE_BUDGET
 # chunk-steps, but at least _MIN_BLOCK (a fill makes one RNG call per chunk).
 # States are checked for finiteness every _NOISE_BLOCK steps.
@@ -57,7 +59,7 @@ class Sde1D:
     ``drift`` must accept numpy arrays of states at or above the floor; None
     is the zero drift, and its chains skip the drift stage of every step.
     ``sigma`` is a finite constant, kept as a Python float (a negative sigma
-    gives the same law; see _shared_noise_run for the float32 increments).
+    gives the same law; a step adds the fill's float32 sigma sqrt(dt) xi).
     ``lipschitz``, when given, is the caller's promise of a drift Lipschitz
     bound; the coupled monotonicity of the Euler map needs dt <= 1/lipschitz.
     """
@@ -78,14 +80,14 @@ class Sde1D:
         if self.lipschitz is not None and self.lipschitz <= 0:
             raise DomainError("lipschitz bound must be positive")
 
-    def _euler(self, x0: float, n_paths: int, dt: float, noise: np.ndarray):
-        """States of n_paths chains at x0 and their update on the kernel's
+    def _euler(self, x0: float, n_paths: int, dt: float):
+        """States of n_paths chains at x0 and their update on one step's
         increments: x <- max(floor, x + drift(x) dt + noise), in place."""
         x = np.full(n_paths, float(x0))
         drift, floor = self.drift, self.floor
         drift_dt = np.empty(n_paths)
 
-        def step():
+        def step(noise):
             if drift is not None:
                 np.multiply(drift(x), dt, out=drift_dt)
                 np.add(x, drift_dt, out=x)
@@ -118,16 +120,16 @@ class IsotropicNd:
     def width(self) -> int:
         return self.n
 
-    def _euler(self, x0: float, n_paths: int, dt: float, noise: np.ndarray):
-        """Radii of n_paths chains at (x0, 0, ..., 0) and their update; a
-        point that ends inside the floor sphere is scaled out onto it."""
+    def _euler(self, x0: float, n_paths: int, dt: float):
+        """Radii of n_paths chains at (x0, 0, ..., 0) and their update on a
+        step's increments; a point inside the floor sphere is scaled out."""
         coeff, floor = self.coeff, self.floor
         X = np.zeros((n_paths, self.n))
         X[:, 0] = x0
         r = np.full(n_paths, float(x0))
-        dW = noise.reshape(n_paths, self.n)
 
-        def step():
+        def step(noise):
+            dW = noise.reshape(n_paths, self.n)
             pull = coeff.a_prime(r) / r * dt
             amp = np.sqrt(2.0 * coeff.a(r))
             np.add(X, pull[:, None] * X + amp[:, None] * dW, out=X)
@@ -167,9 +169,12 @@ def _path_generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
-def _check_sim_args(sdes, x0: float, T: float, dt: float, n_paths: int) -> int:
+def _check_sim_args(sdes, x0: float, T: float, dt: float, n_paths: int,
+                    store_every: int = 1) -> int:
     """Validate a run of n_paths chains of each SDE in ``sdes`` (of one
     width) before anything is allocated; return its step count int(T / dt)."""
+    if store_every < 1:
+        raise DomainError("store_every must be >= 1")
     for sde in sdes:
         if x0 < sde.floor:
             raise DomainError(f"x0={x0} below floor {sde.floor}")
@@ -185,30 +190,32 @@ def _check_sim_args(sdes, x0: float, T: float, dt: float, n_paths: int) -> int:
     return int(T / dt)
 
 
-def _box_muller(words: np.ndarray, out: np.ndarray) -> None:
-    """Fill ``out``, a C-contiguous (rows, _NOISE_CHUNK) float32 array, with
-    standard normals made from ``words``, a C-contiguous uint64 array of
-    rows * _WORDS raw 64-bit words, which serves as scratch space.
+def _box_muller(words: np.ndarray, out: np.ndarray, scale: float) -> None:
+    """Fill ``out``, a C-contiguous (block, n_chunks, _NOISE_CHUNK) float32
+    array, with normals times ``scale``, a Python float, made from ``words``,
+    a C-contiguous uint64 array of its n_chunks * block * _WORDS raw 64-bit
+    words, chunk-major, which serves as scratch space.
 
-    Layout: word j of row i (word i * _WORDS + j of ``words``) gives
-    entries j and j + _WORDS of that row. Its low and high 32-bit halves,
-    each shifted right by 8, are 24-bit integers k1 and k2. With
-    u1 = (k1 + 1/2) 2^-24 in (0, 1), r = sqrt(-2 log u1) and
-    theta = 2 pi k2 2^-24, entry j gets r cos(theta) and entry j + _WORDS
-    gets r sin(theta) (Box and Muller, 1958), all in float32. As
+    Layout: word (c block + s) _WORDS + j gives entries j and j + _WORDS of
+    out[s, c]. Its low and high 32-bit halves, each shifted right by 8, are
+    24-bit integers k1 and k2. With u1 = (k1 + 1/2) 2^-24 in (0, 1),
+    r = sqrt(-2 log u1) and theta = 2 pi k2 2^-24, entry j gets
+    r cos(theta) scale and entry j + _WORDS gets r sin(theta) scale (Box and
+    Muller, 1958), all in float32, the scale included. As
     u1 >= 2^-25, |normal| <= sqrt(50 log 2) = 5.89 (rounded to float32): the
     tail beyond it has probability 3.9e-9 per draw. Each word is transformed
-    on its own, so a normal does not depend on how many rows one call fills.
+    on its own, so a normal does not depend on how many steps one call fills.
     """
     n = words.size
+    block, n_chunks, _ = out.shape
     # (low, high) halves of each word on a little-endian host
     halves = words.view(np.uint32).reshape(n, 2)
     np.right_shift(halves, 8, out=halves)
     # below 2^24 now: numpy casts int32 to float32 faster than uint32
     halves = halves.view(np.int32)
     # The transforms run on contiguous arrays, as numpy's float32 loops are
-    # slower on strided or row-by-row views: r and theta in out's memory, cos
-    # and sin in the words'; the products are copied into the layout last.
+    # slower on strided views (and round differently there): r and theta in
+    # out's memory, cos and sin in the words'.
     r, theta = out.reshape(2, n)  # a view: out is C-contiguous
     np.add(halves[:, 0], np.float32(0.5), out=r, dtype=np.float32,
            casting="unsafe")
@@ -218,40 +225,40 @@ def _box_muller(words: np.ndarray, out: np.ndarray) -> None:
     np.sqrt(r, out=r)
     np.multiply(halves[:, 1], _ANGLE, out=theta, dtype=np.float32,
                 casting="unsafe")
-    cos, sin = words.view(np.float32).reshape(2, n)
-    np.cos(theta, out=cos)
-    np.sin(theta, out=sin)
-    cos *= r
-    sin *= r
-    out[:, :_WORDS] = cos.reshape(-1, _WORDS)
-    out[:, _WORDS:] = sin.reshape(-1, _WORDS)
+    cos_sin = words.view(np.float32).reshape(2, n)
+    np.cos(theta, out=cos_sin[0])
+    np.sin(theta, out=cos_sin[1])
+    cos_sin *= r
+    cos_sin *= scale
+    # r and theta are dead now: out takes the products, step-major
+    out.reshape(block, n_chunks, 2, _WORDS)[...] = cos_sin.reshape(
+        2, n_chunks, block, _WORDS).transpose(2, 1, 0, 3)
 
 
-def _noise_blocks(gens, n_steps: int):
-    """Yield (k, block, buf) for the steps k .. k+block-1: buf[c], of shape
-    (block, _NOISE_CHUNK), holds chunk c's float32 normals, made by
-    _box_muller from the next block * _WORDS raw words of gens[c]: exactly
-    _WORDS words per step, whatever the block length (see _NOISE_BUDGET).
-    Each buf is a view into one buffer that the next fill overwrites: a
-    caller that keeps a block past its own steps must copy it.
+def _noise_blocks(gens, n_steps: int, scale: float):
+    """Yield (k, rows) for the steps k+1 .. k+block: rows[s] holds step
+    k+s+1's float32 increments scale * xi, chunk c's from column
+    c * _NOISE_CHUNK, made by _box_muller from the next block * _WORDS raw
+    words of gens[c]: exactly _WORDS per step, whatever the block length (see
+    _NOISE_BUDGET). Each rows is a view into one buffer that the next fill
+    overwrites: a caller that keeps it past its own steps must copy it.
 
-    A fill draws each chunk's words in one call into that chunk's row of one
+    A fill draws each chunk's words in one call into that chunk's run of one
     word buffer, which _box_muller transforms in one pass. Each stream is
     read in order, so the values do not depend on the block length.
     """
     n_chunks = len(gens)
     size = min(_NOISE_BLOCK, max(_MIN_BLOCK, _NOISE_BUDGET // n_chunks))
     words = np.empty(n_chunks * size * _WORDS, np.uint64)
-    store = np.empty((n_chunks * size, _NOISE_CHUNK), dtype=np.float32)
+    store = np.empty((size, n_chunks, _NOISE_CHUNK), dtype=np.float32)
     for k in range(0, n_steps, size):
         block = min(size, n_steps - k)
         n = block * _WORDS
         fill = words[:n_chunks * n]
-        for gen, row in zip(gens, fill.reshape(n_chunks, n)):
-            row[:] = gen.bit_generator.random_raw(n)
-        buf = store[:n_chunks * block].reshape(n_chunks, block, _NOISE_CHUNK)
-        _box_muller(fill, buf.reshape(-1, _NOISE_CHUNK))
-        yield k, block, buf
+        for gen, run in zip(gens, fill.reshape(n_chunks, n)):
+            run[:] = gen.bit_generator.random_raw(n)
+        _box_muller(fill, store[:block], scale)
+        yield k, store[:block].reshape(block, -1)
 
 
 def _shared_noise_run(sdes, x0: float, T: float, dt: float, n_paths: int,
@@ -263,14 +270,12 @@ def _shared_noise_run(sdes, x0: float, T: float, dt: float, n_paths: int,
     Noise is keyed by (seed, chunk of _NOISE_CHUNK coordinates): coordinate
     c of path p is coordinate p * width + c of the run, and the chunk whose
     first coordinate index is q reads the Philox stream keyed by seed XOR q,
-    step-major, _WORDS raw words per step, which _box_muller turns into one
-    row of _NOISE_CHUNK float32 normals. A path's noise is thus a pure
-    function of (seed, path index), whatever n_paths and the fill length.
-    Only the real coordinates are stepped: the unused tail of the last chunk
-    stays in the noise scratch buffer.
-    Each step's increments sigma sqrt(dt) xi are formed once, in float32
-    (numpy's loop for a float32 array times a Python float), with a relative
-    error of up to 6e-8, and only then added to the float64 states.
+    step-major, _WORDS raw words per step, which _box_muller turns into
+    _NOISE_CHUNK float32 increments sigma sqrt(dt) xi. A path's noise is thus
+    a pure function of (seed, path index), whatever n_paths and the fill
+    length. Each chain's update gets a step's first n_coords increments, one
+    contiguous float32 row, and adds them to its float64 states (an exact
+    promotion); the unused tail of the last chunk is never read.
     ``observe(step, states)`` runs after every step, with
     step = 1 .. int(T / dt), under _STEP_ERRSTATE. States are checked every
     _NOISE_BLOCK steps; a non-finite one raises NonFiniteState with the
@@ -280,18 +285,14 @@ def _shared_noise_run(sdes, x0: float, T: float, dt: float, n_paths: int,
     n_coords = n_paths * sdes[0].width
     n_chunks = -(-n_coords // _NOISE_CHUNK)
     gens = [_path_generator(seed ^ (c * _NOISE_CHUNK)) for c in range(n_chunks)]
-    padded = np.empty(n_chunks * _NOISE_CHUNK)
-    noise_chunks = padded.reshape(n_chunks, _NOISE_CHUNK)
-    chains = [sde._euler(x0, n_paths, dt, padded[:n_coords]) for sde in sdes]
-    states, updates = zip(*chains)
+    states, updates = zip(*(sde._euler(x0, n_paths, dt) for sde in sdes))
     scale = sdes[0].sigma * math.sqrt(dt)
     with np.errstate(**_STEP_ERRSTATE), \
-            contextlib.closing(_noise_blocks(gens, n_steps)) as blocks:
-        for k, block, buf in blocks:
-            for step in range(k + 1, k + block + 1):
-                np.multiply(buf[:, step - k - 1], scale, out=noise_chunks)
+            contextlib.closing(_noise_blocks(gens, n_steps, scale)) as blocks:
+        for k, rows in blocks:
+            for step, noise in enumerate(rows[:, :n_coords], k + 1):
                 for update in updates:
-                    update()
+                    update(noise)
                 observe(step, states)
                 if step % _NOISE_BLOCK and step < n_steps:
                     continue
@@ -311,9 +312,7 @@ def _stored_steps(sde: Sde1D | IsotropicNd, x0: float, T: float, dt: float, n_pa
     """Validate a run of n_paths chains and return the steps ``ensemble``
     stores: step 0, every store_every-th step thereafter, and the last step
     int(T / dt)."""
-    if store_every < 1:
-        raise DomainError("store_every must be >= 1")
-    n_steps = _check_sim_args([sde], x0, T, dt, n_paths)
+    n_steps = _check_sim_args([sde], x0, T, dt, n_paths, store_every)
     stored = np.arange(0, n_steps + 1, store_every)
     if stored[-1] != n_steps:
         stored = np.append(stored, n_steps)

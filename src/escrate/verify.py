@@ -83,14 +83,15 @@ def _streamed_fractions(sde: Sde1D | IsotropicNd, x0: float, T: float, dt: float
     return flags.fractions()
 
 
-def _envelope_values(rate, ts: np.ndarray) -> np.ndarray:
+def _envelope_values(rate, ts: np.ndarray, C: float) -> np.ndarray:
     # a RateFunction exists only once escrate.rate_solver is loaded
     rate_solver = sys.modules.get(f"{__package__}.rate_solver")
     if rate_solver is not None and isinstance(rate, rate_solver.RateFunction):
         lo, hi = rate.domain
         if ts[-1] > hi + 1e-12 or ts[0] < lo - 1e-12:
             raise ExtrapolationError(
-                f"envelope needs rate values on [{ts[0]:.6g}, {ts[-1]:.6g}], "
+                f"envelope for C={C:.6g} needs rate values on "
+                f"[{ts[0]:.6g}, {ts[-1]:.6g}], "
                 f"table covers [{lo:.6g}, {hi:.6g}]")
         return np.asarray(rate(ts), dtype=float)
     return np.array([float(rate(t)) for t in ts])
@@ -108,7 +109,8 @@ def _envelope_rows(times: np.ndarray, rate, C_grid, t0: float):
     ts = times[window]
     with np.errstate(over="ignore"):  # a C t past float range is inf
         Ct = C_grid[:, None] * ts
-    return window, np.array([_envelope_values(rate, row) for row in Ct])
+    return window, np.array([_envelope_values(rate, row, C)
+                             for C, row in zip(C_grid, Ct)])
 
 
 def exceedance(ens: PathEnsemble, rate: Union[RateFunction, Callable],
@@ -298,7 +300,8 @@ def _lil_rows(times: np.ndarray, t0: float, T: float, eps_grid):
         raise DomainError("no stored grid times inside the window")
     ts = times[window]
     base = np.sqrt(2.0 * ts * np.log(np.log(ts)))
-    return window, (1.0 + eps_grid[:, None]) * base
+    with np.errstate(over="ignore"):  # a row past float range is inf
+        return window, (1.0 + eps_grid[:, None]) * base
 
 
 def lil_statistic(ens: PathEnsemble, t0: float, T: float,

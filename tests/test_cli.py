@@ -414,7 +414,7 @@ class TestConfigValidation:
          "[solver]\nt_grid = geom:1:100:20\nscale_c = 1\n"
          "[simulation]\nx0 = 1\nt = 20\ndt = 0.01\nn_paths = 30\n"
          "master_seed = 9\nfloor = 0.01\n[verify]\nc_grid = 1,1e308\nt0 = 2\n",
-         "ExtrapolationError"),
+         "ExtrapolationError: envelope for C=1e+308 needs rate values on "),
         ("verify lil", "[simulation]\nx0 = 1\nt = 5\ndt = 0.01\nn_paths = 20\n"
          "master_seed = 1\ndrift = none\nsigma = 1e308\n[verify]\nt0 = 3\n",
          "NonFiniteState"),
@@ -428,12 +428,28 @@ class TestConfigValidation:
         # pyproject's error::RuntimeWarning a raw warning would escape main
         from escrate import cli, errors
 
+        name = error.partition(":")[0]  # the class, then any message start
         cfg = write_config(tmp_path, body)
         rc = cli.main(command.split() + ["--config", cfg])
-        assert rc == getattr(errors, error).exit_code
+        assert rc == getattr(errors, name).exit_code
         captured = capsys.readouterr()
-        assert captured.err.startswith(f"{error}: ")
+        assert captured.err.startswith(f"{name}: ")
+        assert captured.err.startswith(error)
         assert captured.err.count("\n") == 1
+
+    def test_lil_envelope_overflow_is_quiet(self, tmp_path, capsys):
+        # (1 + eps) sqrt(2 t log log t) past float range is an inf envelope
+        # that no path exceeds, with no raw warning
+        from escrate import cli
+
+        cfg = write_config(tmp_path, (
+            "[simulation]\nx0 = 1\nt = 30\ndt = 0.01\nn_paths = 20\n"
+            "master_seed = 1\ndrift = none\nsigma = 1\nfloor = 1e-6\n"
+            "[verify]\nt0 = 10\neps_grid = 0,1e308\n"))
+        assert cli.main(["verify", "lil", "--config", cfg]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[-2] == "1e+308,0"
 
     def test_flags_only_where_read(self, monkeypatch, capsys):
         # --quiet only on rate, --seed only on simulate and verify, and
@@ -948,6 +964,37 @@ class TestSimulate:
         assert len(out.read_text().splitlines()) == 1001
         assert peak < 5e6, peak
 
+    def test_summary_step_count_allocates_no_step_index(self, tmp_path,
+                                                        monkeypatch):
+        # 1e10 steps (under the 2^63 bound): the summary reads the step
+        # count without an array of step indices; the kernel, stubbed to
+        # report the last step only, is reached
+        from escrate import cli, sde
+
+        reached = []
+
+        def kernel(sdes, x0, T, dt, n_paths, seed, observe):
+            reached.append(int(T / dt))
+            states = (np.full(n_paths, 2.0),)
+            observe(int(T / dt), states)
+            return states
+
+        monkeypatch.setattr(sde, "_shared_noise_run", kernel)
+        cfg = write_config(tmp_path, (
+            "[simulation]\nx0 = 1\nt = 1e300\ndt = 1e290\nn_paths = 3\n"
+            "master_seed = 1\nfloor = 0.05\noutput = summary\n"))
+        out = tmp_path / "summary.csv"
+        tracemalloc.start()
+        try:
+            rc = cli.main(["simulate", "--config", cfg, "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert reached == [10 ** 10]
+        assert out.read_text() == "path,final,exitTime\n0,2,\n1,2,\n2,2,\n"
+        assert peak < 1e6, peak
+
     @pytest.mark.parametrize("store_every", [7, 5000])
     def test_summary_matches_stored_ensemble(self, tmp_path, store_every):
         # exit times come from every step, whatever the configured store_every
@@ -1134,10 +1181,11 @@ class TestVerify:
     @pytest.mark.parametrize("runs, bound", [(1, 1.6e6), (2, 2.2e6)])
     def test_compare_noise_scratch_bounded(self, tmp_path, runs, bound):
         # the benchmark's verify compare (10^4 paths, 40 noise chunks) on a
-        # short horizon: its 8-step fills hold 320 KiB of normals and one
-        # word buffer of 320 KiB; about 0.85 MB more is the chains' states
-        # and the run's own. Two runs in one trace stay below twice one
-        # run's peak (about 1.5e6 B): the first run's scratch is freed
+        # short horizon: its 8-step fills hold 320 KiB of scaled float32
+        # increments, step-major, and one word buffer of 320 KiB, with no
+        # float64 copy; about 0.75 MB more is the chains' states and the
+        # run's own. Two runs in one trace stay below twice one run's peak
+        # (about 1.4e6 B): the first run's scratch is freed
         from escrate import cli
 
         cfg = write_config(tmp_path, (
@@ -1188,8 +1236,8 @@ class TestStreamedVerify:
         ("envelope", "c_grid = 1,2\nt0 = 20\n", 2,
          "DomainError: burn-in t0=20.0 at or beyond horizon 20.0"),
         ("envelope", "c_grid = 1,20\nt0 = 2\n", 3,
-         "ExtrapolationError: envelope needs rate values on [42, 400], "
-         "table covers [1, 100]"),
+         "ExtrapolationError: envelope for C=20 needs rate values on "
+         "[42, 400], table covers [1, 100]"),
         ("envelope", "c_grid = 1,2\nt0 = 2\nmax_fraction = abc\n", 2,
          "ConfigError: key 'max_fraction' in [verify] is not a number: "
          "'abc'"),

@@ -225,9 +225,9 @@ class TestNoise:
         # 4 chunk streams x 1024 steps x 256 paths = 2^20 normals
         gens = [sde_mod._path_generator(s)
                 for s in (3, 77, 1 << 20, 2 ** 40 + 9)]
-        blocks = sde_mod._noise_blocks(gens, 1024)
-        z = np.concatenate([buf[:, :block].copy() for _, block, buf in blocks],
-                           axis=1).reshape(-1, 256).astype(np.float64)
+        blocks = sde_mod._noise_blocks(gens, 1024, 1.0)
+        z = np.concatenate([rows.copy() for _, rows in blocks]
+                           ).reshape(-1, 256).astype(np.float64)
         n = z.size
         assert n >= 2 ** 20
         assert abs(z.mean()) <= 5.0 / math.sqrt(n)
@@ -242,11 +242,11 @@ class TestNoise:
         # largest radius, and no word reaches log(0)
         words = np.resize(np.array([0, 0xFFFFFFFF_FFFFFFFF, 0xFF,
                                     0xFFFFFF00_000000FF], np.uint64), 128)
-        out = np.empty((1, 256), dtype=np.float32)
-        sde_mod._box_muller(words, out)
+        out = np.empty((1, 1, 256), dtype=np.float32)
+        sde_mod._box_muller(words, out, 1.0)
         assert np.all(np.isfinite(out))
         assert np.abs(out).max() <= np.float32(bound)
-        assert out[0, 0] == pytest.approx(bound, rel=1e-6)
+        assert out[0, 0, 0] == pytest.approx(bound, rel=1e-6)
 
     @pytest.mark.parametrize("n_chunks", [1, 2, 8])
     def test_normals_independent_of_fill_length(self, n_chunks):
@@ -259,10 +259,10 @@ class TestNoise:
         def chunk0(n_chunks):
             gens = [sde_mod._path_generator(91 ^ (256 * c))
                     for c in range(n_chunks)]
-            blocks = [(block, buf[0].copy())
-                      for _, block, buf in sde_mod._noise_blocks(gens, 300)]
-            sizes = {block for block, _ in blocks[:-1]}
-            return sizes, np.concatenate([rows for _, rows in blocks])
+            blocks = [rows[:, :256].copy()
+                      for _, rows in sde_mod._noise_blocks(gens, 300, 1.0)]
+            sizes = {len(rows) for rows in blocks[:-1]}
+            return sizes, np.concatenate(blocks)
 
         (alone_size,), alone = chunk0(n_chunks)
         (shared_size,), shared = chunk0(40)
@@ -450,10 +450,9 @@ def kernel_increments(seed, n_coords, n_steps, dt):
     by _noise_blocks on the kernel's keys (seed ^ 256c for chunk c)."""
     gens = [sde_mod._path_generator(seed ^ (256 * c))
             for c in range(-(-n_coords // 256))]
-    rows = [buf[:, :block].transpose(1, 0, 2).reshape(block, -1).copy()
-            for _, block, buf in sde_mod._noise_blocks(gens, n_steps)]
-    z = np.concatenate(rows)[:, :n_coords]
-    return (z * math.sqrt(dt)).astype(np.float64)
+    blocks = sde_mod._noise_blocks(gens, n_steps, math.sqrt(dt))
+    rows = np.concatenate([rows.copy() for _, rows in blocks])
+    return rows[:, :n_coords].astype(np.float64)
 
 
 def scalar_nd_path(coeff, n, x0, dt, dw, floor):

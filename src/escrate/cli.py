@@ -5,7 +5,8 @@ catalogue. Configuration is INI-style (flat sections, key = value); every
 command is deterministic given its config, and CSV output is byte-identical
 across reruns. Exit codes: 0 ok, 5 verification failure, and for an error
 the code its class in ``escrate.errors`` declares: 2 config error, 3 solver
-error, 4 simulation error.
+error, 4 simulation error. A MemoryError, an array that numpy refuses to
+allocate, is one line and exit 2.
 
 numpy and the numeric modules are imported inside the commands that compute,
 so ``catalogue``, ``conserve`` on a coefficient family, and a config file that
@@ -577,6 +578,9 @@ def main(argv=None) -> int:
     except EscrateError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.exit_code
+    except MemoryError as exc:  # an array numpy refused: a config too large
+        print(f"MemoryError: {exc}", file=sys.stderr)
+        return DomainError.exit_code
     finally:
         if out is not None:
             out.discard()

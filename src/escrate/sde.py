@@ -262,10 +262,12 @@ def _noise_blocks(gens, n_steps: int, scale: float):
 
 
 def _shared_noise_run(sdes, x0: float, T: float, dt: float, n_paths: int,
-                      seed: int, observe: Callable) -> tuple:
+                      seed: int):
     """Euler-step n_paths chains of every chain in ``sdes`` (of one sigma and
-    width) from x0 on the same noise and return their observed states at T:
-    the stepping kernel of every chain. Each chain type owns its update.
+    width) from x0 on the same noise, yielding (step, states) after each
+    step = 1 .. int(T / dt): the only code that steps a chain. Each chain
+    type owns its update; ``states`` holds each chain's observed states, the
+    same live buffers at every step (copy them to keep them).
 
     Noise is keyed by (seed, chunk of _NOISE_CHUNK coordinates): coordinate
     c of path p is coordinate p * width + c of the run, and the chunk whose
@@ -275,11 +277,11 @@ def _shared_noise_run(sdes, x0: float, T: float, dt: float, n_paths: int,
     a pure function of (seed, path index), whatever n_paths and the fill
     length. Each chain's update gets a step's first n_coords increments, one
     contiguous float32 row, and adds them to its float64 states (an exact
-    promotion); the unused tail of the last chunk is never read.
-    ``observe(step, states)`` runs after every step, with
-    step = 1 .. int(T / dt), under _STEP_ERRSTATE. States are checked every
-    _NOISE_BLOCK steps; a non-finite one raises NonFiniteState with the
-    window's first step.
+    promotion); the unused tail of the last chunk is never read. The steps,
+    and the caller's loop body while the generator is suspended, run under
+    _STEP_ERRSTATE, until the generator is exhausted or closed. States are
+    checked every _NOISE_BLOCK steps; a non-finite one raises NonFiniteState
+    with the window's first step.
     """
     n_steps = _check_sim_args(sdes, x0, T, dt, n_paths)
     n_coords = n_paths * sdes[0].width
@@ -293,7 +295,7 @@ def _shared_noise_run(sdes, x0: float, T: float, dt: float, n_paths: int,
             for step, noise in enumerate(rows[:, :n_coords], k + 1):
                 for update in updates:
                     update(noise)
-                observe(step, states)
+                yield step, states
                 if step % _NOISE_BLOCK and step < n_steps:
                     continue
                 start = (step - 1) // _NOISE_BLOCK * _NOISE_BLOCK
@@ -304,7 +306,6 @@ def _shared_noise_run(sdes, x0: float, T: float, dt: float, n_paths: int,
                                 if len(sdes) == 1 else "non-finite coupled state")
                         raise NonFiniteState(
                             start, f"{what} within steps [{start}, {step})")
-    return states
 
 
 def _stored_steps(sde: Sde1D | IsotropicNd, x0: float, T: float, dt: float, n_paths: int,
@@ -323,7 +324,9 @@ def ensemble(sde: Sde1D | IsotropicNd, x0: float, T: float, dt: float, n_paths: 
              master_seed: int, barrier: Optional[float] = None,
              store_every: int = 1) -> PathEnsemble:
     """Simulate n_paths chains on the chunk-keyed noise of _shared_noise_run
-    and store their observed states (x, or |X| for an IsotropicNd).
+    and store their observed states (x, or |X| for an IsotropicNd): a loop
+    over the steps the kernel yields, which copies each stored step's live
+    states into a column and checks every step for floor hits and exits.
 
     Path i's noise depends only on (master_seed, i), so the first m paths
     of a larger ensemble are the m paths of a smaller one. ``store_every``
@@ -341,8 +344,7 @@ def ensemble(sde: Sde1D | IsotropicNd, x0: float, T: float, dt: float, n_paths: 
     if barrier is not None and x0 > barrier:
         exit_step[:] = 0
 
-    def observe(step, states):
-        (x,) = states
+    for step, (x,) in _shared_noise_run([sde], x0, T, dt, n_paths, master_seed):
         if step % store_every == 0 or step == n_steps:
             values[:, -(-step // store_every)] = x
         np.equal(x, sde.floor, out=on_floor)
@@ -353,7 +355,6 @@ def ensemble(sde: Sde1D | IsotropicNd, x0: float, T: float, dt: float, n_paths: 
             if newly.any():
                 exit_step[newly] = step
 
-    _shared_noise_run([sde], x0, T, dt, n_paths, master_seed, observe)
     first_exit = None
     if barrier is not None:
         first_exit = np.where(exit_step >= 0, exit_step * dt, np.nan)

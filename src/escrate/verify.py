@@ -2,10 +2,11 @@
 
 Envelope-exceedance fractions, the drift-domination inequality with its
 exact shared-noise coupling check, and the iterated-logarithm sanity
-statistic for reflected Brownian paths. Every statistic is reduced as the
-Euler kernel steps, in memory linear in the number of paths; the exceedance
-fractions can also be read off a stored ``PathEnsemble``, through the same
-reducer.
+statistic for reflected Brownian paths. Every Monte Carlo statistic is a
+loop over the steps the Euler kernel (sde._shared_noise_run) yields, in
+memory linear in the number of paths. One reducer, _fractions, gives the
+exceedance and LIL fractions, from a stored ``PathEnsemble``'s window columns
+or from the kernel's states as it steps.
 """
 
 from __future__ import annotations
@@ -39,48 +40,33 @@ __all__ = [
 # Envelope exceedance
 # ---------------------------------------------------------------------------
 
-class _Exceedance:
-    """One flag row per envelope level: flags[i, p] is set once path p has
-    been above env[i, j] at some window column j fed so far."""
-
-    def __init__(self, env: np.ndarray, n_paths: int):
-        self.env = env
-        self.flags = np.zeros((env.shape[0], n_paths), dtype=bool)
-
-    def feed(self, j: int, x: np.ndarray):
-        np.logical_or(self.flags, x > self.env[:, j, None], out=self.flags)
-
-    def fractions(self) -> np.ndarray:
-        return self.flags.mean(axis=1)
+def _fractions(env: np.ndarray, n_paths: int, columns) -> np.ndarray:
+    """Per-row fraction of paths above env[i, j] at some (j, x) of
+    ``columns``, pairs of a window column index j and the paths' values x
+    there: the one reducer of exceedance and LIL fractions."""
+    flags = np.zeros((env.shape[0], n_paths), dtype=bool)
+    for j, x in columns:
+        np.logical_or(flags, x > env[:, j, None], out=flags)
+    return flags.mean(axis=1)
 
 
-def _stored_fractions(ens: PathEnsemble, window: np.ndarray,
-                      env: np.ndarray) -> np.ndarray:
-    """Exceedance fractions of a stored ensemble's window columns."""
-    flags = _Exceedance(env, ens.n_paths)
-    for j, col in enumerate(np.flatnonzero(window)):
-        flags.feed(j, ens.values[:, col])
-    return flags.fractions()
+def _stored_columns(ens: PathEnsemble, window: np.ndarray):
+    """(j, values) of a stored ensemble's window columns, read as views."""
+    return ((j, ens.values[:, col])
+            for j, col in enumerate(np.flatnonzero(window)))
 
 
-def _streamed_fractions(sde: Sde1D | IsotropicNd, x0: float, T: float, dt: float,
-                        n_paths: int, seed: int, steps: np.ndarray,
-                        env: np.ndarray) -> np.ndarray:
-    """Exceedance fractions of the chains ``ensemble`` would store, fed to
-    the reducer as the kernel steps: ``steps`` are the window's stored steps,
-    column j of ``env`` belongs to steps[j]."""
-    flags = _Exceedance(env, n_paths)
+def _streamed_columns(sde: Sde1D | IsotropicNd, x0: float, T: float, dt: float,
+                      n_paths: int, seed: int, steps: np.ndarray):
+    """(j, states) of the chains ``ensemble`` would store, as the kernel
+    steps, storing nothing: ``steps`` are the window's stored steps, and
+    column j belongs to steps[j]."""
     column = {step: j for j, step in enumerate(steps.tolist())}
     if 0 in column:
-        flags.feed(column[0], np.full(n_paths, float(x0)))
-
-    def observe(step, states):
-        j = column.get(step)
-        if j is not None:
-            flags.feed(j, states[0])
-
-    _shared_noise_run([sde], x0, T, dt, n_paths, seed, observe)
-    return flags.fractions()
+        yield column[0], np.full(n_paths, float(x0))
+    for step, (x,) in _shared_noise_run([sde], x0, T, dt, n_paths, seed):
+        if step in column:
+            yield column[step], x
 
 
 def _envelope_values(rate, ts: np.ndarray, C: float) -> np.ndarray:
@@ -123,7 +109,7 @@ def exceedance(ens: PathEnsemble, rate: Union[RateFunction, Callable],
     (ExtrapolationError otherwise).
     """
     window, env = _envelope_rows(ens.times, rate, C_grid, t0)
-    return _stored_fractions(ens, window, env)
+    return _fractions(env, ens.n_paths, _stored_columns(ens, window))
 
 
 def exceedance_mc(sde: Sde1D | IsotropicNd, x0: float, T: float, dt: float, n_paths: int,
@@ -131,8 +117,8 @@ def exceedance_mc(sde: Sde1D | IsotropicNd, x0: float, T: float, dt: float, n_pa
                   C_grid: Sequence[float], t0: float,
                   store_every: int = 1) -> np.ndarray:
     """``exceedance`` of ``ensemble(sde, x0, T, dt, n_paths, master_seed,
-    store_every=store_every)``, equal to it, reduced as the chains step
-    without storing them. An IsotropicNd's |X| exceeds rho_tilde^{-1}(psi)
+    store_every=store_every)``, equal to it: the same reducer reads the
+    kernel's live states at the stored steps, which are never stored. An IsotropicNd's |X| exceeds rho_tilde^{-1}(psi)
     when rho_tilde(|X|) exceeds psi: pass euclidean_rate(psi, coeff).
 
     Every argument is checked, and the envelope evaluated, before the first
@@ -140,12 +126,12 @@ def exceedance_mc(sde: Sde1D | IsotropicNd, x0: float, T: float, dt: float, n_pa
     """
     stored = _stored_steps(sde, x0, T, dt, n_paths, store_every)
     window, env = _envelope_rows(stored * dt, rate, C_grid, t0)
-    return _streamed_fractions(sde, x0, T, dt, n_paths, master_seed,
-                               stored[window], env)
+    return _fractions(env, n_paths, _streamed_columns(
+        sde, x0, T, dt, n_paths, master_seed, stored[window]))
 
 
 # ---------------------------------------------------------------------------
-# Lean observers of the Euler kernel (no path storage)
+# Lean loops over the Euler kernel (no path storage)
 # ---------------------------------------------------------------------------
 
 def _terminal_run(sde: Sde1D, x0: float, T: float, dt: float, n_paths: int,
@@ -154,8 +140,8 @@ def _terminal_run(sde: Sde1D, x0: float, T: float, dt: float, n_paths: int,
     chunk-keyed noise of sde._shared_noise_run; a path has exited when it was
     above the barrier after some step."""
     peak = np.full(n_paths, -np.inf)
-    (x,) = _shared_noise_run([sde], x0, T, dt, n_paths, seed,
-                             lambda step, s: np.maximum(peak, s[0], out=peak))
+    for _, (x,) in _shared_noise_run([sde], x0, T, dt, n_paths, seed):
+        np.maximum(peak, x, out=peak)
     return x, peak > barrier
 
 
@@ -164,12 +150,10 @@ def _coupled_run(low: Sde1D, high: Sde1D, x0: float, T: float, dt: float,
     """Fraction of shared-noise pairs with x_low <= x_high at every step."""
     ordered = np.ones(n_paths, dtype=bool)
     below = np.empty_like(ordered)
-
-    def observe(step, states):
-        np.less_equal(states[0], states[1], out=below)
+    for _, (x_low, x_high) in _shared_noise_run([low, high], x0, T, dt,
+                                                n_paths, seed):
+        np.less_equal(x_low, x_high, out=below)
         np.logical_and(ordered, below, out=ordered)
-
-    _shared_noise_run([low, high], x0, T, dt, n_paths, seed, observe)
     return float(np.mean(ordered))
 
 
@@ -315,20 +299,21 @@ def lil_statistic(ens: PathEnsemble, t0: float, T: float,
     are nonincreasing in eps by event nesting.
     """
     window, env = _lil_rows(ens.times, t0, T, eps_grid)
-    return _stored_fractions(ens, window, env)
+    return _fractions(env, ens.n_paths, _stored_columns(ens, window))
 
 
 def lil_mc(sde: Sde1D, x0: float, T: float, dt: float, n_paths: int,
            master_seed: int, t0: float, eps_grid: Sequence[float],
            store_every: int = 1) -> np.ndarray:
     """``lil_statistic`` on [t0, horizon] of ``ensemble(sde, x0, T, dt,
-    n_paths, master_seed, store_every=store_every)``, equal to it, reduced
-    as the chains step without storing them.
+    n_paths, master_seed, store_every=store_every)``, equal to it: the same
+    reducer reads the kernel's live states at the stored steps, which are
+    never stored.
 
     Every argument is checked before the first step.
     """
     stored = _stored_steps(sde, x0, T, dt, n_paths, store_every)
     times = stored * dt
     window, env = _lil_rows(times, t0, times[-1], eps_grid)
-    return _streamed_fractions(sde, x0, T, dt, n_paths, master_seed,
-                               stored[window], env)
+    return _fractions(env, n_paths, _streamed_columns(
+        sde, x0, T, dt, n_paths, master_seed, stored[window]))

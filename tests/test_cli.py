@@ -39,6 +39,27 @@ def readme_configs():
     return {"rate": rate, "simulate": simulate}
 
 
+# Runs that pass every config check but ask numpy for 10^15 elements: past
+# any 47-bit address space, so the allocation is refused before any memory is
+# touched.
+_UNALLOCATABLE = {
+    "simulate": (
+        "[model]\nwarp = hyperbolic\nn = 2\nk = 1\n[simulation]\nx0 = 1\n"
+        "t = 0.5\ndt = 0.01\nn_paths = 1000000000000000\nmaster_seed = 7\n"
+        "floor = 0.05\noutput = summary\n"),
+    "verify lil": (
+        "[simulation]\nx0 = 1\nt = 20\ndt = 0.01\n"
+        "n_paths = 1000000000000000\nmaster_seed = 1\ndrift = none\n"
+        "sigma = 1\n[verify]\nt0 = 3\n"),
+    "verify compare": (
+        "[model]\nn = 2\nk = 1\n[simulation]\nx0 = 1\nfloor = 0.05\n"
+        "master_seed = 21\n[verify]\nt = 0.5\ndelta = 0.5\nr = 5\n"
+        "n_paths = 1000000000000000\ndt = 0.01\n"),
+    "rate": ("[model]\nfamily = constant\nn = 3\n"
+             "[solver]\nt_grid = geom:1:10:1000000000000000\n"),
+}
+
+
 class TestConfigValidation:
     def test_unknown_key_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, "[model]\nfamily = constant\nbogus = 1\n")
@@ -114,7 +135,10 @@ class TestConfigValidation:
             "[model]\nfamily = squared_log\nbeta = 0.5\nn = 2\n"
             "[simulation]\nx0 = 0.8\nt = 0.2\ndt = 0.001\nn_paths = 20000\n"
             "master_seed = 5\ndrift = coefficient\n"), 4),
-    ], ids=["config_error", "zero_floor", "solver_error", "simulation_error"])
+        # 10^15 paths: numpy refuses the summary's values array
+        ("simulate", _UNALLOCATABLE["simulate"], 2),
+    ], ids=["config_error", "zero_floor", "solver_error", "simulation_error",
+            "memory_error"])
     def test_failed_run_keeps_existing_out(self, tmp_path, command, body, code):
         # a run writes a temporary file, renamed onto --out only when the
         # command completes: a failure leaves the earlier output and no
@@ -421,7 +445,15 @@ class TestConfigValidation:
         ("verify compare", "[model]\nn = 2\nk = 1\n[simulation]\nx0 = 1\n"
          "floor = 1e-320\nmaster_seed = 21\n[verify]\nt = 0.5\ndelta = 0.5\n"
          "r = 5\nn_paths = 20\ndt = 0.01\n", "NonFiniteState"),
-    ], ids=["rate_scale_c", "envelope_c_grid", "lil_sigma", "compare_floor"])
+        ("rate", "[model]\nfamily = constant\nn = 3\n"
+         "[solver]\nt_grid = 1,1e308\n", "FiniteTotalIntegral"),
+        ("rate", "[model]\nfamily = constant\nn = 1e308\n"
+         "[solver]\nt_grid = 1,10\n", "FiniteTotalIntegral"),
+        ("verify compare", "[model]\nn = 1e308\nk = 1\n[simulation]\nx0 = 1\n"
+         "floor = 0.05\nmaster_seed = 21\n[verify]\nt = 0.5\ndelta = 0.5\n"
+         "r = 5\nn_paths = 20\ndt = 0.01\n", "NonFiniteState"),
+    ], ids=["rate_scale_c", "envelope_c_grid", "lil_sigma", "compare_floor",
+            "rate_t_grid", "rate_n", "compare_n"])
     def test_overflow_gives_one_error_line(self, tmp_path, capsys, command,
                                            body, error):
         # a product past float range is inf, and then the typed error; under
@@ -436,6 +468,19 @@ class TestConfigValidation:
         assert captured.err.startswith(f"{name}: ")
         assert captured.err.startswith(error)
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", sorted(_UNALLOCATABLE))
+    def test_unallocatable_array_gives_one_error_line(self, tmp_path, capsys,
+                                                      command):
+        # under the 2^63-coordinate gate, yet more than memory holds: one
+        # MemoryError line and exit 2, not numpy's traceback
+        from escrate import cli
+
+        cfg = write_config(tmp_path, _UNALLOCATABLE[command])
+        assert cli.main(command.split() + ["--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("MemoryError: Unable to allocate ")
+        assert err.count("\n") == 1
 
     def test_lil_envelope_overflow_is_quiet(self, tmp_path, capsys):
         # (1 + eps) sqrt(2 t log log t) past float range is an inf envelope
@@ -973,11 +1018,9 @@ class TestSimulate:
 
         reached = []
 
-        def kernel(sdes, x0, T, dt, n_paths, seed, observe):
+        def kernel(sdes, x0, T, dt, n_paths, seed):
             reached.append(int(T / dt))
-            states = (np.full(n_paths, 2.0),)
-            observe(int(T / dt), states)
-            return states
+            yield int(T / dt), (np.full(n_paths, 2.0),)
 
         monkeypatch.setattr(sde, "_shared_noise_run", kernel)
         cfg = write_config(tmp_path, (

@@ -287,6 +287,37 @@ class TestNoise:
             f"within steps [{start}, {start + 128})")
 
 
+class TestKernel:
+    def test_yields_every_step_on_live_buffers(self):
+        # 300 paths (two chunks) over 300 steps (three check windows): the
+        # kernel yields steps 1 .. 300 in order, always the same state
+        # arrays, and ends on the stored ensemble's last column
+        s = Sde1D(drift=lambda x: 1.0 / x, floor=0.05)
+        x0, T, dt, n_paths, seed = 1.0, 3.0, 1e-2, 300, 77
+        n_steps = int(T / dt)
+        before = np.geterr()
+        steps, arrays = [], []
+        for step, states in sde_mod._shared_noise_run([s], x0, T, dt,
+                                                      n_paths, seed):
+            steps.append(step)
+            arrays.append(states[0])
+        assert np.geterr() == before
+        assert steps == list(range(1, n_steps + 1))
+        assert all(x is arrays[0] for x in arrays)
+        last = ensemble(s, x0, T, dt, n_paths, seed, store_every=n_steps)
+        assert np.array_equal(arrays[-1], last.values[:, -1])
+
+    def test_closed_after_first_step_restores_errstate(self):
+        # the caller's loop body runs under the kernel's errstate while the
+        # generator is suspended; closing it restores the caller's
+        before = np.geterr()
+        run = sde_mod._shared_noise_run([Sde1D()], 1.0, 1.0, 1e-2, 10, 3)
+        assert next(run)[0] == 1
+        assert set(np.geterr().values()) == {"ignore"}
+        run.close()
+        assert np.geterr() == before
+
+
 class TestRadialDrift:
     def test_euclidean_three_dim(self):
         drift = partial(mean_curvature, ManifoldModel.euclidean(3))

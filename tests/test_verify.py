@@ -2,6 +2,7 @@
 coupled dominance, and the iterated-logarithm diagnostic."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -306,6 +307,22 @@ class TestStreamedReductions:
                                  store_every=self.EVERY)
         assert streamed.tolist() == stored.tolist()
         assert 0.0 < stored[-1] < stored[0]
+
+    def test_stored_reductions_read_columns_as_views(self):
+        # 2000 driftless paths x 2001 stored steps (32 MB of values): the
+        # stored reducers read window columns as views, so their peak stays
+        # far below one copy of the window
+        sde = Sde1D(drift=None, sigma=1.0, floor=1e-6)
+        ens = ensemble(sde, 1e-6, 2000.0, 1.0, 2000, 12)
+        tracemalloc.start()
+        try:
+            lil = lil_statistic(ens, 10.0, ens.times[-1], [0.0, 0.5, 1.0])
+            exc = exceedance(ens, math.sqrt, [1.0, 4.0, 16.0], 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6, peak
+        assert lil[0] > 0.0 and exc[0] > 0.0
 
     def test_lil_equals_stored(self):
         sde = Sde1D(drift=zero, sigma=1.0, floor=1e-6)

@@ -1,0 +1,99 @@
+"""Digest the CLI's output on fixed configs, to check byte identity.
+
+    python tools/output_digest.py [LABEL ...]
+
+Runs every call, once-call and probe of ``bench/workloads.py``, and README's
+two example configs, in one process through ``escrate.cli.main``, with the
+package taken from this checkout's ``src``. Calls that simulate get
+``--seed 41``, as the benchmark passes its seed. Each config prints one line:
+its label (``workload/call`` or ``README/command``), its exit code and one
+sha256 over its stdout, its stderr and its ``--out`` bytes. LABELs select
+configs; none runs all of them.
+
+To check that a change keeps every byte, run the tool in a checkout of the
+parent and in the change, and ``diff`` the two outputs.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import re
+import sys
+import tempfile
+import traceback
+import warnings
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+import escrate.cli  # noqa: E402
+from escrate.pinned import LIL_EPS05_MAX_FRACTION  # noqa: E402
+from workloads import workloads  # noqa: E402
+
+SEED = 41
+
+
+def configs() -> dict:
+    """(argv without --config and --out, INI text or None) by label."""
+    found = {}
+    for wl in workloads(LIL_EPS05_MAX_FRACTION).values():
+        for call in wl.calls + wl.once + wl.probes:
+            seeded = ["--seed", str(SEED)] if call.seeded else []
+            found[f"{wl.name}/{call.name}"] = (list(call.command) + seeded,
+                                               call.config)
+    readme = (ROOT / "README.md").read_text()
+    rate, simulate = re.findall(r"^```ini\n(.*?)^```$", readme, re.M | re.S)
+    found["README/rate"] = (["rate"], rate)
+    found["README/simulate"] = (["simulate"], simulate)
+    return found
+
+
+def digest(argv, config) -> tuple:
+    """Exit code of one run in a fresh directory, and its output's sha256."""
+    with tempfile.TemporaryDirectory() as work:
+        if config is not None:
+            Path(work, "cfg.ini").write_text(config)
+            argv = argv + ["--config", "cfg.ini"]
+        out, err = io.StringIO(), io.StringIO()
+        cwd = os.getcwd()
+        os.chdir(work)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings():
+                try:
+                    rc = escrate.cli.main(argv + ["--out", "out.csv"])
+                except SystemExit as exc:
+                    rc = exc.code if isinstance(exc.code, int) else 1
+                except Exception:
+                    traceback.print_exc()
+                    rc = 1
+        finally:
+            os.chdir(cwd)
+        csv = Path(work, "out.csv")
+        parts = (out.getvalue().encode(), err.getvalue().encode(),
+                 csv.read_bytes() if csv.exists() else b"")
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(len(part).to_bytes(8, "little") + part)
+    return rc, h.hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("labels", nargs="*", help="configs to run (default all)")
+    args = parser.parse_args(argv)
+    found = configs()
+    unknown = sorted(set(args.labels) - set(found))
+    if unknown:
+        parser.error(f"unknown label(s): {', '.join(unknown)}")
+    for label in args.labels or found:
+        rc, sha = digest(*found[label])
+        print(f"{label} {rc} {sha}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -364,17 +364,19 @@ def cmd_rate(cfg, out: _Out, quiet: bool) -> int:
     from . import rate_solver
 
     coeff, args = _rate_args(cfg, "rate")
+    rows, note = [], ""  # an empty t_grid prints the header alone
+    if args["t_grid"].size:
+        rate = rate_solver.rate_table(**args)
+        psi_tilde = [None] * rate.times.size
+        if _get(cfg, "model", "mode") == "unit_energy":
+            psi_tilde = rate_solver.euclidean_rate(rate, coeff).values.tolist()
+        rows = zip(rate.times, rate.values, psi_tilde)
+        note = rate.shift_note
     out.row("t", "psi", "psi_tilde")
-    if args["t_grid"].size == 0:
-        return EXIT_OK
-    rate = rate_solver.rate_table(**args)
-    psi_tilde = [None] * rate.times.size
-    if _get(cfg, "model", "mode") == "unit_energy":
-        psi_tilde = rate_solver.euclidean_rate(rate, coeff).values.tolist()
-    for t, psi_val, psi_t in zip(rate.times, rate.values, psi_tilde):
+    for t, psi_val, psi_t in rows:
         out.row(float(t), float(psi_val), psi_t)
-    if not quiet and rate.shift_note:
-        print(f"note: {rate.shift_note}", file=sys.stderr)
+    if not quiet and note:
+        print(f"note: {note}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -80,7 +80,8 @@ def _loglog(r: np.ndarray) -> np.ndarray:
 def _denominator(profile: GrowthProfile, r):
     """lambda(r) (V(r) + log log r) at a radius or an array of radii."""
     r = np.asarray(r, dtype=float)
-    return profile.lam(r) * (profile.V(r) + _loglog(r))
+    with np.errstate(over="ignore"):  # past float range: inf, as phi reads it
+        return profile.lam(r) * (profile.V(r) + _loglog(r))
 
 
 def phi(profile: GrowthProfile, R: float, r_lo: float = PAPER_LOWER_LIMIT) -> float:
@@ -257,6 +258,8 @@ def rate_table(profile: GrowthProfile, t_grid, scale_c: float = PROOF_SCALE_C,
         note = ("" if r_lo == PAPER_LOWER_LIMIT else
                 f"lower limit shifted from {PAPER_LOWER_LIMIT} to {r_lo:.6g} "
                 "to keep the denominator positive")
+    elif not r_lo > 0:  # phi integrates in log r
+        raise DomainError(f"lower limit r_lo={r_lo:.6g} must be positive")
     else:
         note = "" if r_lo == PAPER_LOWER_LIMIT else f"caller-supplied lower limit {r_lo:.6g}"
     with np.errstate(over="ignore"):  # a target past float range is inf
@@ -290,9 +293,6 @@ class Verdict:
     kind: str
     leaning: Optional[str] = None
     report: Optional[dict] = None
-
-    def __str__(self):
-        return self.kind
 
 
 def conservativeness(

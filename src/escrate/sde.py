@@ -281,9 +281,9 @@ def _shared_noise_run(sdes, x0: float, T: float, dt: float, n_paths: int,
     and the caller's loop body while the generator is suspended, run under
     _STEP_ERRSTATE, until the generator is exhausted or closed. States are
     checked every _NOISE_BLOCK steps; a non-finite one raises NonFiniteState
-    with the window's first step.
+    with the window's first step. Callers run _check_sim_args first.
     """
-    n_steps = _check_sim_args(sdes, x0, T, dt, n_paths)
+    n_steps = int(T / dt)
     n_coords = n_paths * sdes[0].width
     n_chunks = -(-n_coords // _NOISE_CHUNK)
     gens = [_path_generator(seed ^ (c * _NOISE_CHUNK)) for c in range(n_chunks)]
@@ -314,7 +314,7 @@ def _stored_steps(sde: Sde1D | IsotropicNd, x0: float, T: float, dt: float, n_pa
     stores: step 0, every store_every-th step thereafter, and the last step
     int(T / dt)."""
     n_steps = _check_sim_args([sde], x0, T, dt, n_paths, store_every)
-    stored = np.arange(0, n_steps + 1, store_every)
+    stored = np.arange(0, n_steps + 1, min(store_every, n_steps))
     if stored[-1] != n_steps:
         stored = np.append(stored, n_steps)
     return stored

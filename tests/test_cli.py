@@ -316,10 +316,22 @@ class TestConfigValidation:
          "key 'barrier' in [simulation] must be finite, got 'nan'"),
         ("simulate", SIM.format(t=1, dt=0.01) + "barrier = -inf\n",
          "key 'barrier' in [simulation] must be finite, got '-inf'"),
+        ("simulate", "[simulation]\nt = 1\ndt = 0.01\nn_paths = 4\n"
+                     "master_seed = 1\n", "missing key 'x0' in [simulation]"),
+        ("verify compare", "[model]\nn = 2\n[simulation]\nx0 = 1\n"
+                           "master_seed = 1\n",
+         "missing required config section [verify]"),
+        ("rate", "[model]\nfamily = constant\nn = 3\n[solver]\n"
+                 "t_grid = geom:1:10\n",
+         "t_grid geometric spec is geom:<lo>:<hi>:<count>"),
+        ("rate", "[model]\nfamily = constant\nn = 3\n[solver]\n"
+                 "t_grid = geom:1:10:many\n",
+         "bad t_grid spec: 'geom:1:10:many'"),
     ], ids=["n_inf", "n_nan", "t_nan", "t_inf", "dt_nan", "alpha_nan",
             "r_lo_nan", "r_lo_text", "t_grid", "t_grid_text", "t_grid_geom",
             "c_grid", "eps_grid", "barrier_text", "barrier_nan",
-            "barrier_minus_inf"])
+            "barrier_minus_inf", "missing_key", "missing_section",
+            "t_grid_geom_parts", "t_grid_geom_count"])
     def test_nonfinite_number_exits_2(self, tmp_path, command, body, message):
         cfg = write_config(tmp_path, body)
         res = run_cli(command.split() + ["--config", cfg], tmp_path)
@@ -452,8 +464,34 @@ class TestConfigValidation:
         ("verify compare", "[model]\nn = 1e308\nk = 1\n[simulation]\nx0 = 1\n"
          "floor = 0.05\nmaster_seed = 21\n[verify]\nt = 0.5\ndelta = 0.5\n"
          "r = 5\nn_paths = 20\ndt = 0.01\n", "NonFiniteState"),
+        ("rate", "[model]\nfamily = constant\nn = 3\n"
+         "[solver]\nt_grid = 1,10\nr_lo = -1\n",
+         "DomainError: lower limit r_lo=-1 must be positive"),
+        ("rate", "[model]\nfamily = constant\nn = 3\n"
+         "[solver]\nt_grid = 1,10\nr_lo = 0\n",
+         "DomainError: lower limit r_lo=0 must be positive"),
+        ("verify envelope", "[model]\nfamily = constant\nn = 3\n"
+         "[solver]\nt_grid = geom:1:100:20\nscale_c = 1\nr_lo = -1\n"
+         "[simulation]\nx0 = 1\nt = 20\ndt = 0.01\nn_paths = 30\n"
+         "master_seed = 9\nfloor = 0.01\n[verify]\nt0 = 2\n",
+         "DomainError: lower limit r_lo=-1 must be positive"),
+        ("rate", "[model]\nfamily = constant\nn = 3\n"
+         "[solver]\nt_grid = 1,10\nr_lo = 0.5\n", "NonPositiveDenominator"),
+        ("rate", "[model]\nfamily = power\nalpha = 1\nn = 1e308\n"
+         "[solver]\nt_grid = 1,10\n", "FiniteTotalIntegral"),
+        ("rate", "[model]\nfamily = squared_log\nbeta = 0.5\nn = 1e308\n"
+         "[solver]\nt_grid = 1,10\n", "FiniteTotalIntegral"),
+        ("rate", "[model]\nfamily = power\nalpha = 1\nn = 1e308\n"
+         "mode = coefficient_energy\n[solver]\nt_grid = 1,10\n",
+         "FiniteTotalIntegral"),
+        ("rate", "[model]\nfamily = power\nalpha = 1e20\nn = 3\n"
+         "mode = coefficient_energy\n[solver]\nt_grid = 1,10\n",
+         "FiniteTotalIntegral"),
     ], ids=["rate_scale_c", "envelope_c_grid", "lil_sigma", "compare_floor",
-            "rate_t_grid", "rate_n", "compare_n"])
+            "rate_t_grid", "rate_n", "compare_n", "rate_r_lo_negative",
+            "rate_r_lo_zero", "envelope_r_lo_negative", "rate_r_lo_below_e",
+            "rate_power_n", "rate_squared_log_n", "coefficient_energy_n",
+            "coefficient_energy_alpha"])
     def test_overflow_gives_one_error_line(self, tmp_path, capsys, command,
                                            body, error):
         # a product past float range is inf, and then the typed error; under
@@ -757,6 +795,19 @@ class TestRate:
         res = run_cli(["rate", "--config", cfg], tmp_path)
         assert res.returncode == 0
         assert res.stdout == "t,psi,psi_tilde\n"
+
+    def test_failing_table_prints_nothing(self, tmp_path, capsys):
+        # the table is solved before the header is written, so a failed
+        # solve leaves stdout empty
+        from escrate import cli
+
+        cfg = write_config(tmp_path, (
+            "[model]\nfamily = constant\nn = 3\n[solver]\nt_grid = 1,1e308\n"))
+        assert cli.main(["rate", "--config", cfg]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("FiniteTotalIntegral: ")
+        assert captured.err.count("\n") == 1
 
     def test_rate_rows_monotone(self, tmp_path):
         cfg = write_config(tmp_path, (
@@ -1177,6 +1228,19 @@ class TestVerify:
         assert res.returncode == 0
         assert "sum_bound=" in res.stdout
         assert "PASS" in res.stdout
+
+    def test_dyadic_fail_line_exits_5(self, tmp_path, capsys):
+        # one level: its bound is not below 1e-3 of the sum, which it is
+        from escrate import cli
+
+        cfg = write_config(tmp_path, (
+            "[model]\nfamily = constant\nn = 1\n[verify]\nc = 4\n"
+            "n_levels = 1\n"))
+        assert cli.main(["verify", "dyadic", "--config", cfg]) == 5
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[-1] == (
+            "FAIL sum_bound=0.0082037465721975962")
+        assert captured.err == ""
 
     def test_dyadic_beyond_float_range_exits_2(self, tmp_path):
         # level radii up to 2^601 * 4 pass 1e150; the ball measure exp(V(8))

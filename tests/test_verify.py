@@ -333,3 +333,62 @@ class TestStreamedReductions:
         streamed = lil_mc(*args, 10.0, eps_grid, store_every=self.EVERY)
         assert streamed.tolist() == stored.tolist()
         assert stored[0] > stored[-1]
+
+
+class TestRunGate:
+    """Each public Monte Carlo entry point checks its run once, before it
+    allocates; the Euler kernel trusts that check."""
+
+    def test_each_entry_point_checks_once(self, monkeypatch):
+        from escrate import sde as sde_mod
+        from escrate import verify as verify_mod
+
+        gate, calls = sde_mod._check_sim_args, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return gate(*args, **kwargs)
+
+        monkeypatch.setattr(sde_mod, "_check_sim_args", counted)
+        monkeypatch.setattr(verify_mod, "_check_sim_args", counted)
+        low = Sde1D(drift=zero, sigma=1.0, floor=1e-6)
+        high = Sde1D(drift=lambda x: zero(x) + 1.0, sigma=1.0, floor=1e-6)
+        runs = {
+            "ensemble": lambda: ensemble(low, 1.0, 0.5, 0.01, 10, 1),
+            "exceedance_mc": lambda: exceedance_mc(
+                low, 1.0, 0.5, 0.01, 10, 1, math.sqrt, [1.0], 0.1),
+            "lil_mc": lambda: lil_mc(low, 1.0, 5.0, 0.01, 10, 1, 3.0,
+                                     [0.0, 1.0]),
+            "coupled_dominance": lambda: coupled_dominance(
+                low, high, 1.0, 0.5, 0.01, 10, 1),
+            # the ensembles' path count and the coupled pairs'
+            "comparison_mc": lambda: comparison_mc(
+                high, low, 1.0, 0.5, 0.5, 5.0, 10, 0.01, 1),
+        }
+        counts = {}
+        for name, run in runs.items():
+            calls.clear()
+            run()
+            counts[name] = len(calls)
+        assert counts == {"ensemble": 1, "exceedance_mc": 1, "lil_mc": 1,
+                          "coupled_dominance": 1, "comparison_mc": 2}
+
+    def test_store_every_beyond_int64_stores_first_and_last(self):
+        # any store_every from the run's step count up stores steps 0 and
+        # int(T / dt) alone, on an int64 schedule
+        sde = Sde1D(drift=None, sigma=1.0, floor=1e-6)
+        T, dt = 5.0, 1e-2
+        args = (sde, 1.0, T, dt, 50, 8)
+        huge, last = 10 ** 20, int(T / dt)
+        ens = [ensemble(*args, store_every=e) for e in (huge, last)]
+        assert ens[0].times.dtype == np.float64
+        assert ens[0].times.tolist() == ens[1].times.tolist() == [0.0, T]
+        assert np.array_equal(ens[0].values, ens[1].values)
+
+        def fractions(store_every):
+            return (exceedance_mc(*args, math.sqrt, [0.5, 1.0], 1.0,
+                                  store_every=store_every).tolist(),
+                    lil_mc(*args, 3.0, [0.0, 1.0],
+                           store_every=store_every).tolist())
+
+        assert fractions(huge) == fractions(last)

@@ -19,7 +19,7 @@ _EXPORTS = {
                     "phi", "psi", "rate_table"),
     "sde": ("PathEnsemble", "Sde1D", "ensemble"),
     "verify": ("comparison_mc", "coupled_dominance", "exceedance",
-               "exceedance_mc", "lil_mc", "lil_statistic"),
+               "lil_statistic"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

@@ -408,7 +408,7 @@ def cmd_simulate(cfg, out: _Out, seed_override) -> int:
         n_steps = _check_sim_args([args["sde"]], args["x0"], args["T"],
                                   args["dt"], args["n_paths"], args["store_every"])
         ens = ensemble(**dict(args, store_every=n_steps))
-        exits = ([None] * ens.n_paths if ens.first_exit is None
+        exits = ([None] * len(ens.values) if ens.first_exit is None
                  else ens.first_exit.tolist())  # _fmt blanks a NaN: no exit
         out.row("path", "final", "exitTime")
         for i, (x, exit_t) in enumerate(zip(ens.values[:, -1].tolist(), exits)):
@@ -419,9 +419,9 @@ def cmd_simulate(cfg, out: _Out, seed_override) -> int:
     # Bytes as out.row's: NonFiniteState rules out the NaN that _fmt blanks.
     # A path's rows are one template with its index filled in, over its x
     # values, converted from one row at a time.
-    rows = "".join("%%d,%d,%.17g,%%.17g\n" % (round(t / ens.dt), t)
+    rows = "".join("%%d,%d,%.17g,%%.17g\n" % (round(t / args["dt"]), t)
                    for t in ens.times.tolist())
-    for i in range(ens.n_paths):
+    for i in range(len(ens.values)):
         out.fh.write(rows.replace("%d", str(i)) % tuple(ens.values[i].tolist()))
     return EXIT_OK
 
@@ -474,8 +474,8 @@ def cmd_verify(cfg, mode: str, out: _Out, seed_override) -> int:
             rate = rate_table(**table)
         args = _simulation_args(cfg, seed_override)
         del args["barrier"]  # the streamed run records no exit times
-        fractions = verify_mod.exceedance_mc(rate=rate, C_grid=C_grid, t0=t0,
-                                             **args)
+        fractions = verify_mod.exceedance(rate=rate, C_grid=C_grid, t0=t0,
+                                          **args)
         out.row("C", "fraction")
         for C, f in zip(C_grid, fractions):
             out.row(float(C), float(f))
@@ -512,7 +512,7 @@ def cmd_verify(cfg, mode: str, out: _Out, seed_override) -> int:
     eps_grid, t0 = _increasing(ver, "eps_grid", "lil", 2), ver("t0")
     args = _simulation_args(cfg, seed_override)
     del args["barrier"]  # the streamed run records no exit times
-    fractions = verify_mod.lil_mc(t0=t0, eps_grid=eps_grid, **args)
+    fractions = verify_mod.lil_statistic(t0=t0, eps_grid=eps_grid, **args)
     out.row("eps", "fraction")
     for e, f in zip(eps_grid, fractions):
         out.row(float(e), float(f))

@@ -84,15 +84,25 @@ def _denominator(profile: GrowthProfile, r):
         return profile.lam(r) * (profile.V(r) + _loglog(r))
 
 
+def _check_r_lo(r_lo) -> float:
+    """r_lo as a float; DomainError unless it is positive (phi integrates in
+    log r)."""
+    r_lo = float(r_lo)
+    if not r_lo > 0:
+        raise DomainError(f"lower limit r_lo={r_lo:.6g} must be positive")
+    return r_lo
+
+
 def phi(profile: GrowthProfile, R: float, r_lo: float = PAPER_LOWER_LIMIT) -> float:
     """Crossing-time integral of r / (lambda(r) (V(r) + log log r)) over [r_lo, R].
 
     Integrated in log-radius so that envelopes spanning many decades stay
     cheap, with a break at each of the profile's knots inside (r_lo, R);
-    strictly increasing in R; phi(profile, r_lo, r_lo) = 0.
+    strictly increasing in R; phi(profile, r_lo, r_lo) = 0. An r_lo <= 0 is
+    a DomainError.
     """
+    r_lo = _check_r_lo(r_lo)
     R = float(R)
-    r_lo = float(r_lo)
     if R < r_lo:
         raise DomainError(f"R={R} below lower limit {r_lo}")
     if R == r_lo:
@@ -124,12 +134,9 @@ def effective_lower_limit(profile: GrowthProfile) -> float:
         raise FiniteTotalIntegral(
             f"profile domain ends at r_max={profile.r_max:.6g}, at or below "
             f"the lower limit {r:.6g}: the crossing-time integral is empty")
-    while r < cap:
-        try:
-            if _denominator(profile, r) > DENOMINATOR_FLOOR:
-                return r
-        except NonPositiveDenominator:
-            pass
+    while r < cap:  # log log r is defined from r = 2 on
+        if _denominator(profile, r) > DENOMINATOR_FLOOR:
+            return r
         r *= 1.02
     raise FiniteTotalIntegral(
         f"no radius in [{PAPER_LOWER_LIMIT}, {cap:.4g}] with positive rate denominator")
@@ -190,6 +197,13 @@ def _invert_increasing(piece: Callable, start: float, targets, cap: float,
     return roots
 
 
+def _invert_phi(profile: GrowthProfile, r_lo: float, targets) -> np.ndarray:
+    """The radii R with phi(profile, R, r_lo) = t for the nondecreasing
+    targets t; an r_lo <= 0 is a DomainError."""
+    return _invert_increasing(lambda a, b: phi(profile, b, a), _check_r_lo(r_lo),
+                              targets, profile.r_max, "phi")
+
+
 def psi(profile: GrowthProfile, t: float, r_lo: float = PAPER_LOWER_LIMIT) -> float:
     """The radius R with phi(profile, R, r_lo) = t.
 
@@ -198,9 +212,7 @@ def psi(profile: GrowthProfile, t: float, r_lo: float = PAPER_LOWER_LIMIT) -> fl
     FiniteTotalIntegral when phi converges to a finite limit below t
     (non-conservative regime) or the required radius is not representable.
     """
-    r_lo = float(r_lo)
-    return float(_invert_increasing(lambda a, b: phi(profile, b, a), r_lo, [t],
-                                    profile.r_max, "phi")[0])
+    return float(_invert_phi(profile, r_lo, [t])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -258,14 +270,11 @@ def rate_table(profile: GrowthProfile, t_grid, scale_c: float = PROOF_SCALE_C,
         note = ("" if r_lo == PAPER_LOWER_LIMIT else
                 f"lower limit shifted from {PAPER_LOWER_LIMIT} to {r_lo:.6g} "
                 "to keep the denominator positive")
-    elif not r_lo > 0:  # phi integrates in log r
-        raise DomainError(f"lower limit r_lo={r_lo:.6g} must be positive")
     else:
         note = "" if r_lo == PAPER_LOWER_LIMIT else f"caller-supplied lower limit {r_lo:.6g}"
     with np.errstate(over="ignore"):  # a target past float range is inf
         targets = scale_c * t_grid
-    values = _invert_increasing(lambda a, b: phi(profile, b, a), float(r_lo),
-                                targets, profile.r_max, "phi")
+    values = _invert_phi(profile, r_lo, targets)
     return RateFunction(t_grid, values, r_star=float(r_lo), shift_note=note)
 
 
@@ -374,28 +383,41 @@ def dyadic_scheme(profile: GrowthProfile, c: float, N: int) -> DyadicScheme:
     t_n = r_n^2 / (32 lambda(R_n) (V(R_n) + log log R_n)), cumulative
     T_n, the Borel-Cantelli summand, and the slack of the
     T_n >= phi(2^{n+1} c)/256 lower bound. The ball measure mu_b1 is
-    exp(V(2c)). A top radius 2^(N+1) c beyond 1e150, or a mu_b1 that is
-    not a positive float, is a DomainError, raised before any level is
-    computed.
+    exp(V(2c)). A c <= 0, a top radius 2^(N+1) c beyond 1e150, or a mu_b1
+    that is not a positive float is a DomainError, raised before any level
+    is computed; so is a level whose V is not finite or whose lambda is not
+    a positive float.
     """
     if N < 1:
         raise DomainError("N must be >= 1")
     c = float(c)
+    if not c > 0:
+        raise DomainError(f"dyadic radius scale c={c:.6g} must be positive")
     # the slack needs phi up to 2^(N+1) c; r_n * r_n overflows soon after
-    if c > 0 and N + 1 + math.log2(c) > math.log2(_REPRESENTABLE):
+    if N + 1 + math.log2(c) > math.log2(_REPRESENTABLE):
         raise DomainError(f"dyadic radius 2^{N + 1} * {c:.6g} is not "
                           f"representable (above {_REPRESENTABLE:.6g})")
+    R = (2.0 ** np.arange(1, N + 1)) * c
+    with np.errstate(over="ignore"):  # past float range: inf, refused below
+        V_2c = float(profile.V(2.0 * c))
+        lam = np.broadcast_to(np.asarray(profile.lam(R), dtype=float), R.shape)
+        V = profile.V(R)
     try:
-        mu_b1 = math.exp(float(profile.V(2.0 * c)))
+        mu_b1 = math.exp(V_2c)
     except OverflowError:
         mu_b1 = math.inf
     if not 0 < mu_b1 < math.inf:
         raise DomainError(f"ball measure mu_b1 = exp(V({2.0 * c:.6g})) = "
                           f"{mu_b1:.6g} is not a positive float")
+    bad = ~(np.isfinite(V) & (lam > 0) & (lam < math.inf))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainError(f"level {i + 1} at R={R[i]:.6g} needs a finite V and "
+                          f"a positive finite lambda, got V = {V[i]:.6g}, "
+                          f"lambda = {lam[i]:.6g}")
 
-    R = (2.0 ** np.arange(1, N + 1)) * c
     r = np.diff(np.concatenate([[0.0], R]))
-    lam, V, loglog = profile.lam(R), profile.V(R), _loglog(R)
+    loglog = _loglog(R)
     den = V + loglog
     if (den <= 0).any():
         i = int(np.argmax(den <= 0))

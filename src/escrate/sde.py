@@ -155,14 +155,8 @@ class PathEnsemble:
 
     times: np.ndarray
     values: np.ndarray
-    dt: float
-    n_paths: int
     first_exit: Optional[np.ndarray] = None
     floor_hits: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.values.shape != (self.n_paths, self.times.size):
-            raise DomainError("ensemble values shape inconsistent with grid")
 
 
 def _path_generator(seed: int) -> np.random.Generator:
@@ -358,6 +352,5 @@ def ensemble(sde: Sde1D | IsotropicNd, x0: float, T: float, dt: float, n_paths: 
     first_exit = None
     if barrier is not None:
         first_exit = np.where(exit_step >= 0, exit_step * dt, np.nan)
-    return PathEnsemble(times=stored_idx * dt, values=values, dt=dt,
-                        n_paths=n_paths, first_exit=first_exit,
-                        floor_hits=floor_hits)
+    return PathEnsemble(times=stored_idx * dt, values=values,
+                        first_exit=first_exit, floor_hits=floor_hits)

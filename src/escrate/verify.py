@@ -5,8 +5,7 @@ exact shared-noise coupling check, and the iterated-logarithm sanity
 statistic for reflected Brownian paths. Every Monte Carlo statistic is a
 loop over the steps the Euler kernel (sde._shared_noise_run) yields, in
 memory linear in the number of paths. One reducer, _fractions, gives the
-exceedance and LIL fractions, from a stored ``PathEnsemble``'s window columns
-or from the kernel's states as it steps.
+exceedance and LIL fractions from the kernel's states as it steps.
 """
 
 from __future__ import annotations
@@ -19,8 +18,8 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import DomainError, DriftOrderViolated, ExtrapolationError
-from .sde import (_STEP_ERRSTATE, IsotropicNd, PathEnsemble, Sde1D,
-                  _check_sim_args, _shared_noise_run, _stored_steps)
+from .sde import (_STEP_ERRSTATE, IsotropicNd, Sde1D, _check_sim_args,
+                  _shared_noise_run, _stored_steps)
 
 if TYPE_CHECKING:
     from .rate_solver import RateFunction
@@ -28,11 +27,9 @@ if TYPE_CHECKING:
 __all__ = [
     "ComparisonReport",
     "exceedance",
-    "exceedance_mc",
     "comparison_mc",
     "coupled_dominance",
     "lil_statistic",
-    "lil_mc",
 ]
 
 
@@ -48,12 +45,6 @@ def _fractions(env: np.ndarray, n_paths: int, columns) -> np.ndarray:
     for j, x in columns:
         np.logical_or(flags, x > env[:, j, None], out=flags)
     return flags.mean(axis=1)
-
-
-def _stored_columns(ens: PathEnsemble, window: np.ndarray):
-    """(j, values) of a stored ensemble's window columns, read as views."""
-    return ((j, ens.values[:, col])
-            for j, col in enumerate(np.flatnonzero(window)))
 
 
 def _streamed_columns(sde: Sde1D | IsotropicNd, x0: float, T: float, dt: float,
@@ -99,27 +90,21 @@ def _envelope_rows(times: np.ndarray, rate, C_grid, t0: float):
                              for C, row in zip(C_grid, Ct)])
 
 
-def exceedance(ens: PathEnsemble, rate: Union[RateFunction, Callable],
-               C_grid: Sequence[float], t0: float) -> np.ndarray:
-    """Per-C fraction of paths above the envelope rate(C t) at some stored
-    time in [t0, T]; nonincreasing in C, as the events are nested.
+def exceedance(sde: Sde1D | IsotropicNd, x0: float, T: float, dt: float,
+               n_paths: int, master_seed: int,
+               rate: Union[RateFunction, Callable], C_grid: Sequence[float],
+               t0: float, store_every: int = 1) -> np.ndarray:
+    """Per-C fraction of the paths of ``ensemble(sde, x0, T, dt, n_paths,
+    master_seed, store_every=store_every)`` above the envelope rate(C t) at
+    some stored time in [t0, T]; nonincreasing in C, as the events are
+    nested. The reducer reads the kernel's live states at the stored steps,
+    which are never stored.
 
     ``rate`` is a RateFunction table or any callable (useful sentinels:
     constant 0 or +inf). A table must cover C t on the window
-    (ExtrapolationError otherwise).
-    """
-    window, env = _envelope_rows(ens.times, rate, C_grid, t0)
-    return _fractions(env, ens.n_paths, _stored_columns(ens, window))
-
-
-def exceedance_mc(sde: Sde1D | IsotropicNd, x0: float, T: float, dt: float, n_paths: int,
-                  master_seed: int, rate: Union[RateFunction, Callable],
-                  C_grid: Sequence[float], t0: float,
-                  store_every: int = 1) -> np.ndarray:
-    """``exceedance`` of ``ensemble(sde, x0, T, dt, n_paths, master_seed,
-    store_every=store_every)``, equal to it: the same reducer reads the
-    kernel's live states at the stored steps, which are never stored. An IsotropicNd's |X| exceeds rho_tilde^{-1}(psi)
-    when rho_tilde(|X|) exceeds psi: pass euclidean_rate(psi, coeff).
+    (ExtrapolationError otherwise). An IsotropicNd's |X| exceeds
+    rho_tilde^{-1}(psi) when rho_tilde(|X|) exceeds psi: pass
+    euclidean_rate(psi, coeff).
 
     Every argument is checked, and the envelope evaluated, before the first
     step.
@@ -273,13 +258,13 @@ def coupled_dominance(low: Sde1D, high: Sde1D, x0: float, T: float, dt: float,
 # Iterated-logarithm statistic
 # ---------------------------------------------------------------------------
 
-def _lil_rows(times: np.ndarray, t0: float, T: float, eps_grid):
-    """Window of the stored times on [t0, T] and the envelope rows
+def _lil_rows(times: np.ndarray, t0: float, eps_grid):
+    """Window of the stored times from t0 on and the envelope rows
     (1+eps) sqrt(2 t log log t) on it, one per eps."""
     if t0 <= math.e:
         raise DomainError(f"t0={t0} must exceed e so log log t0 > 0")
     eps_grid = np.asarray(eps_grid, dtype=float)
-    window = (times >= t0) & (times <= T)
+    window = times >= t0
     if not np.any(window):
         raise DomainError("no stored grid times inside the window")
     ts = times[window]
@@ -288,32 +273,22 @@ def _lil_rows(times: np.ndarray, t0: float, T: float, eps_grid):
         return window, (1.0 + eps_grid[:, None]) * base
 
 
-def lil_statistic(ens: PathEnsemble, t0: float, T: float,
-                  eps_grid: Sequence[float]) -> np.ndarray:
-    """Per-epsilon fraction of paths with x_t > (1+eps) sqrt(2 t log log t)
-    at some stored grid time in [t0, T].
-
-    The ensemble should be driftless with unit diffusion: a Brownian motion
-    clamped at its floor > 0, close in law to the reflected |B_t|, so x_t
-    plays the part of |B_t| in the law of the iterated logarithm. Fractions
-    are nonincreasing in eps by event nesting.
-    """
-    window, env = _lil_rows(ens.times, t0, T, eps_grid)
-    return _fractions(env, ens.n_paths, _stored_columns(ens, window))
-
-
-def lil_mc(sde: Sde1D, x0: float, T: float, dt: float, n_paths: int,
-           master_seed: int, t0: float, eps_grid: Sequence[float],
-           store_every: int = 1) -> np.ndarray:
-    """``lil_statistic`` on [t0, horizon] of ``ensemble(sde, x0, T, dt,
-    n_paths, master_seed, store_every=store_every)``, equal to it: the same
+def lil_statistic(sde: Sde1D, x0: float, T: float, dt: float, n_paths: int,
+                  master_seed: int, t0: float, eps_grid: Sequence[float],
+                  store_every: int = 1) -> np.ndarray:
+    """Per-epsilon fraction of the paths of ``ensemble(sde, x0, T, dt,
+    n_paths, master_seed, store_every=store_every)`` with
+    x_t > (1+eps) sqrt(2 t log log t) at some stored time in [t0, T]. The
     reducer reads the kernel's live states at the stored steps, which are
     never stored.
 
-    Every argument is checked before the first step.
+    The chain should be driftless with unit diffusion: a Brownian motion
+    clamped at its floor > 0, close in law to the reflected |B_t|, so x_t
+    plays the part of |B_t| in the law of the iterated logarithm. Fractions
+    are nonincreasing in eps by event nesting. Every argument is checked
+    before the first step.
     """
     stored = _stored_steps(sde, x0, T, dt, n_paths, store_every)
-    times = stored * dt
-    window, env = _lil_rows(times, t0, times[-1], eps_grid)
+    window, env = _lil_rows(stored * dt, t0, eps_grid)
     return _fractions(env, n_paths, _streamed_columns(
         sde, x0, T, dt, n_paths, master_seed, stored[window]))

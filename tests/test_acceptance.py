@@ -197,9 +197,8 @@ def test_hyperbolic_linear_speed():
 def test_lil_fractions():
     sde = Sde1D(drift=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
                 sigma=1.0, floor=1e-6)
-    ens = ensemble(sde, 1e-6, 1e4, 1.0, 10_000, master_seed=8008,
-                   store_every=5)
-    fractions = lil_statistic(ens, 10.0, 1e4, [0.0, 0.25, 0.5, 1.0])
+    fractions = lil_statistic(sde, 1e-6, 1e4, 1.0, 10_000, 8008, 10.0,
+                              [0.0, 0.25, 0.5, 1.0], store_every=5)
     assert np.all(np.diff(fractions) < 0), fractions
     assert fractions[2] <= pinned.LIL_EPS05_MAX_FRACTION, fractions
 

@@ -14,7 +14,7 @@ CHILD = Path(__file__).resolve().parents[1] / "bench" / "trace_child.py"
 
 def run_traced(tmp_path, calls):
     """Run ``calls`` (argv lists) in one traced child; return each call's
-    exit code and stderr, and the child's counters."""
+    exit code and stderr, the child's counters and the names of its spans."""
     plan = [{"argv": argv + ["--out", str(tmp_path / f"{i}.csv")],
              "err": str(tmp_path / f"{i}.err")} for i, argv in enumerate(calls)]
     plan_path, result_path = tmp_path / "plan.json", tmp_path / "result.json"
@@ -25,7 +25,8 @@ def run_traced(tmp_path, calls):
     assert res.returncode == 0, res.stderr
     result = json.loads(result_path.read_text())
     errors = [Path(call["err"]).read_text() for call in plan]
-    return [call["rc"] for call in result["calls"]], errors, result["counts"]
+    return ([call["rc"] for call in result["calls"]], errors, result["counts"],
+            {span[0] for span in result["spans"]})
 
 
 def test_traced_calls_count_every_layer(tmp_path):
@@ -35,7 +36,7 @@ def test_traced_calls_count_every_layer(tmp_path):
     rate = tmp_path / "rate.ini"
     rate.write_text("[model]\nfamily = constant\nn = 3\n"
                     "[solver]\nt_grid = 1,2,3,4,5\n")
-    rcs, errors, counts = run_traced(tmp_path, [
+    rcs, errors, counts, _ = run_traced(tmp_path, [
         ["catalogue"], ["simulate", "--config", str(sim)],
         ["rate", "--config", str(rate)]])
     assert rcs == [0, 0, 0], errors
@@ -57,12 +58,16 @@ def test_traced_calls_count_every_layer(tmp_path):
 ])
 def test_traced_monte_carlo_routes(tmp_path, mode, body):
     # each Monte Carlo route of the kernel builds its Philox streams through
-    # the traced sde._path_generator; compare's runs count their path steps
+    # the traced sde._path_generator; compare's runs count their path steps,
+    # and envelope and lil run inside the verify spans the bench times
     cfg = tmp_path / f"{mode}.ini"
     cfg.write_text(body)
-    rcs, errors, counts = run_traced(tmp_path,
-                                     [["verify", mode, "--config", str(cfg)]])
+    rcs, errors, counts, spans = run_traced(
+        tmp_path, [["verify", mode, "--config", str(cfg)]])
     assert rcs == [0], errors
     assert counts.get("sde.generators", 0) > 0, counts
     if mode == "compare":
         assert counts.get("verify.path_steps", 0) > 0, counts
+    span = {"envelope": "verify.exceedance", "lil": "verify.lil_statistic",
+            "compare": "verify.comparison_mc"}[mode]
+    assert span in spans, spans

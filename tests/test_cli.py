@@ -1033,12 +1033,12 @@ class TestSimulate:
                       tmp_path)
         assert res.returncode == 0, res.stderr
         ens = sde.ensemble(**cli._simulation_args(cli.load_config(cfg)))
-        steps = np.rint(ens.times / ens.dt).astype(int).tolist()
+        steps = np.rint(ens.times / 0.01).astype(int).tolist()
         assert steps[:3] == [0, 3, 6]
         rows = ["path,step,t,x"] + [
             ",".join(cli._fmt(c) for c in
                      (i, steps[j], float(t), float(ens.values[i, j])))
-            for i in range(ens.n_paths) for j, t in enumerate(ens.times)]
+            for i in range(len(ens.values)) for j, t in enumerate(ens.times)]
         assert dest.read_bytes() == ("\n".join(rows) + "\n").encode()
 
     README = readme_configs()["simulate"]
@@ -1103,11 +1103,11 @@ class TestSimulate:
         assert cli.main(["simulate", "--config", cfg, "--out", str(dest)]) == 0
         ens = sde.ensemble(**cli._simulation_args(cli.load_config(cfg)))
         exits = np.isfinite(ens.first_exit)
-        assert 0 < exits.sum() < ens.n_paths
+        assert 0 < exits.sum() < len(ens.values)
         rows = ["path,final,exitTime"] + [
             ",".join(cli._fmt(c) for c in
                      (i, float(ens.values[i, -1]), float(ens.first_exit[i])))
-            for i in range(ens.n_paths)]
+            for i in range(len(ens.values))]
         assert dest.read_bytes() == ("\n".join(rows) + "\n").encode()
 
     @pytest.mark.parametrize("output, message", [
@@ -1393,11 +1393,11 @@ class TestStreamedVerify:
 
         tables = []
 
-        def exceedance_mc(rate, C_grid, **kwargs):
+        def exceedance(rate, C_grid, **kwargs):
             tables.append(rate)
             return np.zeros(len(C_grid))
 
-        monkeypatch.setattr(verify_mod, "exceedance_mc", exceedance_mc)
+        monkeypatch.setattr(verify_mod, "exceedance", exceedance)
         cfg = write_config(tmp_path, self.ENVELOPE.replace(
             "scale_c = 1\n", "scale_c = 1\nr_lo = 50\n")
             + "[verify]\nc_grid = 1\nt0 = 2\n")

@@ -75,6 +75,10 @@ BASES = {
     "verify_dyadic-family": ("verify dyadic", {
         "model": {"family": "constant", "n": "1"},
         "verify": {"n_levels": "2"}}),
+    "verify_dyadic-coefficient_energy": ("verify dyadic", {
+        "model": {"family": "power", "alpha": "1", "n": "2",
+                  "mode": "coefficient_energy"},
+        "verify": {"n_levels": "2"}}),
     "verify_dyadic-tabulated": ("verify dyadic", {
         "model": dict(_TABULATED, n="2"),
         "verify": {"n_levels": "2", "c": "1"}}),

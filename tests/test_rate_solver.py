@@ -147,6 +147,20 @@ class TestPsi:
         with pytest.raises(DomainError):
             psi(euclid(2), -1.0, 2.0)
 
+    @pytest.mark.parametrize("call", [
+        lambda p: psi(p, 0.0, r_lo=-1),
+        lambda p: psi(p, 1.0, r_lo=-1),
+        lambda p: phi(p, 5.0, r_lo=-1),
+        lambda p: phi(p, 5.0, r_lo=0),
+    ], ids=["psi_zero_time", "psi", "phi_negative", "phi_zero"])
+    def test_nonpositive_lower_limit_rejected(self, call):
+        # phi integrates in log r: r_lo <= 0 is refused before any quadrature,
+        # and psi refuses it even where it would return r_lo unsolved
+        profile = profile_from_radial(RadialCoefficient.constant(), 3,
+                                      "unit_energy")
+        with pytest.raises(DomainError, match="must be positive"):
+            call(profile)
+
     @pytest.mark.parametrize("lam_power,r_max,message", [
         # phi grows like log log R: still below t at 1e150
         (2, math.inf, "envelope radius for t=100 not representable "
@@ -436,6 +450,22 @@ class TestDyadicScheme:
     def test_rejects_bad_level_count(self):
         with pytest.raises(DomainError):
             dyadic_scheme(euclid(2), c=3.0, N=0)
+
+    @pytest.mark.parametrize("c", [0.0, -0.0, -1.0])
+    def test_rejects_nonpositive_scale(self, c):
+        # refused before V(2c) = n log(2c) is evaluated
+        profile = profile_from_radial(RadialCoefficient.power(1.0), 2,
+                                      "coefficient_energy")
+        with pytest.raises(DomainError, match="c=-?[01] must be positive"):
+            dyadic_scheme(profile, c=c, N=2)
+
+    def test_level_with_overflowing_lambda_named(self):
+        # lambda = (1 + R)^1e20 is inf at every level: no level is computed
+        profile = profile_from_radial(RadialCoefficient.power(1e20), 2,
+                                      "coefficient_energy")
+        with pytest.raises(DomainError, match="level 1 at R=8 needs a finite V "
+                                              "and a positive finite lambda"):
+            dyadic_scheme(profile, c=4.0, N=2)
 
     def test_rejects_radii_beyond_float_range(self):
         # the slack needs phi at 2^(N+1) c: 2^497 * 4 passes 1e150, where

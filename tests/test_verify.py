@@ -2,7 +2,6 @@
 coupled dominance, and the iterated-logarithm diagnostic."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,8 +20,6 @@ from escrate.verify import (
     comparison_mc,
     coupled_dominance,
     exceedance,
-    exceedance_mc,
-    lil_mc,
     lil_statistic,
 )
 
@@ -31,45 +28,41 @@ def zero(x):
     return np.zeros_like(np.asarray(x, dtype=float))
 
 
-@pytest.fixture(scope="module")
-def driftless_ens():
-    s = Sde1D(drift=zero)
-    return ensemble(s, 1.0, 10.0, 1e-2, 400, master_seed=17, store_every=10)
+# a driftless run of 400 paths on [0, 10], stored every 10th step
+DRIFTLESS = (Sde1D(drift=zero), 1.0, 10.0, 1e-2, 400, 17)
 
 
 class TestExceedance:
-    def test_infinite_envelope_never_exceeded(self, driftless_ens):
-        fractions = exceedance(driftless_ens,
-                               lambda t: np.full_like(t, np.inf),
-                               C_grid=[1.0], t0=0.0)
+    def test_infinite_envelope_never_exceeded(self):
+        fractions = exceedance(*DRIFTLESS, lambda t: np.full_like(t, np.inf),
+                               C_grid=[1.0], t0=0.0, store_every=10)
         assert fractions[0] == 0.0
 
-    def test_zero_envelope_always_exceeded(self, driftless_ens):
-        fractions = exceedance(driftless_ens, lambda t: np.zeros_like(t),
-                               C_grid=[1.0], t0=0.0)
+    def test_zero_envelope_always_exceeded(self):
+        fractions = exceedance(*DRIFTLESS, lambda t: np.zeros_like(t),
+                               C_grid=[1.0], t0=0.0, store_every=10)
         assert fractions[0] == 1.0
 
-    def test_nonincreasing_in_scale(self, driftless_ens):
-        fractions = exceedance(driftless_ens,
-                               lambda t: np.sqrt(np.maximum(t, 0.0)),
-                               C_grid=[0.5, 1.0, 2.0, 4.0], t0=0.0)
+    def test_nonincreasing_in_scale(self):
+        fractions = exceedance(*DRIFTLESS, lambda t: np.sqrt(np.maximum(t, 0.0)),
+                               C_grid=[0.5, 1.0, 2.0, 4.0], t0=0.0,
+                               store_every=10)
         assert np.all(np.diff(fractions) <= 0)
 
-    def test_table_domain_enforced(self, driftless_ens):
+    def test_table_domain_enforced(self):
         profile = profile_from_radial(RadialCoefficient.constant(), 3, "unit_energy")
         rate = rate_table(profile, np.linspace(1.0, 5.0, 20))
         with pytest.raises(ExtrapolationError):
-            exceedance(driftless_ens, rate, C_grid=[1.0], t0=0.0)
+            exceedance(*DRIFTLESS, rate, C_grid=[1.0], t0=0.0, store_every=10)
 
     def test_envelope_fraction_within_pilot_bound(self):
         # repelling drift 2/r under the scaled Euclidean rate table;
         # configuration matches the pinned pilot exactly
         s = Sde1D(drift=lambda x: 2.0 / np.asarray(x, dtype=float),
                   floor=1e-6)
-        ens = ensemble(s, 1.0, 200.0, 1e-2, 2000, master_seed=404,
-                       store_every=100)
-        fractions = exceedance(ens, lambda t: math.sqrt(t * math.log(t)),
-                               C_grid=[4.0], t0=10.0)
+        fractions = exceedance(s, 1.0, 200.0, 1e-2, 2000, 404,
+                               lambda t: math.sqrt(t * math.log(t)),
+                               C_grid=[4.0], t0=10.0, store_every=100)
         assert fractions[0] <= pinned.ENVELOPE_C4_MAX_FRACTION
 
     def test_nd_escape_within_psi(self):
@@ -79,9 +72,9 @@ class TestExceedance:
         coeff = RadialCoefficient.power(1.0)
         psi = rate_table(profile_from_radial(coeff, 3, "unit_energy"),
                          np.geomspace(0.5, 1000.0, 60), scale_c=1.0)
-        fractions = exceedance_mc(IsotropicNd(coeff, 3, 0.01), 1.0, 20.0, 1e-2,
-                                  2000, 2012, euclidean_rate(psi, coeff),
-                                  C_grid=[1.0, 2.0, 4.0, 8.0], t0=1.0)
+        fractions = exceedance(IsotropicNd(coeff, 3, 0.01), 1.0, 20.0, 1e-2,
+                               2000, 2012, euclidean_rate(psi, coeff),
+                               C_grid=[1.0, 2.0, 4.0, 8.0], t0=1.0)
         assert np.all(np.diff(fractions) <= 0.0)
         assert fractions[1] <= pinned.ND_ENVELOPE_C2_MAX_FRACTION
 
@@ -222,25 +215,44 @@ class TestPathNoise:
 
 
 class TestLilStatistic:
-    def test_rejects_small_start(self, driftless_ens):
+    def test_rejects_small_start(self):
         with pytest.raises(DomainError):
-            lil_statistic(driftless_ens, t0=2.0, T=10.0, eps_grid=[0.5])
+            lil_statistic(*DRIFTLESS, t0=2.0, eps_grid=[0.5], store_every=10)
 
     def test_fractions_nested_in_epsilon(self):
         s = Sde1D(drift=zero, sigma=1.0, floor=1e-6)
-        ens = ensemble(s, 1e-6, 2000.0, 1.0, 1500, master_seed=606,
-                       store_every=5)
-        fracs = lil_statistic(ens, t0=10.0, T=2000.0,
-                              eps_grid=[0.0, 0.25, 0.5, 1.0])
+        fracs = lil_statistic(s, 1e-6, 2000.0, 1.0, 1500, 606, t0=10.0,
+                              eps_grid=[0.0, 0.25, 0.5, 1.0], store_every=5)
         assert np.all(np.diff(fracs) <= 0)
         assert fracs[0] > fracs[-1]
 
 
+def _reference(ens, window, env):
+    """Plain-numpy fractions of ``ens``'s paths above env[i] at some stored
+    time of ``window``, one per row i of ``env``."""
+    values = ens.values[:, window]
+    return (values[None] > env[:, None, :]).any(axis=2).mean(axis=1)
+
+
+def _exceedance_reference(ens, rate, C_grid, t0):
+    window = ens.times >= t0
+    env = np.array([[float(rate(C * t)) for t in ens.times[window].tolist()]
+                    for C in C_grid])
+    return _reference(ens, window, env)
+
+
+def _lil_reference(ens, t0, eps_grid):
+    window = ens.times >= t0
+    ts = ens.times[window]
+    base = np.sqrt(2.0 * ts * np.log(np.log(ts)))
+    return _reference(ens, window, (1.0 + np.asarray(eps_grid)[:, None]) * base)
+
+
 class TestStreamedReductions:
-    """exceedance_mc and lil_mc reduce as the chains step; their fractions
-    must equal the stored-ensemble reductions exactly. 700 paths fill two
-    256-path noise chunks and part of a third; 500 steps stored every 7th
-    leave step 500 to be stored as the last."""
+    """exceedance and lil_statistic reduce as the chains step; their
+    fractions must equal a plain-numpy reduction of the stored ensemble
+    exactly. 700 paths fill two 256-path noise chunks and part of a third;
+    500 steps stored every 7th leave step 500 to be stored as the last."""
 
     T, DT, N, EVERY = 5.0, 1e-2, 700, 7
 
@@ -267,10 +279,9 @@ class TestStreamedReductions:
         else:
             rate, expected = (lambda t: math.inf), [0.0, 0.0]
         args = (sde, 1.0, self.T, self.DT, self.N, 41)
-        stored = exceedance(ensemble(*args, store_every=self.EVERY), rate,
-                            C_grid, t0)
-        streamed = exceedance_mc(*args, rate, C_grid, t0,
-                                 store_every=self.EVERY)
+        stored = _exceedance_reference(ensemble(*args, store_every=self.EVERY),
+                                       rate, C_grid, t0)
+        streamed = exceedance(*args, rate, C_grid, t0, store_every=self.EVERY)
         assert streamed.tolist() == stored.tolist()
         if expected is not None:
             assert stored.tolist() == expected
@@ -279,58 +290,42 @@ class TestStreamedReductions:
 
     @pytest.mark.parametrize("store_every", [1, 7])
     def test_column_major_store_reductions(self, store_every):
-        # the stored reductions read ensemble's column-major values, the
-        # streamed ones the kernel's states: the fractions agree
+        # the reference reads ensemble's column-major values, the streamed
+        # reductions the kernel's states: the fractions agree
         sde = Sde1D(drift=lambda x: 2.0 / np.asarray(x, dtype=float),
                     sigma=1.0, floor=0.01)
         args = (sde, 1.0, 5.0, self.DT, self.N, 43)
         ens = ensemble(*args, store_every=store_every)
         assert ens.values.flags.f_contiguous
         C_grid, eps_grid = [2.0, 4.0, 8.0], [0.0, 0.5]
-        stored = exceedance(ens, math.sqrt, C_grid, 1.0)
-        streamed = exceedance_mc(*args, math.sqrt, C_grid, 1.0,
-                                 store_every=store_every)
+        stored = _exceedance_reference(ens, math.sqrt, C_grid, 1.0)
+        streamed = exceedance(*args, math.sqrt, C_grid, 1.0,
+                              store_every=store_every)
         assert streamed.tolist() == stored.tolist()
         assert 0.0 < stored[-1] < stored[0]
-        lil = lil_statistic(ens, 3.0, ens.times[-1], eps_grid)
-        assert lil_mc(*args, 3.0, eps_grid,
-                      store_every=store_every).tolist() == lil.tolist()
+        lil = _lil_reference(ens, 3.0, eps_grid)
+        assert lil_statistic(*args, 3.0, eps_grid,
+                             store_every=store_every).tolist() == lil.tolist()
         assert lil[0] > 0.0
 
     def test_nd_exceedance_equals_stored(self):
         # the radii |X| of 300 paths at n = 3: 900 noise coordinates
         args = (_isotropic(), 1.0, self.T, self.DT, 300, 42)
         C_grid = [16.0, 64.0, 256.0]
-        stored = exceedance(ensemble(*args, store_every=self.EVERY),
-                            math.sqrt, C_grid, 1.0)
-        streamed = exceedance_mc(*args, math.sqrt, C_grid, 1.0,
-                                 store_every=self.EVERY)
+        stored = _exceedance_reference(ensemble(*args, store_every=self.EVERY),
+                                       math.sqrt, C_grid, 1.0)
+        streamed = exceedance(*args, math.sqrt, C_grid, 1.0,
+                              store_every=self.EVERY)
         assert streamed.tolist() == stored.tolist()
         assert 0.0 < stored[-1] < stored[0]
-
-    def test_stored_reductions_read_columns_as_views(self):
-        # 2000 driftless paths x 2001 stored steps (32 MB of values): the
-        # stored reducers read window columns as views, so their peak stays
-        # far below one copy of the window
-        sde = Sde1D(drift=None, sigma=1.0, floor=1e-6)
-        ens = ensemble(sde, 1e-6, 2000.0, 1.0, 2000, 12)
-        tracemalloc.start()
-        try:
-            lil = lil_statistic(ens, 10.0, ens.times[-1], [0.0, 0.5, 1.0])
-            exc = exceedance(ens, math.sqrt, [1.0, 4.0, 16.0], 1.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2e6, peak
-        assert lil[0] > 0.0 and exc[0] > 0.0
 
     def test_lil_equals_stored(self):
         sde = Sde1D(drift=zero, sigma=1.0, floor=1e-6)
         args = (sde, 1e-6, 500.0, 1.0, self.N, 606)
         eps_grid = [0.0, 0.25, 0.5, 1.0]
-        ens = ensemble(*args, store_every=self.EVERY)
-        stored = lil_statistic(ens, 10.0, ens.times[-1], eps_grid)
-        streamed = lil_mc(*args, 10.0, eps_grid, store_every=self.EVERY)
+        stored = _lil_reference(ensemble(*args, store_every=self.EVERY), 10.0,
+                                eps_grid)
+        streamed = lil_statistic(*args, 10.0, eps_grid, store_every=self.EVERY)
         assert streamed.tolist() == stored.tolist()
         assert stored[0] > stored[-1]
 
@@ -355,10 +350,10 @@ class TestRunGate:
         high = Sde1D(drift=lambda x: zero(x) + 1.0, sigma=1.0, floor=1e-6)
         runs = {
             "ensemble": lambda: ensemble(low, 1.0, 0.5, 0.01, 10, 1),
-            "exceedance_mc": lambda: exceedance_mc(
+            "exceedance": lambda: exceedance(
                 low, 1.0, 0.5, 0.01, 10, 1, math.sqrt, [1.0], 0.1),
-            "lil_mc": lambda: lil_mc(low, 1.0, 5.0, 0.01, 10, 1, 3.0,
-                                     [0.0, 1.0]),
+            "lil_statistic": lambda: lil_statistic(
+                low, 1.0, 5.0, 0.01, 10, 1, 3.0, [0.0, 1.0]),
             "coupled_dominance": lambda: coupled_dominance(
                 low, high, 1.0, 0.5, 0.01, 10, 1),
             # the ensembles' path count and the coupled pairs'
@@ -370,7 +365,7 @@ class TestRunGate:
             calls.clear()
             run()
             counts[name] = len(calls)
-        assert counts == {"ensemble": 1, "exceedance_mc": 1, "lil_mc": 1,
+        assert counts == {"ensemble": 1, "exceedance": 1, "lil_statistic": 1,
                           "coupled_dominance": 1, "comparison_mc": 2}
 
     def test_store_every_beyond_int64_stores_first_and_last(self):
@@ -386,9 +381,9 @@ class TestRunGate:
         assert np.array_equal(ens[0].values, ens[1].values)
 
         def fractions(store_every):
-            return (exceedance_mc(*args, math.sqrt, [0.5, 1.0], 1.0,
-                                  store_every=store_every).tolist(),
-                    lil_mc(*args, 3.0, [0.0, 1.0],
-                           store_every=store_every).tolist())
+            return (exceedance(*args, math.sqrt, [0.5, 1.0], 1.0,
+                               store_every=store_every).tolist(),
+                    lil_statistic(*args, 3.0, [0.0, 1.0],
+                                  store_every=store_every).tolist())
 
         assert fractions(huge) == fractions(last)

@@ -546,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", required=True, help="INI config file")
         p.add_argument("--out", help="output CSV path (default stdout)")
         if seed:
-            p.add_argument("--seed", type=int, help="override master seed")
+            p.add_argument("--seed", type=str, help="override master seed")
         return p
 
     add("rate", help="tabulate the escape envelope psi").add_argument(

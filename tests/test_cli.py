@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_features__
 
 RUN = [sys.executable, "-m", "escrate.cli"]
 README_MD = Path(__file__).resolve().parents[1] / "README.md"
@@ -269,70 +270,15 @@ class TestConfigValidation:
             assert res.stderr == ""
             assert res.stdout == stdout, argv[0]
 
-    SIM = ("[model]\nwarp = hyperbolic\nn = 2\nk = 1\n[simulation]\nx0 = 1\n"
-           "t = {t}\ndt = {dt}\nn_paths = 4\nmaster_seed = 1\nfloor = 0.05\n"
-           "output = summary\n")
-
     @pytest.mark.parametrize("command,body,message", [
-        ("rate", "[model]\nfamily = constant\nn = inf\n[solver]\nt_grid = 1\n",
-         "key 'n' in [model] must be finite, got 'inf'"),
-        ("rate", "[model]\nfamily = constant\nn = nan\n[solver]\nt_grid = 1\n",
-         "key 'n' in [model] must be finite, got 'nan'"),
-        ("simulate", SIM.format(t="nan", dt=0.01),
-         "key 't' in [simulation] must be finite, got 'nan'"),
-        ("simulate", SIM.format(t="inf", dt=0.01),
-         "key 't' in [simulation] must be finite, got 'inf'"),
-        ("simulate", SIM.format(t=1, dt="nan"),
-         "key 'dt' in [simulation] must be finite, got 'nan'"),
-        ("conserve", "[model]\nfamily = power\nalpha = nan\n",
-         "key 'alpha' in [model] must be finite, got 'nan'"),
-        ("rate", "[model]\nfamily = constant\nn = 3\n[solver]\nt_grid = 1\n"
-                 "r_lo = nan\n",
-         "key 'r_lo' in [solver] must be finite, got 'nan'"),
-        ("rate", "[model]\nfamily = constant\nn = 3\n[solver]\nt_grid = 1\n"
-                 "r_lo = two\n",
-         "key 'r_lo' in [solver] is not a number: 'two'"),
-        ("rate", "[model]\nfamily = constant\nn = 3\n[solver]\n"
-                 "t_grid = 1,nan,10\n",
-         "key 't_grid' in [solver] must be finite, got '1,nan,10'"),
-        ("rate", "[model]\nfamily = constant\nn = 3\n[solver]\n"
-                 "t_grid = 1,x\n",
-         "key 't_grid' in [solver] is not a number: '1,x'"),
-        ("rate", "[model]\nfamily = constant\nn = 3\n[solver]\n"
-                 "t_grid = geom:1:inf:3\n",
-         "t_grid geometric spec needs finite 0 < lo < hi, count >= 2"),
-        ("verify envelope", "[model]\nwarp = euclidean\nn = 3\n[simulation]\n"
-                            "x0 = 1\nt = 1\ndt = 0.01\nn_paths = 4\n"
-                            "master_seed = 1\n[verify]\nt0 = 1\n"
-                            "envelope = infinity\nc_grid = 1,inf\n",
-         "key 'c_grid' in [verify] must be finite, got '1,inf'"),
-        ("verify lil", "[simulation]\nx0 = 1\nt = 10\ndt = 1\nn_paths = 4\n"
-                       "master_seed = 1\ndrift = none\nsigma = 1\n"
-                       "[verify]\nt0 = 1\neps_grid = 0,nan,1\n",
-         "key 'eps_grid' in [verify] must be finite, got '0,nan,1'"),
-        ("simulate", SIM.format(t=1, dt=0.01) + "barrier = abc\n",
-         "key 'barrier' in [simulation] is not a number: 'abc'"),
-        ("simulate", SIM.format(t=1, dt=0.01) + "barrier = nan\n",
-         "key 'barrier' in [simulation] must be finite, got 'nan'"),
-        ("simulate", SIM.format(t=1, dt=0.01) + "barrier = -inf\n",
-         "key 'barrier' in [simulation] must be finite, got '-inf'"),
         ("simulate", "[simulation]\nt = 1\ndt = 0.01\nn_paths = 4\n"
                      "master_seed = 1\n", "missing key 'x0' in [simulation]"),
         ("verify compare", "[model]\nn = 2\n[simulation]\nx0 = 1\n"
                            "master_seed = 1\n",
          "missing required config section [verify]"),
-        ("rate", "[model]\nfamily = constant\nn = 3\n[solver]\n"
-                 "t_grid = geom:1:10\n",
-         "t_grid geometric spec is geom:<lo>:<hi>:<count>"),
-        ("rate", "[model]\nfamily = constant\nn = 3\n[solver]\n"
-                 "t_grid = geom:1:10:many\n",
-         "bad t_grid spec: 'geom:1:10:many'"),
-    ], ids=["n_inf", "n_nan", "t_nan", "t_inf", "dt_nan", "alpha_nan",
-            "r_lo_nan", "r_lo_text", "t_grid", "t_grid_text", "t_grid_geom",
-            "c_grid", "eps_grid", "barrier_text", "barrier_nan",
-            "barrier_minus_inf", "missing_key", "missing_section",
-            "t_grid_geom_parts", "t_grid_geom_count"])
-    def test_nonfinite_number_exits_2(self, tmp_path, command, body, message):
+    ], ids=["missing_key", "missing_section"])
+    def test_missing_key_or_section_exits_2(self, tmp_path, command, body,
+                                            message):
         cfg = write_config(tmp_path, body)
         res = run_cli(command.split() + ["--config", cfg], tmp_path)
         assert res.returncode == 2
@@ -371,10 +317,12 @@ class TestConfigValidation:
          "key 'master_seed' in [simulation] must be in [0, 2^64), got '-1'"),
         ("config", "1e30",
          "key 'master_seed' in [simulation] must be in [0, 2^64), got '1e30'"),
-        ("flag", "-1", "--seed must be in [0, 2^64), got -1"),
+        ("flag", "-1", "--seed must be in [0, 2^64), got '-1'"),
         ("flag", "18446744073709551616",
-         "--seed must be in [0, 2^64), got 18446744073709551616"),
-    ], ids=["config_negative", "config_1e30", "flag_negative", "flag_2_64"])
+         "--seed must be in [0, 2^64), got '18446744073709551616'"),
+        ("flag", "abc", "--seed is not a number: 'abc'"),
+    ], ids=["config_negative", "config_1e30", "flag_negative", "flag_2_64",
+            "flag_text"])
     @pytest.mark.parametrize("command", ["simulate", "verify compare"])
     def test_seed_out_of_range_exits_2(self, tmp_path, monkeypatch, capsys,
                                        command, source, seed, message):
@@ -396,52 +344,6 @@ class TestConfigValidation:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"ConfigError: {message}\n"
-
-    @pytest.mark.parametrize("command, drift", [
-        ("simulate", "manifold"), ("simulate", "hyperbolic_bound"),
-        ("simulate", "coefficient"), ("simulate", "none"),
-        ("verify compare", "manifold")],
-        ids=["manifold", "hyperbolic_bound", "coefficient", "none", "compare"])
-    @pytest.mark.parametrize("floor", ["0", "-1e-6"])
-    def test_nonpositive_floor_exits_2(self, tmp_path, capsys, command, drift,
-                                       floor):
-        # the chain owns the floor: one typed error, whatever the drift
-        from escrate import cli
-
-        cfg = write_config(tmp_path, (
-            "[model]\nfamily = power\nalpha = 1\nwarp = hyperbolic\nn = 2\n"
-            "k = 1\n[simulation]\nx0 = 1\nt = 0.5\ndt = 0.01\nn_paths = 4\n"
-            f"master_seed = 7\ndrift = {drift}\nfloor = {floor}\n"
-            "output = summary\n[verify]\nt = 0.5\ndelta = 0.8\nr = 10\n"
-            "n_paths = 4\ndt = 0.001\n"))
-        assert cli.main(command.split() + ["--config", cfg]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "DomainError: floor must be positive\n"
-
-    @pytest.mark.parametrize("n_paths", ["1e20", "12345678901234567890"],
-                             ids=["1e20", "20_digits"])
-    @pytest.mark.parametrize("command", ["simulate", "verify envelope",
-                                         "verify lil", "verify compare"])
-    def test_path_count_beyond_a_run_exits_2(self, tmp_path, capsys, command,
-                                             n_paths):
-        # 2^63 noise coordinates or more: one typed error, before any array
-        # of paths is made
-        from escrate import cli
-
-        cfg = write_config(tmp_path, (
-            "[model]\nfamily = constant\nwarp = hyperbolic\nn = 2\nk = 1\n"
-            "[solver]\nt_grid = geom:1:100:20\nscale_c = 1\n"
-            "[simulation]\nx0 = 1\nt = 5\ndt = 0.01\nmaster_seed = 7\n"
-            f"n_paths = {n_paths}\nfloor = 0.05\noutput = summary\n"
-            "[verify]\nc_grid = 1,2\nt0 = 3\nt = 0.5\ndelta = 0.8\nr = 10\n"
-            f"n_paths = {n_paths}\ndt = 0.001\n"))
-        assert cli.main(command.split() + ["--config", cfg]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("DomainError: n_paths x width = ")
-        assert captured.err.endswith(" noise coordinates is more than a run "
-                                     "can take\n")
 
     @pytest.mark.parametrize("command, body, error", [
         ("rate", "[model]\nfamily = constant\nn = 3\n"
@@ -663,6 +565,26 @@ class TestReadmeExamples:
         assert outputs[0] == outputs[1]
         assert len(outputs[0][0].splitlines()) == {"rate": 51,
                                                    "simulate": 1001}[command]
+
+    @pytest.mark.skipif(not __cpu_features__.get("X86_V4"),
+                        reason="numpy has no AVX-512 (X86_V4) loops here")
+    def test_same_bytes_on_avx2_and_avx512(self, tmp_path):
+        # README's configs in child processes, on numpy's AVX-512 loops and
+        # with them disabled: the simulated bytes are equal, while rate rows
+        # may move by an ulp or two (README)
+        avx2 = dict(os.environ,
+                    NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+        runs = {}
+        for command, text in readme_configs().items():
+            cfg = write_config(tmp_path, text, f"{command}.ini")
+            for env in (None, avx2):
+                res = run_cli([command, "--config", cfg], tmp_path, env)
+                assert res.returncode == 0 and res.stderr == "", res.stderr
+                runs.setdefault(command, []).append(res.stdout)
+        assert runs["simulate"][0] == runs["simulate"][1]
+        rows = [np.loadtxt(io.StringIO(out), delimiter=",", skiprows=1)
+                for out in runs["rate"]]
+        np.testing.assert_allclose(rows[1], rows[0], rtol=1e-14, atol=0)
 
 
 class TestModulesLoaded:
@@ -977,24 +899,22 @@ class TestSimulate:
         assert res.returncode == 0, res.stderr
         assert res.stdout == ref.stdout and res.stdout.startswith("path,")
 
-    def test_seed_flag_changes_output(self, tmp_path):
-        cfg = write_config(tmp_path, self.SIM)
-        a = run_cli(["simulate", "--config", cfg], tmp_path)
-        b = run_cli(["simulate", "--config", cfg, "--seed", "13"], tmp_path)
-        assert a.returncode == b.returncode == 0
-        assert a.stdout != b.stdout
-
-    def test_seed_beyond_float_precision(self, tmp_path):
-        # 2^53 + 1: a float would round it to 2^53
-        cfg = write_config(tmp_path, self.SIM.replace(
-            "master_seed = 12", "master_seed = 9007199254740993"))
-        a = run_cli(["simulate", "--config", cfg], tmp_path)
-        b = run_cli(["simulate", "--config", cfg, "--seed", "9007199254740993"],
-                    tmp_path)
-        c = run_cli(["simulate", "--config", cfg, "--seed", "9007199254740992"],
-                    tmp_path)
-        assert a.returncode == b.returncode == c.returncode == 0
-        assert a.stdout == b.stdout != c.stdout
+    def test_seed_flag_parsed_as_master_seed(self, tmp_path):
+        # --seed overrides master_seed through its parser: 1.2e1 is seed 12,
+        # and 2^53 + 1 stays exact (a float would round it to 2^53)
+        small = write_config(tmp_path, self.SIM)
+        big = write_config(tmp_path, self.SIM.replace(
+            "master_seed = 12", "master_seed = 9007199254740993"), "big.ini")
+        runs = [run_cli(["simulate", "--config", cfg] + flag, tmp_path)
+                for cfg, flag in ((small, []), (big, ["--seed", "1.2e1"]),
+                                  (big, []),
+                                  (small, ["--seed", "9007199254740993"]),
+                                  (big, ["--seed", "9007199254740992"]))]
+        assert [res.returncode for res in runs] == [0] * 5
+        seed_12, flag_12, seed_big, flag_big, flag_2_53 = (
+            res.stdout for res in runs)
+        assert seed_12 == flag_12 and seed_big == flag_big
+        assert len({seed_12, seed_big, flag_2_53}) == 3
 
     def test_out_file_lf_endings(self, tmp_path):
         cfg = write_config(tmp_path, self.SIM)
@@ -1128,15 +1048,6 @@ class TestSimulate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == message + "\n"
-
-    @pytest.mark.parametrize("sigma", ["nan", "inf"])
-    def test_nonfinite_sigma_exits_2(self, tmp_path, sigma):
-        # rejected when the chain is built, before any step or raw warning
-        cfg = write_config(tmp_path, self.SIM + f"sigma = {sigma}\n")
-        res = run_cli(["simulate", "--config", cfg], tmp_path)
-        assert res.returncode == 2
-        assert res.stdout == ""
-        assert res.stderr == f"DomainError: sigma must be finite, got {sigma}\n"
 
     def test_overshooting_coefficient_drift_one_error_line(self, tmp_path):
         # at the default floor 1e-6 the chain overshoots near the origin;
@@ -1311,17 +1222,6 @@ class TestVerify:
             tracemalloc.stop()
         assert rcs == [0] * runs
         assert peak < bound, peak
-
-    def test_compare_without_paths_exits_2(self, tmp_path):
-        for n_paths in (0, -3):
-            cfg = write_config(tmp_path, (
-                "[model]\nwarp = hyperbolic\nn = 2\nk = 1\n"
-                "[simulation]\nx0 = 1\nfloor = 0.05\nmaster_seed = 21\n"
-                "[verify]\nt = 0.5\ndelta = 0.8\nr = 10\n"
-                f"n_paths = {n_paths}\ndt = 0.001\n"))
-            res = run_cli(["verify", "compare", "--config", cfg], tmp_path)
-            assert res.returncode == 2, (n_paths, res.stderr)
-            assert "Warning" not in res.stderr
 
 
 class TestStreamedVerify:

@@ -1,24 +1,34 @@
-"""The CLI's error contract, swept over the config schema.
+"""The CLI's config-error contract, swept over the config schema.
 
 One small base config per command and drift route. Each key that
 ``cli._SCHEMA`` declares for a base's sections is set in turn to each of a
 list of hostile values, and the run goes through ``cli.main`` in process.
-Every run must exit 0, 2, 3, 4 or 5, with stderr empty, one
+Where the key's ``_SCHEMA`` parser refuses the value, the run must print
+exactly ``ConfigError: <the parser's message>`` and exit 2, or match the
+base's run where the command never reads the key; a ``floor`` <= 0, a
+non-finite ``sigma`` and an ``n_paths`` below 1 or of 2^63 or more are held
+to their run gates' exact lines alike.
+Every other run must exit 0, 2, 3, 4 or 5 with stderr empty, one
 ``<ErrorClass>: `` line whose class declares that exit code, or ``rate``'s
-``note:`` line. Under pyproject's ``error::RuntimeWarning`` a raw warning is
-an exception out of ``main``, so it fails the sweep too. The cases are
-generated from the schema, so a new key is swept without an edit.
+``note:`` line; an error exit prints nothing on stdout. Under pyproject's
+``error::RuntimeWarning`` a raw warning is an exception out of ``main``, so
+it fails the sweep too. The cases come from the schema, so a new key is
+swept without an edit. One table per parser pins its messages.
 
 No swept value is a count between the 2^63 noise-coordinate gate and a small
 one, so no run asks for a large array.
 """
 
+import contextlib
+import io
+import math
 import re
 
 import pytest
 
 from escrate import errors
-from escrate.cli import _SCHEMA, main
+from escrate.cli import (_SCHEMA, _barrier, _int, _number, _numbers, _seed,
+                         _t_grid, main)
 
 VALUES = ["", "nan", "inf", "-inf", "-1", "0", "-0", "1e-320", "1e308",
           "1e20", "12345678901234567890", "2.5", "abc", "1,2", "true"]
@@ -93,6 +103,38 @@ def _ini(sections) -> str:
                    for name, body in sections.items())
 
 
+def _run(tmp_path, command, sections):
+    """(exit code, stdout, stderr) of one run of ``command`` on ``sections``."""
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(_ini(sections))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(command.split() + ["--config", str(cfg)])
+        except Exception as exc:  # a traceback, or a raw warning as an error
+            rc = f"{type(exc).__name__}: {exc}"
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _pinned(section, key, value):
+    """The exact stderr of a run that reads ``value`` for ``key``, or None."""
+    parse, _ = _SCHEMA[section][key]
+    try:
+        parsed = parse(value, f"key '{key}' in [{section}]")
+    except errors.ConfigError as exc:
+        return f"ConfigError: {exc}\n"
+    if key == "floor" and parsed <= 0:
+        return "DomainError: floor must be positive\n"
+    if key == "sigma" and not math.isfinite(parsed):
+        return f"DomainError: sigma must be finite, got {parsed}\n"
+    if key == "n_paths" and parsed < 1:
+        return "DomainError: n_paths must be >= 1\n"
+    if key == "n_paths" and parsed >= 2 ** 63:
+        return (f"DomainError: n_paths x width = {parsed} x 1 noise "
+                "coordinates is more than a run can take\n")
+    return None
+
+
 def _exit_code(name):
     """The exit code a stderr line's leading name stands for, or None."""
     if name == "MemoryError":
@@ -103,10 +145,12 @@ def _exit_code(name):
     return None
 
 
-def _breach(command, rc, err):
-    """What a run's exit code and stderr break of the contract, or None."""
+def _breach(command, rc, out, err):
+    """What a run breaks of the contract, or None."""
     if not isinstance(rc, int) or rc not in (0, 2, 3, 4, 5):
         return "exit code"
+    if rc in (2, 3, 4) and out != "":
+        return "error exit with stdout"
     if err == "":
         return None if rc in (0, 5) else "error exit with empty stderr"
     line = _ONE_LINE.fullmatch(err)
@@ -117,35 +161,77 @@ def _breach(command, rc, err):
     return None if _exit_code(line[1]) == rc else "exit code of the class"
 
 
+@pytest.fixture(scope="module")
+def base_runs(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("bases")
+    return {label: _run(tmp, *BASES[label]) for label in BASES}
+
+
 @pytest.mark.parametrize("label", sorted(BASES))
-def test_base_config_runs(tmp_path, capsys, label):
+def test_base_config_runs(base_runs, label):
     # each base is a working run, so a swept value is the only fault
-    command, sections = BASES[label]
-    cfg = tmp_path / "cfg.ini"
-    cfg.write_text(_ini(sections))
-    assert main(command.split() + ["--config", str(cfg)]) in (0, 5)
-    assert capsys.readouterr().err == ""
+    rc, _, err = base_runs[label]
+    assert rc in (0, 5)
+    assert err == ""
 
 
 @pytest.mark.parametrize("label, section, key", [
     (label, section, key)
     for label, (_, sections) in sorted(BASES.items())
     for section in sections for key in _SCHEMA[section]])
-def test_swept_key_keeps_the_error_contract(tmp_path, capsys, label, section,
-                                            key):
+def test_swept_key_keeps_the_error_contract(tmp_path, base_runs, label,
+                                            section, key):
     command, sections = BASES[label]
-    cfg = tmp_path / "cfg.ini"
     found = []
     for value in VALUES:
         swept = dict(sections, **{section: dict(sections[section],
                                                 **{key: value})})
-        cfg.write_text(_ini(swept))
-        try:
-            rc = main(command.split() + ["--config", str(cfg)])
-        except Exception as exc:  # a traceback, or a raw warning as an error
-            rc = f"{type(exc).__name__}: {exc}"
-        err = capsys.readouterr().err
-        breach = _breach(command, rc, err)
+        run = _run(tmp_path, command, swept)
+        pinned = _pinned(section, key, value)
+        if pinned is None:
+            breach = _breach(command, *run)
+        else:  # read: the pinned line, named on a breach; unread: the base
+            breach = run not in (base_runs[label], (2, "", pinned)) and pinned
         if breach:
-            found.append((value, breach, rc, err))
+            found.append((value, breach, run))
     assert found == []
+
+
+# parser -> rows of (text, its message for a key named "k"), one row per
+# class of value the parser refuses
+_GEOM = "t_grid geometric spec needs finite 0 < lo < hi, count >= 2"
+MESSAGES = {
+    _number: [("abc", "k is not a number: 'abc'"),
+              ("nan", "k must be finite, got 'nan'"),
+              ("-inf", "k must be finite, got '-inf'"),
+              ("1e400", "k must be finite, got '1e400'")],
+    _int: [("abc", "k is not a number: 'abc'"),
+           ("inf", "k must be finite, got 'inf'"),
+           ("2.5", "k must be an integer")],
+    _seed: [("abc", "k is not a number: 'abc'"),
+            ("2.5", "k must be an integer"),
+            ("-1", "k must be in [0, 2^64), got '-1'"),
+            ("18446744073709551616",
+             "k must be in [0, 2^64), got '18446744073709551616'")],
+    _numbers: [("1,x", "k is not a number: '1,x'"),
+               ("1,nan", "k must be finite, got '1,nan'")],
+    _t_grid: [("1,x", "k is not a number: '1,x'"),
+              ("geom:1:10", "t_grid geometric spec is geom:<lo>:<hi>:<count>"),
+              ("geom:1:10:many", "bad t_grid spec: 'geom:1:10:many'"),
+              ("geom:1:inf:3", _GEOM), ("geom:10:1:3", _GEOM),
+              ("geom:1:10:1", _GEOM)],
+    _barrier: [("abc", "k is not a number: 'abc'"),
+               ("nan", "k must be finite, got 'nan'"),
+               ("-inf", "k must be finite, got '-inf'")],
+}
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse, text, message) for parse, rows in MESSAGES.items()
+    for text, message in rows],
+    ids=[f"{parse.__name__}-{text}" for parse, rows in MESSAGES.items()
+         for text, _ in rows])
+def test_parser_message(parse, text, message):
+    with pytest.raises(errors.ConfigError) as exc:
+        parse(text, "k")
+    assert str(exc.value) == message

@@ -8,10 +8,13 @@ package taken from this checkout's ``src``. Calls that simulate get
 ``--seed 41``, as the benchmark passes its seed. Each config prints one line:
 its label (``workload/call`` or ``README/command``), its exit code and one
 sha256 over its stdout, its stderr and its ``--out`` bytes. LABELs select
-configs; none runs all of them.
+configs; none runs all of them. One stderr line names numpy's version and
+the highest SIMD target its loops dispatch to (for example ``AVX512_SPR``):
+rate and dyadic values can differ in the last ulps between targets.
 
 To check that a change keeps every byte, run the tool in a checkout of the
-parent and in the change, and ``diff`` the two outputs.
+parent and in the change, and ``diff`` the two outputs. Two digests compare
+only when their stderr lines match.
 """
 
 import argparse
@@ -28,6 +31,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+import numpy  # noqa: E402
+from numpy._core import _multiarray_umath  # noqa: E402
 
 import escrate.cli  # noqa: E402
 from escrate.pinned import LIL_EPS05_MAX_FRACTION  # noqa: E402
@@ -81,6 +87,13 @@ def digest(argv, config) -> tuple:
     return rc, h.hexdigest()
 
 
+def dispatch() -> str:
+    """numpy's version and the highest dispatch target this host enables."""
+    enabled = [target for target in _multiarray_umath.__cpu_dispatch__
+               if _multiarray_umath.__cpu_features__.get(target)]
+    return f"numpy {numpy.__version__} dispatch {(enabled or ['baseline'])[-1]}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("labels", nargs="*", help="configs to run (default all)")
@@ -89,6 +102,7 @@ def main(argv=None) -> int:
     unknown = sorted(set(args.labels) - set(found))
     if unknown:
         parser.error(f"unknown label(s): {', '.join(unknown)}")
+    print(dispatch(), file=sys.stderr)
     for label in args.labels or found:
         rc, sha = digest(*found[label])
         print(f"{label} {rc} {sha}")

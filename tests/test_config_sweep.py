@@ -13,7 +13,7 @@ Every other run must exit 0, 2, 3, 4 or 5 with stderr empty, one
 ``note:`` line; an error exit prints nothing on stdout. Under pyproject's
 ``error::RuntimeWarning`` a raw warning is an exception out of ``main``, so
 it fails the sweep too. The cases come from the schema, so a new key is
-swept without an edit. One table per parser pins its messages.
+swept without an edit. Two tables pin each parser's messages and reads.
 
 No swept value is a count between the 2^63 noise-coordinate gate and a small
 one, so no run asks for a large array.
@@ -197,41 +197,54 @@ def test_swept_key_keeps_the_error_contract(tmp_path, base_runs, label,
     assert found == []
 
 
-# parser -> rows of (text, its message for a key named "k"), one row per
-# class of value the parser refuses
+# parser -> rows of (text, its message for a key named "k") per class of
+# value it refuses; READS: rows of (text, the value read) per accepted form
 _GEOM = "t_grid geometric spec needs finite 0 < lo < hi, count >= 2"
+_NAN, _INF = "k must be finite, got 'nan'", "k must be finite, got 'inf'"
+_ABC, _INT = "k is not a number: 'abc'", "k must be an integer"
+_X, _NINF = "k is not a number: '1,x'", "k must be finite, got '-inf'"
 MESSAGES = {
-    _number: [("abc", "k is not a number: 'abc'"),
-              ("nan", "k must be finite, got 'nan'"),
-              ("-inf", "k must be finite, got '-inf'"),
+    _number: [("abc", _ABC), ("nan", _NAN), ("inf", _INF), ("-inf", _NINF),
               ("1e400", "k must be finite, got '1e400'")],
-    _int: [("abc", "k is not a number: 'abc'"),
-           ("inf", "k must be finite, got 'inf'"),
-           ("2.5", "k must be an integer")],
-    _seed: [("abc", "k is not a number: 'abc'"),
-            ("2.5", "k must be an integer"),
+    _int: [("abc", _ABC), ("nan", _NAN), ("inf", _INF), ("2.5", _INT)],
+    _seed: [("abc", _ABC), ("inf", _INF), ("2.5", _INT),
             ("-1", "k must be in [0, 2^64), got '-1'"),
             ("18446744073709551616",
              "k must be in [0, 2^64), got '18446744073709551616'")],
-    _numbers: [("1,x", "k is not a number: '1,x'"),
+    _numbers: [("1,x", _X), ("1,,2", "k is not a number: '1,,2'"),
                ("1,nan", "k must be finite, got '1,nan'")],
-    _t_grid: [("1,x", "k is not a number: '1,x'"),
+    _t_grid: [("1,x", _X), ("geom:0:10:3", _GEOM), ("geom:1:inf:3", _GEOM),
+              ("geom:10:1:3", _GEOM), ("geom:1:10:1", _GEOM),
               ("geom:1:10", "t_grid geometric spec is geom:<lo>:<hi>:<count>"),
               ("geom:1:10:many", "bad t_grid spec: 'geom:1:10:many'"),
-              ("geom:1:inf:3", _GEOM), ("geom:10:1:3", _GEOM),
-              ("geom:1:10:1", _GEOM)],
-    _barrier: [("abc", "k is not a number: 'abc'"),
-               ("nan", "k must be finite, got 'nan'"),
-               ("-inf", "k must be finite, got '-inf'")],
+              ("geom:1:10:2.5", "bad t_grid spec: 'geom:1:10:2.5'")],
+    _barrier: [("", "k is not a number: ''"), ("abc", _ABC), ("nan", _NAN),
+               ("-inf", _NINF)],
+}
+READS = {
+    _number: [("1e-320", 1e-320), ("2.5", 2.5)],
+    _int: [("1e3", 1000), ("12345678901234567890", 12345678901234567890)],
+    _seed: [("1e3", 1000), ("18446744073709551615", 2 ** 64 - 1)],
+    _numbers: [("", []), ("1,2.5", [1.0, 2.5])],
+    _t_grid: [("", []), ("geom:1:100:3", [1.0, 10.0, 100.0])],
+    _barrier: [("inf", math.inf), ("1e400", math.inf), ("-2", -2.0)],
 }
 
 
-@pytest.mark.parametrize("parse, text, message", [
-    (parse, text, message) for parse, rows in MESSAGES.items()
-    for text, message in rows],
-    ids=[f"{parse.__name__}-{text}" for parse, rows in MESSAGES.items()
-         for text, _ in rows])
+def _rows(table):
+    return [pytest.param(parse, text, want, id=f"{parse.__name__}-{text}")
+            for parse, rows in table.items() for text, want in rows]
+
+
+@pytest.mark.parametrize("parse, text, message", _rows(MESSAGES))
 def test_parser_message(parse, text, message):
     with pytest.raises(errors.ConfigError) as exc:
         parse(text, "k")
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("parse, text, value", _rows(READS))
+def test_parser_reads(parse, text, value):
+    read = parse(text, "k")
+    read = read.tolist() if hasattr(read, "tolist") else read
+    assert type(read) is type(value) and read == value

@@ -186,10 +186,9 @@ def _need(cfg, section: str) -> None:
         raise ConfigError(f"missing required config section [{section}]")
 
 
-def _master_seed(cfg, seed_override):
-    """``--seed`` if given, else [simulation] master_seed."""
-    return (_get(cfg, "simulation", "master_seed") if seed_override is None
-            else _seed(seed_override, "--seed"))
+def _master_seed(cfg, seed):
+    """``--seed`` if given (parsed by main), else [simulation] master_seed."""
+    return _get(cfg, "simulation", "master_seed") if seed is None else seed
 
 
 def _family(cfg):
@@ -564,6 +563,8 @@ def main(argv=None) -> int:
     out = None
     try:
         cfg = None if args.command == "catalogue" else load_config(args.config)
+        seed = getattr(args, "seed", None)  # on simulate and verify only
+        seed = None if seed is None else _seed(seed, "--seed")
         out = _Out(args.out)
         if args.command == "catalogue":
             code = cmd_catalogue(out)
@@ -572,9 +573,9 @@ def main(argv=None) -> int:
         elif args.command == "conserve":
             code = cmd_conserve(cfg, out)
         elif args.command == "simulate":
-            code = cmd_simulate(cfg, out, args.seed)
+            code = cmd_simulate(cfg, out, seed)
         else:
-            code = cmd_verify(cfg, args.mode, out, args.seed)
+            code = cmd_verify(cfg, args.mode, out, seed)
         out.commit()
         return code  # EXIT_OK, or EXIT_VERIFY after its FAIL line
     except EscrateError as exc:

@@ -131,15 +131,18 @@ def _terminal_run(sde: Sde1D, x0: float, T: float, dt: float, n_paths: int,
 
 
 def _coupled_run(low: Sde1D, high: Sde1D, x0: float, T: float, dt: float,
-                 n_paths: int, seed: int) -> float:
-    """Fraction of shared-noise pairs with x_low <= x_high at every step."""
+                 n_paths: int, seed: int, barrier: float = math.inf):
+    """Per-pair flags of x_low <= x_high at every step on shared noise, and
+    the high chain's terminal states and exit flags as _terminal_run's."""
     ordered = np.ones(n_paths, dtype=bool)
     below = np.empty_like(ordered)
+    peak = np.full(n_paths, -np.inf)
     for _, (x_low, x_high) in _shared_noise_run([low, high], x0, T, dt,
                                                 n_paths, seed):
         np.less_equal(x_low, x_high, out=below)
         np.logical_and(ordered, below, out=ordered)
-    return float(np.mean(ordered))
+        np.maximum(peak, x_high, out=peak)
+    return ordered, x_high, peak > barrier
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +158,8 @@ class ComparisonReport:
     the lhs process away from 0, so lhs <= rhs up to noise; ``violation`` is
     set when lhs exceeds rhs by more than two combined standard errors.
     ``coupled_dominance_fraction`` is None when the coupling check was
-    skipped; ``seeds`` holds the sub-seeds of the three runs, by name.
+    skipped; its pairs are the lhs paths, each with a dominated companion.
+    ``seeds`` holds the sub-seeds of the independent lhs and rhs runs.
     """
 
     lhs_estimate: float
@@ -202,7 +206,10 @@ def comparison_mc(dominating: Sde1D, dominated: Sde1D, r0: float, t: float,
 
     ``coupling_paths`` sizes the shared-noise ordering check (defaults to N;
     0 skips it — the check is an exact deterministic property, so a smaller
-    pair count loses nothing when the monotone-step condition holds). Both
+    pair count loses nothing when the monotone-step condition holds). The
+    pairs are the lhs run's paths, each with a dominated companion on its
+    noise: the run covers max(N, coupling_paths) paths and lhs reads the
+    first N. rhs keeps its own stream, so lhs and rhs stay independent. Both
     path counts are checked before any run; a negative one is a DomainError.
     """
     n_cpl = N if coupling_paths is None else coupling_paths
@@ -212,28 +219,29 @@ def comparison_mc(dominating: Sde1D, dominated: Sde1D, r0: float, t: float,
         raise DomainError("need r0 < R and 0 < delta < R")
     _check_coupled(dominated, dominating)
     _check_drift_order(dominated, dominating, R)
-    seed_lhs, seed_rhs, seed_cpl = _sub_seeds(master_seed, 3)
+    seed_lhs, seed_rhs = _sub_seeds(master_seed, 2)
 
-    x_lhs, exited_lhs = _terminal_run(dominating, r0, t, dt, N, seed_lhs, R)
+    if n_cpl:  # the lhs paths, each with a dominated companion
+        ordered, x_lhs, exited_lhs = _coupled_run(
+            dominated, dominating, r0, t, dt, max(N, n_cpl), seed_lhs, R)
+    else:
+        x_lhs, exited_lhs = _terminal_run(dominating, r0, t, dt, N, seed_lhs, R)
     x_rhs, exited_rhs = _terminal_run(dominated, r0, t, dt, N, seed_rhs, R)
 
-    def estimate(x, exited):
-        hit = (~exited) & (x < delta)
+    def estimate(x, exited):  # over the first N paths
+        hit = (~exited[:N]) & (x[:N] < delta)
         p = float(np.mean(hit))
-        return p, math.sqrt(p * (1.0 - p) / x.size)
+        return p, math.sqrt(p * (1.0 - p) / N)
 
     lhs, se_l = estimate(x_lhs, exited_lhs)
     rhs, se_r = estimate(x_rhs, exited_rhs)
-
-    frac = None
-    if n_cpl:
-        frac = _coupled_run(dominated, dominating, r0, t, dt, n_cpl, seed_cpl)
+    frac = float(np.mean(ordered[:n_cpl])) if n_cpl else None
 
     violation = lhs > rhs + 2.0 * math.sqrt(se_l ** 2 + se_r ** 2)
     return ComparisonReport(
         lhs_estimate=lhs, lhs_stderr=se_l, rhs_estimate=rhs, rhs_stderr=se_r,
         coupled_dominance_fraction=frac, violation=violation,
-        seeds={"lhs": seed_lhs, "rhs": seed_rhs, "coupled": seed_cpl})
+        seeds={"lhs": seed_lhs, "rhs": seed_rhs})
 
 
 def coupled_dominance(low: Sde1D, high: Sde1D, x0: float, T: float, dt: float,
@@ -251,7 +259,8 @@ def coupled_dominance(low: Sde1D, high: Sde1D, x0: float, T: float, dt: float,
     if bounds and dt > 1.0 / max(bounds):
         raise DomainError(
             f"dt={dt} violates the monotone-step condition dt <= {1.0 / max(bounds):.6g}")
-    return _coupled_run(low, high, x0, T, dt, N, master_seed)
+    ordered, _, _ = _coupled_run(low, high, x0, T, dt, N, master_seed)
+    return float(np.mean(ordered))
 
 
 # ---------------------------------------------------------------------------

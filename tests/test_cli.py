@@ -61,6 +61,18 @@ _UNALLOCATABLE = {
 }
 
 
+_SEED_CASES = {  # source, value and message of a refused seed
+    "config_negative": ("config", "-1", "key 'master_seed' in "
+                        "[simulation] must be in [0, 2^64), got '-1'"),
+    "config_1e30": ("config", "1e30", "key 'master_seed' in "
+                    "[simulation] must be in [0, 2^64), got '1e30'"),
+    "flag_negative": ("flag", "-1", "--seed must be in [0, 2^64), got '-1'"),
+    "flag_2_64": ("flag", "18446744073709551616",
+                  "--seed must be in [0, 2^64), got '18446744073709551616'"),
+    "flag_text": ("flag", "abc", "--seed is not a number: 'abc'"),
+}
+
+
 class TestConfigValidation:
     def test_unknown_key_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, "[model]\nfamily = constant\nbogus = 1\n")
@@ -312,29 +324,28 @@ class TestConfigValidation:
         assert res.stdout == ""
         assert res.stderr == f"ConfigError: {message}\n"
 
-    @pytest.mark.parametrize("source,seed,message", [
-        ("config", "-1",
-         "key 'master_seed' in [simulation] must be in [0, 2^64), got '-1'"),
-        ("config", "1e30",
-         "key 'master_seed' in [simulation] must be in [0, 2^64), got '1e30'"),
-        ("flag", "-1", "--seed must be in [0, 2^64), got '-1'"),
-        ("flag", "18446744073709551616",
-         "--seed must be in [0, 2^64), got '18446744073709551616'"),
-        ("flag", "abc", "--seed is not a number: 'abc'"),
-    ], ids=["config_negative", "config_1e30", "flag_negative", "flag_2_64",
-            "flag_text"])
-    @pytest.mark.parametrize("command", ["simulate", "verify compare"])
+    # verify dyadic never reads a seed, so only the flag cases reach it
+    @pytest.mark.parametrize("command,source,seed,message", [
+        pytest.param(command, *case, id=f"{command}-{name}")
+        for command in ("simulate", "verify compare", "verify dyadic")
+        for name, case in _SEED_CASES.items()
+        if command != "verify dyadic" or case[0] == "flag"])
     def test_seed_out_of_range_exits_2(self, tmp_path, monkeypatch, capsys,
                                        command, source, seed, message):
-        # a Philox key is a uint64: checked before any chain steps
-        from escrate import cli, sde, verify as verify_mod
+        # a Philox key is a uint64: --seed is parsed before any command
+        # runs, and a config seed before any chain steps
+        from escrate import cli, rate_solver, sde, verify as verify_mod
 
         def run(*args, **kwargs):
-            raise AssertionError("a chain stepped")
+            raise AssertionError("a chain stepped or a scheme was built")
 
         monkeypatch.setattr(sde, "_shared_noise_run", run)
         monkeypatch.setattr(verify_mod, "comparison_mc", run)
+        monkeypatch.setattr(rate_solver, "dyadic_scheme", run)
         cfg = write_config(tmp_path, (
+            "[model]\nfamily = constant\nn = 3\nmode = unit_energy\n"
+            "[verify]\nc = 4\nn_levels = 30\n") if command == "verify dyadic"
+            else (
             "[model]\nwarp = hyperbolic\nn = 2\nk = 1\n[simulation]\nx0 = 1\n"
             "t = 0.5\ndt = 0.01\nn_paths = 4\nfloor = 0.05\noutput = summary\n"
             f"master_seed = {seed if source == 'config' else 7}\n"
@@ -1139,6 +1150,10 @@ class TestVerify:
         assert res.returncode == 0
         assert "sum_bound=" in res.stdout
         assert "PASS" in res.stdout
+        # a valid --seed is accepted and unused: dyadic simulates nothing
+        seeded = run_cli(["verify", "dyadic", "--config", cfg, "--seed", "7"],
+                         tmp_path)
+        assert (seeded.returncode, seeded.stdout) == (0, res.stdout)
 
     def test_dyadic_fail_line_exits_5(self, tmp_path, capsys):
         # one level: its bound is not below 1e-3 of the sum, which it is

@@ -151,6 +151,61 @@ class TestComparisonMc:
             comparison_mc(Sde1D(drift=None), Sde1D(drift=one), r0=1.0, t=1.0,
                           delta=0.5, R=5.0, N=100, dt=1e-2, master_seed=1)
 
+    # coth against 1 + 1/r on a small floor, with no Lipschitz bound: some
+    # coupled pairs cross, so the fraction is below 1
+    FUSED = dict(r0=1.0, t=1.0, delta=1.0, R=2.5, N=300, dt=1e-2,
+                 master_seed=55)
+
+    def _fused_pair(self):
+        low = Sde1D(drift=lambda r: 1.0 / np.tanh(np.asarray(r, dtype=float)),
+                    floor=0.01, lipschitz=None)
+        high = Sde1D(drift=lambda r: 1.0 + 1.0 / np.asarray(r, dtype=float),
+                     floor=0.01, lipschitz=None)
+        return high, low
+
+    def test_coupling_leaves_the_estimates(self):
+        # the lhs run reads the first N paths of the fused run, whose noise
+        # is a function of (seed, path index) only
+        high, low = self._fused_pair()
+        N = self.FUSED["N"]
+        reports = [comparison_mc(high, low, **self.FUSED, coupling_paths=n)
+                   for n in (0, N // 4, N, 2 * N)]
+        sides = {(r.lhs_estimate, r.lhs_stderr, r.rhs_estimate, r.rhs_stderr)
+                 for r in reports}
+        assert len(sides) == 1
+        assert 0.0 < reports[0].lhs_estimate < reports[0].rhs_estimate < 1.0
+
+    @pytest.mark.parametrize("coupling_paths", [75, 300, 600])
+    def test_coupled_pairs_are_the_lhs_paths(self, coupling_paths):
+        high, low = self._fused_pair()
+        rep = comparison_mc(high, low, **self.FUSED,
+                            coupling_paths=coupling_paths)
+        f = self.FUSED
+        assert rep.coupled_dominance_fraction == coupled_dominance(
+            low, high, f["r0"], f["t"], f["dt"], coupling_paths,
+            rep.seeds["lhs"])
+        assert 0.5 < rep.coupled_dominance_fraction < 1.0
+        assert set(rep.seeds) == {"lhs", "rhs"}
+
+    @pytest.mark.parametrize("coupling_paths, chains",
+                             [(None, [2, 1]), (0, [1, 1])], ids=["on", "off"])
+    def test_two_kernel_runs(self, monkeypatch, coupling_paths, chains):
+        # two noise streams: lhs, with or without its dominated companions,
+        # and rhs
+        from escrate import verify as verify_mod
+
+        runs = []
+
+        def counted(sdes, *args):
+            runs.append(len(sdes))
+            return kernel(sdes, *args)
+
+        kernel = verify_mod._shared_noise_run
+        monkeypatch.setattr(verify_mod, "_shared_noise_run", counted)
+        high, low = self._fused_pair()
+        comparison_mc(high, low, **self.FUSED, coupling_paths=coupling_paths)
+        assert runs == chains
+
 
 class TestCoupledDominance:
     def test_shifted_drift_orders_paths(self):

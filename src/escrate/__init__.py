@@ -10,10 +10,10 @@ import importlib
 # the public names of each module
 _EXPORTS = {
     "errors": ("EscrateError",),
-    "profiles": ("CatalogueCase", "GrowthProfile", "ManifoldModel",
-                 "RadialCoefficient", "catalogue_case", "closed_form_rate",
-                 "coefficient_drift", "hyperbolic_majorant", "mean_curvature",
-                 "profile_from_radial"),
+    "profiles": ("CatalogueCase", "GrowthProfile", "RadialCoefficient",
+                 "catalogue_case", "closed_form_rate", "coefficient_drift",
+                 "euclidean_mean_curvature", "hyperbolic_majorant",
+                 "hyperbolic_mean_curvature", "profile_from_radial"),
     "rate_solver": ("DyadicScheme", "RateFunction", "Verdict",
                     "conservativeness", "dyadic_scheme", "euclidean_rate",
                     "phi", "psi", "rate_table"),

@@ -241,17 +241,17 @@ def build_drift(cfg):
     """Resolve the simulation drift from config: a manifold's mean
     curvature, the radial-coefficient drift or the hyperbolic majorant. The
     chain owns the floor. build_sde gives ``drift = none`` a None drift."""
-    from .profiles import (ManifoldModel, coefficient_drift,
-                           hyperbolic_majorant, mean_curvature)
+    from .profiles import (coefficient_drift, euclidean_mean_curvature,
+                           hyperbolic_majorant, hyperbolic_mean_curvature)
 
     model = partial(_get, cfg, "model")
     kind, n = _get(cfg, "simulation", "drift"), model("n", "drift")
     if kind == "manifold":
         warp = model("warp")
         if warp == "euclidean":
-            return partial(mean_curvature, ManifoldModel.euclidean(n))
+            return euclidean_mean_curvature(n)
         if warp == "hyperbolic":
-            return partial(mean_curvature, ManifoldModel.hyperbolic(n, model("k")))
+            return hyperbolic_mean_curvature(n, model("k"))
         raise ConfigError(f"unknown warp {warp!r}")
     if kind == "hyperbolic_bound":
         return hyperbolic_majorant(n, model("k"))
@@ -484,16 +484,14 @@ def cmd_verify(cfg, mode: str, out: _Out, seed_override) -> int:
                              f"threshold={_fmt(threshold)}", out)
 
     if mode == "compare":
-        from .profiles import ManifoldModel, hyperbolic_majorant, mean_curvature
+        from .profiles import hyperbolic_majorant, hyperbolic_mean_curvature
         from .sde import Sde1D
 
         _need(cfg, "simulation")
         _need(cfg, "model")
         n, K = _get(cfg, "model", "n", "drift"), _get(cfg, "model", "k")
         floor = _get(cfg, "simulation", "floor")
-        dominated = Sde1D(drift=partial(mean_curvature,
-                                        ManifoldModel.hyperbolic(n, K)),
-                          floor=floor)
+        dominated = Sde1D(drift=hyperbolic_mean_curvature(n, K), floor=floor)
         dominating = Sde1D(drift=hyperbolic_majorant(n, K), floor=floor)
         seed = _master_seed(cfg, seed_override)
         report = verify_mod.comparison_mc(

@@ -2,8 +2,9 @@
 
 Defines the radial coefficient families, the intrinsic-radius transform
 ``rho_tilde`` and its inverse, growth profiles (log-volume plus energy-density
-bound), the radial drifts (mean curvature, its hyperbolic majorant and the
-coefficient drift L rho, each written once), and the catalogue cases, each
+bound), the radial drifts (the Euclidean and hyperbolic mean curvatures,
+the hyperbolic majorant and the coefficient drift L rho, each written once
+by a builder), and the catalogue cases, each
 declared once by ``catalogue_case`` with its closed-form escape envelopes
 and numeric route (the printed table, ``CATALOGUE``, is defined in
 ``escrate.basics``).
@@ -36,7 +37,6 @@ from .errors import (
 __all__ = [
     "RadialCoefficient",
     "GrowthProfile",
-    "ManifoldModel",
     "CatalogueCase",
     "CATALOGUE",
     "Prop5Report",
@@ -45,7 +45,8 @@ __all__ = [
     "log_rho_tilde_inverse",
     "profile_from_radial",
     "drift_L_rho",
-    "mean_curvature",
+    "euclidean_mean_curvature",
+    "hyperbolic_mean_curvature",
     "coefficient_drift",
     "hyperbolic_majorant",
     "closed_form_rate",
@@ -361,41 +362,8 @@ def profile_from_radial(coeff: RadialCoefficient, n: int, mode: str) -> GrowthPr
 
 
 # ---------------------------------------------------------------------------
-# Manifold models and drifts
+# Radial drifts
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ManifoldModel:
-    """Rotationally symmetric model: metric dr^2 + xi(r)^2 dtheta^2, with the
-    Euclidean warp xi(r) = r or the hyperbolic warp
-    xi(r) = sinh(sqrt(K) r) / sqrt(K).
-
-    ``log_derivative`` is xi'/xi, computed without forming xi itself; this
-    avoids overflow for the exponentially growing warp at large radius.
-    """
-
-    n: int
-    warp: str                      # "euclidean" | "hyperbolic"
-    K: Optional[float]
-    log_derivative: Callable = field(repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise DomainError("dimension n must be >= 1")
-
-    @staticmethod
-    def euclidean(n: int) -> "ManifoldModel":
-        return ManifoldModel(n, "euclidean", None,
-                             lambda r: 1.0 / np.asarray(r, dtype=float))
-
-    @staticmethod
-    def hyperbolic(n: int, K: float) -> "ManifoldModel":
-        if K <= 0:
-            raise DomainError("hyperbolic curvature K must be > 0")
-        sk = math.sqrt(K)
-        return ManifoldModel(n, "hyperbolic", float(K),
-                             lambda r: sk / np.tanh(sk * np.asarray(r, dtype=float)))
-
 
 def drift_L_rho(coeff: RadialCoefficient, n: int, r):
     """Radial drift of the elliptic diffusion with coefficient a(|x|) and dim n.
@@ -411,11 +379,26 @@ def drift_L_rho(coeff: RadialCoefficient, n: int, r):
     return _scalar_or_array(ap / (2.0 * sq) + (n - 1) * sq / r)
 
 
-def mean_curvature(model: ManifoldModel, r):
-    """Mean curvature m(r) = (n-1) xi'(r)/xi(r), the radial Laplacian drift,
-    at a float or an array r > 0. A chain's floor keeps r > 0; nothing here
-    checks it. ``partial(mean_curvature, model)`` is the model's drift."""
-    return _scalar_or_array((model.n - 1) * model.log_derivative(r))
+def euclidean_mean_curvature(n: int) -> Callable:
+    """The Euclidean mean curvature (n-1)/r, the radial Laplacian drift, at
+    a float or an array r > 0. A chain's floor keeps r > 0; nothing here
+    checks it."""
+    if n < 1:
+        raise DomainError("dimension n must be >= 1")
+    return lambda r: _scalar_or_array((n - 1) * (1.0 / np.asarray(r, dtype=float)))
+
+
+def hyperbolic_mean_curvature(n: int, K: float) -> Callable:
+    """The mean curvature (n-1) sqrt(K) coth(sqrt(K) r) of the warp
+    sinh(sqrt(K) r)/sqrt(K), at a float or an array r > 0, computed without
+    forming the warp, which overflows at large radius."""
+    if K <= 0:
+        raise DomainError("hyperbolic curvature K must be > 0")
+    if n < 1:
+        raise DomainError("dimension n must be >= 1")
+    sk = math.sqrt(K)
+    return lambda r: _scalar_or_array(
+        (n - 1) * (sk / np.tanh(sk * np.asarray(r, dtype=float))))
 
 
 def hyperbolic_majorant(n: int, K: float) -> Callable:
@@ -435,11 +418,11 @@ def coefficient_drift(coeff: RadialCoefficient, n: int) -> Callable:
     for a float or an array rho > 0.
 
     It overflows quietly (the kernel raises NonFiniteState). Its chain needs
-    a floor away from 0: at the default 1e-6 it overshoots, and from
-    |x0| = 1 (T = 0.2, dt = 1e-3) power alpha = 1 gave a mean intrinsic
-    radius of 13.43 +- 0.78 at n = 2 and 2.29 +- 0.30 at n = 3, against
-    IsotropicNd's 1.19 and 1.39, and squared_log beta = 0.5 gave
-    NonFiniteState; at floor 0.01 they agree.
+    a floor away from 0: at floor 0.01 its law agrees with IsotropicNd's
+    intrinsic radius (power 1 and squared_log 0.5, n = 2 and 3, from
+    |x0| = 1, T = 0.2, dt = 1e-3); at the default 1e-6 it overshoots near
+    the origin, and a squared_log 0.5 run from x0 = 0.8 ends in
+    NonFiniteState.
     """
     if not isinstance(coeff, RadialCoefficient):
         raise DomainError("coefficient_drift needs a RadialCoefficient")

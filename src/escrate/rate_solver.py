@@ -171,7 +171,7 @@ def _invert_increasing(piece: Callable, start: float, targets, cap: float,
     the cap, after a doubling that adds under 1e-13 F, or beyond 1e150.
     """
     targets = [float(t) for t in targets]
-    if targets and targets[0] < 0:
+    if not all(t >= 0.0 for t in targets):  # a NaN target too
         raise DomainError("t must be nonnegative")
     top = cap * (1.0 - 1e-13)
     shells = _doublings(piece, start, top, first_hi)

@@ -78,7 +78,7 @@ def _envelope_rows(times: np.ndarray, rate, C_grid, t0: float):
     """Window of the stored times on [t0, T] and the envelope rows
     rate(C * t) on it, one per C."""
     C_grid = np.asarray(C_grid, dtype=float)
-    if np.any(C_grid <= 0):
+    if not np.all(C_grid > 0):  # a NaN constant too
         raise DomainError("scale constants must be positive")
     if t0 >= times[-1]:
         raise DomainError(f"burn-in t0={t0} at or beyond horizon {times[-1]}")
@@ -273,6 +273,8 @@ def _lil_rows(times: np.ndarray, t0: float, eps_grid):
     if t0 <= math.e:
         raise DomainError(f"t0={t0} must exceed e so log log t0 > 0")
     eps_grid = np.asarray(eps_grid, dtype=float)
+    if np.isnan(eps_grid).any():
+        raise DomainError("eps must not be NaN")
     window = times >= t0
     if not np.any(window):
         raise DomainError("no stored grid times inside the window")

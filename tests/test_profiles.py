@@ -15,14 +15,14 @@ from escrate.errors import (
 from escrate.profiles import (
     CATALOGUE,
     CatalogueCase,
-    ManifoldModel,
     RadialCoefficient,
     catalogue_case,
     check_prop5_conditions,
     closed_form_rate,
     drift_L_rho,
+    euclidean_mean_curvature,
+    hyperbolic_mean_curvature,
     log_rho_tilde_inverse,
-    mean_curvature,
     profile_from_radial,
     rho_tilde,
     rho_tilde_inverse,
@@ -205,21 +205,19 @@ class TestGrowthProfile:
 
 class TestDrifts:
     def test_euclidean_mean_curvature(self):
-        m = ManifoldModel.euclidean(3)
-        assert mean_curvature(m, 2.0) == pytest.approx(1.0)  # (n-1)/r
+        assert euclidean_mean_curvature(3)(2.0) == pytest.approx(1.0)  # (n-1)/r
 
     def test_hyperbolic_mean_curvature_is_coth(self):
-        m = ManifoldModel.hyperbolic(2, 1.0)
-        assert mean_curvature(m, 1.0) == pytest.approx(1.0 / math.tanh(1.0))
+        m = hyperbolic_mean_curvature(2, 1.0)
+        assert m(1.0) == pytest.approx(1.0 / math.tanh(1.0))
 
     def test_hyperbolic_stable_at_large_radius(self):
-        m = ManifoldModel.hyperbolic(2, 1.0)
-        assert mean_curvature(m, 1000.0) == pytest.approx(1.0)
+        assert hyperbolic_mean_curvature(2, 1.0)(1000.0) == pytest.approx(1.0)
 
     def test_constant_coefficient_matches_euclidean(self):
         c = RadialCoefficient.constant()
         assert drift_L_rho(c, 3, 2.0) == pytest.approx(
-            mean_curvature(ManifoldModel.euclidean(3), 2.0))
+            euclidean_mean_curvature(3)(2.0))
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("coeff", [RadialCoefficient.power(1.0),

@@ -148,6 +148,21 @@ class TestPsi:
             psi(euclid(2), -1.0, 2.0)
 
     @pytest.mark.parametrize("call", [
+        lambda p: psi(p, math.nan),
+        lambda p: rate_table(p, [math.nan]),
+        lambda p: rate_table(p, [1.0, 2.0], scale_c=math.nan),
+        lambda p: drift_envelope(lambda x: 1.0, math.nan),
+    ], ids=["psi", "rate_table_grid", "rate_table_scale_c", "drift_envelope"])
+    def test_nan_target_rejected(self, call):
+        # a NaN target is not >= 0: refused, not answered with the lower limit
+        with pytest.raises(DomainError, match="t must be nonnegative"):
+            call(euclid(3))
+
+    def test_infinite_target_unreachable(self):
+        with pytest.raises(FiniteTotalIntegral, match="not representable"):
+            psi(euclid(3), math.inf, 2.0)
+
+    @pytest.mark.parametrize("call", [
         lambda p: psi(p, 0.0, r_lo=-1),
         lambda p: psi(p, 1.0, r_lo=-1),
         lambda p: phi(p, 5.0, r_lo=-1),

@@ -2,7 +2,6 @@
 n-dimensional isotropic diffusion."""
 
 import math
-from functools import partial
 
 import numpy as np
 import pytest
@@ -11,12 +10,12 @@ from scipy import integrate, optimize, stats
 from escrate import sde as sde_mod
 from escrate.errors import DomainError, NonFiniteState
 from escrate.profiles import (
-    ManifoldModel,
     RadialCoefficient,
     coefficient_drift,
     drift_L_rho,
+    euclidean_mean_curvature,
     hyperbolic_majorant,
-    mean_curvature,
+    hyperbolic_mean_curvature,
     rho_tilde,
 )
 from escrate.sde import IsotropicNd, Sde1D, ensemble
@@ -72,9 +71,7 @@ class TestEulerPath:
 
     @pytest.mark.parametrize("floor", [0.0, -1e-6])
     @pytest.mark.parametrize("chain", [
-        lambda floor: Sde1D(drift=partial(mean_curvature,
-                                          ManifoldModel.euclidean(3)),
-                            floor=floor),
+        lambda floor: Sde1D(drift=euclidean_mean_curvature(3), floor=floor),
         lambda floor: IsotropicNd(RadialCoefficient.power(1.0), 3, floor)],
         ids=["Sde1D", "IsotropicNd"])
     def test_nonpositive_floor_rejected_by_the_chain(self, chain, floor):
@@ -145,7 +142,7 @@ class TestEnsemble:
         # steps 0 and 293 only.
         n_paths, n_steps, seed, dt, sigma, floor = 300, 293, 77, 0.01, 1.5, 0.05
         barrier = 4.0  # about two thirds of the paths cross it
-        drift = partial(mean_curvature, ManifoldModel.hyperbolic(2, 1.0))
+        drift = hyperbolic_mean_curvature(2, 1.0)
         z = reference_normals(seed, n_paths, n_steps)
         stored = list(range(0, n_steps + 1, store_every))
         if stored[-1] != n_steps:
@@ -320,13 +317,13 @@ class TestKernel:
 
 class TestRadialDrift:
     def test_euclidean_three_dim(self):
-        drift = partial(mean_curvature, ManifoldModel.euclidean(3))
+        drift = euclidean_mean_curvature(3)
         assert drift(2.0) == pytest.approx(1.0)
         assert np.allclose(drift(np.array([1.0, 4.0])), [2.0, 0.5])
 
     def test_constant_coefficient_matches_euclidean(self):
         drift_c = coefficient_drift(RadialCoefficient.constant(), 3)
-        drift_e = partial(mean_curvature, ManifoldModel.euclidean(3))
+        drift_e = euclidean_mean_curvature(3)
         for r in (0.5, 2.0, 9.0):
             assert drift_c(r) == pytest.approx(drift_e(r))
 
@@ -358,13 +355,17 @@ class TestRadialDrift:
         assert drift(1.0) == pytest.approx(2.0)
 
     @pytest.mark.parametrize("make, message", [
-        (lambda: coefficient_drift(ManifoldModel.euclidean(3), 3),
+        (lambda: coefficient_drift(euclidean_mean_curvature(3), 3),
          "coefficient_drift needs a RadialCoefficient"),
         (lambda: hyperbolic_majorant(1, 1.0), "majorant needs n >= 2, K > 0"),
         (lambda: hyperbolic_majorant(2, 0.0), "majorant needs n >= 2, K > 0"),
-        (lambda: hyperbolic_majorant(2, -1.0), "majorant needs n >= 2, K > 0")],
+        (lambda: hyperbolic_majorant(2, -1.0), "majorant needs n >= 2, K > 0"),
+        (lambda: hyperbolic_mean_curvature(2, 0.0), "curvature K must be > 0"),
+        (lambda: hyperbolic_mean_curvature(2, -1.0), "curvature K must be > 0"),
+        (lambda: hyperbolic_mean_curvature(0, -1.0), "curvature K must be > 0")],
         ids=["coefficient_of_model", "majorant_n1", "majorant_K0",
-             "majorant_K_negative"])
+             "majorant_K_negative", "curvature_K0", "curvature_K_negative",
+             "curvature_K_before_n"])
     def test_builders_check_their_arguments(self, make, message):
         # checked once, when the drift is built
         with pytest.raises(DomainError, match=message):
@@ -372,7 +373,7 @@ class TestRadialDrift:
 
     @pytest.mark.parametrize("n", [0, -3])
     @pytest.mark.parametrize("make", [
-        ManifoldModel.euclidean, lambda n: ManifoldModel.hyperbolic(n, 1.0),
+        euclidean_mean_curvature, lambda n: hyperbolic_mean_curvature(n, 1.0),
         lambda n: coefficient_drift(RadialCoefficient.constant(), n)],
         ids=["euclidean", "hyperbolic", "coefficient"])
     def test_dimension_below_one_rejected(self, make, n):
@@ -380,22 +381,24 @@ class TestRadialDrift:
         with pytest.raises(DomainError, match=r"dimension n must be >= 1"):
             make(n)
 
-    @pytest.mark.parametrize("model", [
-        ManifoldModel.euclidean(2), ManifoldModel.euclidean(3),
-        ManifoldModel.hyperbolic(3, 1.0), ManifoldModel.hyperbolic(2, 0.25)],
-        ids=["euclidean2", "euclidean3", "hyperbolic1", "hyperbolic025"])
-    def test_model_closure_is_mean_curvature(self, model):
-        # partial(mean_curvature, model) against the closure it replaces,
-        # (n-1) xi'/xi with the warp's ratio written out
+    @pytest.mark.parametrize("n, K", [
+        (2, None), (3, None), (4, None), (3, 1.0), (2, 0.25), (4, 3.0)],
+        ids=["euclidean2", "euclidean3", "euclidean4", "hyperbolic1",
+             "hyperbolic025", "hyperbolic3_n4"])
+    def test_model_closure_is_mean_curvature(self, n, K):
+        # the builder's drift against (n-1) xi'/xi with the warp's ratio
+        # written out: 1/r, or sqrt(K)/tanh(sqrt(K) r); at n = 4 the factor
+        # 3 is not a power of 2, so the order of the operations shows
         r = np.geomspace(1e-3, 1e3, 400)
-        sk = math.sqrt(model.K) if model.warp == "hyperbolic" else None
+        sk = None if K is None else math.sqrt(K)
 
         def closure(r):
             ratio = (1.0 / np.asarray(r, dtype=float) if sk is None
                      else sk / np.tanh(sk * np.asarray(r, dtype=float)))
-            return (model.n - 1) * ratio
+            return (n - 1) * ratio
 
-        drift = partial(mean_curvature, model)
+        drift = (euclidean_mean_curvature(n) if K is None
+                 else hyperbolic_mean_curvature(n, K))
         assert np.array_equal(drift(r), closure(r))
         assert drift(2.0) == closure(2.0)
         assert type(drift(2.0)) is float
@@ -415,17 +418,16 @@ class TestRadialDrift:
     def test_closure_ensemble_equals_guarded_drift(self):
         # the manifold drift against the floor-guarded mean curvature it
         # replaces, written out: the chain keeps every state at its floor
-        model, floor = ManifoldModel.hyperbolic(2, 1.0), 0.05
+        n, sk, floor = 2, math.sqrt(1.0), 0.05
 
         def guarded(r):
             r = np.asarray(r, dtype=float)
             assert not np.any(r < floor)
-            return (model.n - 1) * np.asarray(model.log_derivative(r),
-                                              dtype=float)
+            return (n - 1) * (sk / np.tanh(sk * r))
 
         a, b = (ensemble(Sde1D(drift=d, floor=floor), 0.1, 3.0, 1e-2, 300,
                          master_seed=31)
-                for d in (partial(mean_curvature, model), guarded))
+                for d in (hyperbolic_mean_curvature(n, 1.0), guarded))
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.floor_hits, b.floor_hits)
 

@@ -49,6 +49,13 @@ class TestExceedance:
                                store_every=10)
         assert np.all(np.diff(fractions) <= 0)
 
+    @pytest.mark.parametrize("C", [math.nan, 0.0, -1.0])
+    def test_nonpositive_or_nan_scale_rejected(self, C):
+        # a NaN C would compare below every path and read as no exceedance
+        with pytest.raises(DomainError, match="scale constants must be positive"):
+            exceedance(*DRIFTLESS, lambda t: np.sqrt(t), C_grid=[1.0, C],
+                       t0=0.0, store_every=10)
+
     def test_table_domain_enforced(self):
         profile = profile_from_radial(RadialCoefficient.constant(), 3, "unit_energy")
         rate = rate_table(profile, np.linspace(1.0, 5.0, 20))
@@ -273,6 +280,12 @@ class TestLilStatistic:
     def test_rejects_small_start(self):
         with pytest.raises(DomainError):
             lil_statistic(*DRIFTLESS, t0=2.0, eps_grid=[0.5], store_every=10)
+
+    def test_nan_epsilon_rejected(self):
+        # a NaN row would compare below every path and read as no exceedance
+        with pytest.raises(DomainError, match="eps must not be NaN"):
+            lil_statistic(*DRIFTLESS, t0=3.0, eps_grid=[0.5, math.nan],
+                          store_every=10)
 
     def test_fractions_nested_in_epsilon(self):
         s = Sde1D(drift=zero, sigma=1.0, floor=1e-6)

@@ -1,7 +1,9 @@
 """Adaptive quadrature, Brent root-finding and PCHIP interpolation on numpy:
-globally adaptive 21-point Gauss-Kronrod (QUADPACK's qk21 rule), Brent's
-method with an xtol + rtol |x| stop, and the Fritsch-Butland monotone cubic
-with the three-point end rule, evaluated in each interval's power basis.
+globally adaptive 21-point Gauss-Kronrod (QUADPACK's qk21 rule) and its
+first panel over many intervals at once, Brent's method with an xtol +
+rtol |x| stop over arrays of brackets in lockstep, and the Fritsch-Butland
+monotone cubic with the three-point end rule, evaluated in each interval's
+power basis.
 """
 
 from __future__ import annotations
@@ -69,45 +71,108 @@ def quad(f, a: float, b: float, epsrel: float, limit: int, label: str,
                   _rule(f, 0.5 * (lo + hi), hi, label)]
 
 
-def brentq(f, a: float, b: float, rtol: float, xtol: float, maxiter: int,
-           fa: float | None = None, fb: float | None = None) -> float:
-    """A root of f in [a, b], where f(a) and f(b) differ in sign, to within
-    xtol + rtol |x|. ``fa``/``fb`` are f(a)/f(b) when the caller has them."""
+def one_panel(f, a: np.ndarray, b: np.ndarray, epsrel: float) -> np.ndarray:
+    """quad's value on each [a_i, b_i] whose first 21-node panel meets
+    epsrel, by _rule's arithmetic with its dot on each row; NaN on the
+    others and where the estimate is not finite. f maps an (m, 21) array of
+    nodes to their values in one call."""
+    half = 0.5 * (b - a)
+    fv = np.asarray(f((0.5 * (a + b))[:, None] + half[:, None] * _NODES), dtype=float)
+    k21 = half * np.array([_W21 @ v for v in fv])
+    err = np.abs(k21 - half * np.array([_W10 @ v for v in fv]))
+    return np.where(np.isfinite(k21) & (err <= epsrel * np.abs(k21)), k21, np.nan)
+
+
+def brentq(f, a, b, rtol: float, xtol: float, maxiter: int, fa=None, fb=None):
+    """Roots of f in the brackets [a_i, b_i], where f(a_i) and f(b_i) differ
+    in sign, each to within xtol + rtol |x|, solved in lockstep.
+
+    f(rows, x) gives the values at x[k] of the rows[k] still running (an
+    index array into a and b). Each row takes exactly the steps of a one-row
+    solve, so no root depends on the other rows. ``fa``/``fb`` are f at a/b
+    when the caller has them. A row that fails (f raises, its bracket has no
+    sign change, or it has not converged in maxiter iterations) ends every
+    later row, and its error is raised once the earlier rows are solved: as
+    solving the rows one after another would.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    roots = np.empty(a.size)
+    rows = np.arange(a.size)
+    first, error = a.size, None  # the first failing row, and its error
+
+    def fail(row, exc):
+        nonlocal first, error
+        if row < first:
+            first, error = row, exc
+
+    def values(x):
+        """f at x on the running rows; NaN from the first row f fails on."""
+        try:
+            return np.asarray(f(rows, x), dtype=float)
+        except Exception:
+            out = np.full(rows.size, np.nan)
+            for k in range(rows.size):
+                try:
+                    out[k] = np.asarray(f(rows[k:k + 1], x[k:k + 1]), dtype=float)[0]
+                except Exception as exc:
+                    fail(rows[k], exc)
+                    break
+            return out
+
     xpre, xcur = a, b
-    fpre = f(a) if fa is None else fa
-    fcur = f(b) if fb is None else fb
-    if fpre == 0.0 or fcur == 0.0:
-        return xpre if fpre == 0.0 else xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
+    fpre = values(a) if fa is None else np.asarray(fa, dtype=float)
+    fcur = values(b) if fb is None else np.asarray(fb, dtype=float)
+    zero = (fpre == 0.0) | (fcur == 0.0)
+    roots[zero] = np.where(fpre == 0.0, xpre, xcur)[zero]
+    same = ~zero & ((fpre < 0.0) == (fcur < 0.0))
+    if same.any():
+        fail(int(np.argmax(same)),
+             ValueError("f(a) and f(b) must have different signs"))
+    keep = ~zero & (rows < first)
+    rows, xpre, xcur, fpre, fcur = (v[keep] for v in (rows, xpre, xcur, fpre, fcur))
+    xblk = fblk = spre = scur = np.zeros(rows.size)
     for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):        # keep the best point in xcur
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = 0.5 * (xtol + rtol * abs(xcur))
+        new = (fpre != 0.0) & (fcur != 0.0) & ((fpre < 0.0) != (fcur < 0.0))
+        xblk, fblk = np.where(new, xpre, xblk), np.where(new, fpre, fblk)
+        spre, scur = np.where(new, xcur - xpre, spre), np.where(new, xcur - xpre, scur)
+        swap = np.abs(fblk) < np.abs(fcur)   # keep the best point in xcur
+        xpre, xcur, xblk = (np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
+                            np.where(swap, xcur, xblk))
+        fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
+                            np.where(swap, fcur, fblk))
+        delta = 0.5 * (xtol + rtol * np.abs(xcur))
         sbis = 0.5 * (xblk - xcur)
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        stry = None
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:             # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:                        # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
-            if not 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                stry = None              # too long: bisect
-        spre, scur = (scur, stry) if stry is not None else (sbis, sbis)
+        done = (fcur == 0.0) | (np.abs(sbis) < delta)
+        roots[rows[done]] = xcur[done]
+        keep = ~done & (rows < first)
+        (rows, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta,
+         sbis) = (v[keep] for v in (rows, xpre, xcur, xblk, fpre, fcur, fblk,
+                                    spre, scur, delta, sbis))
+        if not rows.size:
+            break
+        with np.errstate(all="ignore"):  # a 0/0 step is refused below
+            secant = -fcur * (xcur - xpre) / (fcur - fpre)
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            quadratic = (-fcur * (fblk * dblk - fpre * dpre)
+                         / (dblk * dpre * (fblk - fpre)))
+        stry = np.where(xpre == xblk, secant, quadratic)
+        room = 3.0 * np.abs(sbis) - delta
+        room = np.where(room < np.abs(spre), room, np.abs(spre))  # Python's min
+        # interpolate when the step is short enough, else bisect
+        step = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+                & (2.0 * np.abs(stry) < room))
+        spre, scur = np.where(step, scur, sbis), np.where(step, stry, sbis)
         xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-    raise RuntimeError(f"brentq: no convergence in {maxiter} iterations")
+        xcur = xcur + np.where(np.abs(scur) > delta, scur,
+                               np.where(sbis > 0, delta, -delta))
+        fcur = values(xcur)
+    if (rows < first).any():
+        raise RuntimeError(f"brentq: no convergence in {maxiter} iterations")
+    if error is not None:
+        raise error
+    return roots
 
 
 def pchip(x: np.ndarray, y: np.ndarray):

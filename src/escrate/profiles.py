@@ -63,6 +63,14 @@ __all__ = [
 _hidden = partial(field, default=None, repr=False, compare=False)
 
 
+def _finite(name: str, value) -> float:
+    """value as a float; DomainError unless it is finite (NaN included)."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class RadialCoefficient:
     """A strictly positive radial coefficient a(r) with derivative a'(r).
@@ -107,7 +115,7 @@ class RadialCoefficient:
 
     @staticmethod
     def power(alpha: float) -> "RadialCoefficient":
-        alpha = float(alpha)
+        alpha = _finite("power exponent alpha", alpha)
 
         def a(r):
             return (1.0 + np.asarray(r, dtype=float)) ** alpha
@@ -126,7 +134,7 @@ class RadialCoefficient:
 
     @staticmethod
     def squared_log(beta: float) -> "RadialCoefficient":
-        beta = float(beta)
+        beta = _finite("squared_log exponent beta", beta)
 
         def a(r):
             r = np.asarray(r, dtype=float)
@@ -196,14 +204,19 @@ class RadialCoefficient:
                              for j, v in zip(i.flat, s.flat)]).reshape(s.shape)
 
         def inverse(r):
-            # one Brent solve inside the knot interval holding r
+            # one lockstep Brent solve, each row inside the knot interval
+            # holding it
             knots, cum = knot_table()
-            i = np.searchsorted(cum, r, side="right") - 1
-            return np.array([brentq(
-                lambda x, j=j, v=v: cum[j] + _integral(coeff, knots[j], x) - v,
-                knots[j], knots[j + 1], rtol=1e-12, xtol=1e-300, maxiter=200,
-                fa=cum[j] - v, fb=cum[j + 1] - v)
-                for j, v in zip(i.flat, r.flat)]).reshape(r.shape)
+            j = (np.searchsorted(cum, r, side="right") - 1).ravel()
+            v = r.ravel()
+
+            def f(rows, x):
+                return [cum[j[k]] + _integral(coeff, knots[j[k]], y) - v[k]
+                        for k, y in zip(rows.tolist(), x.tolist())]
+
+            return brentq(f, knots[j], knots[j + 1], rtol=1e-12, xtol=1e-300,
+                          maxiter=200, fa=cum[j] - v,
+                          fb=cum[j + 1] - v).reshape(r.shape)
 
         coeff = RadialCoefficient(
             "tabulated", None, a, a_prime, _rho=rho, _inverse=inverse,
@@ -298,7 +311,8 @@ def rho_tilde_inverse(coeff: RadialCoefficient, r):
     """The s with rho_tilde(coeff, s) = r, for a float or an array r.
 
     Closed forms for the families (an s beyond float range is inf); for
-    ``tabulated``, one Brent solve inside the knot interval holding r.
+    ``tabulated``, one lockstep Brent solve, each r inside the knot
+    interval holding it.
     Raises OutOfRange when r >= the supremum of rho_tilde.
     """
     return _scalar_or_array(coeff._inverse(_intrinsic_radius(coeff, r)))
@@ -346,7 +360,7 @@ def profile_from_radial(coeff: RadialCoefficient, n: int, mode: str) -> GrowthPr
     lambda = 1. mode "coefficient_energy": Euclidean-radius profile,
     V(r) = n*log(r), lambda(r) = a(r). The mode is case-insensitive.
     """
-    if n < 1:
+    if not n >= 1:
         raise DomainError("dimension n must be >= 1")
     mode = mode.lower()
     if mode == "unit_energy":
@@ -383,7 +397,7 @@ def euclidean_mean_curvature(n: int) -> Callable:
     """The Euclidean mean curvature (n-1)/r, the radial Laplacian drift, at
     a float or an array r > 0. A chain's floor keeps r > 0; nothing here
     checks it."""
-    if n < 1:
+    if not n >= 1:
         raise DomainError("dimension n must be >= 1")
     return lambda r: _scalar_or_array((n - 1) * (1.0 / np.asarray(r, dtype=float)))
 
@@ -392,9 +406,9 @@ def hyperbolic_mean_curvature(n: int, K: float) -> Callable:
     """The mean curvature (n-1) sqrt(K) coth(sqrt(K) r) of the warp
     sinh(sqrt(K) r)/sqrt(K), at a float or an array r > 0, computed without
     forming the warp, which overflows at large radius."""
-    if K <= 0:
+    if not K > 0:
         raise DomainError("hyperbolic curvature K must be > 0")
-    if n < 1:
+    if not n >= 1:
         raise DomainError("dimension n must be >= 1")
     sk = math.sqrt(K)
     return lambda r: _scalar_or_array(
@@ -405,7 +419,7 @@ def hyperbolic_majorant(n: int, K: float) -> Callable:
     """The drift theta(r) = (n-1) sqrt(K) (1 + 1/(sqrt(K) r)) at a float or
     an array r > 0: a pointwise upper bound for the hyperbolic mean
     curvature (n-1) sqrt(K) coth(sqrt(K) r)."""
-    if n < 2 or K <= 0:
+    if not (n >= 2 and K > 0):
         raise DomainError("hyperbolic majorant needs n >= 2, K > 0")
     sk = math.sqrt(K)
     base = (n - 1) * sk
@@ -426,7 +440,7 @@ def coefficient_drift(coeff: RadialCoefficient, n: int) -> Callable:
     """
     if not isinstance(coeff, RadialCoefficient):
         raise DomainError("coefficient_drift needs a RadialCoefficient")
-    if n < 1:
+    if not n >= 1:
         raise DomainError("dimension n must be >= 1")
 
     def drift(rho):

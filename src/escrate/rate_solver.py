@@ -18,7 +18,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from ._numerics import brentq, quad
+from ._numerics import brentq, one_panel, quad
 from .basics import family_verdict
 from .errors import (
     DomainError,
@@ -43,6 +43,9 @@ PAPER_LOWER_LIMIT = 2.0
 
 # Denominator must exceed this before integration may start.
 DENOMINATOR_FLOOR = 1e-6
+
+# Relative tolerance of phi's quadrature.
+_PHI_EPSREL = 1e-9
 
 # Largest radius a doubling walk starts a shell from: phi's integrand r*r
 # overflows a float beyond about 1.3e154.
@@ -120,7 +123,7 @@ def phi(profile: GrowthProfile, R: float, r_lo: float = PAPER_LOWER_LIMIT) -> fl
 
     knots = profile.knots
     breaks = () if knots is None else np.log(knots[(knots > r_lo) & (knots < R)])
-    return quad(integrand, math.log(r_lo), math.log(R), epsrel=1e-9, limit=400,
+    return quad(integrand, math.log(r_lo), math.log(R), epsrel=_PHI_EPSREL, limit=400,
                 label=f"phi on [{r_lo}, {R}]", points=breaks)
 
 
@@ -159,49 +162,101 @@ def _doublings(piece: Callable, start: float, cap: float, first_hi: float = 0.0,
         lo, F_lo = hi, F_lo + step
 
 
-def _invert_increasing(piece: Callable, start: float, targets, cap: float,
-                       what: str, first_hi: float = 0.0) -> np.ndarray:
+def _invert_increasing(piece: Callable, pieces: Callable, start: float,
+                       targets, cap: float, what: str,
+                       first_hi: float = 0.0) -> np.ndarray:
     """The x with F(x) = t for each of the nondecreasing targets t, where
     F(x) = piece(start, x) is an increasing integral; start for t = 0.
 
-    One pass over the _doublings shells, capped at cap (1 - 1e-13): each
-    target gets one Brent solve of F(lo) + piece(lo, x) = t inside the
-    shell that holds it, handed the known end values F(lo) - t and
-    F(hi) - t. FiniteTotalIntegral when F stays below a target at
-    the cap, after a doubling that adds under 1e-13 F, or beyond 1e150.
+    One pass over the _doublings shells, capped at cap (1 - 1e-13), finds
+    the shell [lo, hi] that holds each target. Then one lockstep Brent
+    solve of F(lo) + piece(lo, x) = t takes every row with t > 0, handed
+    the known end values F(lo) - t and F(hi) - t; ``pieces(lo, x)`` is
+    piece over arrays of rows. FiniteTotalIntegral when F stays below a
+    target at the cap, after a doubling that adds under 1e-13 F, or beyond
+    1e150. When the walk fails at a row, the rows before it are solved
+    first, and an error of theirs comes first.
     """
-    targets = [float(t) for t in targets]
-    if not all(t >= 0.0 for t in targets):  # a NaN target too
+    targets = np.array([float(t) for t in targets])
+    if not (targets >= 0.0).all():  # a NaN target too
         raise DomainError("t must be nonnegative")
     top = cap * (1.0 - 1e-13)
     shells = _doublings(piece, start, top, first_hi)
-    roots = np.full(len(targets), float(start))
+    roots = np.full(targets.size, float(start))
     hi, F_hi = start, 0.0
-    for i, t in enumerate(targets):
-        while F_hi < t:
-            shell = next(shells, None)
-            if shell is None:  # the walk ended at the cap, else past 1e150
-                raise FiniteTotalIntegral(
-                    f"{what} bounded by {F_hi:.6g} on the domain, below t={t:.6g}"
-                    if hi >= top else f"envelope radius for t={t:.6g} not "
-                    f"representable ({what} = {F_hi:.6g} at {hi:.6g})")
-            lo, hi, F_lo, step = shell
-            F_hi = F_lo + step
-            if step < 1e-13 * max(F_hi, 1.0) and F_hi < t:
-                raise FiniteTotalIntegral(
-                    f"{what} numerically bounded by {F_hi:.6g} < t={t:.6g}")
-        if t > 0.0:
-            roots[i] = brentq(lambda x: F_lo + piece(lo, x) - t, lo, hi,
-                              rtol=1e-10, xtol=1e-300, maxiter=200,
-                              fa=F_lo - t, fb=F_hi - t)
+    brackets, walk_error = [], None
+    try:
+        for i, t in enumerate(targets.tolist()):
+            while F_hi < t:
+                shell = next(shells, None)
+                if shell is None:  # the walk ended at the cap, else past 1e150
+                    raise FiniteTotalIntegral(
+                        f"{what} bounded by {F_hi:.6g} on the domain, below "
+                        f"t={t:.6g}" if hi >= top else f"envelope radius for "
+                        f"t={t:.6g} not representable ({what} = {F_hi:.6g} at "
+                        f"{hi:.6g})")
+                lo, hi, F_lo, step = shell
+                F_hi = F_lo + step
+                if step < 1e-13 * max(F_hi, 1.0) and F_hi < t:
+                    raise FiniteTotalIntegral(
+                        f"{what} numerically bounded by {F_hi:.6g} < t={t:.6g}")
+            if t > 0.0:
+                brackets.append((i, lo, hi, F_lo, F_hi))
+    except Exception as error:  # raised once the rows before it are solved
+        walk_error = error
+    if brackets:
+        rows, lo, hi, F_lo, F_hi = (np.array(v) for v in zip(*brackets))
+        t = targets[rows]
+        roots[rows] = brentq(lambda k, x: F_lo[k] + pieces(lo[k], x) - t[k],
+                             lo, hi, rtol=1e-10, xtol=1e-300, maxiter=200,
+                             fa=F_lo - t, fb=F_hi - t)
+    if walk_error is not None:
+        raise walk_error
     return roots
+
+
+def _phi_rows(profile: GrowthProfile, r_lo: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """phi(profile, R[i], r_lo[i]) for each row, bitwise as phi gives it.
+
+    A row that phi integrates as one 21-node panel shares one integrand
+    call with the others and is kept by quad's own test. phi computes every
+    other row, and raises its errors: a knot inside (r_lo, R), an empty
+    or out-of-domain interval, a nonpositive denominator, a non-finite
+    estimate or a missed tolerance.
+    """
+    out = np.full(R.size, np.nan)
+    single = (r_lo < R) & (R <= profile.r_max)
+    if profile.knots is not None:
+        k = profile.knots
+        single &= ~((k > r_lo[:, None]) & (k < R[:, None])).any(axis=1)
+    rows = np.flatnonzero(single)
+
+    def integrand(us):
+        r = np.exp(us)
+        den = _denominator(profile, r)
+        return np.where(den > 0.0, r * r / den, np.nan)  # phi raises at <= 0
+
+    if rows.size:  # math.log, as phi takes it: np.log may differ in an ulp
+        lo = np.array([math.log(v) for v in r_lo[rows].tolist()])
+        hi = np.array([math.log(v) for v in R[rows].tolist()])
+        try:
+            # a row that overflows or divides by 0 ends non-finite, and phi
+            # takes it, warnings and all
+            with np.errstate(all="ignore"):
+                out[rows] = one_panel(integrand, lo, hi, _PHI_EPSREL)
+        except Exception:  # phi raises it for the first row it holds
+            pass
+    for i in np.flatnonzero(np.isnan(out)).tolist():
+        out[i] = phi(profile, R[i], r_lo[i])
+    return out
 
 
 def _invert_phi(profile: GrowthProfile, r_lo: float, targets) -> np.ndarray:
     """The radii R with phi(profile, R, r_lo) = t for the nondecreasing
     targets t; an r_lo <= 0 is a DomainError."""
-    return _invert_increasing(lambda a, b: phi(profile, b, a), _check_r_lo(r_lo),
-                              targets, profile.r_max, "phi")
+    return _invert_increasing(lambda a, b: phi(profile, b, a),
+                              lambda a, b: _phi_rows(profile, a, b),
+                              _check_r_lo(r_lo), targets, profile.r_max, "phi")
 
 
 def psi(profile: GrowthProfile, t: float, r_lo: float = PAPER_LOWER_LIMIT) -> float:
@@ -259,7 +314,8 @@ class RateFunction:
 def rate_table(profile: GrowthProfile, t_grid, scale_c: float = PROOF_SCALE_C,
                r_lo: Optional[float] = None) -> RateFunction:
     """Sample t -> psi(scale_c * t) on the given increasing time grid, in one
-    pass: each doubling segment of phi is integrated once for all rows."""
+    pass: each doubling segment of phi is integrated once for all rows, and
+    one lockstep Brent solve takes every row, each as psi of its target."""
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0 or np.any(np.diff(t_grid) <= 0):
         raise DomainError("t_grid must be nonempty and strictly increasing")
@@ -459,7 +515,10 @@ def drift_envelope(b_tilde: Callable, t: float) -> float:
                     a, b, epsrel=1e-11, limit=400,
                     label=f"1/b_tilde integral on [{a}, {b}]")
 
-    return float(_invert_increasing(piece, 0.0, [t], math.inf,
+    def pieces(a, b):
+        return [piece(lo, x) for lo, x in zip(a.tolist(), b.tolist())]
+
+    return float(_invert_increasing(piece, pieces, 0.0, [t], math.inf,
                                     "1/b_tilde integral", first_hi=1.0)[0])
 
 

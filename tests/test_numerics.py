@@ -8,7 +8,7 @@ import pytest
 from scipy import integrate, optimize
 from scipy.interpolate import PchipInterpolator
 
-from escrate._numerics import brentq, pchip, quad
+from escrate._numerics import brentq, one_panel, pchip, quad
 from escrate.errors import QuadratureFailure
 from escrate.rate_solver import effective_lower_limit, phi
 from escrate.profiles import GrowthProfile
@@ -16,6 +16,11 @@ from escrate.profiles import GrowthProfile
 
 def on_nodes(g):
     return lambda xs: [g(x) for x in xs.tolist()]
+
+
+def on_rows(fs):
+    """brentq's f(rows, x) from one scalar function per row."""
+    return lambda rows, x: [fs[k](v) for k, v in zip(rows.tolist(), x.tolist())]
 
 
 # a(r) = 1 + sqrt(r) on radii 0, 2^0, ..., 2^30, as in the benchmark's table
@@ -72,19 +77,89 @@ class TestAgainstScipy:
             quad(on_nodes(lambda x: 1e308 * (1.0 + x)), 0.0, 10.0, 1e-9, 50,
                  "overflow")
 
+    def test_one_panel_is_quads_value(self):
+        # bitwise quad's value where its first panel meets epsrel; NaN where
+        # quad bisects, and for a non-finite estimate
+        def h(xs):
+            return np.exp(-xs) * np.cos(3.0 * xs) / (xs > -1.0)
+
+        a, b = np.array([0.0, 1.0, 0.0, -2.0]), np.array([0.1, 1.5, 4.0, 0.0])
+        with np.errstate(all="ignore"):  # 1/0, then inf - inf in the dot
+            got = one_panel(h, a, b, 1e-9)
+        assert got[:2].tolist() == [quad(h, 0.0, 0.1, 1e-9, 400, "h"),
+                                    quad(h, 1.0, 1.5, 1e-9, 400, "h")]
+        assert np.isnan(got[2:]).all()
+
     @pytest.mark.parametrize("name", list(_BRACKETS))
     @pytest.mark.parametrize("rtol", [1e-10, 1e-12])
     def test_brentq(self, name, rtol):
         f, a, b = _BRACKETS[name]
         ref = optimize.brentq(f, a, b, rtol=rtol, xtol=1e-300, maxiter=200)
-        root = brentq(f, a, b, rtol, 1e-300, 200)
+        root, = brentq(on_rows([f]), [a], [b], rtol, 1e-300, 200)
         assert root == pytest.approx(ref, rel=4.0 * np.finfo(float).eps)
         # known end values give the same root
-        assert brentq(f, a, b, rtol, 1e-300, 200, fa=f(a), fb=f(b)) == root
+        assert brentq(on_rows([f]), [a], [b], rtol, 1e-300, 200,
+                      fa=[f(a)], fb=[f(b)])[0] == root
+
+    @pytest.mark.parametrize("rtol", [1e-10, 1e-12])
+    def test_brentq_rows_in_lockstep(self, rtol):
+        # one call over every bracket: each row's root is its one-row root
+        # to the bit, though the rows converge after different iterations
+        fs, a, b = zip(*_BRACKETS.values())
+        calls = {k: 0 for k in range(len(fs))}
+
+        def counted(rows, x):
+            for k in rows.tolist():
+                calls[k] += 1
+            return on_rows(fs)(rows, x)
+
+        roots = brentq(counted, a, b, rtol, 1e-300, 200)
+        assert len(set(calls.values())) > 1
+        for k, (f, lo, hi) in enumerate(_BRACKETS.values()):
+            assert roots[k] == brentq(on_rows([f]), [lo], [hi], rtol, 1e-300, 200)[0]
+            ref = optimize.brentq(f, lo, hi, rtol=rtol, xtol=1e-300, maxiter=200)
+            assert roots[k] == pytest.approx(ref, rel=4.0 * np.finfo(float).eps)
+        ends = dict(fa=[f(x) for f, x in zip(fs, a)], fb=[f(x) for f, x in zip(fs, b)])
+        assert np.array_equal(brentq(on_rows(fs), a, b, rtol, 1e-300, 200, **ends),
+                              roots)
 
     def test_brentq_needs_a_sign_change(self):
         with pytest.raises(ValueError):
-            brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-10, 1e-300, 200)
+            brentq(on_rows([lambda x: x * x + 1.0]), [-1.0], [1.0], 1e-10,
+                   1e-300, 200)
+
+    def test_brentq_no_convergence_comes_before_a_later_error(self):
+        # row 0 runs out of iterations; row 1's missing sign change is later
+        f = on_rows([_BRACKETS["wide"][0], lambda x: 1.0])
+        with pytest.raises(RuntimeError, match="no convergence in 3 iterations"):
+            brentq(f, [0.0, 0.0], [40.0, 1.0], 1e-12, 1e-300, 3)
+
+    def test_brentq_raises_the_first_failing_row(self):
+        # row 1 fails at its first step, row 2 has no sign change: solved
+        # one after another, row 0 runs to its root, then row 1's error
+        # comes first
+        f0 = _BRACKETS["cubic"][0]
+        fail = ZeroDivisionError("row 1")
+
+        def f1(x):
+            if 0.0 < x < 1.0:
+                raise fail
+            return x ** 3 - 0.1
+
+        def steps(fs, record):
+            def f(rows, x):
+                record.extend(v for k, v in zip(rows.tolist(), x.tolist()) if k == 0)
+                return on_rows(fs)(rows, x)
+            return f
+
+        solo, seen = [], []
+        brentq(steps([f0], solo), [0.0], [2.0], 1e-10, 1e-300, 200)
+        with pytest.raises(ZeroDivisionError) as exc:
+            brentq(steps([f0, f1, lambda x: 1.0], seen), [0.0, 0.0, 0.0],
+                   [2.0, 1.0, 1.0], 1e-10, 1e-300, 200)
+        assert exc.value is fail
+        # a batch that raises is evaluated again row by row
+        assert list(dict.fromkeys(seen)) == solo
 
     @pytest.mark.parametrize("x,y", [
         (_TAB_RADII, 1.0 + np.sqrt(_TAB_RADII)),

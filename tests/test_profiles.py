@@ -19,8 +19,10 @@ from escrate.profiles import (
     catalogue_case,
     check_prop5_conditions,
     closed_form_rate,
+    coefficient_drift,
     drift_L_rho,
     euclidean_mean_curvature,
+    hyperbolic_majorant,
     hyperbolic_mean_curvature,
     log_rho_tilde_inverse,
     profile_from_radial,
@@ -234,6 +236,31 @@ class TestDrifts:
         a, ap = coeff.a(r), coeff.a_prime(r)
         L_rho = a * f2 + ((n - 1) * a / r + ap) * f1
         assert np.allclose(drift_L_rho(coeff, n, r), L_rho, rtol=1e-6, atol=0.0)
+
+
+_NAN = math.nan
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: RadialCoefficient.power(_NAN), "alpha must be finite, got nan"),
+    (lambda: RadialCoefficient.squared_log(_NAN), "beta must be finite, got nan"),
+    (lambda: profile_from_radial(RadialCoefficient.constant(), _NAN, "unit_energy"),
+     "dimension n must be >= 1"),
+    (lambda: euclidean_mean_curvature(_NAN), "dimension n must be >= 1"),
+    (lambda: hyperbolic_mean_curvature(_NAN, 1.0), "dimension n must be >= 1"),
+    (lambda: hyperbolic_mean_curvature(2, _NAN), "curvature K must be > 0"),
+    (lambda: hyperbolic_majorant(_NAN, 1.0), "majorant needs n >= 2, K > 0"),
+    (lambda: hyperbolic_majorant(2, _NAN), "majorant needs n >= 2, K > 0"),
+    (lambda: coefficient_drift(RadialCoefficient.constant(), _NAN),
+     "dimension n must be >= 1"),
+], ids=["power_alpha", "squared_log_beta", "profile_n", "euclidean_n",
+        "hyperbolic_n", "hyperbolic_K", "majorant_n", "majorant_K",
+        "coefficient_drift_n"])
+def test_nan_parameter_refused_when_built(make, message):
+    # every comparison with NaN is false: refused here, not by a nan value
+    # or a NonFiniteState later
+    with pytest.raises(DomainError, match=message):
+        make()
 
 
 class TestCatalogue:

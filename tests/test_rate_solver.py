@@ -93,6 +93,29 @@ class TestPhi:
         assert len(rules) > 1
         assert shapes["V"] == shapes["lam"] == [(21,)] * len(rules)
 
+    @pytest.mark.parametrize("make", [
+        lambda: euclid(3),
+        lambda: GrowthProfile(log_volume=lambda r: np.log(r) - 3.0,
+                              energy_bound=lambda r: 1.0),
+        lambda: profile_from_radial(RadialCoefficient.tabulated(
+            _TAB_RADII, 1.0 + np.sqrt(_TAB_RADII)), 3, "unit_energy"),
+        lambda: profile_from_radial(RadialCoefficient.tabulated(
+            _TAB_RADII, 1.0 + np.sqrt(_TAB_RADII)), 3, "coefficient_energy"),
+    ], ids=["euclid3", "dead_zone", "tabulated_unit", "tabulated_coefficient"])
+    def test_batched_rows_are_phi(self, monkeypatch, make):
+        # one integrand call for the rows that fit one panel; phi itself
+        # for an empty interval, a knot inside or a missed tolerance: each
+        # row is phi's value to the bit
+        prof = make()
+        lo = effective_lower_limit(prof) * np.array([1.0, 1.0, 1.0, 2.0, 3.7, 40.0, 1e3])
+        R = lo * np.array([1.0, 1.5, 2.0, 2.0, 1.01, 1.9, 2.0])
+        expected = [phi(prof, b, a) for a, b in zip(lo, R)]
+        scalar = []
+        monkeypatch.setattr(rate_solver, "phi",
+                            lambda p, b, a: scalar.append(a) or phi(p, b, a))
+        assert rate_solver._phi_rows(prof, lo, R).tolist() == expected
+        assert lo[0] in scalar and len(scalar) < lo.size
+
     def test_wide_domain(self):
         # stays accurate across ten decades of radius
         p = euclid(1)
@@ -281,30 +304,42 @@ class TestOnePassTable:
             back.append(sum(phi(prof, b, a) for a, b in zip(pts, pts[1:])))
         assert np.allclose(back, targets, rtol=1e-9, atol=0.0)
 
-    def test_phi_walks_forward(self, monkeypatch):
-        lower = []
-        real_phi = rate_solver.phi
+    @staticmethod
+    def record_phi(monkeypatch, calls):
+        """Append (R, r_lo) of every phi evaluation to calls: phi's own, and
+        each row of the lockstep Brent's batched evaluations."""
+        real_phi, real_rows = rate_solver.phi, rate_solver._phi_rows
 
         def recording_phi(profile, R, r_lo):
-            lower.append(r_lo)
+            calls.append((R, r_lo))
             return real_phi(profile, R, r_lo)
 
+        def recording_rows(profile, r_lo, R):
+            # a row phi computes itself is recorded there
+            with monkeypatch.context() as m:
+                m.setattr(rate_solver, "phi", real_phi)
+                out = real_rows(profile, r_lo, R)
+            calls.extend(zip(R.tolist(), r_lo.tolist()))
+            return out
+
         monkeypatch.setattr(rate_solver, "phi", recording_phi)
+        monkeypatch.setattr(rate_solver, "_phi_rows", recording_rows)
+
+    def test_phi_walks_forward(self, monkeypatch):
+        # every evaluation starts at the shell below its R: in order of R,
+        # the lower ends never go back
+        calls = []
+        self.record_phi(monkeypatch, calls)
         prof = profile_from_radial(RadialCoefficient.constant(), 3, "unit_energy")
         rate_table(prof, np.geomspace(1.0, 1e6, 200))
+        lower = [r_lo for R, r_lo in sorted(calls)]
         assert np.all(np.diff(lower) >= 0)
         assert len(lower) <= 10 * 200
 
     def test_no_phi_call_repeats(self, monkeypatch):
         # Brent gets each bracket's end values from the carried F(lo), F(hi)
         pairs = []
-        real_phi = rate_solver.phi
-
-        def recording_phi(profile, R, r_lo):
-            pairs.append((R, r_lo))
-            return real_phi(profile, R, r_lo)
-
-        monkeypatch.setattr(rate_solver, "phi", recording_phi)
+        self.record_phi(monkeypatch, pairs)
         prof = profile_from_radial(RadialCoefficient.constant(), 3, "unit_energy")
         rate_table(prof, np.geomspace(1.0, 1e6, 200))
         assert len(set(pairs)) == len(pairs)
@@ -325,6 +360,21 @@ class TestOnePassTable:
 
         monkeypatch.setattr(rate_solver, "brentq", unhinted)
         assert np.array_equal(rate_table(prof, grid).values, hinted)
+
+    @pytest.mark.parametrize("coeff,mode", [
+        (RadialCoefficient.constant(), "unit_energy"),
+        (RadialCoefficient.power(1.0), "coefficient_energy"),
+        (RadialCoefficient.tabulated(_TAB_RADII, 1.0 + np.sqrt(_TAB_RADII)),
+         "unit_energy"),
+    ], ids=["constant", "power1", "tabulated"])
+    def test_rows_equal_psi_alone(self, coeff, mode):
+        # each row of the lockstep solve is psi of its target alone, to the
+        # bit; the tabulated profile's knots send rows to phi itself
+        prof = profile_from_radial(coeff, 3, mode)
+        grid = np.geomspace(1.0, 1e6, 40 if coeff.family != "tabulated" else 3)
+        rate = rate_table(prof, grid)
+        alone = [psi(prof, t, rate.r_star) for t in PROOF_SCALE_C * grid]
+        assert rate.values.tolist() == alone
 
 
 class TestEffectiveLowerLimit:

@@ -2,12 +2,15 @@
 
     python tools/output_digest.py [LABEL ...]
 
-Runs every call, once-call and probe of ``bench/workloads.py``, and README's
-two example configs, in one process through ``escrate.cli.main``, with the
-package taken from this checkout's ``src``. Calls that simulate get
-``--seed 41``, as the benchmark passes its seed. Each config prints one line:
-its label (``workload/call`` or ``README/command``), its exit code and one
-sha256 over its stdout, its stderr and its ``--out`` bytes. LABELs select
+Runs every call, once-call and probe of ``bench/workloads.py``, README's
+two example configs, and a 3-row rate table of the benchmark's tabulated
+coefficient in ``unit_energy`` mode (the benchmark leaves it out; its knots
+send rows to the rate solver's scalar fallback), in one process through
+``escrate.cli.main``, with the package taken from this checkout's ``src``.
+Calls that simulate get ``--seed 41``, as the benchmark passes its seed.
+Each config prints one line: its label (``workload/call``,
+``README/command`` or ``extra/call``), its exit code and one sha256 over
+its stdout, its stderr and its ``--out`` bytes. LABELs select
 configs; none runs all of them. One stderr line names numpy's version and
 the highest SIMD target its loops dispatch to (for example ``AVX512_SPR``):
 rate and dyadic values can differ in the last ulps between targets.
@@ -37,7 +40,7 @@ from numpy._core import _multiarray_umath  # noqa: E402
 
 import escrate.cli  # noqa: E402
 from escrate.pinned import LIL_EPS05_MAX_FRACTION  # noqa: E402
-from workloads import workloads  # noqa: E402
+from workloads import _TABULATED, _rate_call, workloads  # noqa: E402
 
 SEED = 41
 
@@ -54,6 +57,8 @@ def configs() -> dict:
     rate, simulate = re.findall(r"^```ini\n(.*?)^```$", readme, re.M | re.S)
     found["README/rate"] = (["rate"], rate)
     found["README/simulate"] = (["simulate"], simulate)
+    tab = _rate_call("rate_tabulated_unit", dict(_TABULATED, mode="unit_energy"), 3)
+    found[f"extra/{tab.name}"] = (list(tab.command), tab.config)
     return found
 
 

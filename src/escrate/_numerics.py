@@ -1,9 +1,9 @@
 """Adaptive quadrature, Brent root-finding and PCHIP interpolation on numpy:
-globally adaptive 21-point Gauss-Kronrod (QUADPACK's qk21 rule) and its
-first panel over many intervals at once, Brent's method with an xtol +
-rtol |x| stop over arrays of brackets in lockstep, and the Fritsch-Butland
-monotone cubic with the three-point end rule, evaluated in each interval's
-power basis.
+globally adaptive 21-point Gauss-Kronrod (QUADPACK's qk21 rule) over arrays
+of intervals and Brent's method with an xtol + rtol |x| stop over arrays of
+brackets, each in lockstep with every row bitwise its one-row call, and the
+Fritsch-Butland monotone cubic with the three-point end rule, evaluated in
+each interval's power basis.
 """
 
 from __future__ import annotations
@@ -32,55 +32,101 @@ _W10 = np.zeros(21)
 _W10[1::2] = np.concatenate((_WG, _WG[::-1]))
 
 
-def _rule(f, lo: float, hi: float, label: str):
-    """(|K21 - G10|, lo, hi, K21) of f over [lo, hi]; a non-finite K21
-    raises."""
-    half = 0.5 * (hi - lo)
-    fv = np.asarray(f(0.5 * (lo + hi) + half * _NODES), dtype=float)
-    k21 = half * float(_W21 @ fv)
-    if not math.isfinite(k21):
-        raise QuadratureFailure(f"{label}: estimate {k21}")
-    return abs(k21 - half * float(_W10 @ fv)), lo, hi, k21
+class _FirstFailure:
+    """The lowest row that has failed so far, and its error."""
+
+    def __init__(self, rows: int):
+        self.row, self.error = rows, None
+
+    def __call__(self, row, error):
+        if row < self.row:
+            self.row, self.error = row, error
 
 
-def quad(f, a: float, b: float, epsrel: float, limit: int, label: str,
-         points=()) -> float:
-    """Integral of f over [a, b], a <= b, starting from the intervals cut at
-    the given break points; f maps an array of nodes to their values.
-
-    Bisects the interval with the largest |K21 - G10| until the summed
-    differences are at most epsrel |value|. QuadratureFailure, with
-    ``label``, when an estimate is not finite or ``limit`` intervals do not
-    get there."""
-    if a == b:
-        return 0.0
-    edges = [a, *sorted(p for p in points if a < p < b), b]
-    parts = [_rule(f, lo, hi, label) for lo, hi in zip(edges[:-1], edges[1:])]
-    while True:
-        total = math.fsum(part[3] for part in parts)
-        err = math.fsum(part[0] for part in parts)
-        if err <= epsrel * abs(total):
-            return total
-        if len(parts) >= limit:
-            raise QuadratureFailure(
-                f"{label}: estimate {total}, error {err} after {limit} intervals")
-        worst = max(parts)
-        parts.remove(worst)
-        _, lo, hi, _ = worst
-        parts += [_rule(f, lo, 0.5 * (lo + hi), label),
-                  _rule(f, 0.5 * (lo + hi), hi, label)]
+def _by_rows(f, rows, x, fail: _FirstFailure):
+    """f(rows, x), x running along the sorted rows; when that raises, f
+    again on each row's stretch of rows and x alone, in order, with NaN
+    from the first row it raises on, whose error goes to fail."""
+    try:
+        return np.asarray(f(rows, x), dtype=float)
+    except Exception:
+        out = np.full(np.shape(x), np.nan)
+        ends = np.flatnonzero(np.diff(rows, append=-1)) + 1
+        for s, e in zip([0, *ends[:-1].tolist()], ends.tolist()):
+            try:
+                out[s:e] = f(rows[s:e], x[s:e])
+            except Exception as exc:
+                fail(rows[s], exc)
+                break
+        return out
 
 
-def one_panel(f, a: np.ndarray, b: np.ndarray, epsrel: float) -> np.ndarray:
-    """quad's value on each [a_i, b_i] whose first 21-node panel meets
-    epsrel, by _rule's arithmetic with its dot on each row; NaN on the
-    others and where the estimate is not finite. f maps an (m, 21) array of
-    nodes to their values in one call."""
-    half = 0.5 * (b - a)
-    fv = np.asarray(f((0.5 * (a + b))[:, None] + half[:, None] * _NODES), dtype=float)
-    k21 = half * np.array([_W21 @ v for v in fv])
-    err = np.abs(k21 - half * np.array([_W10 @ v for v in fv]))
-    return np.where(np.isfinite(k21) & (err <= epsrel * np.abs(k21)), k21, np.nan)
+def quad(f, a, b, epsrel: float, limit: int, label, points=()) -> np.ndarray:
+    """Integrals of f over the rows [a_i, b_i], a_i <= b_i, each cut at the
+    sorted break points inside it, in lockstep: f maps an (m, 21) array of
+    nodes to their values, and one call takes every new panel.
+
+    Each row bisects its part with the largest (|K21 - G10|, lo, hi, K21)
+    until the fsum of its differences is at most epsrel |fsum of its K21|,
+    each panel with its own dot, as ``_W21 @ v`` (a matrix-vector product
+    sums in another order): each row is bitwise its one-row call.
+    QuadratureFailure, with ``label(i)``, when a row's estimate is not
+    finite or ``limit`` parts do not get there. A failing row ends the rows
+    after it, and its error is raised once the rows before it are done;
+    when f raises on a batch, it runs again row by row.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    out = np.zeros(a.size)
+    fail = _FirstFailure(a.size)
+    own = np.flatnonzero(a != b)
+    lo, hi = a[own], b[own]
+    alone = np.ones(own.size, dtype=bool)  # the rows of one panel
+    if len(points):  # each row's panels: a_i, the break points inside, b_i
+        cut = np.searchsorted(points, lo, side="right")
+        n = np.maximum(np.searchsorted(points, hi, side="left") - cut, 0) + 1
+        own, alone = np.repeat(own, n), np.repeat(n == 1, n)
+        at = np.arange(own.size) + np.repeat(cut - np.cumsum(n) + n, n)  # cut_i + j
+        ends = np.concatenate(([-np.inf], points, [np.inf]))
+        lo, hi = np.maximum(a[own], ends[at]), np.minimum(b[own], ends[at + 1])
+    parts = {}  # each other row's parts [|K21 - G10|, lo, hi, K21], in order
+    while own.size:
+        half = 0.5 * (hi - lo)
+        fv = _by_rows(lambda _, x: f(x), own,
+                      (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES, fail=fail)
+        with np.errstate(all="ignore"):  # an overflow ends non-finite
+            k21 = half * (fv[:, None] @ _W21)[:, 0]  # (m, 1, 21) @ (21,): a dot each
+            err = np.abs(k21 - half * (fv[:, None] @ _W10)[:, 0])
+        for j in np.flatnonzero(~np.isfinite(k21))[:1]:  # the lowest row's first
+            fail(own[j], QuadratureFailure(f"{label(own[j])}: estimate {k21[j]}"))
+        alone &= err <= epsrel * np.abs(k21)  # a one-panel row meeting epsrel is done
+        out[own[alone]] = k21[alone] + 0.0  # its fsum: its K21, and 0.0 for -0.0
+        if alone.all():
+            break
+        for i, *part in zip(*(v[~alone].tolist() for v in (own, err, lo, hi, k21))):
+            parts.setdefault(i, []).append(part)
+        halves = []
+        for i in sorted(parts):
+            p = parts.pop(i)
+            if i >= fail.row:
+                continue
+            total, errs = math.fsum(q[3] for q in p), math.fsum(q[0] for q in p)
+            if errs <= epsrel * abs(total):
+                out[i] = total
+            elif len(p) >= limit:
+                fail(i, QuadratureFailure(f"{label(i)}: estimate {total}, error "
+                                          f"{errs} after {limit} intervals"))
+            else:
+                worst = max(p)
+                p.remove(worst)
+                parts[i] = p
+                mid = 0.5 * (worst[1] + worst[2])
+                halves += [(i, worst[1], mid), (i, mid, worst[2])]
+        own, lo, hi = np.array(halves, dtype=float).reshape(-1, 3).T
+        own, alone = own.astype(int), np.zeros(own.size, dtype=bool)
+    if fail.error is not None:
+        raise fail.error
+    return out
 
 
 def brentq(f, a, b, rtol: float, xtol: float, maxiter: int, fa=None, fb=None):
@@ -99,37 +145,17 @@ def brentq(f, a, b, rtol: float, xtol: float, maxiter: int, fa=None, fb=None):
     b = np.asarray(b, dtype=float)
     roots = np.empty(a.size)
     rows = np.arange(a.size)
-    first, error = a.size, None  # the first failing row, and its error
-
-    def fail(row, exc):
-        nonlocal first, error
-        if row < first:
-            first, error = row, exc
-
-    def values(x):
-        """f at x on the running rows; NaN from the first row f fails on."""
-        try:
-            return np.asarray(f(rows, x), dtype=float)
-        except Exception:
-            out = np.full(rows.size, np.nan)
-            for k in range(rows.size):
-                try:
-                    out[k] = np.asarray(f(rows[k:k + 1], x[k:k + 1]), dtype=float)[0]
-                except Exception as exc:
-                    fail(rows[k], exc)
-                    break
-            return out
-
+    fail = _FirstFailure(a.size)
     xpre, xcur = a, b
-    fpre = values(a) if fa is None else np.asarray(fa, dtype=float)
-    fcur = values(b) if fb is None else np.asarray(fb, dtype=float)
+    fpre = _by_rows(f, rows, a, fail=fail) if fa is None else np.asarray(fa, dtype=float)
+    fcur = _by_rows(f, rows, b, fail=fail) if fb is None else np.asarray(fb, dtype=float)
     zero = (fpre == 0.0) | (fcur == 0.0)
     roots[zero] = np.where(fpre == 0.0, xpre, xcur)[zero]
     same = ~zero & ((fpre < 0.0) == (fcur < 0.0))
     if same.any():
         fail(int(np.argmax(same)),
              ValueError("f(a) and f(b) must have different signs"))
-    keep = ~zero & (rows < first)
+    keep = ~zero & (rows < fail.row)
     rows, xpre, xcur, fpre, fcur = (v[keep] for v in (rows, xpre, xcur, fpre, fcur))
     xblk = fblk = spre = scur = np.zeros(rows.size)
     for _ in range(maxiter):
@@ -145,7 +171,7 @@ def brentq(f, a, b, rtol: float, xtol: float, maxiter: int, fa=None, fb=None):
         sbis = 0.5 * (xblk - xcur)
         done = (fcur == 0.0) | (np.abs(sbis) < delta)
         roots[rows[done]] = xcur[done]
-        keep = ~done & (rows < first)
+        keep = ~done & (rows < fail.row)
         (rows, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta,
          sbis) = (v[keep] for v in (rows, xpre, xcur, xblk, fpre, fcur, fblk,
                                     spre, scur, delta, sbis))
@@ -167,11 +193,11 @@ def brentq(f, a, b, rtol: float, xtol: float, maxiter: int, fa=None, fb=None):
         xpre, fpre = xcur, fcur
         xcur = xcur + np.where(np.abs(scur) > delta, scur,
                                np.where(sbis > 0, delta, -delta))
-        fcur = values(xcur)
-    if (rows < first).any():
+        fcur = _by_rows(f, rows, xcur, fail=fail)
+    if (rows < fail.row).any():
         raise RuntimeError(f"brentq: no convergence in {maxiter} iterations")
-    if error is not None:
-        raise error
+    if fail.error is not None:
+        raise fail.error
     return roots
 
 

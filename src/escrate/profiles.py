@@ -188,31 +188,28 @@ class RadialCoefficient:
         @cache
         def knot_table():
             """Knots 0 = k_0 < k_1 < ... and rho_tilde at each: one
-            quadrature per knot interval, on first use."""
+            quadrature over the knot intervals, on first use."""
             knots = np.concatenate(([0.0], radii[radii > 0.0]))
-            pieces = [_integral(coeff, lo, hi)
-                      for lo, hi in zip(knots[:-1], knots[1:])]
+            pieces = _integral(coeff, knots[:-1], knots[1:])
             return knots, np.concatenate(([0.0], np.cumsum(pieces)))
 
         def rho(s):
-            # the knot table plus one quadrature from the knot below s
+            # the knot table plus one quadrature from the knot below each s
             knots, cum = knot_table()
             if np.any(s > knots[-1]):
                 raise OutOfRange("tabulated coefficient evaluated outside its grid")
-            i = np.searchsorted(knots, s, side="right") - 1
-            return np.array([cum[j] + _integral(coeff, knots[j], v)
-                             for j, v in zip(i.flat, s.flat)]).reshape(s.shape)
+            i = (np.searchsorted(knots, s, side="right") - 1).ravel()
+            return (cum[i] + _integral(coeff, knots[i], s.ravel())).reshape(s.shape)
 
         def inverse(r):
             # one lockstep Brent solve, each row inside the knot interval
-            # holding it
+            # holding it, with one quadrature per iteration
             knots, cum = knot_table()
             j = (np.searchsorted(cum, r, side="right") - 1).ravel()
             v = r.ravel()
 
             def f(rows, x):
-                return [cum[j[k]] + _integral(coeff, knots[j[k]], y) - v[k]
-                        for k, y in zip(rows.tolist(), x.tolist())]
+                return cum[j[rows]] + _integral(coeff, knots[j[rows]], x) - v[rows]
 
             return brentq(f, knots[j], knots[j + 1], rtol=1e-12, xtol=1e-300,
                           maxiter=200, fa=cum[j] - v,
@@ -260,19 +257,19 @@ def _log1p_transform(param: float, log1p_inverse: Callable) -> dict:
 # Intrinsic radius transform
 # ---------------------------------------------------------------------------
 
-def _integral(coeff: RadialCoefficient, lo: float, hi: float) -> float:
-    """Integral of a(u)^{-1/2} over [lo, hi] by adaptive quadrature."""
+def _integral(coeff: RadialCoefficient, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Integral of a(u)^{-1/2} over each [lo_i, hi_i], in one quadrature."""
     from ._numerics import quad
 
     def integrand(u):
         au = coeff.a(u)
         if np.any(au <= 0.0):
             raise NonPositiveCoefficient(
-                f"coefficient not positive at u={u[np.argmax(au <= 0.0)]}")
+                f"coefficient not positive at u={u.flat[np.argmax(au <= 0.0)]}")
         return au ** -0.5
 
     return quad(integrand, lo, hi, epsrel=1e-11, limit=200,
-                label=f"rho_tilde integral on [{lo}, {hi}]")
+                label=lambda i: f"rho_tilde integral on [{lo[i]}, {hi[i]}]")
 
 
 def _scalar_or_array(out: np.ndarray):
@@ -288,7 +285,7 @@ def rho_tilde(coeff: RadialCoefficient, s):
     Strictly increasing in s; rho_tilde(coeff, 0) = 0.
     """
     s = np.asarray(s, dtype=float)
-    if np.any(s < 0):
+    if not (s >= 0).all():  # NaN too
         raise DomainError("s must be nonnegative")
     return _scalar_or_array(coeff._rho(s))
 
@@ -297,7 +294,7 @@ def _intrinsic_radius(coeff: RadialCoefficient, r) -> np.ndarray:
     """r as an array, checked to lie in [0, sup rho_tilde); OutOfRange names
     the first radius at or above the sup."""
     r = np.asarray(r, dtype=float)
-    if (r < 0).any():
+    if not (r >= 0).all():  # NaN too
         raise DomainError("r must be nonnegative")
     sup = coeff.rho_tilde_sup()
     above = r >= sup
@@ -431,7 +428,8 @@ def coefficient_drift(coeff: RadialCoefficient, n: int) -> Callable:
     radius: rho -> drift_L_rho at the Euclidean radius rho_tilde_inverse(rho),
     for a float or an array rho > 0.
 
-    It overflows quietly (the kernel raises NonFiniteState). Its chain needs
+    It overflows quietly, and a NaN state gets a NaN drift (the kernel
+    raises NonFiniteState for both). Its chain needs
     a floor away from 0: at floor 0.01 its law agrees with IsotropicNd's
     intrinsic radius (power 1 and squared_log 0.5, n = 2 and 3, from
     |x0| = 1, T = 0.2, dt = 1e-3); at the default 1e-6 it overshoots near
@@ -444,8 +442,12 @@ def coefficient_drift(coeff: RadialCoefficient, n: int) -> Callable:
         raise DomainError("dimension n must be >= 1")
 
     def drift(rho):
+        rho = np.asarray(rho, dtype=float)
+        out = np.full(rho.shape, np.nan)
+        live = ~np.isnan(rho)   # rho_tilde_inverse refuses NaN
         with np.errstate(over="ignore", invalid="ignore"):
-            return drift_L_rho(coeff, n, rho_tilde_inverse(coeff, rho))
+            out[live] = drift_L_rho(coeff, n, rho_tilde_inverse(coeff, rho[live]))
+        return _scalar_or_array(out)
     return drift
 
 

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from ._numerics import brentq, one_panel, quad
+from ._numerics import brentq, quad
 from .basics import family_verdict
 from .errors import (
     DomainError,
@@ -101,30 +101,39 @@ def phi(profile: GrowthProfile, R: float, r_lo: float = PAPER_LOWER_LIMIT) -> fl
 
     Integrated in log-radius so that envelopes spanning many decades stay
     cheap, with a break at each of the profile's knots inside (r_lo, R);
-    strictly increasing in R; phi(profile, r_lo, r_lo) = 0. An r_lo <= 0 is
-    a DomainError.
+    strictly increasing in R; phi(profile, r_lo, r_lo) = 0. An r_lo <= 0 or
+    an R that is not finite is a DomainError.
     """
     r_lo = _check_r_lo(r_lo)
     R = float(R)
+    if not math.isfinite(R):
+        raise DomainError(f"R={R} must be finite")
     if R < r_lo:
         raise DomainError(f"R={R} below lower limit {r_lo}")
     if R == r_lo:
         return 0.0
     if R > profile.r_max:
         raise DomainError(f"R={R} beyond profile domain r_max={profile.r_max}")
+    return float(_phi_rows(profile, np.array([r_lo]), np.array([R]))[0])
 
+
+def _phi_rows(profile: GrowthProfile, r_lo: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """phi(profile, R[i], r_lo[i]) for each row, r_lo[i] <= R[i] <= r_max,
+    in one lockstep quadrature, with phi's errors."""
     def integrand(us):
         r = np.exp(us)
         den = _denominator(profile, r)
         if (den <= 0.0).any():
-            raise NonPositiveDenominator(float(r[np.argmax(den <= 0.0)]))
+            raise NonPositiveDenominator(float(r.flat[np.argmax(den <= 0.0)]))
         with np.errstate(over="ignore"):   # r*r past float range: inf
             return r * r / den
 
     knots = profile.knots
-    breaks = () if knots is None else np.log(knots[(knots > r_lo) & (knots < R)])
-    return quad(integrand, math.log(r_lo), math.log(R), epsrel=_PHI_EPSREL, limit=400,
-                label=f"phi on [{r_lo}, {R}]", points=breaks)
+    breaks = () if knots is None else np.log(knots[knots > 0.0])
+    # math.log on the ends: np.log may differ in an ulp
+    ends = [np.array([math.log(v) for v in x.tolist()]) for x in (r_lo, R)]
+    return quad(integrand, *ends, epsrel=_PHI_EPSREL, limit=400,
+                label=lambda i: f"phi on [{r_lo[i]}, {R[i]}]", points=breaks)
 
 
 def effective_lower_limit(profile: GrowthProfile) -> float:
@@ -162,26 +171,26 @@ def _doublings(piece: Callable, start: float, cap: float, first_hi: float = 0.0,
         lo, F_lo = hi, F_lo + step
 
 
-def _invert_increasing(piece: Callable, pieces: Callable, start: float,
-                       targets, cap: float, what: str,
-                       first_hi: float = 0.0) -> np.ndarray:
+def _invert_increasing(rows: Callable, start: float, targets, cap: float,
+                       what: str, first_hi: float = 0.0) -> np.ndarray:
     """The x with F(x) = t for each of the nondecreasing targets t, where
-    F(x) = piece(start, x) is an increasing integral; start for t = 0.
+    F(x) = F(lo) + rows(lo, x) is an increasing integral from start, and
+    rows(lo, x) integrates over each row [lo_i, x_i]; start for t = 0.
 
     One pass over the _doublings shells, capped at cap (1 - 1e-13), finds
     the shell [lo, hi] that holds each target. Then one lockstep Brent
-    solve of F(lo) + piece(lo, x) = t takes every row with t > 0, handed
-    the known end values F(lo) - t and F(hi) - t; ``pieces(lo, x)`` is
-    piece over arrays of rows. FiniteTotalIntegral when F stays below a
-    target at the cap, after a doubling that adds under 1e-13 F, or beyond
-    1e150. When the walk fails at a row, the rows before it are solved
-    first, and an error of theirs comes first.
+    solve of F(lo) + rows(lo, x) = t takes every row with t > 0, handed
+    the known end values F(lo) - t and F(hi) - t. FiniteTotalIntegral when
+    F stays below a target at the cap, after a doubling that adds under
+    1e-13 F, or beyond 1e150. When the walk fails at a row, the rows before
+    it are solved first, and an error of theirs comes first.
     """
     targets = np.array([float(t) for t in targets])
     if not (targets >= 0.0).all():  # a NaN target too
         raise DomainError("t must be nonnegative")
     top = cap * (1.0 - 1e-13)
-    shells = _doublings(piece, start, top, first_hi)
+    shells = _doublings(lambda a, b: float(rows(np.array([a]), np.array([b]))[0]),
+                        start, top, first_hi)
     roots = np.full(targets.size, float(start))
     hi, F_hi = start, 0.0
     brackets, walk_error = [], None
@@ -205,57 +214,20 @@ def _invert_increasing(piece: Callable, pieces: Callable, start: float,
     except Exception as error:  # raised once the rows before it are solved
         walk_error = error
     if brackets:
-        rows, lo, hi, F_lo, F_hi = (np.array(v) for v in zip(*brackets))
-        t = targets[rows]
-        roots[rows] = brentq(lambda k, x: F_lo[k] + pieces(lo[k], x) - t[k],
-                             lo, hi, rtol=1e-10, xtol=1e-300, maxiter=200,
-                             fa=F_lo - t, fb=F_hi - t)
+        i, lo, hi, F_lo, F_hi = (np.array(v) for v in zip(*brackets))
+        t = targets[i]
+        roots[i] = brentq(lambda k, x: F_lo[k] + rows(lo[k], x) - t[k],
+                          lo, hi, rtol=1e-10, xtol=1e-300, maxiter=200,
+                          fa=F_lo - t, fb=F_hi - t)
     if walk_error is not None:
         raise walk_error
     return roots
 
 
-def _phi_rows(profile: GrowthProfile, r_lo: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """phi(profile, R[i], r_lo[i]) for each row, bitwise as phi gives it.
-
-    A row that phi integrates as one 21-node panel shares one integrand
-    call with the others and is kept by quad's own test. phi computes every
-    other row, and raises its errors: a knot inside (r_lo, R), an empty
-    or out-of-domain interval, a nonpositive denominator, a non-finite
-    estimate or a missed tolerance.
-    """
-    out = np.full(R.size, np.nan)
-    single = (r_lo < R) & (R <= profile.r_max)
-    if profile.knots is not None:
-        k = profile.knots
-        single &= ~((k > r_lo[:, None]) & (k < R[:, None])).any(axis=1)
-    rows = np.flatnonzero(single)
-
-    def integrand(us):
-        r = np.exp(us)
-        den = _denominator(profile, r)
-        return np.where(den > 0.0, r * r / den, np.nan)  # phi raises at <= 0
-
-    if rows.size:  # math.log, as phi takes it: np.log may differ in an ulp
-        lo = np.array([math.log(v) for v in r_lo[rows].tolist()])
-        hi = np.array([math.log(v) for v in R[rows].tolist()])
-        try:
-            # a row that overflows or divides by 0 ends non-finite, and phi
-            # takes it, warnings and all
-            with np.errstate(all="ignore"):
-                out[rows] = one_panel(integrand, lo, hi, _PHI_EPSREL)
-        except Exception:  # phi raises it for the first row it holds
-            pass
-    for i in np.flatnonzero(np.isnan(out)).tolist():
-        out[i] = phi(profile, R[i], r_lo[i])
-    return out
-
-
 def _invert_phi(profile: GrowthProfile, r_lo: float, targets) -> np.ndarray:
     """The radii R with phi(profile, R, r_lo) = t for the nondecreasing
     targets t; an r_lo <= 0 is a DomainError."""
-    return _invert_increasing(lambda a, b: phi(profile, b, a),
-                              lambda a, b: _phi_rows(profile, a, b),
+    return _invert_increasing(lambda a, b: _phi_rows(profile, a, b),
                               _check_r_lo(r_lo), targets, profile.r_max, "phi")
 
 
@@ -510,15 +482,15 @@ def drift_envelope(b_tilde: Callable, t: float) -> float:
     psi: 1/b_tilde is integrated over [0, 1] and then once per doubling
     segment, and the root is found inside the segment that holds t.
     """
-    def piece(a, b):
-        return quad(lambda xs: [1.0 / float(b_tilde(x)) for x in xs.tolist()],
-                    a, b, epsrel=1e-11, limit=400,
-                    label=f"1/b_tilde integral on [{a}, {b}]")
+    def integrand(xs):
+        return np.reshape([1.0 / float(b_tilde(x)) for x in xs.ravel().tolist()],
+                          xs.shape)
 
-    def pieces(a, b):
-        return [piece(lo, x) for lo, x in zip(a.tolist(), b.tolist())]
+    def rows(a, b):
+        return quad(integrand, a, b, epsrel=1e-11, limit=400,
+                    label=lambda i: f"1/b_tilde integral on [{a[i]}, {b[i]}]")
 
-    return float(_invert_increasing(piece, pieces, 0.0, [t], math.inf,
+    return float(_invert_increasing(rows, 0.0, [t], math.inf,
                                     "1/b_tilde integral", first_hi=1.0)[0])
 
 

@@ -8,14 +8,21 @@ import pytest
 from scipy import integrate, optimize
 from scipy.interpolate import PchipInterpolator
 
-from escrate._numerics import brentq, one_panel, pchip, quad
+from escrate import _numerics
+from escrate._numerics import brentq, pchip, quad
 from escrate.errors import QuadratureFailure
 from escrate.rate_solver import effective_lower_limit, phi
 from escrate.profiles import GrowthProfile
 
 
 def on_nodes(g):
-    return lambda xs: [g(x) for x in xs.tolist()]
+    """quad's f from a scalar function: one Python float per node."""
+    return lambda xs: [[g(x) for x in row] for row in xs.tolist()]
+
+
+def one_row(f, a, b, epsrel, limit, name, points=()):
+    """quad over the single row [a, b]."""
+    return quad(f, [a], [b], epsrel, limit, lambda i: name, points)[0]
 
 
 def on_rows(fs):
@@ -46,14 +53,14 @@ class TestAgainstScipy:
     def test_quad(self, name):
         g, a, b = _INTEGRANDS[name]
         ref = integrate.quad(g, a, b, epsrel=1e-13, epsabs=0.0, limit=200)[0]
-        assert quad(on_nodes(g), a, b, 1e-9, 400, name) == pytest.approx(ref, rel=1e-9)
+        assert one_row(on_nodes(g), a, b, 1e-9, 400, name) == pytest.approx(ref, rel=1e-9)
         # at a tighter epsrel the two agree to rounding
-        tight = quad(on_nodes(g), a, b, 1e-13, 400, name)
+        tight = one_row(on_nodes(g), a, b, 1e-13, 400, name)
         assert tight == pytest.approx(ref, rel=1e-13 if name != "kink" else 1e-12)
 
     def test_quad_break_point_makes_kink_exact(self):
         g, a, b = _INTEGRANDS["kink"]
-        assert quad(on_nodes(g), a, b, 1e-9, 400, "kink", points=[0.3]) == \
+        assert one_row(on_nodes(g), a, b, 1e-9, 400, "kink", points=[0.3]) == \
             pytest.approx(0.29, rel=1e-15)
 
     def test_phi_next_to_dead_zone(self):
@@ -72,23 +79,76 @@ class TestAgainstScipy:
 
     def test_quad_failures_are_typed(self):
         with pytest.raises(QuadratureFailure, match="divergent: .* 50 intervals"):
-            quad(on_nodes(lambda x: 1.0 / x), 0.0, 1.0, 1e-9, 50, "divergent")
+            one_row(on_nodes(lambda x: 1.0 / x), 0.0, 1.0, 1e-9, 50, "divergent")
         with pytest.raises(QuadratureFailure, match="overflow: estimate inf"):
-            quad(on_nodes(lambda x: 1e308 * (1.0 + x)), 0.0, 10.0, 1e-9, 50,
-                 "overflow")
+            one_row(on_nodes(lambda x: 1e308 * (1.0 + x)), 0.0, 10.0, 1e-9, 50,
+                    "overflow")
 
-    def test_one_panel_is_quads_value(self):
-        # bitwise quad's value where its first panel meets epsrel; NaN where
-        # quad bisects, and for a non-finite estimate
-        def h(xs):
-            return np.exp(-xs) * np.cos(3.0 * xs) / (xs > -1.0)
+    def test_one_panel_is_the_kronrod_dot(self):
+        # a row that one panel settles is half * (_W21 @ f(nodes)), each
+        # panel's own dot, as a scalar qk21 rule takes it
+        g = _INTEGRANDS["smooth"][0]
+        half = 0.5 * (0.1 - 0.0)
+        fv = np.array([g(x) for x in (0.05 + half * _numerics._NODES).tolist()])
+        assert one_row(on_nodes(g), 0.0, 0.1, 1e-9, 400, "h") == \
+            half * float(_numerics._W21 @ fv)
 
-        a, b = np.array([0.0, 1.0, 0.0, -2.0]), np.array([0.1, 1.5, 4.0, 0.0])
-        with np.errstate(all="ignore"):  # 1/0, then inf - inf in the dot
-            got = one_panel(h, a, b, 1e-9)
-        assert got[:2].tolist() == [quad(h, 0.0, 0.1, 1e-9, 400, "h"),
-                                    quad(h, 1.0, 1.5, 1e-9, 400, "h")]
-        assert np.isnan(got[2:]).all()
+    def test_quad_rows_are_one_row_calls(self):
+        # one call over rows that take one panel, bisect, are cut at a
+        # break point, end non-finite, reach the limit or raise: each row's
+        # value, and the first failing row's error, bitwise as its one-row
+        # call gives them
+        def g(x):
+            if 40.0 < x < 41.0:
+                raise ZeroDivisionError(f"raised at {x}")
+            if x >= 20.0:
+                return 1e308 * (x - 19.0)         # [20, 30]: estimate inf
+            if x >= 5.0:
+                return abs(x - 5.3)               # [5, 6]: break point 5.3
+            if x < 0.0:
+                return -1.0 / x                   # [-1, 0]: the limit
+            return math.exp(-x) * math.cos(3.0 * x)
+
+        rows = {"one_panel": (0.0, 0.1), "bisects": (0.0, 4.0),
+                "break": (5.0, 6.0), "empty": (2.0, 2.0), "inf": (20.0, 30.0),
+                "limit": (-1.0, 0.0), "raises": (40.0, 41.0)}
+        calls = []
+
+        def f(xs):
+            calls.append(xs.shape)
+            return on_nodes(g)(xs)
+
+        def run(names):
+            a, b = zip(*(rows[k] for k in names))
+            return quad(f, a, b, 1e-9, 50, lambda i: names[i], points=[5.3])
+
+        def alone(name):
+            try:
+                return run([name])[0]
+            except Exception as exc:
+                return type(exc), str(exc)
+
+        solo = {name: alone(name) for name in rows}
+        assert solo["inf"] == (QuadratureFailure, "inf: estimate inf")
+        assert solo["limit"][1].startswith("limit: estimate ")
+        assert solo["raises"][0] is ZeroDivisionError
+        assert solo["break"] == pytest.approx(0.29, rel=1e-15)
+        assert solo["empty"] == 0.0
+        calls.clear()
+        good = ["one_panel", "bisects", "break", "empty"]
+        assert run(good).tolist() == [solo[k] for k in good]
+        # one (m, 21) call per iteration: 1 + 1 + 2 panels, then two per
+        # bisecting row
+        assert calls[0] == (4, 21) and len(calls) > 1
+        assert set(calls[1:]) <= {(2, 21), (4, 21)}
+        for order in (["one_panel", "inf", "raises", "limit"],
+                      ["bisects", "raises", "inf"], ["break", "limit", "raises"],
+                      ["limit", "inf"]):
+            with pytest.raises(Exception) as exc:
+                run(order)
+            # the limit is reached late, yet an earlier row's error comes first
+            first = next(solo[k] for k in order if isinstance(solo[k], tuple))
+            assert (exc.type, str(exc.value)) == first, order
 
     @pytest.mark.parametrize("name", list(_BRACKETS))
     @pytest.mark.parametrize("rtol", [1e-10, 1e-12])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize
 
+from escrate import profiles
 from escrate.errors import (
     DomainError,
     NonPositiveCoefficient,
@@ -29,6 +30,7 @@ from escrate.profiles import (
     rho_tilde,
     rho_tilde_inverse,
 )
+from escrate.rate_solver import rate_table
 
 
 class TestRadialCoefficient:
@@ -189,6 +191,89 @@ class TestRhoTilde:
         assert np.all(np.diff(rvals) > 0)
 
 
+_TAB_RADII = np.array([0.0] + [2.0 ** k for k in range(31)])
+
+
+def _bench_table():
+    """a(r) = 1 + sqrt(r) on radii 0, 2^0, ..., 2^30, as in the benchmark."""
+    return RadialCoefficient.tabulated(_TAB_RADII, 1.0 + np.sqrt(_TAB_RADII))
+
+
+class TestTabulatedRows:
+    """The tabulated transform makes one lockstep quadrature where it
+    loops over values: each row as its one-row call gives it."""
+
+    @pytest.mark.parametrize("make", [
+        _bench_table,
+        lambda: RadialCoefficient.tabulated(
+            [0.0, 0.3, 1.7, 2.0, 5.5, 9.0, 40.0, 1e3],
+            [1.0, 0.5, 3.0, 2.0, 7.0, 1.5, 30.0, 2.0]),
+    ], ids=["benchmark_table", "up_and_down"])
+    def test_rows_are_one_row_calls(self, make):
+        c = make()
+        knots = np.concatenate(([0.0], c._table[0][1:]))
+        cum = c._rho_knots()
+        # the knot table: one call over every knot interval
+        pieces = [profiles._integral(c, np.array([lo]), np.array([hi]))[0]
+                  for lo, hi in zip(knots[:-1], knots[1:])]
+        assert cum.tolist() == [0.0, *np.cumsum(pieces).tolist()]
+        rng = np.random.default_rng(8)
+        s = np.concatenate((knots, rng.uniform(0.0, knots[-1], 300),
+                            np.geomspace(1e-9, knots[-1], 200)))
+        r = np.concatenate((cum[:-1], rng.uniform(0.0, cum[-1], 300)))
+        for transform, x in ((rho_tilde, s), (rho_tilde_inverse, r),
+                             (log_rho_tilde_inverse, r[1:])):
+            x = x[:x.size // 2 * 2]
+            assert transform(c, x).tolist() == [transform(c, v) for v in x.tolist()]
+            assert transform(c, x.reshape(-1, 2)).tolist() == \
+                transform(c, x).reshape(-1, 2).tolist()
+
+    def test_errors_are_the_first_failing_rows(self):
+        # a(u) = 1 - u is not positive from u = 1 on: rows after the first
+        # failing one never run, and its error text is its one-row call's
+        c = RadialCoefficient("falling", None, lambda u: 1.0 - u)
+        lo, hi = np.array([0.0, 0.5, 0.0, 2.0, 0.0]), np.array([0.5, 3.0, 0.9, 4.0, 7.0])
+
+        def alone(a, b):
+            try:
+                return profiles._integral(c, np.array([a]), np.array([b]))[0]
+            except NonPositiveCoefficient as exc:
+                return str(exc)
+
+        solo = [alone(a, b) for a, b in zip(lo, hi)]
+        assert isinstance(solo[0], float) and isinstance(solo[2], float)
+        assert solo[1].startswith("coefficient not positive at u=")
+        with pytest.raises(NonPositiveCoefficient) as exc:
+            profiles._integral(c, lo, hi)
+        assert str(exc.value) == solo[1] != solo[3]
+        assert profiles._integral(c, lo[[0, 2]], hi[[0, 2]]).tolist() == \
+            [solo[0], solo[2]]
+
+    def test_calls_count_iterations_not_values(self, monkeypatch):
+        # the per-value loops made one a(r) call per value and more (2031
+        # for the knot table and these 2000 values, 6467 for the table
+        # below); measured here: 2 calls (one for the knot table, one for
+        # the values), and 121 a(r) calls with 24 V calls for the table
+        calls = {"a": 0, "V": 0}
+
+        def counted(name, f):
+            def wrapper(self, r):
+                calls[name] += 1
+                return f(self, r)
+            return wrapper
+
+        monkeypatch.setattr(RadialCoefficient, "a", counted("a", RadialCoefficient.a))
+        monkeypatch.setattr(profiles.GrowthProfile, "V",
+                            counted("V", profiles.GrowthProfile.V))
+        s = np.random.default_rng(3).uniform(0.0, 2.0 ** 30, 2000)
+        rho_tilde(_bench_table(), s)
+        assert calls["a"] <= 4
+        calls["a"] = 0
+        rate_table(profile_from_radial(_bench_table(), 3, "unit_energy"),
+                   np.geomspace(1.0, 1e6, 3))
+        assert calls["a"] <= 180 and calls["V"] <= 40
+
+
 class TestGrowthProfile:
     def test_unit_energy_has_unit_lambda(self):
         p = profile_from_radial(RadialCoefficient.power(1.0), 2, "unit_energy")
@@ -261,6 +346,26 @@ def test_nan_parameter_refused_when_built(make, message):
     # or a NonFiniteState later
     with pytest.raises(DomainError, match=message):
         make()
+
+
+@pytest.mark.parametrize("transform, coeff, message", [
+    (rho_tilde, RadialCoefficient.power(1.0), "s must be nonnegative"),
+    (rho_tilde, RadialCoefficient.squared_log(0.5), "s must be nonnegative"),
+    (rho_tilde, _bench_table(), "s must be nonnegative"),
+    (rho_tilde_inverse, _bench_table(), "r must be nonnegative"),
+    (rho_tilde_inverse, RadialCoefficient.power(1.0), "r must be nonnegative"),
+    (rho_tilde_inverse, RadialCoefficient.constant(), "r must be nonnegative"),
+    (log_rho_tilde_inverse, _bench_table(), "r must be nonnegative"),
+    (log_rho_tilde_inverse, RadialCoefficient.squared_log(0.5),
+     "r must be nonnegative"),
+], ids=["rho_power", "rho_squared_log", "rho_tabulated", "inverse_tabulated",
+        "inverse_power", "inverse_constant", "log_inverse_tabulated",
+        "log_inverse_squared_log"])
+def test_nan_radius_refused(transform, coeff, message):
+    # NaN fails the range check itself, not later as a nan or an IndexError
+    for r in (_NAN, np.array([1.0, _NAN])):
+        with pytest.raises(DomainError, match=message):
+            transform(coeff, r)
 
 
 class TestCatalogue:

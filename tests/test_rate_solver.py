@@ -72,12 +72,13 @@ class TestPhi:
         assert exc.value.radius == pytest.approx(first, rel=1e-14)
 
     def test_integrand_takes_node_arrays(self, monkeypatch):
-        # V and lambda see each rule's 21 nodes at once, once per rule
-        from escrate import _numerics
-
+        # V and lambda see one (m, 21) array of nodes per lockstep iteration:
+        # first the 20 panels between the knots inside [1.42, 1e6], then the
+        # two halves of the part the row bisects (the denominator is small
+        # at 1.42), so m sums to the panel count
         coeff = RadialCoefficient.tabulated(_TAB_RADII, 1.0 + np.sqrt(_TAB_RADII))
         base = profile_from_radial(coeff, 3, "coefficient_energy")
-        expected = phi(base, 1e6, 2.0)
+        expected = phi(base, 1e6, 1.42)
         shapes = {"V": [], "lam": []}
 
         def seen(name, f):
@@ -85,36 +86,68 @@ class TestPhi:
 
         prof = GrowthProfile(seen("V", base.V), seen("lam", base.lam),
                              r_max=base.r_max, knots=base.knots)
-        rules = []
-        rule = _numerics._rule
-        monkeypatch.setattr(_numerics, "_rule",
-                            lambda *a: rules.append(1) or rule(*a))
-        assert phi(prof, 1e6, 2.0) == expected
-        assert len(rules) > 1
-        assert shapes["V"] == shapes["lam"] == [(21,)] * len(rules)
+        assert phi(prof, 1e6, 1.42) == expected
+        calls = len(shapes["V"])
+        assert calls > 1
+        assert shapes["V"] == shapes["lam"] == [(20, 21)] + [(2, 21)] * (calls - 1)
 
-    @pytest.mark.parametrize("make", [
-        lambda: euclid(3),
-        lambda: GrowthProfile(log_volume=lambda r: np.log(r) - 3.0,
-                              energy_bound=lambda r: 1.0),
-        lambda: profile_from_radial(RadialCoefficient.tabulated(
-            _TAB_RADII, 1.0 + np.sqrt(_TAB_RADII)), 3, "unit_energy"),
-        lambda: profile_from_radial(RadialCoefficient.tabulated(
-            _TAB_RADII, 1.0 + np.sqrt(_TAB_RADII)), 3, "coefficient_energy"),
-    ], ids=["euclid3", "dead_zone", "tabulated_unit", "tabulated_coefficient"])
-    def test_batched_rows_are_phi(self, monkeypatch, make):
-        # one integrand call for the rows that fit one panel; phi itself
-        # for an empty interval, a knot inside or a missed tolerance: each
-        # row is phi's value to the bit
+    _ROWS = {  # a profile, and what its rows below give: values or errors
+        "euclid3": (lambda: euclid(3), {"value"}),
+        "dead_zone": (lambda: GrowthProfile(log_volume=lambda r: np.log(r) - 3.0,
+                                            energy_bound=lambda r: 1.0),
+                      {"value", "NonPositiveDenominator"}),
+        "tabulated_unit": (lambda: profile_from_radial(RadialCoefficient.tabulated(
+            _TAB_RADII, 1.0 + np.sqrt(_TAB_RADII)), 3, "unit_energy"), {"value"}),
+        "tabulated_coefficient": (lambda: profile_from_radial(
+            RadialCoefficient.tabulated(_TAB_RADII, 1.0 + np.sqrt(_TAB_RADII)),
+            3, "coefficient_energy"), {"value"}),
+        "shrinking": (lambda: GrowthProfile(log_volume=lambda r: 2.0 - 0.5 * r,
+                                            energy_bound=lambda r: 1.0),
+                      {"value", "NonPositiveDenominator"}),
+        # r*r/den overflows, and lambda underflows to 0 at 1e60
+        "overflowing": (lambda: GrowthProfile(log_volume=lambda r: np.log(r),
+                                              energy_bound=lambda r: 1e-300 / r),
+                        {"value", "QuadratureFailure", "NonPositiveDenominator"}),
+    }
+
+    @pytest.mark.parametrize("name", list(_ROWS))
+    def test_rows_are_one_row_phi(self, name):
+        # empty intervals, knots inside, bisecting rows, and rows that fail:
+        # each row's value, and the first failing row's error, as phi gives
+        # them alone (warnings are errors)
+        make, kinds = self._ROWS[name]
         prof = make()
-        lo = effective_lower_limit(prof) * np.array([1.0, 1.0, 1.0, 2.0, 3.7, 40.0, 1e3])
-        R = lo * np.array([1.0, 1.5, 2.0, 2.0, 1.01, 1.9, 2.0])
-        expected = [phi(prof, b, a) for a, b in zip(lo, R)]
-        scalar = []
-        monkeypatch.setattr(rate_solver, "phi",
-                            lambda p, b, a: scalar.append(a) or phi(p, b, a))
-        assert rate_solver._phi_rows(prof, lo, R).tolist() == expected
-        assert lo[0] in scalar and len(scalar) < lo.size
+        lo = 2.0 * np.array([1.0, 1.0, 1.0, 2.0, 3.7, 40.0, 1e3, 1.5, 8.0, 1e60])
+        R = lo * np.array([1.0, 1.5, 2.0, 2.0, 1.01, 1.9, 2.0, 37.0, 1e4, 1e15])
+        lo, R = lo[R <= prof.r_max], R[R <= prof.r_max]
+
+        def alone(a, b):
+            try:
+                return phi(prof, b, a)
+            except Exception as exc:
+                return type(exc), str(exc)
+
+        solo = [alone(a, b) for a, b in zip(lo, R)]
+        assert {v[0].__name__ if isinstance(v, tuple) else "value"
+                for v in solo} == kinds
+        for n in range(1, lo.size + 1):
+            failed = [v for v in solo[:n] if isinstance(v, tuple)]
+            if not failed:
+                assert rate_solver._phi_rows(prof, lo[:n], R[:n]).tolist() == solo[:n]
+                continue
+            with pytest.raises(Exception) as exc:
+                rate_solver._phi_rows(prof, lo[:n], R[:n])
+            assert (exc.type, str(exc.value)) == failed[0]
+
+    @pytest.mark.parametrize("R", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_R_refused(self, R):
+        # refused before any integrand call, with no warning
+        calls = []
+        p = GrowthProfile(log_volume=lambda r: calls.append(r) or 3.0 * np.log(r),
+                          energy_bound=lambda r: 1.0)
+        with pytest.raises(DomainError, match=f"R={R} must be finite"):
+            phi(p, R)
+        assert calls == []
 
     def test_wide_domain(self):
         # stays accurate across ten decades of radius
@@ -306,23 +339,14 @@ class TestOnePassTable:
 
     @staticmethod
     def record_phi(monkeypatch, calls):
-        """Append (R, r_lo) of every phi evaluation to calls: phi's own, and
-        each row of the lockstep Brent's batched evaluations."""
-        real_phi, real_rows = rate_solver.phi, rate_solver._phi_rows
-
-        def recording_phi(profile, R, r_lo):
-            calls.append((R, r_lo))
-            return real_phi(profile, R, r_lo)
+        """Append (R, r_lo) of every phi evaluation to calls: each row of
+        the rows form of phi, which phi itself calls with one row."""
+        real_rows = rate_solver._phi_rows
 
         def recording_rows(profile, r_lo, R):
-            # a row phi computes itself is recorded there
-            with monkeypatch.context() as m:
-                m.setattr(rate_solver, "phi", real_phi)
-                out = real_rows(profile, r_lo, R)
             calls.extend(zip(R.tolist(), r_lo.tolist()))
-            return out
+            return real_rows(profile, r_lo, R)
 
-        monkeypatch.setattr(rate_solver, "phi", recording_phi)
         monkeypatch.setattr(rate_solver, "_phi_rows", recording_rows)
 
     def test_phi_walks_forward(self, monkeypatch):

@@ -3,11 +3,14 @@
     python tools/output_digest.py [LABEL ...]
 
 Runs every call, once-call and probe of ``bench/workloads.py``, README's
-two example configs, and a 3-row rate table of the benchmark's tabulated
-coefficient in ``unit_energy`` mode (the benchmark leaves it out; its knots
-send rows to the rate solver's scalar fallback), in one process through
-``escrate.cli.main``, with the package taken from this checkout's ``src``.
-Calls that simulate get ``--seed 41``, as the benchmark passes its seed.
+two example configs, and two runs of the benchmark's tabulated coefficient
+that the benchmark leaves out, in one process through ``escrate.cli.main``,
+with the package taken from this checkout's ``src``: a 3-row rate table in
+``unit_energy`` mode, whose growth profile inverts the tabulated transform
+at every quadrature node and breaks at the table's knots, and a 200-path,
+100-step ``simulate`` summary of its ``drift = coefficient`` chain, which
+inverts the transform at every step. Calls that simulate get ``--seed 41``,
+as the benchmark passes its seed.
 Each config prints one line: its label (``workload/call``,
 ``README/command`` or ``extra/call``), its exit code and one sha256 over
 its stdout, its stderr and its ``--out`` bytes. LABELs select
@@ -40,7 +43,7 @@ from numpy._core import _multiarray_umath  # noqa: E402
 
 import escrate.cli  # noqa: E402
 from escrate.pinned import LIL_EPS05_MAX_FRACTION  # noqa: E402
-from workloads import _TABULATED, _rate_call, workloads  # noqa: E402
+from workloads import _TABULATED, _ini, _rate_call, workloads  # noqa: E402
 
 SEED = 41
 
@@ -59,6 +62,12 @@ def configs() -> dict:
     found["README/simulate"] = (["simulate"], simulate)
     tab = _rate_call("rate_tabulated_unit", dict(_TABULATED, mode="unit_energy"), 3)
     found[f"extra/{tab.name}"] = (list(tab.command), tab.config)
+    model = {k: v for k, v in _TABULATED.items() if k != "mode"}
+    found["extra/simulate_tabulated_drift"] = (
+        ["simulate", "--seed", str(SEED)],
+        _ini(model=model, simulation={"x0": 1, "t": 1, "dt": 0.01, "n_paths": 200,
+                                      "drift": "coefficient", "floor": 0.01,
+                                      "output": "summary"}))
     return found
 
 

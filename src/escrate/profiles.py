@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
 from functools import cache, partial
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -59,8 +58,16 @@ __all__ = [
 # Radial coefficient families
 # ---------------------------------------------------------------------------
 
-# a field that a constructor fills: left out of repr and equality
-_hidden = partial(field, default=None, repr=False, compare=False)
+class _Frozen:
+    """Base of the value classes whose constructor sets every field once:
+    assigning or deleting an attribute of an instance is an AttributeError
+    (a chain's kernel trusts the floor its constructor checked)."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _finite(name: str, value) -> float:
@@ -71,8 +78,7 @@ def _finite(name: str, value) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class RadialCoefficient:
+class RadialCoefficient(_Frozen):
     """A strictly positive radial coefficient a(r) with derivative a'(r).
 
     Families:
@@ -89,18 +95,34 @@ class RadialCoefficient:
     Each constructor declares its whole family: a and a', and the
     intrinsic-radius transform that ``rho_tilde``, ``rho_tilde_inverse`` and
     ``log_rho_tilde_inverse`` call once their arguments are range-checked.
+    Coefficients compare and hash by family, parameter and table.
     """
 
-    family: str
-    param: Optional[float] = None
-    _a: Callable = _hidden()
-    _a_prime: Callable = _hidden()
-    _rho: Callable = _hidden()          # rho_tilde of an array s >= 0
-    _inverse: Callable = _hidden()      # its inverse on an array in [0, sup)
-    _log_inverse: Callable = _hidden()  # log of the inverse
-    _sup: Callable = _hidden()          # () -> sup rho_tilde (may be +inf)
-    _table: Optional[tuple] = field(default=None, repr=False)  # (radii, values)
-    _rho_knots: Callable = _hidden()    # () -> rho_tilde at 0 and the radii
+    # what a constructor passes: a and a' (_a, _a_prime); _rho, rho_tilde of
+    # an array s >= 0; _inverse, its inverse on an array in [0, sup);
+    # _log_inverse, the log of the inverse; _sup, () -> sup rho_tilde (may be
+    # +inf); a tabulated coefficient's (radii, values) as _table and
+    # _rho_knots, () -> rho_tilde at 0 and the radii
+    def __init__(self, family: str, param: Optional[float] = None, _a=None,
+                 _a_prime=None, _rho=None, _inverse=None, _log_inverse=None,
+                 _sup=None, _table: Optional[tuple] = None, _rho_knots=None):
+        vars(self).update(family=family, param=param, _a=_a, _a_prime=_a_prime,
+                          _rho=_rho, _inverse=_inverse, _log_inverse=_log_inverse,
+                          _sup=_sup, _table=_table, _rho_knots=_rho_knots)
+
+    def _key(self) -> tuple:
+        return self.family, self.param, self._table
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"RadialCoefficient(family={self.family!r}, param={self.param!r})"
 
     # -- constructors -------------------------------------------------------
 
@@ -327,8 +349,7 @@ def log_rho_tilde_inverse(coeff: RadialCoefficient, r):
 # Growth profiles
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GrowthProfile:
+class GrowthProfile(_Frozen):
     """Log-volume V(r) and energy-density bound lambda(r) for radii below r_max.
 
     V and lambda take a float or an array of radii; lambda may return a
@@ -338,10 +359,10 @@ class GrowthProfile:
     piecewise smooth (a tabulated coefficient's knots): quadratures break there.
     """
 
-    log_volume: Callable
-    energy_bound: Callable
-    r_max: float = math.inf
-    knots: Optional[np.ndarray] = None
+    def __init__(self, log_volume: Callable, energy_bound: Callable,
+                 r_max: float = math.inf, knots: Optional[np.ndarray] = None):
+        vars(self).update(log_volume=log_volume, energy_bound=energy_bound,
+                          r_max=r_max, knots=knots)
 
     def V(self, r):
         return self.log_volume(r)
@@ -455,18 +476,17 @@ def coefficient_drift(coeff: RadialCoefficient, n: int) -> Callable:
 # Closed-form rate catalogue
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CatalogueCase:
+class CatalogueCase(_Frozen):
     """A catalogue case as ``catalogue_case`` declares it: its parameters,
     its closed forms t -> (psi, psi_tilde), and its numeric route, either the
     intrinsic growth ``profile`` (a volume-route case) or the dominating
     ``drift`` b_tilde (a comparison-route case)."""
 
-    kind: str
-    params: dict = field(hash=False)
-    forms: Callable = field(repr=False, compare=False)
-    profile: Optional[GrowthProfile] = _hidden()
-    drift: Optional[Callable] = _hidden()
+    def __init__(self, kind: str, params: dict, forms: Callable,
+                 profile: Optional[GrowthProfile] = None,
+                 drift: Optional[Callable] = None):
+        vars(self).update(kind=kind, params=params, forms=forms,
+                          profile=profile, drift=drift)
 
 
 def _safe_exp(x: float) -> float:
@@ -595,8 +615,7 @@ def closed_form_rate(case: CatalogueCase, t: float):
 # One-dimensional Ito rate conditions
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Prop5Report:
+class Prop5Report(NamedTuple):
     """Empirical check of the transformed-drift rate conditions on a grid.
 
     ``b0`` is the supremum of b(g(x)) f'(g(x)) + sigma^2(g(x)) f''(g(x))/2,

@@ -12,9 +12,8 @@ rate_table, conservativeness and the dyadic slack, and of 1/b_tilde too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -246,25 +245,25 @@ def psi(profile: GrowthProfile, t: float, r_lo: float = PAPER_LOWER_LIMIT) -> fl
 # Sampled rate functions
 # ---------------------------------------------------------------------------
 
-@dataclass
 class RateFunction:
     """A strictly increasing envelope t -> psi(C t), as a sample table
     (``rate_table`` takes the time constant C as scale_c).
 
     Evaluation between samples is monotone (linear) interpolation;
-    extrapolation beyond the sampled range raises ExtrapolationError.
+    extrapolation beyond the sampled range, or at a NaN t, raises
+    ExtrapolationError. A NaN sample is a DomainError; an infinite value
+    is a sample.
     """
 
-    times: np.ndarray
-    values: np.ndarray
-    r_star: float
-    shift_note: str = ""
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
+    def __init__(self, times, values, r_star: float, shift_note: str = ""):
+        self.times = np.asarray(times, dtype=float)
+        self.values = np.asarray(values, dtype=float)
+        self.r_star = r_star
+        self.shift_note = shift_note
         if self.times.size != self.values.size or self.times.size == 0:
             raise DomainError("rate table needs matching nonempty samples")
+        if np.isnan(self.times).any() or np.isnan(self.values).any():
+            raise DomainError("rate table samples must not be NaN")
         # neighbours compared, not subtracted: inf - inf is nan (and a warning)
         if (np.any(self.times[1:] <= self.times[:-1])
                 or np.any(self.values[1:] < self.values[:-1])):
@@ -272,7 +271,8 @@ class RateFunction:
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        if np.any(t < self.times[0] - 1e-12) or np.any(t > self.times[-1] + 1e-12):
+        if not (np.all(t >= self.times[0] - 1e-12)   # NaN too
+                and np.all(t <= self.times[-1] + 1e-12)):
             raise ExtrapolationError(
                 f"evaluation outside sampled range [{self.times[0]:.6g}, {self.times[-1]:.6g}]")
         out = np.interp(t, self.times, self.values)
@@ -318,8 +318,7 @@ def euclidean_rate(rate: RateFunction, coeff: RadialCoefficient) -> RateFunction
 # Conservativeness
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Verdict:
+class Verdict(NamedTuple):
     """Conservativeness classification.
 
     ``kind`` is one of Conservative / NonConservative / Inconclusive.
@@ -368,7 +367,11 @@ def conservativeness(
         # whole domain covered: total crossing time is finite
         return Verdict("Inconclusive", leaning="NonConservative", report=report)
     if increments.size >= 5:
-        ratios = increments[-4:] / increments[-5:-1]
+        last, prev = increments[-4:], increments[-5:-1]
+        # a zero increment (V beyond float range) adds nothing: 0/0 reads
+        # as decay, and a positive increment after a zero as growth
+        ratios = np.divide(last, prev, out=np.where(last > 0, np.inf, 0.0),
+                           where=prev > 0)
         if np.all(ratios >= 0.9):
             # increments level off or grow: partial sums look divergent
             return Verdict("Inconclusive", leaning="Conservative", report=report)
@@ -382,8 +385,7 @@ def conservativeness(
 # Dyadic scheme
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DyadicScheme:
+class DyadicScheme(NamedTuple):
     """Doubling radii R_n = 2^n c with crossing times and probability bounds.
 
     ``bound`` is the per-level Borel-Cantelli summand from the proof (the

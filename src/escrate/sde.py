@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import DomainError, NonFiniteState
-from .profiles import RadialCoefficient
+from .profiles import RadialCoefficient, _Frozen
 
 DEFAULT_ORIGIN_FLOOR = 1e-6
 
@@ -52,8 +51,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Sde1D:
+class Sde1D(_Frozen):
     """A scalar diffusion dx = theta(x) dt + sigma dw, reflected at a floor.
 
     ``drift`` must accept numpy arrays of states at or above the floor; None
@@ -64,21 +62,21 @@ class Sde1D:
     bound; the coupled monotonicity of the Euler map needs dt <= 1/lipschitz.
     """
 
-    drift: Optional[Callable] = None
-    sigma: float = _SQRT2
-    floor: float = DEFAULT_ORIGIN_FLOOR
-    lipschitz: Optional[float] = None
-    width = 1  # not a field: noise coordinates per path
+    width = 1  # noise coordinates per path
 
-    def __post_init__(self):
+    def __init__(self, drift: Optional[Callable] = None, sigma: float = _SQRT2,
+                 floor: float = DEFAULT_ORIGIN_FLOOR,
+                 lipschitz: Optional[float] = None):
         # a Python float keeps the kernel's noise product in float32
-        object.__setattr__(self, "sigma", float(self.sigma))
-        if not math.isfinite(self.sigma):
-            raise DomainError(f"sigma must be finite, got {self.sigma}")
-        if self.floor <= 0:
+        sigma = float(sigma)
+        if not math.isfinite(sigma):
+            raise DomainError(f"sigma must be finite, got {sigma}")
+        if not floor > 0:  # NaN too
             raise DomainError("floor must be positive")
-        if self.lipschitz is not None and self.lipschitz <= 0:
+        if lipschitz is not None and not lipschitz > 0:
             raise DomainError("lipschitz bound must be positive")
+        vars(self).update(drift=drift, sigma=sigma, floor=floor,
+                          lipschitz=lipschitz)
 
     def _euler(self, x0: float, n_paths: int, dt: float):
         """States of n_paths chains at x0 and their update on one step's
@@ -96,8 +94,7 @@ class Sde1D:
         return x, step
 
 
-@dataclass(frozen=True)
-class IsotropicNd:
+class IsotropicNd(_Frozen):
     """dX = a'(|X|) X/|X| dt + sqrt(2 a(|X|)) dW in R^n, the diffusion of the
     Dirichlet form with coefficient a(|x|), reflected radially onto the
     sphere |X| = floor. A run from x0 starts at (x0, 0, ..., 0) (the law of
@@ -105,16 +102,15 @@ class IsotropicNd:
     reads noise coordinate p n + c, scaled by sqrt(2 a(|X|)) in float64.
     """
 
-    coeff: RadialCoefficient
-    n: int
-    floor: float = DEFAULT_ORIGIN_FLOOR
-    sigma = 1.0  # not a field: the noise scale, before sqrt(2 a(|X|))
+    sigma = 1.0  # the noise scale, before sqrt(2 a(|X|))
 
-    def __post_init__(self):
-        if not isinstance(self.coeff, RadialCoefficient) or self.n < 2 \
-                or self.floor <= 0:
+    def __init__(self, coeff: RadialCoefficient, n: int,
+                 floor: float = DEFAULT_ORIGIN_FLOOR):
+        if not (isinstance(coeff, RadialCoefficient) and n >= 2
+                and floor > 0):  # NaN too
             raise DomainError("IsotropicNd needs a RadialCoefficient, n >= 2 "
                               "and a positive floor")
+        vars(self).update(coeff=coeff, n=n, floor=floor)
 
     @property
     def width(self) -> int:
@@ -141,8 +137,7 @@ class IsotropicNd:
         return r, step
 
 
-@dataclass
-class PathEnsemble:
+class PathEnsemble(NamedTuple):
     """Grid values of a batch of Euler chains, and what the run observed.
 
     ``values`` has shape (n_paths, len(times)); ``times`` is the stored grid

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -149,8 +148,7 @@ def _coupled_run(low: Sde1D, high: Sde1D, x0: float, T: float, dt: float,
 # Comparison inequality
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     """What comparison_mc computed.
 
     lhs is the dominating-drift process's probability of the event

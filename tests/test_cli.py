@@ -661,7 +661,18 @@ class TestModulesLoaded:
         }
         report = ("import json, sys\n"
                   "print(json.dumps(sorted(m for m in sys.modules\n"
-                  "      if m.startswith(('numpy', 'escrate', 'scipy')))))\n")
+                  "      if m.startswith(('numpy', 'escrate', 'scipy'))\n"
+                  "      or m in ('dataclasses', 'inspect'))))\n")
+        # no command loads dataclasses or inspect beyond what a bare
+        # interpreter loads, or one that imports numpy (numpy imports inspect)
+        stdlib = {"dataclasses", "inspect"}
+
+        def baseline(imports):
+            res = subprocess.run([sys.executable, "-c", imports + report],
+                                 capture_output=True, text=True,
+                                 cwd=str(tmp_path), check=True)
+            return stdlib & set(json.loads(res.stdout))
+        bare, with_numpy = baseline(""), baseline("import numpy\n")
         for name, (command, text, env_extra, rc, absent) in calls.items():
             argv = command.split() + ["--out", f"{name}.csv"]
             if text is not None:
@@ -678,6 +689,8 @@ class TestModulesLoaded:
             loaded = set(json.loads(res.stdout))
             assert not loaded & set(absent), (name, sorted(loaded & set(absent)))
             assert not any(m.startswith("scipy") for m in loaded), name
+            allowed = with_numpy if "numpy" in loaded else bare
+            assert loaded & stdlib <= allowed, (name, sorted(loaded & stdlib))
             if rc == 0:
                 assert (tmp_path / f"{name}.csv").read_text().strip(), name
 

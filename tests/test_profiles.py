@@ -31,6 +31,7 @@ from escrate.profiles import (
     rho_tilde_inverse,
 )
 from escrate.rate_solver import rate_table
+from escrate.sde import IsotropicNd, Sde1D
 
 
 class TestRadialCoefficient:
@@ -101,6 +102,26 @@ class TestRadialCoefficient:
             [0.0, 1.0], [1.0, 1.0])
         assert repr(RadialCoefficient.power(2)) == (
             "RadialCoefficient(family='power', param=2.0)")
+
+
+@pytest.mark.parametrize("make, name", [
+    (RadialCoefficient.constant, "family"),
+    (lambda: profile_from_radial(RadialCoefficient.constant(), 1,
+                                 "unit_energy"), "r_max"),
+    (lambda: catalogue_case("diri1"), "kind"),
+    (lambda: Sde1D(floor=0.01), "floor"),
+    (lambda: IsotropicNd(RadialCoefficient.constant(), 2), "floor")],
+    ids=["RadialCoefficient", "GrowthProfile", "CatalogueCase", "Sde1D",
+         "IsotropicNd"])
+def test_value_classes_are_frozen(make, name):
+    # a chain's kernel trusts the floor its constructor checked
+    value = make()
+    before = getattr(value, name)
+    with pytest.raises(AttributeError):
+        setattr(value, name, -1.0)
+    with pytest.raises(AttributeError):
+        delattr(value, name)
+    assert getattr(value, name) == before
 
 
 def _quad_rho_tilde(coeff, s):

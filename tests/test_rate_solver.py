@@ -287,6 +287,20 @@ class TestRateTable:
         with pytest.raises(ExtrapolationError):
             rate(10.0)
 
+    @pytest.mark.parametrize("times, values", [
+        ([1.0, math.nan], [1.0, 2.0]), ([math.nan], [1.0]),
+        ([1.0, 2.0], [math.nan, 2.0]), ([1.0, 2.0], [1.0, math.nan])],
+        ids=["time", "only_time", "first_value", "last_value"])
+    def test_nan_sample_refused(self, times, values):
+        with pytest.raises(DomainError, match="must not be NaN"):
+            RateFunction(times, values, 1.0)
+
+    def test_nan_time_is_outside_the_range(self):
+        rate = rate_table(euclid(1), np.array([1.0, 2.0]), scale_c=1.0)
+        for t in (math.nan, [1.5, math.nan]):
+            with pytest.raises(ExtrapolationError):
+                rate(t)
+
     def test_interpolation_between_samples(self):
         rate = rate_table(euclid(1), np.array([1.0, 4.0]), scale_c=1.0)
         mid = rate(2.5)
@@ -447,6 +461,15 @@ class TestConservativeness:
         v = conservativeness(RadialCoefficient.tabulated(_TAB_RADII, values))
         assert v.report["increments"].size == 29
         assert (v.kind, v.leaning) == ("Inconclusive", leaning)
+
+    def test_increments_that_reach_zero_lean_non_conservative(self):
+        # V is beyond float range from shell 10 on, so the increments are
+        # exactly 0 there: the trend is read without forming 0/0
+        prof = profile_from_radial(RadialCoefficient.squared_log(2.0), 1,
+                                   "unit_energy")
+        v = conservativeness(prof)
+        assert v.report["increments"][-5:].tolist() == [0.0] * 5
+        assert (v.kind, v.leaning) == ("Inconclusive", "NonConservative")
 
     def test_covered_finite_domain_leans_non_conservative(self):
         # unit-energy power 2.5: rho_tilde is bounded by 4

@@ -69,7 +69,7 @@ class TestEulerPath:
         # half as many pass the check (nothing is run here)
         assert sde_mod._check_sim_args([chain], 1.0, 1.0, 0.1, n_paths // 2) == 10
 
-    @pytest.mark.parametrize("floor", [0.0, -1e-6])
+    @pytest.mark.parametrize("floor", [0.0, -1e-6, math.nan])
     @pytest.mark.parametrize("chain", [
         lambda floor: Sde1D(drift=euclidean_mean_curvature(3), floor=floor),
         lambda floor: IsotropicNd(RadialCoefficient.power(1.0), 3, floor)],
@@ -78,6 +78,11 @@ class TestEulerPath:
         # the chain owns the floor; its drift takes none
         with pytest.raises(DomainError, match="positive"):
             chain(floor)
+
+    @pytest.mark.parametrize("lipschitz", [0.0, -1.0, math.nan])
+    def test_nonpositive_lipschitz_rejected(self, lipschitz):
+        with pytest.raises(DomainError, match="lipschitz bound must be positive"):
+            Sde1D(drift=euclidean_mean_curvature(3), lipschitz=lipschitz)
 
 
 class TestEnsemble:

@@ -405,7 +405,8 @@ def cmd_simulate(cfg, out: _Out, seed_override) -> int:
     if output == "summary":
         # store steps 0 and int(T/dt) only; exits are observed at every step
         n_steps = _check_sim_args([args["sde"]], args["x0"], args["T"],
-                                  args["dt"], args["n_paths"], args["store_every"])
+                                  args["dt"], args["n_paths"],
+                                  args["master_seed"], args["store_every"])
         ens = ensemble(**dict(args, store_every=n_steps))
         exits = ([None] * len(ens.values) if ens.first_exit is None
                  else ens.first_exit.tolist())  # _fmt blanks a NaN: no exit

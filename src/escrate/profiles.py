@@ -70,6 +70,14 @@ class _Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+def _check_count(value, name: str) -> None:
+    """DomainError unless value is an integer >= 1 (NaN included)."""
+    if not value >= 1:
+        raise DomainError(f"{name} must be >= 1")
+    if not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
 def _finite(name: str, value) -> float:
     """value as a float; DomainError unless it is finite (NaN included)."""
     value = float(value)
@@ -606,7 +614,7 @@ def closed_form_rate(case: CatalogueCase, t: float):
     """The case's closed forms (psi, psi_tilde) at t > 0; psi_tilde is None
     when the case does not define a Euclidean-metric companion."""
     t = float(t)
-    if t <= 0:
+    if not t > 0:  # NaN too
         raise DomainError("t must be positive")
     return case.forms(t)
 

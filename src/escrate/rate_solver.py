@@ -30,6 +30,7 @@ from .profiles import (
     CatalogueCase,
     GrowthProfile,
     RadialCoefficient,
+    _check_count,
     profile_from_radial,
     rho_tilde_inverse,
 )
@@ -418,8 +419,7 @@ def dyadic_scheme(profile: GrowthProfile, c: float, N: int) -> DyadicScheme:
     is computed; so is a level whose V is not finite or whose lambda is not
     a positive float.
     """
-    if N < 1:
-        raise DomainError("N must be >= 1")
+    _check_count(N, "N")
     c = float(c)
     if not c > 0:
         raise DomainError(f"dyadic radius scale c={c:.6g} must be positive")

@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import contextlib
 import math
+import numbers
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import DomainError, NonFiniteState
-from .profiles import RadialCoefficient, _Frozen
+from .profiles import RadialCoefficient, _check_count, _Frozen
 
 DEFAULT_ORIGIN_FLOOR = 1e-6
 
@@ -106,10 +107,11 @@ class IsotropicNd(_Frozen):
 
     def __init__(self, coeff: RadialCoefficient, n: int,
                  floor: float = DEFAULT_ORIGIN_FLOOR):
-        if not (isinstance(coeff, RadialCoefficient) and n >= 2
+        if not (isinstance(coeff, RadialCoefficient)
+                and isinstance(n, numbers.Integral) and n >= 2
                 and floor > 0):  # NaN too
-            raise DomainError("IsotropicNd needs a RadialCoefficient, n >= 2 "
-                              "and a positive floor")
+            raise DomainError("IsotropicNd needs a RadialCoefficient, an "
+                              "integer n >= 2 and a positive floor")
         vars(self).update(coeff=coeff, n=n, floor=floor)
 
     @property
@@ -159,23 +161,28 @@ def _path_generator(seed: int) -> np.random.Generator:
 
 
 def _check_sim_args(sdes, x0: float, T: float, dt: float, n_paths: int,
-                    store_every: int = 1) -> int:
+                    seed: int, store_every: int = 1) -> int:
     """Validate a run of n_paths chains of each SDE in ``sdes`` (of one
-    width) before anything is allocated; return its step count int(T / dt)."""
-    if store_every < 1:
-        raise DomainError("store_every must be >= 1")
+    width) on ``seed`` before anything is allocated; return its step count
+    int(T / dt). Counts are integers >= 1, the seed an integer in [0, 2^64)
+    (a Philox key), and x0 a finite point at or above every floor."""
+    _check_count(store_every, "store_every")
     for sde in sdes:
         if x0 < sde.floor:
             raise DomainError(f"x0={x0} below floor {sde.floor}")
+    if not math.isfinite(x0):
+        raise DomainError(f"x0 must be finite, got {x0}")
     if dt <= 0 or T < dt:
         raise DomainError("need dt > 0 and T >= dt")
-    if n_paths < 1:
-        raise DomainError("n_paths must be >= 1")
+    _check_count(n_paths, "n_paths")
     if not T / dt < 2.0 ** 63:
         raise DomainError(f"T/dt = {T / dt:.6g} steps is more than a run can take")
     if not int(n_paths) * sdes[0].width < 2 ** 63:
         raise DomainError(f"n_paths x width = {n_paths} x {sdes[0].width} noise "
                           "coordinates is more than a run can take")
+    if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2 ** 64):
+        raise DomainError(f"master_seed must be an integer in [0, 2^64), "
+                          f"got {seed!r}")
     return int(T / dt)
 
 
@@ -298,11 +305,11 @@ def _shared_noise_run(sdes, x0: float, T: float, dt: float, n_paths: int,
 
 
 def _stored_steps(sde: Sde1D | IsotropicNd, x0: float, T: float, dt: float, n_paths: int,
-                  store_every: int) -> np.ndarray:
+                  seed: int, store_every: int) -> np.ndarray:
     """Validate a run of n_paths chains and return the steps ``ensemble``
     stores: step 0, every store_every-th step thereafter, and the last step
     int(T / dt)."""
-    n_steps = _check_sim_args([sde], x0, T, dt, n_paths, store_every)
+    n_steps = _check_sim_args([sde], x0, T, dt, n_paths, seed, store_every)
     stored = np.arange(0, n_steps + 1, min(store_every, n_steps))
     if stored[-1] != n_steps:
         stored = np.append(stored, n_steps)
@@ -322,7 +329,8 @@ def ensemble(sde: Sde1D | IsotropicNd, x0: float, T: float, dt: float, n_paths: 
     thins the stored grid (step 0, every store_every-th step thereafter, and
     the last step).
     """
-    stored_idx = _stored_steps(sde, x0, T, dt, n_paths, store_every)
+    stored_idx = _stored_steps(sde, x0, T, dt, n_paths, master_seed,
+                               store_every)
     n_steps = int(stored_idx[-1])
     # column-major, so that storing a step is a contiguous write
     values = np.empty((stored_idx.size, n_paths)).T

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -108,7 +108,8 @@ def exceedance(sde: Sde1D | IsotropicNd, x0: float, T: float, dt: float,
     Every argument is checked, and the envelope evaluated, before the first
     step.
     """
-    stored = _stored_steps(sde, x0, T, dt, n_paths, store_every)
+    stored = _stored_steps(sde, x0, T, dt, n_paths, master_seed,
+                            store_every)
     window, env = _envelope_rows(stored * dt, rate, C_grid, t0)
     return _fractions(env, n_paths, _streamed_columns(
         sde, x0, T, dt, n_paths, master_seed, stored[window]))
@@ -118,30 +119,23 @@ def exceedance(sde: Sde1D | IsotropicNd, x0: float, T: float, dt: float,
 # Lean loops over the Euler kernel (no path storage)
 # ---------------------------------------------------------------------------
 
-def _terminal_run(sde: Sde1D, x0: float, T: float, dt: float, n_paths: int,
-                  seed: int, barrier: float):
-    """Terminal states and barrier-exit flags of n_paths chains on the
-    chunk-keyed noise of sde._shared_noise_run; a path has exited when it was
+def _terminal_run(sdes, x0: float, T: float, dt: float, n_paths: int,
+                  seed: int, barrier: float = math.inf):
+    """Step n_paths chains of every chain in ``sdes`` on the chunk-keyed
+    noise of sde._shared_noise_run and return the per-path flags of
+    sdes[0] <= sdes[1] at every step (all True for one chain), and the last
+    chain's terminal states and exit flags: a path has exited when it was
     above the barrier after some step."""
-    peak = np.full(n_paths, -np.inf)
-    for _, (x,) in _shared_noise_run([sde], x0, T, dt, n_paths, seed):
-        np.maximum(peak, x, out=peak)
-    return x, peak > barrier
-
-
-def _coupled_run(low: Sde1D, high: Sde1D, x0: float, T: float, dt: float,
-                 n_paths: int, seed: int, barrier: float = math.inf):
-    """Per-pair flags of x_low <= x_high at every step on shared noise, and
-    the high chain's terminal states and exit flags as _terminal_run's."""
     ordered = np.ones(n_paths, dtype=bool)
     below = np.empty_like(ordered)
     peak = np.full(n_paths, -np.inf)
-    for _, (x_low, x_high) in _shared_noise_run([low, high], x0, T, dt,
-                                                n_paths, seed):
-        np.less_equal(x_low, x_high, out=below)
-        np.logical_and(ordered, below, out=ordered)
-        np.maximum(peak, x_high, out=peak)
-    return ordered, x_high, peak > barrier
+    coupled = len(sdes) == 2
+    for _, states in _shared_noise_run(sdes, x0, T, dt, n_paths, seed):
+        if coupled:
+            np.less_equal(*states, out=below)
+            np.logical_and(ordered, below, out=ordered)
+        np.maximum(peak, states[-1], out=peak)
+    return ordered, states[-1], peak > barrier
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +149,8 @@ class ComparisonReport(NamedTuple):
     {x_t < delta, t < tau_R}; rhs the dominated process's. Domination pushes
     the lhs process away from 0, so lhs <= rhs up to noise; ``violation`` is
     set when lhs exceeds rhs by more than two combined standard errors.
-    ``coupled_dominance_fraction`` is None when the coupling check was
-    skipped; its pairs are the lhs paths, each with a dominated companion.
+    ``coupled_dominance_fraction`` is the fraction of the lhs paths that
+    stayed at or above their dominated companion on the same noise.
     ``seeds`` holds the sub-seeds of the independent lhs and rhs runs.
     """
 
@@ -164,7 +158,7 @@ class ComparisonReport(NamedTuple):
     lhs_stderr: float
     rhs_estimate: float
     rhs_stderr: float
-    coupled_dominance_fraction: Optional[float]
+    coupled_dominance_fraction: float
     violation: bool
     seeds: dict
 
@@ -196,50 +190,38 @@ def _sub_seeds(master_seed: int, n: int):
 
 
 def comparison_mc(dominating: Sde1D, dominated: Sde1D, r0: float, t: float,
-                  delta: float, R: float, N: int, dt: float, master_seed: int,
-                  coupling_paths: Optional[int] = None) -> ComparisonReport:
+                  delta: float, R: float, N: int, dt: float,
+                  master_seed: int) -> ComparisonReport:
     """Estimate P(x_t < delta, t < tau_R) for both processes on independent
     ensembles and check the domination inequality. The two chains must be
-    Sde1Ds with one sigma (DomainError otherwise).
+    Sde1Ds with one sigma, and R finite (DomainError otherwise).
 
-    ``coupling_paths`` sizes the shared-noise ordering check (defaults to N;
-    0 skips it — the check is an exact deterministic property, so a smaller
-    pair count loses nothing when the monotone-step condition holds). The
-    pairs are the lhs run's paths, each with a dominated companion on its
-    noise: the run covers max(N, coupling_paths) paths and lhs reads the
-    first N. rhs keeps its own stream, so lhs and rhs stay independent. Both
-    path counts are checked before any run; a negative one is a DomainError.
+    The lhs run steps each of its N paths with a dominated companion on its
+    noise, which gives the coupled ordering fraction; rhs keeps its own
+    stream, so lhs and rhs stay independent. The run is checked before
+    either ensemble is made.
     """
-    n_cpl = N if coupling_paths is None else coupling_paths
-    for n_paths in (N, n_cpl or N):  # the ensembles' and the coupled pairs'
-        _check_sim_args([dominating, dominated], r0, t, dt, n_paths)
-    if not (0 < delta < R) or not r0 < R:
+    _check_sim_args([dominating, dominated], r0, t, dt, N, master_seed)
+    if not (0 < delta < R < math.inf) or not r0 < R:
         raise DomainError("need r0 < R and 0 < delta < R")
     _check_coupled(dominated, dominating)
     _check_drift_order(dominated, dominating, R)
     seed_lhs, seed_rhs = _sub_seeds(master_seed, 2)
+    ordered, x_lhs, exited_lhs = _terminal_run(
+        [dominated, dominating], r0, t, dt, N, seed_lhs, R)
+    _, x_rhs, exited_rhs = _terminal_run([dominated], r0, t, dt, N, seed_rhs, R)
 
-    if n_cpl:  # the lhs paths, each with a dominated companion
-        ordered, x_lhs, exited_lhs = _coupled_run(
-            dominated, dominating, r0, t, dt, max(N, n_cpl), seed_lhs, R)
-    else:
-        x_lhs, exited_lhs = _terminal_run(dominating, r0, t, dt, N, seed_lhs, R)
-    x_rhs, exited_rhs = _terminal_run(dominated, r0, t, dt, N, seed_rhs, R)
-
-    def estimate(x, exited):  # over the first N paths
-        hit = (~exited[:N]) & (x[:N] < delta)
-        p = float(np.mean(hit))
+    def estimate(x, exited):
+        p = float(np.mean(~exited & (x < delta)))
         return p, math.sqrt(p * (1.0 - p) / N)
 
     lhs, se_l = estimate(x_lhs, exited_lhs)
     rhs, se_r = estimate(x_rhs, exited_rhs)
-    frac = float(np.mean(ordered[:n_cpl])) if n_cpl else None
-
     violation = lhs > rhs + 2.0 * math.sqrt(se_l ** 2 + se_r ** 2)
     return ComparisonReport(
         lhs_estimate=lhs, lhs_stderr=se_l, rhs_estimate=rhs, rhs_stderr=se_r,
-        coupled_dominance_fraction=frac, violation=violation,
-        seeds={"lhs": seed_lhs, "rhs": seed_rhs})
+        coupled_dominance_fraction=float(np.mean(ordered)),
+        violation=violation, seeds={"lhs": seed_lhs, "rhs": seed_rhs})
 
 
 def coupled_dominance(low: Sde1D, high: Sde1D, x0: float, T: float, dt: float,
@@ -249,7 +231,7 @@ def coupled_dominance(low: Sde1D, high: Sde1D, x0: float, T: float, dt: float,
     pointwise ordered and dt * max Lipschitz bound <= 1 (the Euler step map
     is then monotone); unequal sigmas or a chain that is not an Sde1D are a
     DomainError."""
-    _check_sim_args([low, high], x0, T, dt, N)
+    _check_sim_args([low, high], x0, T, dt, N, master_seed)
     _check_coupled(low, high)
     grid_top = x0 + 100.0 * math.sqrt(2.0 * T) + 10.0
     _check_drift_order(low, high, grid_top)
@@ -257,7 +239,7 @@ def coupled_dominance(low: Sde1D, high: Sde1D, x0: float, T: float, dt: float,
     if bounds and dt > 1.0 / max(bounds):
         raise DomainError(
             f"dt={dt} violates the monotone-step condition dt <= {1.0 / max(bounds):.6g}")
-    ordered, _, _ = _coupled_run(low, high, x0, T, dt, N, master_seed)
+    ordered, _, _ = _terminal_run([low, high], x0, T, dt, N, master_seed)
     return float(np.mean(ordered))
 
 
@@ -297,7 +279,8 @@ def lil_statistic(sde: Sde1D, x0: float, T: float, dt: float, n_paths: int,
     are nonincreasing in eps by event nesting. Every argument is checked
     before the first step.
     """
-    stored = _stored_steps(sde, x0, T, dt, n_paths, store_every)
+    stored = _stored_steps(sde, x0, T, dt, n_paths, master_seed,
+                            store_every)
     window, env = _lil_rows(stored * dt, t0, eps_grid)
     return _fractions(env, n_paths, _streamed_columns(
         sde, x0, T, dt, n_paths, master_seed, stored[window]))

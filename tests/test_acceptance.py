@@ -166,14 +166,10 @@ def test_comparison_inequality_20_seeds():
     high = Sde1D(drift=lambda r: 1.0 + 1.0 / r, floor=FLOOR,
                  lipschitz=1.0 / FLOOR ** 2)
     start = time.perf_counter()
-    report = comparison_mc(high, low, r0=1.0, t=5.0, delta=2.0, R=20.0,
-                           N=10_000, dt=1e-3, master_seed=6001)
-    assert report.coupled_dominance_fraction == 1.0
-    assert not report.violation
-    for seed in range(6002, 6021):
+    for seed in range(6001, 6021):
         rep = comparison_mc(high, low, r0=1.0, t=5.0, delta=2.0, R=20.0,
-                            N=10_000, dt=1e-3, master_seed=seed,
-                            coupling_paths=0)
+                            N=10_000, dt=1e-3, master_seed=seed)
+        assert rep.coupled_dominance_fraction == 1.0, f"seed {seed}"
         assert not rep.violation, f"seed {seed}: lhs={rep.lhs_estimate} rhs={rep.rhs_estimate}"
     assert time.perf_counter() - start < 60.0
 

@@ -67,7 +67,8 @@ class TestEulerPath:
         with pytest.raises(DomainError, match="noise coordinates"):
             ensemble(chain, 1.0, 1.0, 0.1, n_paths, 1)
         # half as many pass the check (nothing is run here)
-        assert sde_mod._check_sim_args([chain], 1.0, 1.0, 0.1, n_paths // 2) == 10
+        assert sde_mod._check_sim_args([chain], 1.0, 1.0, 0.1, n_paths // 2,
+                                       1) == 10
 
     @pytest.mark.parametrize("floor", [0.0, -1e-6, math.nan])
     @pytest.mark.parametrize("chain", [

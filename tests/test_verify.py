@@ -95,8 +95,7 @@ class TestComparisonMc:
         drift = lambda x: 1.0 / np.asarray(x, dtype=float)
         lo = Sde1D(drift=drift, floor=0.05, lipschitz=1.0 / 0.05 ** 2)
         rep = comparison_mc(lo, lo, r0=1.0, t=1.0, delta=0.8, R=5.0,
-                            N=2000, dt=1e-3, master_seed=52,
-                            coupling_paths=500)
+                            N=2000, dt=1e-3, master_seed=52)
         assert not rep.violation
         assert rep.coupled_dominance_fraction == 1.0
         gap = abs(rep.lhs_estimate - rep.rhs_estimate)
@@ -107,8 +106,7 @@ class TestComparisonMc:
         hi = Sde1D(drift=lambda x: np.ones_like(np.asarray(x, dtype=float)),
                    lipschitz=None)
         rep = comparison_mc(hi, lo, r0=1.0, t=1.0, delta=0.5, R=50.0,
-                            N=4000, dt=1e-3, master_seed=53,
-                            coupling_paths=500)
+                            N=4000, dt=1e-3, master_seed=53)
         assert not rep.violation
         assert rep.lhs_estimate <= rep.rhs_estimate
 
@@ -127,14 +125,12 @@ class TestComparisonMc:
                           t=1.0, delta=0.5, R=5.0, N=100, dt=1e-2,
                           master_seed=7)
 
-    @pytest.mark.parametrize("N, coupling_paths", [(2 ** 63, None), (100, 2 ** 63)],
-                             ids=["paths", "coupling_paths"])
-    def test_path_count_beyond_a_run_rejected(self, N, coupling_paths):
-        # refused before either ensemble or the coupled pairs are allocated
+    def test_path_count_beyond_a_run_rejected(self):
+        # refused before either ensemble is allocated
         s = Sde1D(drift=zero)
         with pytest.raises(DomainError, match="noise coordinates"):
-            comparison_mc(s, s, r0=1.0, t=1.0, delta=0.5, R=5.0, N=N, dt=1e-2,
-                          master_seed=1, coupling_paths=coupling_paths)
+            comparison_mc(s, s, r0=1.0, t=1.0, delta=0.5, R=5.0, N=2 ** 63,
+                          dt=1e-2, master_seed=1)
 
     def test_drift_order_checked(self):
         lo = Sde1D(drift=lambda x: np.ones_like(np.asarray(x, dtype=float)),
@@ -150,7 +146,7 @@ class TestComparisonMc:
         hi = Sde1D(drift=one)
         reports = [comparison_mc(hi, Sde1D(drift=d), r0=1.0, t=1.0,
                                  delta=0.5, R=20.0, N=1000, dt=1e-2,
-                                 master_seed=54, coupling_paths=300)
+                                 master_seed=54)
                    for d in (None, zero)]
         assert reports[0] == reports[1]
         assert reports[0].coupled_dominance_fraction == 1.0
@@ -171,34 +167,30 @@ class TestComparisonMc:
         return high, low
 
     def test_coupling_leaves_the_estimates(self):
-        # the lhs run reads the first N paths of the fused run, whose noise
-        # is a function of (seed, path index) only
+        # the dominated companions share the lhs noise and leave the lhs
+        # paths as a run of the dominating chain alone
         high, low = self._fused_pair()
-        N = self.FUSED["N"]
-        reports = [comparison_mc(high, low, **self.FUSED, coupling_paths=n)
-                   for n in (0, N // 4, N, 2 * N)]
-        sides = {(r.lhs_estimate, r.lhs_stderr, r.rhs_estimate, r.rhs_stderr)
-                 for r in reports}
-        assert len(sides) == 1
-        assert 0.0 < reports[0].lhs_estimate < reports[0].rhs_estimate < 1.0
+        f = self.FUSED
+        rep = comparison_mc(high, low, **f)
+        _, x, exited = _terminal_run([high], f["r0"], f["t"], f["dt"], f["N"],
+                                     rep.seeds["lhs"], f["R"])
+        p = float(np.mean(~exited & (x < f["delta"])))
+        assert (rep.lhs_estimate, rep.lhs_stderr) == (
+            p, math.sqrt(p * (1.0 - p) / f["N"]))
+        assert 0.0 < rep.lhs_estimate < rep.rhs_estimate < 1.0
 
-    @pytest.mark.parametrize("coupling_paths", [75, 300, 600])
-    def test_coupled_pairs_are_the_lhs_paths(self, coupling_paths):
+    def test_coupled_pairs_are_the_lhs_paths(self):
         high, low = self._fused_pair()
-        rep = comparison_mc(high, low, **self.FUSED,
-                            coupling_paths=coupling_paths)
+        rep = comparison_mc(high, low, **self.FUSED)
         f = self.FUSED
         assert rep.coupled_dominance_fraction == coupled_dominance(
-            low, high, f["r0"], f["t"], f["dt"], coupling_paths,
-            rep.seeds["lhs"])
+            low, high, f["r0"], f["t"], f["dt"], f["N"], rep.seeds["lhs"])
         assert 0.5 < rep.coupled_dominance_fraction < 1.0
         assert set(rep.seeds) == {"lhs", "rhs"}
 
-    @pytest.mark.parametrize("coupling_paths, chains",
-                             [(None, [2, 1]), (0, [1, 1])], ids=["on", "off"])
-    def test_two_kernel_runs(self, monkeypatch, coupling_paths, chains):
-        # two noise streams: lhs, with or without its dominated companions,
-        # and rhs
+    def test_two_kernel_runs(self, monkeypatch):
+        # two noise streams: lhs, each path with a dominated companion, and
+        # rhs
         from escrate import verify as verify_mod
 
         runs = []
@@ -210,8 +202,8 @@ class TestComparisonMc:
         kernel = verify_mod._shared_noise_run
         monkeypatch.setattr(verify_mod, "_shared_noise_run", counted)
         high, low = self._fused_pair()
-        comparison_mc(high, low, **self.FUSED, coupling_paths=coupling_paths)
-        assert runs == chains
+        comparison_mc(high, low, **self.FUSED)
+        assert runs == [2, 1]
 
 
 class TestCoupledDominance:
@@ -266,8 +258,8 @@ class TestPathNoise:
     # 700 paths: two full 256-path noise chunks and a padded third
     def test_path_noise_independent_of_ensemble_size(self):
         s = Sde1D(drift=zero)
-        x_small, exit_small = _terminal_run(s, 1.0, 0.6, 1e-3, 300, 5, 2.0)
-        x_big, exit_big = _terminal_run(s, 1.0, 0.6, 1e-3, 700, 5, 2.0)
+        _, x_small, exit_small = _terminal_run([s], 1.0, 0.6, 1e-3, 300, 5, 2.0)
+        _, x_big, exit_big = _terminal_run([s], 1.0, 0.6, 1e-3, 700, 5, 2.0)
         assert x_small.shape == exit_small.shape == (300,)
         assert np.array_equal(x_small, x_big[:300])
         assert np.array_equal(exit_small, exit_big[:300])
@@ -424,7 +416,6 @@ class TestRunGate:
                 low, 1.0, 5.0, 0.01, 10, 1, 3.0, [0.0, 1.0]),
             "coupled_dominance": lambda: coupled_dominance(
                 low, high, 1.0, 0.5, 0.01, 10, 1),
-            # the ensembles' path count and the coupled pairs'
             "comparison_mc": lambda: comparison_mc(
                 high, low, 1.0, 0.5, 0.5, 5.0, 10, 0.01, 1),
         }
@@ -434,7 +425,7 @@ class TestRunGate:
             run()
             counts[name] = len(calls)
         assert counts == {"ensemble": 1, "exceedance": 1, "lil_statistic": 1,
-                          "coupled_dominance": 1, "comparison_mc": 2}
+                          "coupled_dominance": 1, "comparison_mc": 1}
 
     def test_store_every_beyond_int64_stores_first_and_last(self):
         # any store_every from the run's step count up stores steps 0 and

@@ -103,6 +103,7 @@ class RadialCoefficient(_Frozen):
     Each constructor declares its whole family: a and a', and the
     intrinsic-radius transform that ``rho_tilde``, ``rho_tilde_inverse`` and
     ``log_rho_tilde_inverse`` call once their arguments are range-checked.
+    ``a`` and ``a_prime`` are inf past float range, without a warning.
     Coefficients compare and hash by family, parameter and table.
     """
 
@@ -255,10 +256,12 @@ class RadialCoefficient(_Frozen):
     # -- evaluation ---------------------------------------------------------
 
     def a(self, r):
-        return self._a(r)
+        with np.errstate(over="ignore"):  # past float range: inf
+            return self._a(r)
 
     def a_prime(self, r):
-        return self._a_prime(r)
+        with np.errstate(over="ignore"):
+            return self._a_prime(r)
 
     def rho_tilde_sup(self) -> float:
         """Supremum of rho_tilde over [0, inf) (may be +inf)."""

@@ -5,14 +5,14 @@ envelope psi, converts intrinsic envelopes to Euclidean ones, classifies
 conservativeness, and builds the dyadic radius/time scheme with its
 per-level crossing-probability bounds.
 
-One generator, _doublings, walks the doubling shells [R, 2R] of phi for psi,
-rate_table, conservativeness and the dyadic slack, and of 1/b_tilde too.
+phi is integrated over doubling shells [R, 2R]: the inversion walks them one
+at a time up to its targets; conservativeness and the dyadic slack integrate
+theirs in one lockstep call.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import islice
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
@@ -24,7 +24,6 @@ from .errors import (
     ExtrapolationError,
     FiniteTotalIntegral,
     NonPositiveDenominator,
-    QuadratureFailure,
 )
 from .profiles import (
     CatalogueCase,
@@ -154,57 +153,39 @@ def effective_lower_limit(profile: GrowthProfile) -> float:
         f"no radius in [{PAPER_LOWER_LIMIT}, {cap:.4g}] with positive rate denominator")
 
 
-def _doublings(piece: Callable, start: float, cap: float, first_hi: float = 0.0,
-               stop_on=()):
-    """Walk the shells [start, max(2 start, first_hi)], [hi, 2 hi], ... of
-    F(x) = piece(start, x), hi capped at cap, integrating each once: yields
-    (lo, hi, F(lo), piece(lo, hi)). Ends before a shell would start at cap
-    or beyond 1e150, or when piece raises one of ``stop_on``."""
-    lo, F_lo = start, 0.0
-    while lo < cap and lo <= _REPRESENTABLE:
-        hi = min(max(2.0 * lo, first_hi), cap)
-        try:
-            step = piece(lo, hi)
-        except stop_on:
-            return
-        yield lo, hi, F_lo, step
-        lo, F_lo = hi, F_lo + step
-
-
 def _invert_increasing(rows: Callable, start: float, targets, cap: float,
                        what: str, first_hi: float = 0.0) -> np.ndarray:
     """The x with F(x) = t for each of the nondecreasing targets t, where
     F(x) = F(lo) + rows(lo, x) is an increasing integral from start, and
     rows(lo, x) integrates over each row [lo_i, x_i]; start for t = 0.
 
-    One pass over the _doublings shells, capped at cap (1 - 1e-13), finds
-    the shell [lo, hi] that holds each target. Then one lockstep Brent
-    solve of F(lo) + rows(lo, x) = t takes every row with t > 0, handed
-    the known end values F(lo) - t and F(hi) - t. FiniteTotalIntegral when
-    F stays below a target at the cap, after a doubling that adds under
-    1e-13 F, or beyond 1e150. When the walk fails at a row, the rows before
-    it are solved first, and an error of theirs comes first.
+    Walking the shells [start, max(2 start, first_hi)], [hi, 2 hi], ...,
+    capped at cap (1 - 1e-13), finds the shell [lo, hi] of each target.
+    Then one lockstep Brent solve of F(lo) + rows(lo, x) = t takes every
+    row with t > 0, handed the known end values F(lo) - t and F(hi) - t.
+    FiniteTotalIntegral when F stays below a target at the cap, after a
+    doubling that adds under 1e-13 F, or beyond 1e150. When the walk fails
+    at a row, the rows before it are solved first, and their error comes first.
     """
     targets = np.array([float(t) for t in targets])
     if not (targets >= 0.0).all():  # a NaN target too
         raise DomainError("t must be nonnegative")
     top = cap * (1.0 - 1e-13)
-    shells = _doublings(lambda a, b: float(rows(np.array([a]), np.array([b]))[0]),
-                        start, top, first_hi)
     roots = np.full(targets.size, float(start))
     hi, F_hi = start, 0.0
     brackets, walk_error = [], None
     try:
         for i, t in enumerate(targets.tolist()):
             while F_hi < t:
-                shell = next(shells, None)
-                if shell is None:  # the walk ended at the cap, else past 1e150
+                if hi >= top or hi > _REPRESENTABLE:
                     raise FiniteTotalIntegral(
                         f"{what} bounded by {F_hi:.6g} on the domain, below "
                         f"t={t:.6g}" if hi >= top else f"envelope radius for "
                         f"t={t:.6g} not representable ({what} = {F_hi:.6g} at "
                         f"{hi:.6g})")
-                lo, hi, F_lo, step = shell
+                lo, F_lo = hi, F_hi
+                hi = min(max(2.0 * lo, first_hi), top)
+                step = float(rows(np.array([lo]), np.array([hi]))[0])
                 F_hi = F_lo + step
                 if step < 1e-13 * max(F_hi, 1.0) and F_hi < t:
                     raise FiniteTotalIntegral(
@@ -338,10 +319,11 @@ def conservativeness(
 
     Known coefficient families and catalogue cases get a symbolic verdict.
     Arbitrary profiles get a numeric heuristic over up to 40 dyadic shells
-    of phi, always wrapped as Inconclusive with a leaning: divergence is not
-    decidable numerically. The trend of the last increments decides, after
-    the rule that a profile whose finite domain is covered leans
-    NonConservative; a tabulated coefficient's domain ends with its data.
+    of phi, integrated in one lockstep call, always wrapped as Inconclusive
+    with a leaning: divergence is not decidable numerically. A shell that
+    fails raises phi's typed error. The trend of the last increments
+    decides, after the rule that a profile whose finite domain is covered
+    leans NonConservative; a tabulated coefficient's domain ends with its data.
     """
     table = isinstance(obj, RadialCoefficient)
     if table:
@@ -357,14 +339,14 @@ def conservativeness(
         raise DomainError(f"cannot classify {type(obj).__name__}")
 
     profile = obj
-    r_lo = effective_lower_limit(profile)
-    shells = list(islice(_doublings(
-        lambda a, b: phi(profile, b, a), r_lo, profile.r_max,
-        stop_on=(NonPositiveDenominator, QuadratureFailure)), 40))
-    _, end, F_lo, step = shells[-1] if shells else (r_lo, r_lo, 0.0, 0.0)
-    increments = np.array([step for *_, step in shells])
-    report = {"increments": increments, "total": F_lo + step, "r_star": r_lo}
-    if not table and math.isfinite(profile.r_max) and end >= profile.r_max:
+    r_lo = effective_lower_limit(profile)   # at most 1e12: no shell passes 1e150
+    lo = r_lo * 2.0 ** np.arange(40)
+    lo = lo[lo < profile.r_max]
+    hi = np.minimum(2.0 * lo, profile.r_max)
+    increments = _phi_rows(profile, lo, hi)
+    report = {"increments": increments, "total": float(np.cumsum(increments)[-1]),
+              "r_star": r_lo}
+    if not table and math.isfinite(profile.r_max) and hi[-1] >= profile.r_max:
         # whole domain covered: total crossing time is finite
         return Verdict("Inconclusive", leaning="NonConservative", report=report)
     if increments.size >= 5:
@@ -462,10 +444,13 @@ def dyadic_scheme(profile: GrowthProfile, c: float, N: int) -> DyadicScheme:
                + np.log(T) + 0.5 * np.log(lam) - 0.5 * np.log(t) - np.log(r)
                - r * r / (8.0 * lam * t))
     lemma_rhs = np.exp(np.where(log_rhs > -745, log_rhs, -np.inf))
-    # phi(2^(n+1) c, 2c) is the sum of the first n shells from 2c
-    shells = islice(_doublings(lambda a, b: phi(profile, b, a), 2.0 * c,
-                               math.inf), N)
-    slack = T - np.cumsum([step for *_, step in shells]) / 256.0
+    # phi(2^(n+1) c, 2c) is the sum of the first n shells [R_n, 2 R_n]; those
+    # inside the domain are integrated before the first beyond it is named
+    n_in = N - int(np.count_nonzero(2.0 * R > profile.r_max))
+    shells = _phi_rows(profile, R[:n_in], 2.0 * R[:n_in])
+    if n_in < N:
+        raise DomainError(f"R={2.0 * R[n_in]} beyond profile domain r_max={profile.r_max}")
+    slack = T - np.cumsum(shells) / 256.0
     return DyadicScheme(mu_b1=float(mu_b1), R=R, r=r, t=t, T=T,
                         bound=bound, lemma_rhs=lemma_rhs,
                         partial_sums=np.cumsum(bound), slack=slack)

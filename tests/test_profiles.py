@@ -53,6 +53,17 @@ class TestRadialCoefficient:
         assert c.a(0.0) == 1.0
         assert c.a(10.0) > 0.0
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("call", [
+        lambda: RadialCoefficient.power(1e308).a(1.0),
+        lambda: RadialCoefficient.power(1e308).a_prime(1.0),
+        lambda: RadialCoefficient.squared_log(1e308).a(1.0),
+        lambda: RadialCoefficient.power(1000).a(10.0),
+    ], ids=["power_a", "power_a_prime", "squared_log_a", "power_1000_a"])
+    def test_overflow_is_inf_without_warning(self, call):
+        # a raw overflow warning is an error here
+        assert call() == math.inf
+
     def test_tabulated_rejects_nonpositive(self):
         with pytest.raises(NonPositiveCoefficient):
             RadialCoefficient.tabulated([0.0, 1.0, 2.0], [1.0, -1.0, 1.0])

@@ -2,6 +2,7 @@
 dyadic bounds, and drift-majorant envelopes."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -42,6 +43,21 @@ def euclid(n):
 
 # a(r) = 1 + sqrt(r) on radii 0, 2^0, ..., 2^30, as in the benchmark's table
 _TAB_RADII = np.array([0.0] + [2.0 ** k for k in range(31)])
+
+
+@pytest.fixture
+def phi_calls(monkeypatch):
+    """Each call of the rows form of phi, as its rows (r_lo, R); phi itself
+    makes one-row calls."""
+    calls = []
+    real_rows = rate_solver._phi_rows
+
+    def recording_rows(profile, r_lo, R):
+        calls.append(list(zip(r_lo.tolist(), R.tolist())))
+        return real_rows(profile, r_lo, R)
+
+    monkeypatch.setattr(rate_solver, "_phi_rows", recording_rows)
+    return calls
 
 
 class TestPhi:
@@ -250,30 +266,6 @@ class TestPsi:
         assert str(exc.value) == message
 
 
-class TestDoublings:
-    def test_shells_double_and_carry_the_sum(self):
-        shells = list(rate_solver._doublings(lambda a, b: b - a, 0.0, 5.0, 1.0))
-        assert shells == [(0.0, 1.0, 0.0, 1.0), (1.0, 2.0, 1.0, 1.0),
-                          (2.0, 4.0, 2.0, 2.0), (4.0, 5.0, 4.0, 1.0)]
-
-    def test_stops_quietly_on_listed_errors(self):
-        def piece(a, b):
-            if b > 8.0:
-                raise QuadratureFailure("past 8")
-            return b - a
-
-        walk = rate_solver._doublings(piece, 2.0, math.inf,
-                                      stop_on=(QuadratureFailure,))
-        assert [hi for _, hi, _, _ in walk] == [4.0, 8.0]
-        with pytest.raises(QuadratureFailure):
-            list(rate_solver._doublings(piece, 2.0, math.inf))
-
-    def test_no_shell_starts_beyond_1e150(self):
-        his = [hi for _, hi, _, _ in
-               rate_solver._doublings(lambda a, b: 1.0, 1.0, math.inf)]
-        assert his[-2] <= 1e150 < his[-1] == 2.0 * his[-2]
-
-
 class TestRateTable:
     def test_scaled_envelope(self):
         p = euclid(1)
@@ -351,35 +343,21 @@ class TestOnePassTable:
             back.append(sum(phi(prof, b, a) for a, b in zip(pts, pts[1:])))
         assert np.allclose(back, targets, rtol=1e-9, atol=0.0)
 
-    @staticmethod
-    def record_phi(monkeypatch, calls):
-        """Append (R, r_lo) of every phi evaluation to calls: each row of
-        the rows form of phi, which phi itself calls with one row."""
-        real_rows = rate_solver._phi_rows
-
-        def recording_rows(profile, r_lo, R):
-            calls.extend(zip(R.tolist(), r_lo.tolist()))
-            return real_rows(profile, r_lo, R)
-
-        monkeypatch.setattr(rate_solver, "_phi_rows", recording_rows)
-
-    def test_phi_walks_forward(self, monkeypatch):
+    def test_phi_walks_forward(self, phi_calls):
         # every evaluation starts at the shell below its R: in order of R,
         # the lower ends never go back
-        calls = []
-        self.record_phi(monkeypatch, calls)
         prof = profile_from_radial(RadialCoefficient.constant(), 3, "unit_energy")
         rate_table(prof, np.geomspace(1.0, 1e6, 200))
-        lower = [r_lo for R, r_lo in sorted(calls)]
+        lower = [r_lo for R, r_lo in sorted((R, r_lo) for call in phi_calls
+                                            for r_lo, R in call)]
         assert np.all(np.diff(lower) >= 0)
         assert len(lower) <= 10 * 200
 
-    def test_no_phi_call_repeats(self, monkeypatch):
+    def test_no_phi_call_repeats(self, phi_calls):
         # Brent gets each bracket's end values from the carried F(lo), F(hi)
-        pairs = []
-        self.record_phi(monkeypatch, pairs)
         prof = profile_from_radial(RadialCoefficient.constant(), 3, "unit_energy")
         rate_table(prof, np.geomspace(1.0, 1e6, 200))
+        pairs = [row for call in phi_calls for row in call]
         assert len(set(pairs)) == len(pairs)
 
     @pytest.mark.parametrize("coeff,mode", [
@@ -471,6 +449,30 @@ class TestConservativeness:
         assert v.report["increments"][-5:].tolist() == [0.0] * 5
         assert (v.kind, v.leaning) == ("Inconclusive", "NonConservative")
 
+    def test_one_phi_call_over_capped_shells(self, phi_calls):
+        # the bench's table: shells r_lo 2^k, capped at the last knot 2^30
+        v = conservativeness(RadialCoefficient.tabulated(
+            _TAB_RADII, 1.0 + np.sqrt(_TAB_RADII)))
+        r_lo = v.report["r_star"]
+        assert phi_calls == [[(r_lo * 2.0 ** k, min(r_lo * 2.0 ** (k + 1), 2.0 ** 30))
+                              for k in range(29)]]
+        assert v.report["total"] == np.cumsum(v.report["increments"])[-1]
+
+    @pytest.mark.parametrize("lam,error", [
+        (math.nan, QuadratureFailure), (-1.0, NonPositiveDenominator)],
+        ids=["nan", "negative"])
+    def test_failing_shell_is_its_error(self, lam, error):
+        # a profile that breaks its contract past r = 100: the first shell
+        # beyond it raises what phi raises there, not a leaning from the
+        # shells before it
+        prof = GrowthProfile(
+            log_volume=lambda r: 3.0 * np.log(r),
+            energy_bound=lambda r: np.where(np.asarray(r) > 100.0, lam, 1.0))
+        with pytest.raises(error) as alone:
+            phi(prof, 128.0, 64.0)
+        with pytest.raises(error, match=f"^{re.escape(str(alone.value))}$"):
+            conservativeness(prof)
+
     def test_covered_finite_domain_leans_non_conservative(self):
         # unit-energy power 2.5: rho_tilde is bounded by 4
         prof = profile_from_radial(RadialCoefficient.power(2.5), 1, "unit_energy")
@@ -532,18 +534,27 @@ class TestDyadicScheme:
         assert np.allclose(scheme.bound, bound, rtol=1e-15, atol=0.0)
         assert np.allclose(scheme.lemma_rhs, lemma, rtol=1e-13, atol=0.0)
 
-    def test_one_phi_per_level(self, monkeypatch):
-        spans = []
-        real_phi = rate_solver.phi
-
-        def recording_phi(profile, R, r_lo):
-            spans.append((r_lo, R))
-            return real_phi(profile, R, r_lo)
-
-        monkeypatch.setattr(rate_solver, "phi", recording_phi)
+    def test_one_phi_per_level(self, phi_calls):
         dyadic_scheme(euclid(2), c=3.0, N=8)
-        assert spans == [(3.0 * 2.0 ** n, 3.0 * 2.0 ** (n + 1))
-                         for n in range(1, 9)]
+        assert phi_calls == [[(3.0 * 2.0 ** n, 3.0 * 2.0 ** (n + 1))
+                              for n in range(1, 9)]]
+
+    @pytest.mark.parametrize("profile,c,N,message", [
+        # power 2.5 caps the intrinsic radius at 4: the slack needs phi to 6
+        (profile_from_radial(RadialCoefficient.power(2.5), 1, "unit_energy"),
+         1.5, 1, "R=6.0 beyond profile domain r_max=4.0"),
+        (GrowthProfile(log_volume=lambda r: np.log(r),
+                       energy_bound=lambda r: 1.0, r_max=50.0),
+         4.0, 3, "R=64.0 beyond profile domain r_max=50.0"),
+    ], ids=["power_unit", "r_max_50"])
+    def test_slack_beyond_the_domain_named(self, phi_calls, profile, c, N,
+                                           message):
+        # the shells inside the domain are integrated before it is named
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            dyadic_scheme(profile, c, N)
+        inside = [(c * 2.0 ** n, c * 2.0 ** (n + 1)) for n in range(1, N + 1)
+                  if c * 2.0 ** (n + 1) <= profile.r_max]
+        assert [row for call in phi_calls for row in call] == inside
 
     def test_log_log_undefined_at_first_level(self):
         # c = 0.5 puts R_1 at 1, where log log R is undefined

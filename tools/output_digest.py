@@ -3,13 +3,15 @@
     python tools/output_digest.py [LABEL ...]
 
 Runs every call, once-call and probe of ``bench/workloads.py``, README's
-two example configs, and two runs of the benchmark's tabulated coefficient
+two example configs, and three runs of the benchmark's tabulated coefficient
 that the benchmark leaves out, in one process through ``escrate.cli.main``,
 with the package taken from this checkout's ``src``: a 3-row rate table in
 ``unit_energy`` mode, whose growth profile inverts the tabulated transform
-at every quadrature node and breaks at the table's knots, and a 200-path,
+at every quadrature node and breaks at the table's knots; a 200-path,
 100-step ``simulate`` summary of its ``drift = coefficient`` chain, which
-inverts the transform at every step. Calls that simulate get ``--seed 41``,
+inverts the transform at every step; and a ``verify dyadic`` of its
+``coefficient_energy`` profile with ``c = 4`` and 25 levels, whose slack
+integrates phi across the knots. Calls that simulate get ``--seed 41``,
 as the benchmark passes its seed.
 Each config prints one line: its label (``workload/call``,
 ``README/command`` or ``extra/call``), its exit code and one sha256 over
@@ -68,6 +70,8 @@ def configs() -> dict:
         _ini(model=model, simulation={"x0": 1, "t": 1, "dt": 0.01, "n_paths": 200,
                                       "drift": "coefficient", "floor": 0.01,
                                       "output": "summary"}))
+    found["extra/verify_dyadic_tabulated"] = (
+        ["verify", "dyadic"], _ini(model=_TABULATED, verify={"c": 4, "n_levels": 25}))
     return found
 
 

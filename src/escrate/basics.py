@@ -1,16 +1,24 @@
 """The numpy-free part of escrate: what every CLI launch may need.
 
-The closed-form catalogue and the coefficient families with their parameter
-keys and conservativeness rule need no numerics, so ``catalogue``,
-``conserve`` on a family and every config error run without importing
-numpy. ``escrate.profiles.CATALOGUE`` is this same object.
+The closed-form catalogue, the coefficient families with their parameter
+keys and conservativeness rule, and the library defaults the config schema
+shares need no numerics, so ``catalogue``, ``conserve`` on a family and
+every config error run without importing numpy.
+``escrate.profiles.CATALOGUE`` is this same object.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-__all__ = ["CATALOGUE", "FAMILIES", "family_verdict"]
+__all__ = ["CATALOGUE", "DEFAULT_ORIGIN_FLOOR", "FAMILIES", "PROOF_SCALE_C",
+           "family_verdict"]
+
+# Default reflecting floor of a chain.
+DEFAULT_ORIGIN_FLOOR = 1e-6
+
+# The proof of the volume-growth theorem yields this envelope time constant.
+PROOF_SCALE_C = 512.0
 
 
 # The catalogue as ``escrate catalogue`` prints it: (case, parameter range,

@@ -26,7 +26,8 @@ import sys
 from functools import partial
 from typing import TYPE_CHECKING
 
-from .basics import CATALOGUE, FAMILIES, family_verdict
+from .basics import (CATALOGUE, DEFAULT_ORIGIN_FLOOR, FAMILIES, PROOF_SCALE_C,
+                     family_verdict)
 from .errors import ConfigError, DomainError, EscrateError
 
 if TYPE_CHECKING:
@@ -120,10 +121,11 @@ _SCHEMA = {
               "k": (_number, 1.0), "radii": (_any_numbers, ""),
               "values": (_any_numbers, "")},
     "solver": {"r_lo": (_number, None), "t_grid": (_t_grid, ""),
-               "scale_c": (_number, {"rate": 512.0, "envelope": 1.0})},
+               "scale_c": (_number, {"rate": PROOF_SCALE_C, "envelope": 1.0})},
     "simulation": {"x0": (_number, ...), "t": (_number, ...),
                    "dt": (_number, ...), "n_paths": (_int, ...),
-                   "master_seed": (_seed, ...), "floor": (_number, 1e-6),
+                   "master_seed": (_seed, ...),
+                   "floor": (_number, DEFAULT_ORIGIN_FLOOR),
                    "barrier": (_barrier, None), "drift": (_word, "manifold"),
                    "sigma": (_real, None), "output": (_word, "paths"),
                    "store_every": (_int, 1)},

@@ -460,8 +460,8 @@ def coefficient_drift(coeff: RadialCoefficient, n: int) -> Callable:
     radius: rho -> drift_L_rho at the Euclidean radius rho_tilde_inverse(rho),
     for a float or an array rho > 0.
 
-    It overflows quietly, and a NaN state gets a NaN drift (the kernel
-    raises NonFiniteState for both). Its chain needs
+    It overflows quietly, and a non-finite state gets a NaN drift (the
+    kernel raises NonFiniteState for both). Its chain needs
     a floor away from 0: at floor 0.01 its law agrees with IsotropicNd's
     intrinsic radius (power 1 and squared_log 0.5, n = 2 and 3, from
     |x0| = 1, T = 0.2, dt = 1e-3); at the default 1e-6 it overshoots near
@@ -476,7 +476,7 @@ def coefficient_drift(coeff: RadialCoefficient, n: int) -> Callable:
     def drift(rho):
         rho = np.asarray(rho, dtype=float)
         out = np.full(rho.shape, np.nan)
-        live = ~np.isnan(rho)   # rho_tilde_inverse refuses NaN
+        live = np.isfinite(rho)   # rho_tilde_inverse refuses NaN and inf
         with np.errstate(over="ignore", invalid="ignore"):
             out[live] = drift_L_rho(coeff, n, rho_tilde_inverse(coeff, rho[live]))
         return _scalar_or_array(out)

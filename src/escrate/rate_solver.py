@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple, Optional, Union
 import numpy as np
 
 from ._numerics import brentq, quad
-from .basics import family_verdict
+from .basics import PROOF_SCALE_C, family_verdict
 from .errors import (
     DomainError,
     ExtrapolationError,
@@ -33,9 +33,6 @@ from .profiles import (
     profile_from_radial,
     rho_tilde_inverse,
 )
-
-# The proof of the volume-growth theorem yields this envelope time constant.
-PROOF_SCALE_C = 512.0
 
 # Default lower endpoint of the rate integral.
 PAPER_LOWER_LIMIT = 2.0

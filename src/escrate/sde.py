@@ -26,10 +26,9 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from .basics import DEFAULT_ORIGIN_FLOOR
 from .errors import DomainError, NonFiniteState
 from .profiles import RadialCoefficient, _check_count, _Frozen
-
-DEFAULT_ORIGIN_FLOOR = 1e-6
 
 _SQRT2 = math.sqrt(2.0)
 # Steps per noise fill: _NOISE_BLOCK, or fewer so that a fill's increments and
@@ -172,7 +171,7 @@ def _check_sim_args(sdes, x0: float, T: float, dt: float, n_paths: int,
             raise DomainError(f"x0={x0} below floor {sde.floor}")
     if not math.isfinite(x0):
         raise DomainError(f"x0 must be finite, got {x0}")
-    if dt <= 0 or T < dt:
+    if not (dt > 0 and T >= dt):  # NaN too
         raise DomainError("need dt > 0 and T >= dt")
     _check_count(n_paths, "n_paths")
     if not T / dt < 2.0 ** 63:

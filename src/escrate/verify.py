@@ -4,14 +4,13 @@ Envelope-exceedance fractions, the drift-domination inequality with its
 exact shared-noise coupling check, and the iterated-logarithm sanity
 statistic for reflected Brownian paths. Every Monte Carlo statistic is a
 loop over the steps the Euler kernel (sde._shared_noise_run) yields, in
-memory linear in the number of paths. One reducer, _fractions, gives the
-exceedance and LIL fractions from the kernel's states as it steps.
+memory linear in the number of paths. One reducer, _window_fractions,
+gives the exceedance and LIL fractions from the kernel's states.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -36,57 +35,51 @@ __all__ = [
 # Envelope exceedance
 # ---------------------------------------------------------------------------
 
-def _fractions(env: np.ndarray, n_paths: int, columns) -> np.ndarray:
-    """Per-row fraction of paths above env[i, j] at some (j, x) of
-    ``columns``, pairs of a window column index j and the paths' values x
-    there: the one reducer of exceedance and LIL fractions."""
+def _window_fractions(sde: Sde1D | IsotropicNd, x0: float, T: float,
+                      dt: float, n_paths: int, seed: int, store_every: int,
+                      rows: Callable) -> np.ndarray:
+    """Per-row fraction of the paths of ``ensemble(sde, x0, T, dt, n_paths,
+    seed, store_every=store_every)`` above env[i, j] at the window's j-th
+    stored step for some j, where ``window, env = rows(stored times)`` runs
+    before the first step. The kernel's live states are read, not stored."""
+    stored = _stored_steps(sde, x0, T, dt, n_paths, seed, store_every)
+    window, env = rows(stored * dt)
+    column = {step: j for j, step in enumerate(stored[window].tolist())}
     flags = np.zeros((env.shape[0], n_paths), dtype=bool)
-    for j, x in columns:
-        np.logical_or(flags, x > env[:, j, None], out=flags)
-    return flags.mean(axis=1)
-
-
-def _streamed_columns(sde: Sde1D | IsotropicNd, x0: float, T: float, dt: float,
-                      n_paths: int, seed: int, steps: np.ndarray):
-    """(j, states) of the chains ``ensemble`` would store, as the kernel
-    steps, storing nothing: ``steps`` are the window's stored steps, and
-    column j belongs to steps[j]."""
-    column = {step: j for j, step in enumerate(steps.tolist())}
     if 0 in column:
-        yield column[0], np.full(n_paths, float(x0))
+        flags |= np.full(n_paths, float(x0)) > env[:, column[0], None]
     for step, (x,) in _shared_noise_run([sde], x0, T, dt, n_paths, seed):
         if step in column:
-            yield column[step], x
-
-
-def _envelope_values(rate, ts: np.ndarray, C: float) -> np.ndarray:
-    # a RateFunction exists only once escrate.rate_solver is loaded
-    rate_solver = sys.modules.get(f"{__package__}.rate_solver")
-    if rate_solver is not None and isinstance(rate, rate_solver.RateFunction):
-        lo, hi = rate.domain
-        if ts[-1] > hi + 1e-12 or ts[0] < lo - 1e-12:
-            raise ExtrapolationError(
-                f"envelope for C={C:.6g} needs rate values on "
-                f"[{ts[0]:.6g}, {ts[-1]:.6g}], "
-                f"table covers [{lo:.6g}, {hi:.6g}]")
-        return np.asarray(rate(ts), dtype=float)
-    return np.array([float(rate(t)) for t in ts])
+            flags |= x > env[:, column[step], None]
+    return flags.mean(axis=1)
 
 
 def _envelope_rows(times: np.ndarray, rate, C_grid, t0: float):
     """Window of the stored times on [t0, T] and the envelope rows
-    rate(C * t) on it, one per C."""
+    rate(C * t) on it, one per C: one call of a rate with a ``domain`` (a
+    table), which must cover every row, else one call per time."""
     C_grid = np.asarray(C_grid, dtype=float)
     if not np.all(C_grid > 0):  # a NaN constant too
         raise DomainError("scale constants must be positive")
-    if t0 >= times[-1]:
+    if np.isinf(C_grid).any():  # inf * 0 is NaN at t = 0
+        raise DomainError("scale constants must be finite")
+    if not t0 < times[-1]:  # NaN too
         raise DomainError(f"burn-in t0={t0} at or beyond horizon {times[-1]}")
     window = times >= t0
-    ts = times[window]
     with np.errstate(over="ignore"):  # a C t past float range is inf
-        Ct = C_grid[:, None] * ts
-    return window, np.array([_envelope_values(rate, row, C)
-                             for C, row in zip(C_grid, Ct)])
+        Ct = C_grid[:, None] * times[window]
+    domain = getattr(rate, "domain", None)
+    if domain is None:
+        env = [[float(rate(t)) for t in row] for row in Ct]
+        return window, np.array(env).reshape(Ct.shape)  # (0, m) for no C
+    lo, hi = domain
+    for C, row in zip(C_grid, Ct):
+        if row[-1] > hi + 1e-12 or row[0] < lo - 1e-12:
+            raise ExtrapolationError(
+                f"envelope for C={C:.6g} needs rate values on "
+                f"[{row[0]:.6g}, {row[-1]:.6g}], "
+                f"table covers [{lo:.6g}, {hi:.6g}]")
+    return window, np.asarray(rate(Ct), dtype=float)
 
 
 def exceedance(sde: Sde1D | IsotropicNd, x0: float, T: float, dt: float,
@@ -100,19 +93,17 @@ def exceedance(sde: Sde1D | IsotropicNd, x0: float, T: float, dt: float,
     which are never stored.
 
     ``rate`` is a RateFunction table or any callable (useful sentinels:
-    constant 0 or +inf). A table must cover C t on the window
-    (ExtrapolationError otherwise). An IsotropicNd's |X| exceeds
-    rho_tilde^{-1}(psi) when rho_tilde(|X|) exceeds psi: pass
-    euclidean_rate(psi, coeff).
+    constant 0 or +inf). A table, or any rate with a ``domain``, must
+    cover C t on the window (ExtrapolationError otherwise). An
+    IsotropicNd's |X| exceeds rho_tilde^{-1}(psi) when rho_tilde(|X|)
+    exceeds psi: pass euclidean_rate(psi, coeff).
 
     Every argument is checked, and the envelope evaluated, before the first
     step.
     """
-    stored = _stored_steps(sde, x0, T, dt, n_paths, master_seed,
-                            store_every)
-    window, env = _envelope_rows(stored * dt, rate, C_grid, t0)
-    return _fractions(env, n_paths, _streamed_columns(
-        sde, x0, T, dt, n_paths, master_seed, stored[window]))
+    return _window_fractions(
+        sde, x0, T, dt, n_paths, master_seed, store_every,
+        lambda times: _envelope_rows(times, rate, C_grid, t0))
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +270,6 @@ def lil_statistic(sde: Sde1D, x0: float, T: float, dt: float, n_paths: int,
     are nonincreasing in eps by event nesting. Every argument is checked
     before the first step.
     """
-    stored = _stored_steps(sde, x0, T, dt, n_paths, master_seed,
-                            store_every)
-    window, env = _lil_rows(stored * dt, t0, eps_grid)
-    return _fractions(env, n_paths, _streamed_columns(
-        sde, x0, T, dt, n_paths, master_seed, stored[window]))
+    return _window_fractions(
+        sde, x0, T, dt, n_paths, master_seed, store_every,
+        lambda times: _lil_rows(times, t0, eps_grid))

@@ -30,14 +30,15 @@ LOW = Sde1D(drift=None, sigma=1.0)
 HIGH = Sde1D(drift=lambda x: np.ones_like(x), sigma=1.0)
 
 
-def _run(kind, x0=1.0, n_paths=4, seed=1, store_every=2, R=5.0):
+def _run(kind, x0=1.0, n_paths=4, seed=1, store_every=2, R=5.0,
+         C_grid=(1.0,), t0=0.0):
     """A run of ``kind`` of a few paths over a few steps."""
     T = 3.5 if kind == "lil_statistic" else 0.05  # its window starts past e
     chain = (LOW, x0, T, 0.01, n_paths, seed)
     if kind == "ensemble":
         return ensemble(*chain, store_every=store_every)
     if kind == "exceedance":
-        return exceedance(*chain, math.sqrt, [1.0], 0.0,
+        return exceedance(*chain, math.sqrt, C_grid, t0,
                           store_every=store_every)
     if kind == "lil_statistic":
         return lil_statistic(*chain, 3.0, [0.0], store_every=store_every)
@@ -61,6 +62,11 @@ ROWS = {
     "comparison_mc-R": (
         lambda R: _run("comparison_mc", R=R), 5.0,
         [NAN, INF, -INF, 0.0, -1.0]),
+    "exceedance-C_grid": (
+        lambda C: _run("exceedance", C_grid=C), [1.0],
+        [[NAN], [INF], [-INF], [0.0], [-1.0]]),
+    "exceedance-t0": (
+        lambda t0: _run("exceedance", t0=t0), 0.0, [NAN, INF]),
 }
 for _kind in ("ensemble", "exceedance", "lil_statistic", "coupled_dominance",
               "comparison_mc"):

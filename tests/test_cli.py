@@ -540,13 +540,6 @@ class TestConfigSchema:
             if key is not None:
                 assert f"`{family}`" in meaning[key], key
 
-    def test_defaults_match_the_library(self):
-        from escrate import cli, rate_solver, sde
-
-        _, scale_c = cli._SCHEMA["solver"]["scale_c"]
-        assert scale_c["rate"] == rate_solver.PROOF_SCALE_C
-        assert cli._SCHEMA["simulation"]["floor"][1] == sde.DEFAULT_ORIGIN_FLOOR
-
 
 _TAB_RADII = [0.0] + [2.0 ** k for k in range(31)]
 _TABULATED = ("family = tabulated\nn = 3\n"

@@ -354,6 +354,23 @@ class TestDrifts:
         L_rho = a * f2 + ((n - 1) * a / r + ap) * f1
         assert np.allclose(drift_L_rho(coeff, n, r), L_rho, rtol=1e-6, atol=0.0)
 
+    @pytest.mark.parametrize("coeff, beyond", [
+        (RadialCoefficient.power(1.0), None),
+        (RadialCoefficient.power(3.0), 2.5),
+        (RadialCoefficient.tabulated(np.linspace(0.0, 10.0, 11),
+                                     np.linspace(1.0, 11.0, 11)), 4.7),
+    ], ids=["power1", "power3", "tabulated"])
+    def test_coefficient_drift_non_finite_state_is_nan(self, coeff, beyond):
+        # a non-finite state gets a NaN drift, for the kernel's
+        # NonFiniteState; a finite one past a bounded sup rho_tilde does not
+        drift = coefficient_drift(coeff, 3)
+        out = drift(np.array([1.0, math.inf, -math.inf, math.nan]))
+        assert math.isfinite(out[0]) and np.isnan(out[1:]).all()
+        assert np.isnan(drift(math.inf))
+        if beyond is not None:
+            with pytest.raises(OutOfRange):
+                drift(np.array([1.0, beyond]))
+
 
 _NAN = math.nan
 

@@ -70,6 +70,15 @@ class TestEulerPath:
         assert sde_mod._check_sim_args([chain], 1.0, 1.0, 0.1, n_paths // 2,
                                        1) == 10
 
+    @pytest.mark.parametrize("T, dt, message", [
+        (math.nan, 0.01, "need dt > 0 and T >= dt"),
+        (1.0, math.nan, "need dt > 0 and T >= dt"),
+        (math.inf, 0.01, "T/dt = inf steps is more than a run can take"),
+    ], ids=["nan_T", "nan_dt", "inf_T"])
+    def test_run_length_gate_names_the_fault(self, T, dt, message):
+        with pytest.raises(DomainError, match=message):
+            ensemble(Sde1D(), 1.0, T, dt, 2, 1)
+
     @pytest.mark.parametrize("floor", [0.0, -1e-6, math.nan])
     @pytest.mark.parametrize("chain", [
         lambda floor: Sde1D(drift=euclidean_mean_curvature(3), floor=floor),

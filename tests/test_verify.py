@@ -56,6 +56,14 @@ class TestExceedance:
             exceedance(*DRIFTLESS, lambda t: np.sqrt(t), C_grid=[1.0, C],
                        t0=0.0, store_every=10)
 
+    @pytest.mark.parametrize("rate", [
+        math.sqrt, RateFunction([0.0, 1.0], [0.0, 1.0], r_star=0.0)],
+        ids=["callable", "table"])
+    def test_empty_scale_grid_has_no_fractions(self, rate):
+        fractions = exceedance(*DRIFTLESS, rate, C_grid=[], t0=0.0,
+                               store_every=10)
+        assert fractions.shape == (0,)
+
     def test_table_domain_enforced(self):
         profile = profile_from_radial(RadialCoefficient.constant(), 3, "unit_energy")
         rate = rate_table(profile, np.linspace(1.0, 5.0, 20))

@@ -3,16 +3,21 @@
     python tools/output_digest.py [LABEL ...]
 
 Runs every call, once-call and probe of ``bench/workloads.py``, README's
-two example configs, and three runs of the benchmark's tabulated coefficient
-that the benchmark leaves out, in one process through ``escrate.cli.main``,
-with the package taken from this checkout's ``src``: a 3-row rate table in
+two example configs, three runs of the benchmark's tabulated coefficient
+that the benchmark leaves out, and two ``verify envelope`` runs, in one
+process through ``escrate.cli.main``, with the package taken from this
+checkout's ``src``. The tabulated runs are a 3-row rate table in
 ``unit_energy`` mode, whose growth profile inverts the tabulated transform
 at every quadrature node and breaks at the table's knots; a 200-path,
 100-step ``simulate`` summary of its ``drift = coefficient`` chain, which
 inverts the transform at every step; and a ``verify dyadic`` of its
 ``coefficient_energy`` profile with ``c = 4`` and 25 levels, whose slack
-integrates phi across the knots. Calls that simulate get ``--seed 41``,
-as the benchmark passes its seed.
+integrates phi across the knots. The envelope runs step 300 paths of the
+3-d Euclidean chain to t = 20: one against a 20-point rate table on [1, 100]
+with ``c_grid = 1,20`` from ``t0 = 2``, whose C = 20 rows the table does
+not cover (exit 3), and one against the zero envelope from ``t0 = 0``,
+which reads the step-0 column (exit 5). Calls that simulate get
+``--seed 41``, as the benchmark passes its seed.
 Each config prints one line: its label (``workload/call``,
 ``README/command`` or ``extra/call``), its exit code and one sha256 over
 its stdout, its stderr and its ``--out`` bytes. LABELs select
@@ -45,7 +50,8 @@ from numpy._core import _multiarray_umath  # noqa: E402
 
 import escrate.cli  # noqa: E402
 from escrate.pinned import LIL_EPS05_MAX_FRACTION  # noqa: E402
-from workloads import _TABULATED, _ini, _rate_call, workloads  # noqa: E402
+from workloads import (_CONSTANT3, _TABULATED, _ini, _rate_call,  # noqa: E402
+                       workloads)
 
 SEED = 41
 
@@ -72,6 +78,17 @@ def configs() -> dict:
                                       "output": "summary"}))
     found["extra/verify_dyadic_tabulated"] = (
         ["verify", "dyadic"], _ini(model=_TABULATED, verify={"c": 4, "n_levels": 25}))
+    run = dict(model=dict(_CONSTANT3, warp="euclidean"),
+               solver={"t_grid": "geom:1:100:20", "scale_c": 1},
+               simulation={"x0": 1, "t": 20, "dt": 0.01, "n_paths": 300,
+                           "master_seed": 9, "drift": "manifold",
+                           "floor": 0.01, "store_every": 30})
+    for name, verify in (("beyond_table", {"c_grid": "1,20", "t0": 2}),
+                         ("from_zero", {"envelope": "zero", "c_grid": "1,2",
+                                        "t0": 0})):
+        found[f"extra/verify_envelope_{name}"] = (
+            ["verify", "envelope", "--seed", str(SEED)],
+            _ini(**run, verify=verify))
     return found
 
 

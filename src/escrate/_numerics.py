@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import QuadratureFailure
+from .errors import DomainError, OutOfRange, QuadratureFailure
 
 # qk21 on [-1, 1]: Kronrod abscissae x_0 > ... > x_10 = 0 (x_1, x_3, ..., x_9
 # are the 10-point Gauss nodes), their Kronrod weights, and the Gauss weights.
@@ -195,15 +195,19 @@ def brentq(f, a, b, rtol: float, xtol: float, maxiter: int, fa=None, fb=None):
                                np.where(sbis > 0, delta, -delta))
         fcur = _by_rows(f, rows, xcur, fail=fail)
     if (rows < fail.row).any():
-        raise RuntimeError(f"brentq: no convergence in {maxiter} iterations")
+        r = int(rows[0])
+        fail(r, OutOfRange(f"brentq: no convergence in {maxiter} iterations "
+                           f"on [{float(a[r])}, {float(b[r])}]"))
     if fail.error is not None:
         raise fail.error
     return roots
 
 
+@np.errstate(all="ignore")  # a slope or coefficient past float range is refused
 def pchip(x: np.ndarray, y: np.ndarray):
     """Value and derivative callables of the monotone cubic through (x, y),
-    x strictly increasing; NaN outside [x_0, x_last]."""
+    x strictly increasing; NaN outside [x_0, x_last]. A DomainError when
+    its slopes or coefficients are not finite."""
     h = np.diff(x)
     m = np.diff(y) / h
     d = np.full_like(y, m[0])
@@ -211,9 +215,8 @@ def pchip(x: np.ndarray, y: np.ndarray):
         # inside: weighted harmonic mean of the slopes, 0 at an extremum
         w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
         flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
-            d[1:-1] = np.where(flat, 0.0, 1.0 / mean)
+        mean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        d[1:-1] = np.where(flat, 0.0, 1.0 / mean)
         # ends: three-point slope, 0 or 3 m0 where it would break the shape
         h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
         e = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
@@ -221,11 +224,13 @@ def pchip(x: np.ndarray, y: np.ndarray):
         d[[0, -1]] = np.where(np.sign(e) != np.sign(m0), 0.0,
                               np.where(big, 3.0 * m0, e))
     t = (d[:-1] + d[1:] - 2.0 * m) / h
-    # power-basis coefficients of each interval, s^3 first, with a NaN row
-    # on either side for points outside the knots
+    # power-basis coefficients of each interval, s^3 first
+    k = (t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1])
+    if not (np.isfinite(d).all() and np.isfinite(k).all()):
+        raise DomainError("tabulated slopes or spline coefficients are not finite")
+    # a NaN row on either side for points outside the knots
     nan = np.array([np.nan])
-    c = [np.concatenate((nan, k, nan))
-         for k in (t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1])]
+    c = [np.concatenate((nan, row, nan)) for row in k]
     left = np.concatenate((x[:1], x[:-1], x[-1:]))
 
     def locate(r):

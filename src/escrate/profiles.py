@@ -462,11 +462,11 @@ def coefficient_drift(coeff: RadialCoefficient, n: int) -> Callable:
 
     It overflows quietly, and a non-finite state gets a NaN drift (the
     kernel raises NonFiniteState for both). Its chain needs
-    a floor away from 0: at floor 0.01 its law agrees with IsotropicNd's
-    intrinsic radius (power 1 and squared_log 0.5, n = 2 and 3, from
-    |x0| = 1, T = 0.2, dt = 1e-3); at the default 1e-6 it overshoots near
-    the origin, and a squared_log 0.5 run from x0 = 0.8 ends in
-    NonFiniteState.
+    a floor away from 0: at floor 0.01 its law agrees with the radial law
+    of the Dirichlet form's diffusion (power 1 and squared_log 0.5,
+    n = 2 and 3, from |x0| = 1, T = 0.2, dt = 1e-3); at the default 1e-6 it
+    overshoots near the origin, and a squared_log 0.5 run from x0 = 0.8
+    ends in NonFiniteState.
     """
     if not isinstance(coeff, RadialCoefficient):
         raise DomainError("coefficient_drift needs a RadialCoefficient")

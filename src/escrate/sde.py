@@ -2,9 +2,8 @@
 
 Scalar chains x_{k+1} = max(floor, x_k + theta(x_k) dt + sigma sqrt(dt)
 xi_k) (Sde1D), whose radial drifts are the formulas of escrate.profiles,
-and the n-dimensional diffusion of a Dirichlet form (IsotropicNd), all
 stepped by one kernel on counter-based noise keyed by (seed, chunk of 256
-noise coordinates).
+paths).
 
 The kernel's normals xi_k are Box-Muller transforms of raw Philox words, 128
 per step of a chunk (see _box_muller for the layout), cut at
@@ -28,7 +27,7 @@ import numpy as np
 
 from .basics import DEFAULT_ORIGIN_FLOOR
 from .errors import DomainError, NonFiniteState
-from .profiles import RadialCoefficient, _check_count, _Frozen
+from .profiles import _check_count, _Frozen
 
 _SQRT2 = math.sqrt(2.0)
 # Steps per noise fill: _NOISE_BLOCK, or fewer so that a fill's increments and
@@ -36,7 +35,7 @@ _SQRT2 = math.sqrt(2.0)
 # chunk-steps, but at least _MIN_BLOCK (a fill makes one RNG call per chunk).
 # States are checked for finiteness every _NOISE_BLOCK steps.
 _NOISE_BLOCK, _MIN_BLOCK, _NOISE_BUDGET = 128, 8, 320
-_NOISE_CHUNK = 256  # noise coordinates sharing one noise stream
+_NOISE_CHUNK = 256  # paths sharing one noise stream
 _WORDS = _NOISE_CHUNK // 2  # raw 64-bit Philox words per step of a chunk
 _ANGLE = np.float32(2.0 * math.pi * 2.0 ** -24)
 # numpy's error state for stepping chains and evaluating their drifts: an
@@ -45,7 +44,6 @@ _STEP_ERRSTATE = dict(all="ignore")
 
 __all__ = [
     "Sde1D",
-    "IsotropicNd",
     "PathEnsemble",
     "ensemble",
 ]
@@ -61,8 +59,6 @@ class Sde1D(_Frozen):
     ``lipschitz``, when given, is the caller's promise of a drift Lipschitz
     bound; the coupled monotonicity of the Euler map needs dt <= 1/lipschitz.
     """
-
-    width = 1  # noise coordinates per path
 
     def __init__(self, drift: Optional[Callable] = None, sigma: float = _SQRT2,
                  floor: float = DEFAULT_ORIGIN_FLOOR,
@@ -94,59 +90,14 @@ class Sde1D(_Frozen):
         return x, step
 
 
-class IsotropicNd(_Frozen):
-    """dX = a'(|X|) X/|X| dt + sqrt(2 a(|X|)) dW in R^n, the diffusion of the
-    Dirichlet form with coefficient a(|x|), reflected radially onto the
-    sphere |X| = floor. A run from x0 starts at (x0, 0, ..., 0) (the law of
-    |X| is rotation invariant) and observes |X|. Coordinate c of path p
-    reads noise coordinate p n + c, scaled by sqrt(2 a(|X|)) in float64.
-    """
-
-    sigma = 1.0  # the noise scale, before sqrt(2 a(|X|))
-
-    def __init__(self, coeff: RadialCoefficient, n: int,
-                 floor: float = DEFAULT_ORIGIN_FLOOR):
-        if not (isinstance(coeff, RadialCoefficient)
-                and isinstance(n, numbers.Integral) and n >= 2
-                and floor > 0):  # NaN too
-            raise DomainError("IsotropicNd needs a RadialCoefficient, an "
-                              "integer n >= 2 and a positive floor")
-        vars(self).update(coeff=coeff, n=n, floor=floor)
-
-    @property
-    def width(self) -> int:
-        return self.n
-
-    def _euler(self, x0: float, n_paths: int, dt: float):
-        """Radii of n_paths chains at (x0, 0, ..., 0) and their update on a
-        step's increments; a point inside the floor sphere is scaled out."""
-        coeff, floor = self.coeff, self.floor
-        X = np.zeros((n_paths, self.n))
-        X[:, 0] = x0
-        r = np.full(n_paths, float(x0))
-
-        def step(noise):
-            dW = noise.reshape(n_paths, self.n)
-            pull = coeff.a_prime(r) / r * dt
-            amp = np.sqrt(2.0 * coeff.a(r))
-            np.add(X, pull[:, None] * X + amp[:, None] * dW, out=X)
-            np.sqrt(np.einsum("ij,ij->i", X, X), out=r)
-            hit = np.flatnonzero(r < floor)
-            if hit.size:
-                X[hit] *= (floor / r[hit])[:, None]
-                r[hit] = floor
-        return r, step
-
-
 class PathEnsemble(NamedTuple):
     """Grid values of a batch of Euler chains, and what the run observed.
 
     ``values`` has shape (n_paths, len(times)); ``times`` is the stored grid
     (possibly thinned by ``store_every``); ``ensemble`` gives a column-major
-    view, each stored step one contiguous column; an IsotropicNd's values
-    are radii |X|. ``first_exit[i]`` is the first step time, stored or not,
-    with value > the barrier, NaN when the path never exits; None without a
-    barrier. ``floor_hits[i]`` counts the steps that ended on the floor.
+    view, each stored step one contiguous column. ``first_exit[i]`` is the
+    first step time, stored or not, with value > the barrier, NaN when the
+    path never exits; None without a barrier. ``floor_hits[i]`` counts the steps that ended on the floor.
     """
 
     times: np.ndarray
@@ -161,9 +112,9 @@ def _path_generator(seed: int) -> np.random.Generator:
 
 def _check_sim_args(sdes, x0: float, T: float, dt: float, n_paths: int,
                     seed: int, store_every: int = 1) -> int:
-    """Validate a run of n_paths chains of each SDE in ``sdes`` (of one
-    width) on ``seed`` before anything is allocated; return its step count
-    int(T / dt). Counts are integers >= 1, the seed an integer in [0, 2^64)
+    """Validate a run of n_paths chains of each SDE in ``sdes`` on ``seed``
+    before anything is allocated; return its step count int(T / dt). Counts
+    are integers >= 1, n_paths below 2^63, the seed an integer in [0, 2^64)
     (a Philox key), and x0 a finite point at or above every floor."""
     _check_count(store_every, "store_every")
     for sde in sdes:
@@ -176,9 +127,8 @@ def _check_sim_args(sdes, x0: float, T: float, dt: float, n_paths: int,
     _check_count(n_paths, "n_paths")
     if not T / dt < 2.0 ** 63:
         raise DomainError(f"T/dt = {T / dt:.6g} steps is more than a run can take")
-    if not int(n_paths) * sdes[0].width < 2 ** 63:
-        raise DomainError(f"n_paths x width = {n_paths} x {sdes[0].width} noise "
-                          "coordinates is more than a run can take")
+    if not n_paths < 2 ** 63:
+        raise DomainError(f"n_paths = {n_paths} is more than a run can take")
     if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2 ** 64):
         raise DomainError(f"master_seed must be an integer in [0, 2^64), "
                           f"got {seed!r}")
@@ -258,19 +208,18 @@ def _noise_blocks(gens, n_steps: int, scale: float):
 
 def _shared_noise_run(sdes, x0: float, T: float, dt: float, n_paths: int,
                       seed: int):
-    """Euler-step n_paths chains of every chain in ``sdes`` (of one sigma and
-    width) from x0 on the same noise, yielding (step, states) after each
+    """Euler-step n_paths chains of every chain in ``sdes`` (of one sigma)
+    from x0 on the same noise, yielding (step, states) after each
     step = 1 .. int(T / dt): the only code that steps a chain. Each chain
-    type owns its update; ``states`` holds each chain's observed states, the
-    same live buffers at every step (copy them to keep them).
+    owns its update; ``states`` holds each chain's states, the same live
+    buffers at every step (copy them to keep them).
 
-    Noise is keyed by (seed, chunk of _NOISE_CHUNK coordinates): coordinate
-    c of path p is coordinate p * width + c of the run, and the chunk whose
-    first coordinate index is q reads the Philox stream keyed by seed XOR q,
+    Noise is keyed by (seed, chunk of _NOISE_CHUNK paths): the chunk whose
+    first path index is q reads the Philox stream keyed by seed XOR q,
     step-major, _WORDS raw words per step, which _box_muller turns into
     _NOISE_CHUNK float32 increments sigma sqrt(dt) xi. A path's noise is thus
     a pure function of (seed, path index), whatever n_paths and the fill
-    length. Each chain's update gets a step's first n_coords increments, one
+    length. Each chain's update gets a step's first n_paths increments, one
     contiguous float32 row, and adds them to its float64 states (an exact
     promotion); the unused tail of the last chunk is never read. The steps,
     and the caller's loop body while the generator is suspended, run under
@@ -279,15 +228,14 @@ def _shared_noise_run(sdes, x0: float, T: float, dt: float, n_paths: int,
     with the window's first step. Callers run _check_sim_args first.
     """
     n_steps = int(T / dt)
-    n_coords = n_paths * sdes[0].width
-    n_chunks = -(-n_coords // _NOISE_CHUNK)
+    n_chunks = -(-n_paths // _NOISE_CHUNK)
     gens = [_path_generator(seed ^ (c * _NOISE_CHUNK)) for c in range(n_chunks)]
     states, updates = zip(*(sde._euler(x0, n_paths, dt) for sde in sdes))
     scale = sdes[0].sigma * math.sqrt(dt)
     with np.errstate(**_STEP_ERRSTATE), \
             contextlib.closing(_noise_blocks(gens, n_steps, scale)) as blocks:
         for k, rows in blocks:
-            for step, noise in enumerate(rows[:, :n_coords], k + 1):
+            for step, noise in enumerate(rows[:, :n_paths], k + 1):
                 for update in updates:
                     update(noise)
                 yield step, states
@@ -303,7 +251,7 @@ def _shared_noise_run(sdes, x0: float, T: float, dt: float, n_paths: int,
                             start, f"{what} within steps [{start}, {step})")
 
 
-def _stored_steps(sde: Sde1D | IsotropicNd, x0: float, T: float, dt: float, n_paths: int,
+def _stored_steps(sde: Sde1D, x0: float, T: float, dt: float, n_paths: int,
                   seed: int, store_every: int) -> np.ndarray:
     """Validate a run of n_paths chains and return the steps ``ensemble``
     stores: step 0, every store_every-th step thereafter, and the last step
@@ -315,13 +263,13 @@ def _stored_steps(sde: Sde1D | IsotropicNd, x0: float, T: float, dt: float, n_pa
     return stored
 
 
-def ensemble(sde: Sde1D | IsotropicNd, x0: float, T: float, dt: float, n_paths: int,
+def ensemble(sde: Sde1D, x0: float, T: float, dt: float, n_paths: int,
              master_seed: int, barrier: Optional[float] = None,
              store_every: int = 1) -> PathEnsemble:
     """Simulate n_paths chains on the chunk-keyed noise of _shared_noise_run
-    and store their observed states (x, or |X| for an IsotropicNd): a loop
-    over the steps the kernel yields, which copies each stored step's live
-    states into a column and checks every step for floor hits and exits.
+    and store their states: a loop over the steps the kernel yields, which
+    copies each stored step's live states into a column and checks every
+    step for floor hits and exits above ``barrier`` (NaN is refused).
 
     Path i's noise depends only on (master_seed, i), so the first m paths
     of a larger ensemble are the m paths of a smaller one. ``store_every``
@@ -330,6 +278,8 @@ def ensemble(sde: Sde1D | IsotropicNd, x0: float, T: float, dt: float, n_paths: 
     """
     stored_idx = _stored_steps(sde, x0, T, dt, n_paths, master_seed,
                                store_every)
+    if barrier is not None and math.isnan(barrier):
+        raise DomainError("barrier must not be NaN")
     n_steps = int(stored_idx[-1])
     # column-major, so that storing a step is a contiguous write
     values = np.empty((stored_idx.size, n_paths)).T

@@ -16,8 +16,8 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence, Union
 import numpy as np
 
 from .errors import DomainError, DriftOrderViolated, ExtrapolationError
-from .sde import (_STEP_ERRSTATE, IsotropicNd, Sde1D, _check_sim_args,
-                  _shared_noise_run, _stored_steps)
+from .sde import (_STEP_ERRSTATE, Sde1D, _check_sim_args, _shared_noise_run,
+                  _stored_steps)
 
 if TYPE_CHECKING:
     from .rate_solver import RateFunction
@@ -35,8 +35,8 @@ __all__ = [
 # Envelope exceedance
 # ---------------------------------------------------------------------------
 
-def _window_fractions(sde: Sde1D | IsotropicNd, x0: float, T: float,
-                      dt: float, n_paths: int, seed: int, store_every: int,
+def _window_fractions(sde: Sde1D, x0: float, T: float, dt: float,
+                      n_paths: int, seed: int, store_every: int,
                       rows: Callable) -> np.ndarray:
     """Per-row fraction of the paths of ``ensemble(sde, x0, T, dt, n_paths,
     seed, store_every=store_every)`` above env[i, j] at the window's j-th
@@ -82,10 +82,10 @@ def _envelope_rows(times: np.ndarray, rate, C_grid, t0: float):
     return window, np.asarray(rate(Ct), dtype=float)
 
 
-def exceedance(sde: Sde1D | IsotropicNd, x0: float, T: float, dt: float,
-               n_paths: int, master_seed: int,
-               rate: Union[RateFunction, Callable], C_grid: Sequence[float],
-               t0: float, store_every: int = 1) -> np.ndarray:
+def exceedance(sde: Sde1D, x0: float, T: float, dt: float, n_paths: int,
+               master_seed: int, rate: Union[RateFunction, Callable],
+               C_grid: Sequence[float], t0: float,
+               store_every: int = 1) -> np.ndarray:
     """Per-C fraction of the paths of ``ensemble(sde, x0, T, dt, n_paths,
     master_seed, store_every=store_every)`` above the envelope rate(C t) at
     some stored time in [t0, T]; nonincreasing in C, as the events are
@@ -94,9 +94,7 @@ def exceedance(sde: Sde1D | IsotropicNd, x0: float, T: float, dt: float,
 
     ``rate`` is a RateFunction table or any callable (useful sentinels:
     constant 0 or +inf). A table, or any rate with a ``domain``, must
-    cover C t on the window (ExtrapolationError otherwise). An
-    IsotropicNd's |X| exceeds rho_tilde^{-1}(psi) when rho_tilde(|X|)
-    exceeds psi: pass euclidean_rate(psi, coeff).
+    cover C t on the window (ExtrapolationError otherwise).
 
     Every argument is checked, and the envelope evaluated, before the first
     step.
@@ -169,7 +167,7 @@ def _check_coupled(a: Sde1D, b: Sde1D):
     # the comparison theorem and the shared-noise coupling need two drifts
     # and one sigma
     if not (isinstance(a, Sde1D) and isinstance(b, Sde1D)):
-        raise DomainError("coupled chains need drifts: an IsotropicNd has none")
+        raise DomainError("coupled chains must be Sde1D chains")
     if a.sigma != b.sigma:
         raise DomainError(
             f"coupled chains need equal sigma, got {a.sigma} and {b.sigma}")

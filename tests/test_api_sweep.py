@@ -17,7 +17,7 @@ from escrate.errors import DomainError
 from escrate.profiles import (RadialCoefficient, catalogue_case,
                               closed_form_rate, profile_from_radial)
 from escrate.rate_solver import dyadic_scheme
-from escrate.sde import IsotropicNd, Sde1D, ensemble
+from escrate.sde import Sde1D, ensemble
 from escrate.verify import (comparison_mc, coupled_dominance, exceedance,
                             lil_statistic)
 
@@ -31,12 +31,12 @@ HIGH = Sde1D(drift=lambda x: np.ones_like(x), sigma=1.0)
 
 
 def _run(kind, x0=1.0, n_paths=4, seed=1, store_every=2, R=5.0,
-         C_grid=(1.0,), t0=0.0):
+         C_grid=(1.0,), t0=0.0, barrier=None):
     """A run of ``kind`` of a few paths over a few steps."""
     T = 3.5 if kind == "lil_statistic" else 0.05  # its window starts past e
     chain = (LOW, x0, T, 0.01, n_paths, seed)
     if kind == "ensemble":
-        return ensemble(*chain, store_every=store_every)
+        return ensemble(*chain, barrier=barrier, store_every=store_every)
     if kind == "exceedance":
         return exceedance(*chain, math.sqrt, C_grid, t0,
                           store_every=store_every)
@@ -49,9 +49,9 @@ def _run(kind, x0=1.0, n_paths=4, seed=1, store_every=2, R=5.0,
 
 # row -> (call of one argument, base value, hostile values)
 ROWS = {
-    "IsotropicNd-n": (
-        lambda n: IsotropicNd(RadialCoefficient.constant(), n), 3,
-        COUNTS),
+    "tabulated-values": (  # a third value whose spline overflows
+        lambda v: RadialCoefficient.tabulated([0.0, 1.0, 2.0], [1.0, 2.0, v]),
+        3.0, [NAN, INF, 1e308]),
     "dyadic_scheme-N": (
         lambda N: dyadic_scheme(profile_from_radial(
             RadialCoefficient.constant(), 3, "unit_energy"), 4.0, N), 3,
@@ -67,6 +67,8 @@ ROWS = {
         [[NAN], [INF], [-INF], [0.0], [-1.0]]),
     "exceedance-t0": (
         lambda t0: _run("exceedance", t0=t0), 0.0, [NAN, INF]),
+    "ensemble-barrier": (  # a NaN barrier would report no exits
+        lambda b: _run("ensemble", barrier=b), 2.0, [NAN]),
 }
 for _kind in ("ensemble", "exceedance", "lil_statistic", "coupled_dominance",
               "comparison_mc"):

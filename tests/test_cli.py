@@ -312,7 +312,12 @@ class TestConfigValidation:
                            ">= 2 points"),
         ("0,1", "1,2,3", "tabulated coefficient has 2 radii but 3 values"),
         ("0,nan,2", "1,2,3", "tabulated radii and values must be finite"),
-    ], ids=["unordered", "more_values", "nan_radius"])
+        ("0,1,2", "1,2,1e308", "tabulated slopes or spline coefficients "
+                               "are not finite"),
+        ("1e-300,2e-300,1", "1,2,1", "tabulated slopes or spline "
+                                     "coefficients are not finite"),
+    ], ids=["unordered", "more_values", "nan_radius", "overflowing_value",
+            "close_knots"])
     @pytest.mark.parametrize("command", ["rate", "conserve"])
     def test_malformed_table_exits_2(self, tmp_path, command, radii, values,
                                      message):

@@ -130,8 +130,8 @@ def _pinned(section, key, value):
     if key == "n_paths" and parsed < 1:
         return "DomainError: n_paths must be >= 1\n"
     if key == "n_paths" and parsed >= 2 ** 63:
-        return (f"DomainError: n_paths x width = {parsed} x 1 noise "
-                "coordinates is more than a run can take\n")
+        return (f"DomainError: n_paths = {parsed} is more than a run can "
+                "take\n")
     return None
 
 

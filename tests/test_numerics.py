@@ -10,7 +10,7 @@ from scipy.interpolate import PchipInterpolator
 
 from escrate import _numerics
 from escrate._numerics import brentq, pchip, quad
-from escrate.errors import QuadratureFailure
+from escrate.errors import OutOfRange, QuadratureFailure
 from escrate.rate_solver import effective_lower_limit, phi
 from escrate.profiles import GrowthProfile
 
@@ -191,7 +191,8 @@ class TestAgainstScipy:
     def test_brentq_no_convergence_comes_before_a_later_error(self):
         # row 0 runs out of iterations; row 1's missing sign change is later
         f = on_rows([_BRACKETS["wide"][0], lambda x: 1.0])
-        with pytest.raises(RuntimeError, match="no convergence in 3 iterations"):
+        with pytest.raises(OutOfRange, match=r"no convergence in 3 iterations "
+                                             r"on \[0.0, 40.0\]"):
             brentq(f, [0.0, 0.0], [40.0, 1.0], 1e-12, 1e-300, 3)
 
     def test_brentq_raises_the_first_failing_row(self):

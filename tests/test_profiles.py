@@ -31,7 +31,7 @@ from escrate.profiles import (
     rho_tilde_inverse,
 )
 from escrate.rate_solver import rate_table
-from escrate.sde import IsotropicNd, Sde1D
+from escrate.sde import Sde1D
 
 
 class TestRadialCoefficient:
@@ -120,10 +120,8 @@ class TestRadialCoefficient:
     (lambda: profile_from_radial(RadialCoefficient.constant(), 1,
                                  "unit_energy"), "r_max"),
     (lambda: catalogue_case("diri1"), "kind"),
-    (lambda: Sde1D(floor=0.01), "floor"),
-    (lambda: IsotropicNd(RadialCoefficient.constant(), 2), "floor")],
-    ids=["RadialCoefficient", "GrowthProfile", "CatalogueCase", "Sde1D",
-         "IsotropicNd"])
+    (lambda: Sde1D(floor=0.01), "floor")],
+    ids=["RadialCoefficient", "GrowthProfile", "CatalogueCase", "Sde1D"])
 def test_value_classes_are_frozen(make, name):
     # a chain's kernel trusts the floor its constructor checked
     value = make()

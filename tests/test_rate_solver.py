@@ -19,7 +19,8 @@ from escrate.errors import (
     OutOfRange,
     QuadratureFailure,
 )
-from escrate.profiles import GrowthProfile, RadialCoefficient, catalogue_case, profile_from_radial
+from escrate.profiles import (GrowthProfile, RadialCoefficient, catalogue_case,
+                              hyperbolic_majorant, profile_from_radial)
 from escrate.rate_solver import (
     PROOF_SCALE_C,
     RateFunction,
@@ -623,6 +624,14 @@ class TestDriftEnvelope:
             warnings.simplefilter("error", IntegrationWarning)
             with pytest.raises(FiniteTotalIntegral):
                 drift_envelope(lambda x: (1.0 + x) ** 2, 2.0)
+
+    @pytest.mark.parametrize("t", [1e-320, 1e-310, 1e-300])
+    def test_unsolved_root_is_out_of_range(self, t):
+        # the root, about 2 sqrt(t), is representable, but the bracket
+        # [0, 1] does not shrink to it in 200 iterations: a typed error
+        with pytest.raises(OutOfRange, match=r"no convergence in 200 "
+                                             r"iterations on \[0.0, 1.0\]"):
+            drift_envelope(hyperbolic_majorant(3, 1.0), t)
 
 
 class TestCatalogueNumeric:

@@ -1,5 +1,5 @@
-"""Euler chains: determinism, moments, radial drifts, and the
-n-dimensional isotropic diffusion."""
+"""Euler chains: determinism, moments, radial drifts, and the coefficient
+chain against the radial law of its Dirichlet form."""
 
 import math
 
@@ -17,8 +17,10 @@ from escrate.profiles import (
     hyperbolic_majorant,
     hyperbolic_mean_curvature,
     rho_tilde,
+    rho_tilde_inverse,
 )
-from escrate.sde import IsotropicNd, Sde1D, ensemble
+from escrate.sde import Sde1D, ensemble
+from oracles import radial_law
 
 
 def zero(x):
@@ -58,16 +60,13 @@ class TestEulerPath:
         with pytest.raises(DomainError):
             ensemble(s, 0.1, 1.0, 1e-2, 1, 1).values[0]
 
-    @pytest.mark.parametrize("chain, n_paths", [
-        (Sde1D(), 2 ** 63),
-        (IsotropicNd(RadialCoefficient.power(1.0), 3), 2 ** 62)],
-        ids=["Sde1D", "IsotropicNd"])
-    def test_path_count_beyond_a_run_rejected(self, chain, n_paths):
-        # 2^63 noise coordinates or more: refused before any array is made
-        with pytest.raises(DomainError, match="noise coordinates"):
-            ensemble(chain, 1.0, 1.0, 0.1, n_paths, 1)
+    def test_path_count_beyond_a_run_rejected(self):
+        # 2^63 paths or more: refused before any array is made
+        with pytest.raises(DomainError, match=r"n_paths = 9223372036854775808 "
+                                              r"is more than a run can take"):
+            ensemble(Sde1D(), 1.0, 1.0, 0.1, 2 ** 63, 1)
         # half as many pass the check (nothing is run here)
-        assert sde_mod._check_sim_args([chain], 1.0, 1.0, 0.1, n_paths // 2,
+        assert sde_mod._check_sim_args([Sde1D()], 1.0, 1.0, 0.1, 2 ** 62,
                                        1) == 10
 
     @pytest.mark.parametrize("T, dt, message", [
@@ -80,14 +79,10 @@ class TestEulerPath:
             ensemble(Sde1D(), 1.0, T, dt, 2, 1)
 
     @pytest.mark.parametrize("floor", [0.0, -1e-6, math.nan])
-    @pytest.mark.parametrize("chain", [
-        lambda floor: Sde1D(drift=euclidean_mean_curvature(3), floor=floor),
-        lambda floor: IsotropicNd(RadialCoefficient.power(1.0), 3, floor)],
-        ids=["Sde1D", "IsotropicNd"])
-    def test_nonpositive_floor_rejected_by_the_chain(self, chain, floor):
+    def test_nonpositive_floor_rejected_by_the_chain(self, floor):
         # the chain owns the floor; its drift takes none
         with pytest.raises(DomainError, match="positive"):
-            chain(floor)
+            Sde1D(drift=euclidean_mean_curvature(3), floor=floor)
 
     @pytest.mark.parametrize("lipschitz", [0.0, -1.0, math.nan])
     def test_nonpositive_lipschitz_rejected(self, lipschitz):
@@ -186,6 +181,17 @@ class TestEnsemble:
         assert np.array_equal(ens.first_exit, every_step.first_exit,
                               equal_nan=True)
         assert np.array_equal(ens.floor_hits, every_step.floor_hits)
+
+    def test_exits_prefix_of_larger_ensemble(self):
+        # 300 paths end inside the second noise chunk, 700 inside the
+        # third: the first 300 paths' values, exits and floor hits agree
+        chain = Sde1D(drift=euclidean_mean_curvature(3), floor=0.05)
+        a, b = (ensemble(chain, 0.1, 3.0, 1e-2, n, 17, barrier=2.0)
+                for n in (300, 700))
+        assert np.array_equal(a.values, b.values[:300])
+        assert np.array_equal(a.floor_hits, b.floor_hits[:300])
+        assert np.array_equal(a.first_exit, b.first_exit[:300], equal_nan=True)
+        assert np.isfinite(a.first_exit).any() and a.floor_hits.sum() > 0
 
     def test_repelling_drift_avoids_floor(self):
         # near-origin repulsion: floor reflection stays inactive
@@ -447,139 +453,45 @@ class TestRadialDrift:
         assert np.array_equal(a.floor_hits, b.floor_hits)
 
 
-class TestEuclideanDiffusionNd:
-    def test_constant_coefficient_increment_variance(self):
-        # sqrt(2)-scaled standard Brownian motion per coordinate
-        radius = ensemble(IsotropicNd(RadialCoefficient.constant(), 2), 100.0,
-                          10.0, 1e-2, 1, 31).values[0]
-        # check the radial increments' quadratic variation instead of the
-        # coordinates: far from the origin the radius is locally a BM
-        inc = np.diff(radius)
-        assert np.var(inc) == pytest.approx(2.0 * 1e-2, rel=0.1)
+class TestCoefficientChain:
+    """The coefficient chain in intrinsic radius against the radial law of
+    the Dirichlet form's diffusion on R^n, from |x0| = 1 to T = 0.2. The law
+    is computed in Euclidean radius, with m = r^(n-1), reflected where the
+    chain is: at intrinsic radius 0.01."""
 
-    def test_constant_intrinsic_equals_euclidean(self):
-        radius = ensemble(IsotropicNd(RadialCoefficient.constant(), 2), 1.0,
-                          1.0, 1e-2, 1, 5).values[0]
-        intrinsic = rho_tilde(RadialCoefficient.constant(), radius)
-        assert np.allclose(radius, intrinsic)
+    N, T, DT, FLOOR = 20_000, 0.2, 1e-3, 0.01
+    CASES = pytest.mark.parametrize("coeff", [
+        RadialCoefficient.power(1.0), RadialCoefficient.squared_log(0.5)],
+        ids=["power1", "squared_log05"])
 
-    def test_two_resolution_consistency(self):
-        # Dynkin: d/dt E|X|^2 = E[2 a'(|X|) |X| + 2 n a(|X|)]; cross-check
-        # with a 10x finer grid instead of evaluating the expectation
-        chain = IsotropicNd(RadialCoefficient.power(1.0), 2)
-        T, n_rep = 0.2, 150
-        finals = {dt: ensemble(chain, 1.0, T, dt, n_rep, 1000,
-                               store_every=10 ** 6).values[:, -1] ** 2
-                  for dt in (2e-3, 2e-4)}
-        a, b = finals[2e-3], finals[2e-4]
-        se = math.hypot(a.std(ddof=1) / math.sqrt(n_rep),
-                        b.std(ddof=1) / math.sqrt(n_rep))
-        assert abs(a.mean() - b.mean()) <= 3.0 * se
-
-    def test_tabulated_intrinsic_radius(self):
-        # no closed form: the intrinsic radius falls back to quadrature
-        coeff = RadialCoefficient.tabulated(np.linspace(0.0, 10.0, 11),
-                                            1.0 + np.linspace(0.0, 10.0, 11))
-        radius = ensemble(IsotropicNd(coeff, 2), 2.0, 0.05, 1e-2, 1,
-                          9).values[0]
-        intrinsic = rho_tilde(coeff, radius)
-        assert intrinsic.dtype == np.float64
-        for r, rho in zip(radius, intrinsic):
-            assert rho == pytest.approx(rho_tilde(coeff, r), rel=1e-12)
-
-    def test_dimension_guard(self):
-        with pytest.raises(DomainError):
-            IsotropicNd(RadialCoefficient.constant(), 1)
-
-
-def kernel_increments(seed, n_coords, n_steps, dt):
-    """The float32 increments sqrt(dt) xi of the kernel's first n_coords
-    noise coordinates, as float64, one row per step: the normals are drawn
-    by _noise_blocks on the kernel's keys (seed ^ 256c for chunk c)."""
-    gens = [sde_mod._path_generator(seed ^ (256 * c))
-            for c in range(-(-n_coords // 256))]
-    blocks = sde_mod._noise_blocks(gens, n_steps, math.sqrt(dt))
-    rows = np.concatenate([rows.copy() for _, rows in blocks])
-    return rows[:, :n_coords].astype(np.float64)
-
-
-def scalar_nd_path(coeff, n, x0, dt, dw, floor):
-    """The one-path scalar loop the n-dimensional process ran on before it
-    was an ensemble, on the increments dw (one row of n per step): the
-    Euclidean radius after every step."""
-    x = np.zeros(n)
-    x[0] = x0
-    radius = [float(x0)]
-    for inc in dw:
-        r = float(np.linalg.norm(x))
-        a = coeff.a(r)
-        ap = coeff.a_prime(r)
-        x = x + (ap / r) * x * dt + math.sqrt(2.0 * a) * inc
-        r = float(np.linalg.norm(x))
-        if r < floor:
-            # reflect radially out to the floor sphere
-            x = x * (floor / r) if r > 0 else np.append(floor, np.zeros(n - 1))
-            r = floor
-        radius.append(r)
-    return np.array(radius)
-
-
-_TABLE = RadialCoefficient.tabulated(np.linspace(0.0, 40.0, 21),
-                                     1.0 + np.sqrt(np.linspace(0.0, 40.0, 21)))
-
-
-class TestIsotropicNd:
-    @pytest.mark.parametrize("n", [2, 3])
-    @pytest.mark.parametrize("coeff", [RadialCoefficient.power(1.0), _TABLE],
-                             ids=["power1", "tabulated"])
-    def test_matches_scalar_loop(self, coeff, n):
-        # 130 paths: two noise chunks at n = 2 and n = 3, of which every
-        # third path is checked; 150 steps: a full noise block and a partial
-        # one; started near the floor so that some steps reflect
-        n_paths, n_steps, dt, floor, x0, seed = 130, 150, 1e-2, 0.1, 0.15, 61
-        ens = ensemble(IsotropicNd(coeff, n, floor), x0, n_steps * dt, dt,
-                       n_paths, seed)
-        dw = kernel_increments(seed, n_paths * n, n_steps, dt)
-        paths = np.arange(0, n_paths, 3)
-        expected = np.array([
-            scalar_nd_path(coeff, n, x0, dt, dw[:, p * n:(p + 1) * n], floor)
-            for p in paths])
-        assert ens.floor_hits[paths].sum() > 0
-        np.testing.assert_allclose(ens.values[paths], expected, rtol=1e-12,
-                                   atol=0.0)
-
-    def test_exits_prefix_of_larger_ensemble(self):
-        # 300 paths at n = 3 end inside the fourth noise chunk, 700 inside
-        # the ninth: the first 300 paths' exits and floor hits agree too
-        chain = IsotropicNd(RadialCoefficient.power(1.0), 3, 0.05)
-        a, b = (ensemble(chain, 0.3, 3.0, 1e-2, n, 17, barrier=2.0)
-                for n in (300, 700))
-        assert np.array_equal(a.values, b.values[:300])
-        assert np.array_equal(a.floor_hits, b.floor_hits[:300])
-        assert np.array_equal(a.first_exit, b.first_exit[:300], equal_nan=True)
-        assert np.isfinite(a.first_exit).any()
-
-    def test_prefix_of_larger_ensemble(self):
-        chain = IsotropicNd(RadialCoefficient.squared_log(0.5), 2, 0.05)
-        small = ensemble(chain, 0.5, 1.0, 1e-2, 100, 23)
-        large = ensemble(chain, 0.5, 1.0, 1e-2, 350, 23)
-        assert np.array_equal(large.values[:100], small.values)
+    def reference(self, coeff, n, cells=2000, r_max=200.0):
+        """E rho_tilde(R_T) and its standard deviation, and the law."""
+        law = radial_law(lambda r: (n - 1) * np.log(r), coeff.a, 1.0, self.T,
+                         float(rho_tilde_inverse(coeff, self.FLOOR)), r_max,
+                         cells=cells)
+        mean = law.expect(lambda r: rho_tilde(coeff, r))
+        sd = math.sqrt(law.expect(lambda r: rho_tilde(coeff, r) ** 2) - mean ** 2)
+        return mean, sd, law
 
     @pytest.mark.parametrize("n", [2, 3])
-    @pytest.mark.parametrize("coeff", [RadialCoefficient.power(1.0),
-                                       RadialCoefficient.squared_log(0.5)],
-                             ids=["power1", "squared_log05"])
-    def test_intrinsic_radius_matches_radial_chain(self, coeff, n):
-        # the law of rho_tilde(|X|) is the 1-D chain's with drift L rho and
-        # sigma sqrt(2); both chains reflect at 0.01, in their own radius
-        N, T, dt, floor = 20_000, 0.2, 1e-3, 0.01
-        nd = rho_tilde(coeff, ensemble(IsotropicNd(coeff, n, floor), 1.0, T,
-                                       dt, N, 2010, store_every=10 ** 6)
-                       .values[:, -1])
-        chain = Sde1D(drift=coefficient_drift(coeff, n), floor=floor)
-        radial = ensemble(chain, rho_tilde(coeff, 1.0), T, dt, N, 2011,
-                          store_every=10 ** 6).values[:, -1]
-        se = math.hypot(nd.std(ddof=1), radial.std(ddof=1)) / math.sqrt(N)
-        assert abs(nd.mean() - radial.mean()) <= 3.0 * se
+    @CASES
+    def test_coefficient_chain_matches_radial_law(self, coeff, n):
+        # the radius of the Dirichlet form's diffusion, in intrinsic radius,
+        # is the 1-D chain with drift L rho and sigma sqrt(2)
+        mean, _, _ = self.reference(coeff, n)
+        chain = Sde1D(drift=coefficient_drift(coeff, n), floor=self.FLOOR)
+        radial = ensemble(chain, rho_tilde(coeff, 1.0), self.T, self.DT,
+                          self.N, 2011, store_every=10 ** 6).values[:, -1]
+        se = radial.std(ddof=1) / math.sqrt(self.N)
+        assert abs(radial.mean() - mean) <= 4.0 * se
 
-
+    @pytest.mark.parametrize("n", [2, 3])
+    @CASES
+    def test_radial_law_is_converged(self, coeff, n):
+        # a finer grid and a domain twice as long each move the reference
+        # by under a tenth of the chain test's SE; the law keeps its mass
+        mean, sd, law = self.reference(coeff, n)
+        assert law.expect(np.ones_like) == pytest.approx(1.0, abs=1e-12)
+        se = sd / math.sqrt(self.N)
+        for change in (dict(cells=4000), dict(r_max=400.0)):
+            assert abs(self.reference(coeff, n, **change)[0] - mean) < 0.1 * se

@@ -1,7 +1,9 @@
 """Statistical checks: envelope exceedance, Monte Carlo comparison,
 coupled dominance, and the iterated-logarithm diagnostic."""
 
+import functools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,9 +14,10 @@ from escrate.errors import (
     DriftOrderViolated,
     ExtrapolationError,
 )
-from escrate.profiles import RadialCoefficient, profile_from_radial
-from escrate.rate_solver import RateFunction, euclidean_rate, rate_table
-from escrate.sde import IsotropicNd, Sde1D, ensemble
+from escrate.profiles import (RadialCoefficient, coefficient_drift,
+                              profile_from_radial, rho_tilde, rho_tilde_inverse)
+from escrate.rate_solver import RateFunction, rate_table
+from escrate.sde import Sde1D, ensemble
 from escrate.verify import (
     _terminal_run,
     comparison_mc,
@@ -22,6 +25,7 @@ from escrate.verify import (
     exceedance,
     lil_statistic,
 )
+from oracles import radial_law
 
 
 def zero(x):
@@ -30,6 +34,27 @@ def zero(x):
 
 # a driftless run of 400 paths on [0, 10], stored every 10th step
 DRIFTLESS = (Sde1D(drift=zero), 1.0, 10.0, 1e-2, 400, 17)
+
+# the n-d envelope test's coefficient, a = 1 + r on R^3, and path count
+ND_COEFF, ND_PATHS = RadialCoefficient.power(1.0), 2000
+
+
+@functools.cache
+def _nd_psi():
+    return rate_table(profile_from_radial(ND_COEFF, 3, "unit_energy"),
+                      np.geomspace(0.5, 1000.0, 60), scale_c=1.0)
+
+
+@functools.cache
+def _nd_law(C, cells=2000, r_max=400.0):
+    """The radial law of test_nd_escape_within_psi's diffusion, in Euclidean
+    radius, killed above rho_tilde^{-1}(psi(C t)) at every step t in [1, 20]
+    and reflected where the chain is: at intrinsic radius 0.01."""
+    watch = np.arange(100, 2001) * 1e-2
+    return radial_law(lambda r: 2.0 * np.log(r), ND_COEFF.a, 1.0, 20.0,
+                      float(rho_tilde_inverse(ND_COEFF, 0.01)), r_max,
+                      cells=cells, max_step=2.5e-3, watch=watch,
+                      boundary=rho_tilde_inverse(ND_COEFF, _nd_psi()(C * watch)))
 
 
 class TestExceedance:
@@ -81,21 +106,36 @@ class TestExceedance:
         assert fractions[0] <= pinned.ENVELOPE_C4_MAX_FRACTION
 
     def test_nd_escape_within_psi(self):
-        # the paper's first theorem on the process of the Dirichlet form:
-        # rho_tilde(|X_t|) > psi(C t) is the event |X_t| > rho_tilde^{-1}(
-        # psi(C t)); configuration matches the pinned pilot exactly
-        coeff = RadialCoefficient.power(1.0)
-        psi = rate_table(profile_from_radial(coeff, 3, "unit_energy"),
-                         np.geomspace(0.5, 1000.0, 60), scale_c=1.0)
-        fractions = exceedance(IsotropicNd(coeff, 3, 0.01), 1.0, 20.0, 1e-2,
-                               2000, 2012, euclidean_rate(psi, coeff),
-                               C_grid=[1.0, 2.0, 4.0, 8.0], t0=1.0)
+        # the paper's first theorem on the diffusion of the Dirichlet form
+        # with a = 1 + r on R^3: its intrinsic radius, the coefficient chain,
+        # is above psi(C t) at some step in [1, 20] with the radial law's
+        # probability p*
+        fractions = exceedance(
+            Sde1D(drift=coefficient_drift(ND_COEFF, 3), floor=0.01),
+            rho_tilde(ND_COEFF, 1.0), 20.0, 1e-2, ND_PATHS, 2012, _nd_psi(),
+            C_grid=[1.0, 2.0, 4.0, 8.0], t0=1.0)
         assert np.all(np.diff(fractions) <= 0.0)
-        assert fractions[1] <= pinned.ND_ENVELOPE_C2_MAX_FRACTION
+        for C, fraction in zip((1.0, 2.0), fractions):
+            p = 1.0 - _nd_law(C).survival[-1]
+            assert abs(fraction - p) <= 4.0 * math.sqrt(p * (1.0 - p) / ND_PATHS)
+
+    @pytest.mark.parametrize("C", [1.0, 2.0])
+    def test_nd_reference_is_converged(self, C):
+        # the surviving mass stays in [0, 1] and never rises, and a finer
+        # grid and a domain twice as long each move p* by under a tenth of
+        # the test's SE
+        law = _nd_law(C)
+        survival = law.survival
+        assert np.all(law.killed >= 0.0) and 0.0 <= survival[-1] <= 1.0
+        assert law.expect(np.ones_like) == pytest.approx(survival[-1], abs=1e-9)
+        p = 1.0 - survival[-1]
+        se = math.sqrt(p * (1.0 - p) / ND_PATHS)
+        for change in (dict(cells=4000), dict(r_max=800.0)):
+            assert abs(1.0 - _nd_law(C, **change).survival[-1] - p) < 0.1 * se
 
 
-def _isotropic():
-    return IsotropicNd(RadialCoefficient.power(1.0), 3, 0.05)
+# a stand-in with a chain's attributes that is not an Sde1D
+NOT_A_CHAIN = SimpleNamespace(drift=None, sigma=math.sqrt(2.0), floor=0.05)
 
 
 class TestComparisonMc:
@@ -126,17 +166,17 @@ class TestComparisonMc:
                           r0=1.0, t=1.0, delta=0.5, R=5.0, N=100, dt=1e-2,
                           master_seed=7)
 
-    def test_isotropic_nd_rejected(self):
-        # the comparison needs scalar drifts; an IsotropicNd has none
-        with pytest.raises(DomainError, match="IsotropicNd"):
-            comparison_mc(_isotropic(), Sde1D(drift=zero, sigma=1.0), r0=1.0,
-                          t=1.0, delta=0.5, R=5.0, N=100, dt=1e-2,
-                          master_seed=7)
+    def test_non_chain_rejected(self):
+        with pytest.raises(DomainError, match="coupled chains must be Sde1D "
+                                              "chains"):
+            comparison_mc(NOT_A_CHAIN, Sde1D(drift=zero), r0=1.0, t=1.0,
+                          delta=0.5, R=5.0, N=100, dt=1e-2, master_seed=7)
 
     def test_path_count_beyond_a_run_rejected(self):
         # refused before either ensemble is allocated
         s = Sde1D(drift=zero)
-        with pytest.raises(DomainError, match="noise coordinates"):
+        with pytest.raises(DomainError, match="n_paths = 9223372036854775808 is "
+                                              "more than a run can take"):
             comparison_mc(s, s, r0=1.0, t=1.0, delta=0.5, R=5.0, N=2 ** 63,
                           dt=1e-2, master_seed=1)
 
@@ -239,10 +279,11 @@ class TestCoupledDominance:
             coupled_dominance(Sde1D(drift=zero, sigma=3.0), Sde1D(drift=one, sigma=1.0),
                               1.0, 1.0, 1e-2, 1000, master_seed=7)
 
-    def test_isotropic_nd_rejected(self):
-        with pytest.raises(DomainError, match="IsotropicNd"):
-            coupled_dominance(Sde1D(drift=zero, sigma=1.0), _isotropic(), 1.0,
-                              1.0, 1e-2, 100, master_seed=7)
+    def test_non_chain_rejected(self):
+        with pytest.raises(DomainError, match="coupled chains must be Sde1D "
+                                              "chains"):
+            coupled_dominance(Sde1D(drift=zero), NOT_A_CHAIN, 1.0, 1.0, 1e-2,
+                              100, master_seed=7)
 
     def test_monotone_step_condition_enforced(self):
         steep = Sde1D(drift=lambda x: -500.0 * np.asarray(x, dtype=float),
@@ -258,7 +299,8 @@ class TestCoupledDominance:
 
     def test_path_count_beyond_a_run_rejected(self):
         s = Sde1D(drift=zero)
-        with pytest.raises(DomainError, match="noise coordinates"):
+        with pytest.raises(DomainError, match="n_paths = 9223372036854775808 is "
+                                              "more than a run can take"):
             coupled_dominance(s, s, 1.0, 1.0, 1e-2, 2 ** 63, master_seed=1)
 
 
@@ -375,17 +417,6 @@ class TestStreamedReductions:
         assert lil_statistic(*args, 3.0, eps_grid,
                              store_every=store_every).tolist() == lil.tolist()
         assert lil[0] > 0.0
-
-    def test_nd_exceedance_equals_stored(self):
-        # the radii |X| of 300 paths at n = 3: 900 noise coordinates
-        args = (_isotropic(), 1.0, self.T, self.DT, 300, 42)
-        C_grid = [16.0, 64.0, 256.0]
-        stored = _exceedance_reference(ensemble(*args, store_every=self.EVERY),
-                                       math.sqrt, C_grid, 1.0)
-        streamed = exceedance(*args, math.sqrt, C_grid, 1.0,
-                              store_every=self.EVERY)
-        assert streamed.tolist() == stored.tolist()
-        assert 0.0 < stored[-1] < stored[0]
 
     def test_lil_equals_stored(self):
         sde = Sde1D(drift=zero, sigma=1.0, floor=1e-6)

@@ -16,7 +16,9 @@ integrates phi across the knots. The envelope runs step 300 paths of the
 3-d Euclidean chain to t = 20: one against a 20-point rate table on [1, 100]
 with ``c_grid = 1,20`` from ``t0 = 2``, whose C = 20 rows the table does
 not cover (exit 3), and one against the zero envelope from ``t0 = 0``,
-which reads the step-0 column (exit 5). Calls that simulate get
+which reads the step-0 column (exit 5). A ``conserve`` of the table
+0, 1, 2 -> 1, 2, 1e308, whose spline coefficients overflow, is refused
+with one line (exit 2). Calls that simulate get
 ``--seed 41``, as the benchmark passes its seed.
 Each config prints one line: its label (``workload/call``,
 ``README/command`` or ``extra/call``), its exit code and one sha256 over
@@ -78,6 +80,8 @@ def configs() -> dict:
                                       "output": "summary"}))
     found["extra/verify_dyadic_tabulated"] = (
         ["verify", "dyadic"], _ini(model=_TABULATED, verify={"c": 4, "n_levels": 25}))
+    found["extra/conserve_tabulated_overflow"] = (
+        ["conserve"], _ini(model=dict(_TABULATED, radii="0,1,2", values="1,2,1e308")))
     run = dict(model=dict(_CONSTANT3, warp="euclidean"),
                solver={"t_grid": "geom:1:100:20", "scale_c": 1},
                simulation={"x0": 1, "t": 20, "dt": 0.01, "n_paths": 300,

@@ -2,9 +2,9 @@
 
 Uses PCG64 streams, deliberately different from the Philox streams of the
 package's simulators, and Euler loops of its own, so the pinned numbers in
-escrate.pinned are independent of the implementation they later judge. The
-n-dimensional pilot takes its envelope from escrate's rate solver, which
-does no simulation. Rerun with
+escrate.pinned are independent of the implementation they later judge.
+Contracts with a computed reference (tests/oracles.py) have no pilot. Rerun
+with
 
     python tools/run_pilots.py
 
@@ -13,12 +13,8 @@ and compare the printed values against src/escrate/pinned.py.
 
 import argparse
 import math
-import sys
-from pathlib import Path
 
 import numpy as np
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 FLOOR = 1e-6
 
@@ -102,44 +98,6 @@ def speed_pilot(reps=5, n_paths=1000, dt=1e-2, T=50.0, seed=555):
     return np.array(means)
 
 
-def nd_envelope_pilot(reps=5, n_paths=2000, n=3, dt=1e-2, T=20.0, t0=1.0,
-                      C=2.0, floor=0.01, seed=1010):
-    """Exceedance of psi(C t) by the intrinsic radius of the n-dimensional
-    process dX = a'(|X|) X/|X| dt + sqrt(2 a(|X|)) dW, a(r) = 1 + r, from
-    (1, 0, 0), reflected radially onto the floor sphere; psi is the
-    unit-energy rate table on geom:0.5:1000:60 with scale 1, compared in
-    Euclidean radius."""
-    from escrate.profiles import RadialCoefficient, profile_from_radial
-    from escrate.rate_solver import euclidean_rate, rate_table
-
-    coeff = RadialCoefficient.power(1.0)
-    table = euclidean_rate(rate_table(profile_from_radial(coeff, n, "unit_energy"),
-                                      np.geomspace(0.5, 1000.0, 60), scale_c=1.0),
-                           coeff)
-    n_steps = int(T / dt)
-    times = dt * np.arange(1, n_steps + 1)
-    env = np.where(times >= t0, table(np.clip(C * times, 0.5, None)), np.inf)
-    sqdt = math.sqrt(dt)
-    fractions = []
-    for rep in range(reps):
-        rng = np.random.default_rng(seed + rep)
-        x = np.zeros((n_paths, n))
-        x[:, 0] = 1.0
-        r = np.ones(n_paths)
-        exceeded = np.zeros(n_paths, dtype=bool)
-        for k in range(n_steps):
-            ap, a = 1.0, 1.0 + r
-            x += (ap / r)[:, None] * x * dt + np.sqrt(2.0 * a)[:, None] * sqdt \
-                * rng.standard_normal((n_paths, n))
-            r = np.linalg.norm(x, axis=1)
-            low = r < floor
-            x[low] *= (floor / r[low])[:, None]
-            r[low] = floor
-            exceeded |= r > env[k]
-        fractions.append(float(exceeded.mean()))
-    return np.array(fractions)
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.parse_args()
@@ -159,11 +117,6 @@ def main():
 
     sp = speed_pilot()
     print(f"hyperbolic speed mean final/T: {np.round(sp, 4)} (claim: within 10% of 1)")
-
-    nd = nd_envelope_pilot()
-    se = math.sqrt(max(nd.mean() * (1 - nd.mean()), 1e-4) / 2000)
-    print(f"n-d envelope C=2 fractions: {np.round(nd, 4)}")
-    print(f"  suggested pin (max + 5 se): {nd.max() + 5 * se:.4f}")
 
 
 if __name__ == "__main__":

@@ -418,6 +418,19 @@ class TestStreamedReductions:
                              store_every=store_every).tolist() == lil.tolist()
         assert lil[0] > 0.0
 
+    def test_nd_exceedance_equals_stored(self):
+        # the coefficient chain of a = 1 + r on R^3, whose drift is
+        # evaluated through rho_tilde^{-1}, streams as the plain drifts do
+        chain = Sde1D(drift=coefficient_drift(ND_COEFF, 3), floor=0.01)
+        args = (chain, rho_tilde(ND_COEFF, 1.0), self.T, self.DT, self.N, 42)
+        C_grid = [4.0, 8.0, 16.0, 32.0]
+        stored = _exceedance_reference(ensemble(*args, store_every=self.EVERY),
+                                       math.sqrt, C_grid, 1.0)
+        streamed = exceedance(*args, math.sqrt, C_grid, 1.0,
+                              store_every=self.EVERY)
+        assert streamed.tolist() == stored.tolist()
+        assert 0.0 < stored[-1] < stored[0]
+
     def test_lil_equals_stored(self):
         sde = Sde1D(drift=zero, sigma=1.0, floor=1e-6)
         args = (sde, 1e-6, 500.0, 1.0, self.N, 606)

@@ -4,12 +4,17 @@ The closed-form catalogue, the coefficient families with their parameter
 keys and conservativeness rule, and the library defaults the config schema
 shares need no numerics, so ``catalogue``, ``conserve`` on a family and
 every config error run without importing numpy.
-``escrate.profiles.CATALOGUE`` is this same object.
+``escrate.profiles.CATALOGUE`` is this same object. The frozen base of the
+value classes and the count check that ``profiles``, ``sde`` and
+``rate_solver`` share live here too, so a chain with no drift formula runs
+without loading ``escrate.profiles``.
 """
 
 from __future__ import annotations
 
 from typing import Optional
+
+from .errors import DomainError
 
 __all__ = ["CATALOGUE", "DEFAULT_ORIGIN_FLOOR", "FAMILIES", "PROOF_SCALE_C",
            "family_verdict"]
@@ -39,6 +44,28 @@ CATALOGUE = (
     ("g_alpha", "alpha=1", "exp(t)", ""),
     ("hyperbolic_linear", "n>=2, K>0", "(1+eps)(n-1) sqrt(K) t", ""),
 )
+
+
+class _Frozen:
+    """Base of the value classes whose constructor sets every field once:
+    assigning or deleting an attribute of an instance is an AttributeError
+    (a chain's kernel trusts the floor its constructor checked)."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _check_count(value, name: str) -> None:
+    """DomainError unless value is an integer >= 1 (NaN included)."""
+    import numbers  # loaded by numpy already; a launch without numpy skips it
+
+    if not value >= 1:
+        raise DomainError(f"{name} must be >= 1")
+    if not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
 # Each coefficient family (a RadialCoefficient constructor of the same name)

@@ -12,6 +12,12 @@ numpy and the numeric modules are imported inside the commands that compute,
 so ``catalogue``, ``conserve`` on a coefficient family, and a config file that
 is missing, malformed or has an unknown key run on the standard library and
 ``escrate.basics`` alone.
+
+A process is started through ``launch`` (``python -m escrate.cli`` and the
+``escrate`` script): once ``main`` has returned, with its output committed,
+the standard streams are flushed and the process ends with ``os._exit``,
+skipping the interpreter's teardown, except under a profiler or tracer.
+In-process callers use ``main``, which returns the exit code.
 """
 
 from __future__ import annotations
@@ -303,7 +309,8 @@ class _Out:
     temporary file in the resolved target's directory that ``commit``
     renames onto the target, so a failed run leaves an existing file as it
     was. Anything else (a device such as /dev/null, a FIFO) is written
-    directly, since a rename would replace it."""
+    directly, since a rename would replace it. A write, flush or close that
+    fails is a ConfigError naming the sink."""
 
     def __init__(self, path):
         self.path, self.temp, self.fh = path, None, sys.stdout
@@ -322,29 +329,47 @@ class _Out:
             if self.temp and os.path.exists(self.target):
                 shutil.copymode(self.target, self.temp)
         except OSError as exc:
-            self.discard()
             self._fail(exc.strerror)
 
     def _fail(self, reason):
-        raise ConfigError(f"cannot write --out {self.path}: {reason}") from None
+        """Raise the ConfigError of a sink that cannot be written. A failed
+        --out is discarded. A failed stdout is pointed at the null device,
+        so the rows still buffered for it are dropped at exit instead of
+        failing again ("Exception ignored", exit 120)."""
+        if self.path:
+            self.discard()
+            raise ConfigError(f"cannot write --out {self.path}: {reason}") from None
+        with contextlib.suppress(OSError):
+            fd = self.fh.fileno()  # none for an in-process stream
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, fd)
+            os.close(null)
+        raise ConfigError(f"cannot write stdout: {reason}") from None
+
+    def write(self, text):
+        try:
+            self.fh.write(text)
+        except OSError as exc:
+            self._fail(exc.strerror)
 
     def row(self, *cells):
-        self.fh.write(",".join(_fmt(c) for c in cells) + "\n")
+        self.write(",".join(_fmt(c) for c in cells) + "\n")
 
     def line(self, text):
-        self.fh.write(text + "\n")
+        self.write(text + "\n")
 
     def commit(self):
-        """Close the file and put the temporary file in the target's place."""
-        if self.fh is sys.stdout:
-            return
+        """Flush stdout, or close the file and put the temporary file in the
+        target's place."""
         try:
+            if not self.path:
+                self.fh.flush()
+                return
             self.fh.close()
             if self.temp:
                 os.replace(self.temp, self.target)
                 self.temp = None
         except OSError as exc:
-            self.discard()
             self._fail(exc.strerror)
 
     def discard(self):
@@ -424,7 +449,7 @@ def cmd_simulate(cfg, out: _Out, seed_override) -> int:
     rows = "".join("%%d,%d,%.17g,%%.17g\n" % (round(t / args["dt"]), t)
                    for t in ens.times.tolist())
     for i in range(len(ens.values)):
-        out.fh.write(rows.replace("%d", str(i)) % tuple(ens.values[i].tolist()))
+        out.write(rows.replace("%d", str(i)) % tuple(ens.values[i].tolist()))
     return EXIT_OK
 
 
@@ -590,5 +615,29 @@ def main(argv=None) -> int:
             out.discard()
 
 
+def launch(argv=None):
+    """Run ``main`` as a whole process and end it with main's exit code.
+
+    Once ``main`` has returned, with its output committed, the standard
+    streams are flushed and the process ends with ``os._exit``, skipping
+    the interpreter's teardown: atexit callbacks do not run (escrate
+    registers none). Under a profiler or tracer (cProfile, trace,
+    coverage), which writes its report at exit, and when a flush fails,
+    the process ends through ``sys.exit`` instead. An exception that
+    escapes ``main`` (argparse's SystemExit for ``--help`` or a usage
+    error, KeyboardInterrupt, a bug's traceback) propagates unchanged.
+    """
+    code = main(argv)
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None: the descriptor was closed at start
+                stream.flush()
+    except OSError:
+        sys.exit(code)
+    if sys.getprofile() is None and sys.gettrace() is None:
+        os._exit(code)
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    launch()

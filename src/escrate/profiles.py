@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .basics import CATALOGUE
+from .basics import CATALOGUE, _Frozen
 from .errors import (
     DomainError,
     NonMonotoneTransform,
@@ -57,26 +57,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Radial coefficient families
 # ---------------------------------------------------------------------------
-
-class _Frozen:
-    """Base of the value classes whose constructor sets every field once:
-    assigning or deleting an attribute of an instance is an AttributeError
-    (a chain's kernel trusts the floor its constructor checked)."""
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
-def _check_count(value, name: str) -> None:
-    """DomainError unless value is an integer >= 1 (NaN included)."""
-    if not value >= 1:
-        raise DomainError(f"{name} must be >= 1")
-    if not isinstance(value, numbers.Integral):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
-
 
 def _finite(name: str, value) -> float:
     """value as a float; DomainError unless it is finite (NaN included)."""

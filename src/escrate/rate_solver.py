@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple, Optional, Union
 import numpy as np
 
 from ._numerics import brentq, quad
-from .basics import PROOF_SCALE_C, family_verdict
+from .basics import PROOF_SCALE_C, _check_count, family_verdict
 from .errors import (
     DomainError,
     ExtrapolationError,
@@ -29,7 +29,6 @@ from .profiles import (
     CatalogueCase,
     GrowthProfile,
     RadialCoefficient,
-    _check_count,
     profile_from_radial,
     rho_tilde_inverse,
 )

@@ -25,9 +25,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .basics import DEFAULT_ORIGIN_FLOOR
+from .basics import DEFAULT_ORIGIN_FLOOR, _check_count, _Frozen
 from .errors import DomainError, NonFiniteState
-from .profiles import _check_count, _Frozen
 
 _SQRT2 = math.sqrt(2.0)
 # Steps per noise fill: _NOISE_BLOCK, or fewer so that a fill's increments and

@@ -19,6 +19,7 @@ from numpy._core._multiarray_umath import __cpu_features__
 
 RUN = [sys.executable, "-m", "escrate.cli"]
 README_MD = Path(__file__).resolve().parents[1] / "README.md"
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
 def run_cli(args, cwd, env=None):
@@ -59,6 +60,19 @@ _UNALLOCATABLE = {
     "rate": ("[model]\nfamily = constant\nn = 3\n"
              "[solver]\nt_grid = geom:1:10:1000000000000000\n"),
 }
+
+
+# simulate's paths output of 50 paths x 5001 steps, about 11 MB of CSV
+_PATHS = ("[model]\nwarp = euclidean\nn = 3\n[simulation]\nx0 = 1\nt = 5\n"
+          "dt = 0.001\nn_paths = 50\nmaster_seed = 7\ndrift = manifold\n"
+          "floor = 0.01\noutput = paths\n")
+_PATHS_HEAD = b"path,step,t,x\n0,0,0,1\n0,1,0.001,"
+
+
+def _buffering(unbuffered):
+    """The environment with PYTHONUNBUFFERED set to 1, or unset."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return dict(env, PYTHONUNBUFFERED="1") if unbuffered else env
 
 
 _SEED_CASES = {  # source, value and message of a refused seed
@@ -248,6 +262,69 @@ class TestConfigValidation:
         assert cli.main(["catalogue", "--out", str(dest)]) == 2
         assert capsys.readouterr().err == (
             f"ConfigError: cannot write --out {dest}: No space left on device\n")
+        assert dest.read_bytes() == b"earlier\n"
+        assert os.listdir(tmp_path) == ["res.csv"]
+
+    @pytest.mark.parametrize("unbuffered", [False, True],
+                             ids=["buffered", "unbuffered"])
+    def test_closed_pipe_is_one_line(self, tmp_path, unbuffered):
+        # the reader of a long CSV stops after 100 bytes (as `| head -c 100`
+        # does): one ConfigError line and exit 2, not a BrokenPipeError
+        # traceback
+        cfg = write_config(tmp_path, _PATHS)
+        proc = subprocess.Popen(RUN + ["simulate", "--config", cfg],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                cwd=str(tmp_path), env=_buffering(unbuffered))
+        assert proc.stdout.read(100).startswith(_PATHS_HEAD)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 2, err
+        assert err == b"ConfigError: cannot write stdout: Broken pipe\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True],
+                             ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command, to_stdout", [
+        ("simulate", True), ("catalogue", True), ("simulate", False)],
+        ids=["simulate_stdout", "catalogue_stdout", "simulate_out"])
+    def test_full_device_is_one_line(self, tmp_path, command, to_stdout,
+                                     unbuffered):
+        # a write, or the flush of what catalogue buffered, fails with
+        # ENOSPC: one ConfigError line naming the sink and exit 2, with no
+        # traceback and no "Exception ignored" at exit (exit 120)
+        argv = [command]
+        if command == "simulate":
+            argv += ["--config", write_config(tmp_path, _PATHS)]
+        sink = "stdout" if to_stdout else "--out /dev/full"
+        with open("/dev/full", "w") as full:
+            res = subprocess.run(
+                RUN + argv + ([] if to_stdout else ["--out", "/dev/full"]),
+                stdout=full if to_stdout else subprocess.PIPE,
+                stderr=subprocess.PIPE, text=True, cwd=str(tmp_path),
+                env=_buffering(unbuffered))
+        assert res.returncode == 2, res.stderr
+        assert res.stderr == (f"ConfigError: cannot write {sink}: "
+                              "No space left on device\n")
+
+    def test_failed_write_discards_the_temporary_file(self, tmp_path):
+        # a write to --out that fails is the ConfigError of a failed rename,
+        # and leaves the earlier file and no temporary one
+        from escrate import cli
+        from escrate.errors import ConfigError
+
+        class Full(io.StringIO):
+            def write(self, text):
+                raise OSError(28, "No space left on device")
+
+        dest = tmp_path / "res.csv"
+        dest.write_bytes(b"earlier\n")
+        out = cli._Out(str(dest))
+        out.fh.close()
+        out.fh = Full()
+        with pytest.raises(ConfigError) as err:
+            out.row("case", "range")
+        assert str(err.value) == (f"cannot write --out {dest}: "
+                                  "No space left on device")
         assert dest.read_bytes() == b"earlier\n"
         assert os.listdir(tmp_path) == ["res.csv"]
 
@@ -640,12 +717,13 @@ class TestModulesLoaded:
             "lil": ("verify lil", (
                 "[simulation]\nx0 = 1\nt = 20\ndt = 1\nn_paths = 20\n"
                 "master_seed = 8\ndrift = none\nsigma = 1\nfloor = 1e-6\n"
-                "[verify]\nt0 = 3\n"), {}, 0, _SOLVER),
+                "[verify]\nt0 = 3\n"), {}, 0, _SOLVER + ("escrate.profiles",)),
             **{f"envelope_{word}": ("verify envelope", (
                 "[simulation]\nx0 = 1\nt = 5\ndt = 0.01\nn_paths = 20\n"
                 "master_seed = 2\ndrift = none\n[verify]\nc_grid = 1\n"
                 f"t0 = 1\nenvelope = {word}\nmax_fraction = 1\n"), {}, 0,
-                _SOLVER) for word in ("zero", "infinity")},
+                _SOLVER + ("escrate.profiles",))
+               for word in ("zero", "infinity")},
             "envelope_table": ("verify envelope", (
                 "[model]\nfamily = constant\nn = 3\nmode = unit_energy\n"
                 "warp = euclidean\n[solver]\nt_grid = geom:1:100:10\n"
@@ -702,6 +780,134 @@ class TestModulesLoaded:
             capture_output=True, text=True, cwd=str(tmp_path))
         assert res.returncode == 0, res.stderr
         assert json.loads(res.stdout) == ["escrate"]
+
+
+class TestLaunch:
+    # one config per exit code: (command, config, whether it writes --out)
+    CASES = {
+        0: ("rate", "[model]\nfamily = constant\nn = 3\nmode = unit_energy\n"
+               "[solver]\nt_grid = 1,10\nr_lo = 3\n", False),
+        2: ("conserve", "[model]\nfamily = constant\nbogus = 1\n", True),
+        3: ("rate", "[model]\nfamily = power\nalpha = 3\nn = 2\n"
+               "mode = unit_energy\n[solver]\nt_grid = 1,10,100\n", True),
+        4: ("simulate", "[simulation]\nx0 = 1\nt = 0.1\ndt = 0.01\n"
+                        "n_paths = 4\nmaster_seed = 3\ndrift = none\n"
+                        "sigma = 1e300\noutput = summary\n", True),
+        5: ("verify envelope", "[simulation]\nx0 = 1\nt = 2\ndt = 0.01\n"
+                               "n_paths = 20\nmaster_seed = 2\ndrift = none\n"
+                               "[verify]\nenvelope = zero\nc_grid = 1\n"
+                               "t0 = 1\n", True),
+    }
+
+    @pytest.mark.parametrize("code", sorted(CASES))
+    def test_process_matches_main(self, tmp_path, monkeypatch, capsys, code):
+        # a launched process gives main's exit code, stdout, stderr and
+        # --out bytes
+        from escrate import cli
+
+        command, text, to_file = self.CASES[code]
+        cfg = write_config(tmp_path, text)
+        runs = []
+        for side in ("process", "main"):
+            work = tmp_path / side
+            work.mkdir()
+            argv = command.split() + ["--config", cfg]
+            argv += ["--out", "out.csv"] if to_file else []
+            if side == "process":
+                res = run_cli(argv, work)
+                streams = (res.returncode, res.stdout, res.stderr)
+            else:
+                monkeypatch.chdir(work)
+                streams = (cli.main(argv), *capsys.readouterr())
+            out = work / "out.csv"
+            runs.append(streams + (out.read_bytes() if out.exists() else None,))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == code and any(runs[0][1:])
+
+    def test_long_stdout_arrives_whole(self, tmp_path, capsys):
+        # ending with os._exit loses nothing: about 11 MB of CSV through a
+        # pipe equal the --out file of the same run
+        from escrate import cli
+
+        cfg = write_config(tmp_path, _PATHS)
+        res = subprocess.run(RUN + ["simulate", "--config", cfg],
+                             capture_output=True, cwd=str(tmp_path))
+        assert res.returncode == 0 and res.stderr == b""
+        dest = tmp_path / "out.csv"
+        assert cli.main(["simulate", "--config", cfg, "--out", str(dest)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert len(res.stdout) > 10 ** 7
+        assert res.stdout == dest.read_bytes()
+        assert res.stdout.startswith(_PATHS_HEAD)
+
+    def test_profiler_report_is_written(self, tmp_path):
+        # under cProfile the process exits through sys.exit, so the
+        # profiler prints its table after the CSV
+        res = subprocess.run([sys.executable, "-m", "cProfile", "-m",
+                              "escrate.cli", "catalogue"], capture_output=True,
+                             text=True, cwd=str(tmp_path))
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.startswith(TestCatalogue.STDOUT)
+        assert "function calls" in res.stdout and "Ordered by" in res.stdout
+
+    def test_script_is_the_launcher(self):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+        with PYPROJECT.open("rb") as fh:
+            scripts = tomllib.load(fh)["project"]["scripts"]
+        assert scripts == {"escrate": "escrate.cli:launch"}
+
+    @pytest.mark.parametrize("hook", [None, "gettrace", "getprofile"])
+    def test_ends_with_os_exit_unless_traced(self, monkeypatch, capsys, hook):
+        # os._exit after the streams are flushed; sys.exit under a tracer or
+        # profiler, which writes its report at exit
+        from escrate import cli
+
+        class Ended(Exception):
+            pass
+
+        def ended(code):
+            raise Ended(code)
+
+        monkeypatch.setattr(cli.os, "_exit", ended)
+        for name in ("gettrace", "getprofile"):
+            monkeypatch.setattr(cli.sys, name, (lambda: print) if name == hook
+                                else (lambda: None))
+        with pytest.raises(SystemExit if hook else Ended) as end:
+            cli.launch(["catalogue"])
+        assert end.value.args == (0,)
+        assert capsys.readouterr() == (TestCatalogue.STDOUT, "")
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--help"], 0), (["rate"], 2), (["catalogue", "--bogus"], 2)],
+        ids=["help", "missing_config", "unknown_flag"])
+    def test_argparse_exit_is_unchanged(self, monkeypatch, capsys, argv, code):
+        # an exception out of main never reaches os._exit
+        from escrate import cli
+
+        monkeypatch.setattr(cli.os, "_exit", pytest.fail)
+        with pytest.raises(SystemExit) as end:
+            cli.launch(argv)
+        assert end.value.code == code
+        captured = capsys.readouterr()
+        assert (captured.out if code == 0 else captured.err).startswith(
+            "usage: escrate")
+
+    def test_failed_flush_exits_through_sys_exit(self, monkeypatch, capsys):
+        # stdout that cannot be flushed: main's one ConfigError line, then
+        # sys.exit with its code, not os._exit
+        from escrate import cli
+
+        class Full(io.StringIO):
+            def flush(self):
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli.os, "_exit", pytest.fail)
+        monkeypatch.setattr(cli.sys, "stdout", Full())
+        with pytest.raises(SystemExit) as end:
+            cli.launch(["catalogue"])
+        assert end.value.code == 2
+        assert capsys.readouterr().err == (
+            "ConfigError: cannot write stdout: No space left on device\n")
 
 
 class TestExports:

@@ -4,9 +4,10 @@
 
 Runs every call, once-call and probe of ``bench/workloads.py``, README's
 two example configs, three runs of the benchmark's tabulated coefficient
-that the benchmark leaves out, and two ``verify envelope`` runs, in one
-process through ``escrate.cli.main``, with the package taken from this
-checkout's ``src``. The tabulated runs are a 3-row rate table in
+that the benchmark leaves out, and two ``verify envelope`` runs, each as a
+child ``python -m escrate.cli`` in a fresh directory, with this checkout's
+``src`` first on PYTHONPATH: the launch path that users and the benchmark
+take. The tabulated runs are a 3-row rate table in
 ``unit_energy`` mode, whose growth profile inverts the tabulated transform
 at every quadrature node and breaks at the table's knots; a 200-path,
 100-step ``simulate`` summary of its ``drift = coefficient`` chain, which
@@ -33,15 +34,12 @@ only when their stderr lines match.
 """
 
 import argparse
-import contextlib
 import hashlib
-import io
 import os
 import re
+import subprocess
 import sys
 import tempfile
-import traceback
-import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -50,7 +48,6 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 import numpy  # noqa: E402
 from numpy._core import _multiarray_umath  # noqa: E402
 
-import escrate.cli  # noqa: E402
 from escrate.pinned import LIL_EPS05_MAX_FRACTION  # noqa: E402
 from workloads import (_CONSTANT3, _TABULATED, _ini, _rate_call,  # noqa: E402
                        workloads)
@@ -97,33 +94,24 @@ def configs() -> dict:
 
 
 def digest(argv, config) -> tuple:
-    """Exit code of one run in a fresh directory, and its output's sha256."""
+    """Exit code of one child run in a fresh directory, and its output's
+    sha256."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     with tempfile.TemporaryDirectory() as work:
         if config is not None:
             Path(work, "cfg.ini").write_text(config)
             argv = argv + ["--config", "cfg.ini"]
-        out, err = io.StringIO(), io.StringIO()
-        cwd = os.getcwd()
-        os.chdir(work)
-        try:
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-                    warnings.catch_warnings():
-                try:
-                    rc = escrate.cli.main(argv + ["--out", "out.csv"])
-                except SystemExit as exc:
-                    rc = exc.code if isinstance(exc.code, int) else 1
-                except Exception:
-                    traceback.print_exc()
-                    rc = 1
-        finally:
-            os.chdir(cwd)
+        res = subprocess.run(
+            [sys.executable, "-m", "escrate.cli"] + argv + ["--out", "out.csv"],
+            stdin=subprocess.DEVNULL, capture_output=True, cwd=work, env=env)
         csv = Path(work, "out.csv")
-        parts = (out.getvalue().encode(), err.getvalue().encode(),
+        parts = (res.stdout, res.stderr,
                  csv.read_bytes() if csv.exists() else b"")
     h = hashlib.sha256()
     for part in parts:
         h.update(len(part).to_bytes(8, "little") + part)
-    return rc, h.hexdigest()
+    return res.returncode, h.hexdigest()
 
 
 def dispatch() -> str:
